@@ -42,6 +42,7 @@ from .bounds import (
     BoundBreakdown,
     TableRow,
     a_of_g,
+    assembled_bound,
     csel_lower,
     delta_conversion,
     e_of_g,
@@ -81,8 +82,8 @@ __all__ = [
     "arakelov_area", "arakelov_logdet", "d_ar_elliptic",
     "elliptic_upper_bound_log", "faltings_delta_elliptic", "log_arakelov_area",
     "qprod_bound",
-    "BoundBreakdown", "TableRow", "a_of_g", "csel_lower", "delta_conversion",
-    "e_of_g", "fq_gap_coefficients", "fq_gap_lower", "genus0_det",
+    "BoundBreakdown", "TableRow", "a_of_g", "assembled_bound", "csel_lower",
+    "delta_conversion", "e_of_g", "fq_gap_coefficients", "fq_gap_lower", "genus0_det",
     "heat_integral", "heat_term", "k_const", "kappa", "log_area_bound",
     "metric_ratio_bound", "table", "upper_bound_logdet", "wentworth_delta",
     "wilms_lower",

@@ -16,17 +16,23 @@ with a(g) = -8g log 2pi + (1-g) K, K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2,
 and asymptotic slope kappa = log(2 pi^4)/3 - (4/3) log 2pi - K/6 ~= 0.5474277.
 Also the genus-0 determinant value, the Faltings-vs-Quillen gap corollary in
 both printed and re-derived readings, and the small-genus reference table.
+Every per-genus function takes a genus or a numpy array of genera; an array
+goes through the same expression and equals the scalar values element-wise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+
+import numpy as np
 
 from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
+MAX_GENUS = 2**53  # float64 holds every genus up to here, and g - 1, exactly
 
 # Reference upper bounds listed for small genus in the audited source
 # (sec. 5); their generating formula is not recoverable, so they are data
@@ -48,76 +54,100 @@ PAPER_KAPPA = 0.5474277074  # printed slope digits
 PAPER_FOUR_ZETA_PRIME = -0.661685
 REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 
+# numpy's SIMD log differs from libm's by one ulp at rare arguments (on
+# AVX-512 first at log(9170), i.e. g = 9171), so genus-dependent logs use
+# math.log on arrays too: a genus array gives exactly the scalar values.
+_libm_log = np.frompyfunc(math.log, 1, 1)
+_E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
 
-def _require_genus(g: int, minimum: int) -> None:
-    if g < minimum:
-        raise ValueError(f"genus must be >= {minimum}, got {g}")
+
+def _log(x):
+    return _libm_log(x).astype(float) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _genera(g, minimum: int):
+    """Check minimum <= g <= 2**53; return g as a float or a float64 array.
+    In float64, g * (g - 1) rounds once like the exact Python-int product;
+    int64 arithmetic would wrap silently from g = 2**32 on."""
+    arr = np.asarray(g)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
+    lo, hi = (arr.min(initial=MAX_GENUS), arr.max(initial=minimum)) if arr.ndim else (g, g)
+    if lo < minimum:
+        raise ValueError(f"genus must be >= {minimum}, got {lo}")
+    if hi > MAX_GENUS:
+        raise ValueError(f"genus must be <= 2**53, got {hi}")
+    return arr.astype(float, copy=False) if arr.ndim else float(g)
 
 
 def heat_integral() -> float:
     """E1(1/4)/(4 pi), the majorized heat-kernel integral (~0.08310 <= 0.0832)."""
-    return exp_integral_e1(0.25) / (4.0 * math.pi)
+    return _E1_QUARTER / (4.0 * math.pi)
 
 
-def heat_term(g: int) -> float:
+def heat_term(g):
     """4 pi (1 - 1/g) * heat_integral = (1 - 1/g) E1(1/4), g >= 2."""
-    _require_genus(g, 2)
-    return (1.0 - 1.0 / g) * exp_integral_e1(0.25)
+    g = _genera(g, 2)
+    return (1.0 - 1.0 / g) * _E1_QUARTER
 
 
-def csel_lower(g: int) -> float:
+def csel_lower(g):
     """Selberg-constant lower bound -4 log(1366 (g-1)), g >= 2."""
-    _require_genus(g, 2)
-    return -4.0 * math.log(1366.0 * (g - 1))
+    g = _genera(g, 2)
+    return -4.0 * _log(1366.0 * (g - 1.0))
 
 
-def metric_ratio_bound(g: int, form: str = "exact") -> float:
+def metric_ratio_bound(g, form: str = "exact"):
     """Upper bound on log(mu_Ar/mu_hyp).
 
     exact:      heat_term(g) - csel_lower(g)/(g(g-1)) + 1/(g-1) - log 4
     simplified: 1 + 4 log(1366(g-1))/(g(g-1))
     exact <= simplified for all g >= 2.
     """
-    _require_genus(g, 2)
+    g = _genera(g, 2)
     if form == "exact":
-        return (heat_term(g) - csel_lower(g) / (g * (g - 1))
-                + 1.0 / (g - 1) - math.log(4.0))
+        return (heat_term(g) - csel_lower(g) / (g * (g - 1.0))
+                + 1.0 / (g - 1.0) - math.log(4.0))
     if form == "simplified":
-        return 1.0 + 4.0 * math.log(1366.0 * (g - 1)) / (g * (g - 1))
+        return 1.0 + 4.0 * _log(1366.0 * (g - 1.0)) / (g * (g - 1.0))
     raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
 
 
-def log_area_bound(g: int, variant: str = "c36") -> float:
+def _area_tail(g):
+    """(4/(g(g-1))) log(1366(g-1)), shared by the area bound and E(g)."""
+    return 4.0 / (g * (g - 1.0)) * _log(1366.0 * (g - 1.0))
+
+
+def log_area_bound(g, variant: str = "c36"):
     """log of the Arakelov-area bound, g >= 2.
 
     e4pi: 1 + log(4 pi) + log(g-1) + (4/(g(g-1))) log(1366(g-1))
     c36:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1))
     e4pi < c36 since 4 pi e ~= 34.16 < 36.
     """
-    _require_genus(g, 2)
-    tail = 4.0 / (g * (g - 1)) * math.log(1366.0 * (g - 1))
+    g = _genera(g, 2)
     if variant == "e4pi":
-        return 1.0 + math.log(4.0 * math.pi) + math.log(g - 1.0) + tail
+        return 1.0 + math.log(4.0 * math.pi) + _log(g - 1.0) + _area_tail(g)
     if variant == "c36":
-        return math.log(36.0) + math.log(g - 1.0) + tail
+        return math.log(36.0) + _log(g - 1.0) + _area_tail(g)
     raise ValueError(f"variant must be one of {AREA_VARIANTS}, got {variant!r}")
 
 
+@lru_cache(maxsize=1)
 def k_const() -> float:
     """K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2 (~ -7.4434493)."""
     return -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
 
 
-def a_of_g(g: int) -> float:
+def a_of_g(g):
     """a(g) = -8 g log 2pi + (1 - g) K, defined for g >= 0."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    g = _genera(g, 0)
     return -8.0 * g * LN_2PI + (1.0 - g) * k_const()
 
 
-def wilms_lower(g: int) -> float:
+def wilms_lower(g):
     """Lower bound -2 g log(2 pi^4) on the delta invariant, g >= 1."""
-    _require_genus(g, 1)
+    g = _genera(g, 1)
     return -2.0 * g * LN_2PI4
 
 
@@ -126,7 +156,7 @@ def kappa() -> float:
     return LN_2PI4 / 3.0 - (4.0 / 3.0) * LN_2PI - k_const() / 6.0
 
 
-def e_of_g(g: int, variant: str = "refined") -> float:
+def e_of_g(g, variant: str = "refined"):
     """Sub-leading term E(g) of the display bound 0.56 g + E(g), g >= 2.
 
     simple:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6
@@ -135,14 +165,27 @@ def e_of_g(g: int, variant: str = "refined") -> float:
     The refined variant is canonical: it satisfies E(g) < 0.44 g from g = 11 on
     (the simple variant only from g = 12).
     """
-    _require_genus(g, 2)
-    tail = 4.0 / (g * (g - 1)) * math.log(1366.0 * (g - 1))
+    g = _genera(g, 2)
     if variant == "simple":
-        return math.log(36.0) + math.log(g - 1.0) + tail + k_const() / 6.0
+        return math.log(36.0) + _log(g - 1.0) + _area_tail(g) + k_const() / 6.0
     if variant == "refined":
-        return (1.0 / (g - 1) + math.log(g - 1.0) + tail + k_const() / 6.0
+        return (1.0 / (g - 1.0) + _log(g - 1.0) + _area_tail(g) + k_const() / 6.0
                 + REFINED_E_CONSTANT)
     raise ValueError(f"variant must be 'simple' or 'refined', got {variant!r}")
+
+
+def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
+    """Assembled upper bound on log det(D_Ar), g >= 2.
+
+    exact:      (log(2 pi^4)/3) g + a(g)/6 + log_area_bound(g, area_variant)
+    simplified: 0.56 g + E_refined(g)       (display-form constant 0.56)
+    """
+    g = _genera(g, 2)
+    if form == "exact":
+        return LN_2PI4 / 3.0 * g + a_of_g(g) / 6.0 + log_area_bound(g, area_variant)
+    if form == "simplified":
+        return 0.56 * g + e_of_g(g, "refined")
+    raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +208,7 @@ class BoundBreakdown:
     upper_simplified: float
 
     def as_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "heat_integral": self.heat_integral,
-            "heat_term": self.heat_term,
-            "csel_lower": self.csel_lower,
-            "metric_ratio_bound_exact": self.metric_ratio_bound_exact,
-            "metric_ratio_bound_simplified": self.metric_ratio_bound_simplified,
-            "log_area_bound": self.log_area_bound,
-            "area_variant": self.area_variant,
-            "a_g": self.a_g,
-            "wilms_lower": self.wilms_lower,
-            "e_g_simple": self.e_g_simple,
-            "e_g_refined": self.e_g_refined,
-            "upper_exact": self.upper_exact,
-            "upper_simplified": self.upper_simplified,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def upper_bound_logdet(
@@ -188,30 +216,19 @@ def upper_bound_logdet(
 ) -> BoundBreakdown:
     """Assembled upper bound on log det(D_Ar) with the full term breakdown.
 
-    upper_exact      = (log(2 pi^4)/3) g + a(g)/6 + log_area_bound(g, variant)
-    upper_simplified = 0.56 g + E_refined(g)       (display-form constant 0.56)
+    upper_exact      = assembled_bound(g, "exact", area_variant)
+    upper_simplified = assembled_bound(g, "simplified")
+    For an array of genera, every per-genus field is an array.
     """
-    _require_genus(g, 2)
+    gf = _genera(g, 2)
     if form not in BOUND_FORMS:
         raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
-    area = log_area_bound(g, area_variant)
-    a_g = a_of_g(g)
-    e_ref = e_of_g(g, "refined")
     return BoundBreakdown(
-        genus=g,
-        heat_integral=heat_integral(),
-        heat_term=heat_term(g),
-        csel_lower=csel_lower(g),
-        metric_ratio_bound_exact=metric_ratio_bound(g, "exact"),
-        metric_ratio_bound_simplified=metric_ratio_bound(g, "simplified"),
-        log_area_bound=area,
-        area_variant=area_variant,
-        a_g=a_g,
-        wilms_lower=wilms_lower(g),
-        e_g_simple=e_of_g(g, "simple"),
-        e_g_refined=e_ref,
-        upper_exact=LN_2PI4 / 3.0 * g + a_g / 6.0 + area,
-        upper_simplified=0.56 * g + e_ref,
+        g, heat_integral(), heat_term(gf), csel_lower(gf),
+        metric_ratio_bound(gf, "exact"), metric_ratio_bound(gf, "simplified"),
+        log_area_bound(gf, area_variant), area_variant, a_of_g(gf),
+        wilms_lower(gf), e_of_g(gf, "simple"), e_of_g(gf, "refined"),
+        assembled_bound(gf, "exact", area_variant), assembled_bound(gf, "simplified"),
     )
 
 
@@ -242,23 +259,22 @@ def fq_gap_coefficients(reading: str = "as_stated") -> tuple[float, float]:
     raise ValueError("reading must be 'as_stated' or 'derivation'")
 
 
-def fq_gap_lower(g: int, reading: str = "as_stated") -> float:
+def fq_gap_lower(g, reading: str = "as_stated"):
     """slope * g + constant under the chosen reading, g >= 1."""
-    _require_genus(g, 1)
+    g = _genera(g, 1)
     slope, const = fq_gap_coefficients(reading)
     return slope * g + const
 
 
 def delta_conversion(delta_prime: float, g: int) -> float:
     """Normalization shift delta = delta' + 4 g log 2pi, g >= 0."""
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _genera(g, 0)
     return delta_prime + 4.0 * g * LN_2PI
 
 
 def wentworth_delta(d_ar: float, g: int) -> float:
     """delta = -6 D_Ar + a(g), g >= 1."""
-    _require_genus(g, 1)
+    _genera(g, 1)
     return -6.0 * d_ar + a_of_g(g)
 
 
@@ -282,16 +298,16 @@ def table(
     value and its delta, larger genera carry the listed regime annotations."""
     if not 2 <= g_from <= g_to:
         raise ValueError("need 2 <= g_from <= g_to")
-    if form not in BOUND_FORMS:
-        raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
+    genera = np.arange(g_from, g_to + 1)
+    columns = (np.broadcast_to(column, genera.shape).tolist() for column
+               in upper_bound_logdet(genera, form, area_variant).as_dict().values())
     rows = []
-    for g in range(g_from, g_to + 1):
-        bd = upper_bound_logdet(g, form, area_variant)
-        paper = PAPER_TABLE_VALUES.get(g)
+    for bd in map(BoundBreakdown, *columns):
+        paper = PAPER_TABLE_VALUES.get(bd.genus)
         delta = None if paper is None else bd.upper_exact - paper
-        if g >= 3580:
+        if bd.genus >= 3580:
             annotation = f"listed regime: bounded above by {PAPER_KAPPA}*g + 1"
-        elif g > 10:
+        elif bd.genus > 10:
             annotation = "listed regime: bounded above by g"
         else:
             annotation = ""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,8 @@ def _parse_tau(text: str, parser: argparse.ArgumentParser) -> UpperHalfPoint:
         x, y = float(parts[0]), float(parts[1])
     except ValueError:
         parser.error(f"--tau must be 'x,y' with two decimal literals, got {text!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        parser.error(f"--tau requires finite x and y, got {text!r}")
     if y <= 0.0:
         parser.error(f"--tau requires y > 0, got y = {parts[1]}")
     return UpperHalfPoint(x, y)
@@ -52,12 +55,13 @@ def _precision_from_env(parser: argparse.ArgumentParser) -> Precision:
     try:
         return Precision(rel_tol=float(raw))
     except ValueError:
-        parser.error(f"ATL_PRECISION must be a positive float, got {raw!r}")
+        parser.error(f"ATL_PRECISION must be a finite positive float, got {raw!r}")
 
 
 def _cmd_bound(args, parser, prec) -> int:
-    if args.genus < 2:
-        parser.error("bound requires --genus >= 2; for genus 1 use `atlab elliptic`")
+    if not 2 <= args.genus <= bounds.MAX_GENUS:
+        parser.error("bound requires 2 <= --genus <= 2**53; "
+                     "for genus 1 use `atlab elliptic`")
     bd = bounds.upper_bound_logdet(args.genus, args.form, args.area)
     headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
     if args.json:
@@ -98,7 +102,7 @@ def _cmd_elliptic(args, parser, prec) -> int:
 
 def _cmd_torus_det(args, parser, prec) -> int:
     tau = _parse_tau(args.tau, parser)
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:
         parser.error(f"--tol must be positive, got {args.tol}")
     if args.method == "closed":
         print(f"logdet_closed  {_fmt(torus.logdet_closed(tau, prec))}")
@@ -122,24 +126,14 @@ def _cmd_torus_det(args, parser, prec) -> int:
 
 
 def _table_row_dict(row: bounds.TableRow) -> dict:
-    bd = row.breakdown
-    return {
-        "genus": bd.genus,
-        "heat_term": bd.heat_term,
-        "csel_lower": bd.csel_lower,
-        "log_area_bound": bd.log_area_bound,
-        "a_g": bd.a_g,
-        "e_g_refined": bd.e_g_refined,
-        "upper_exact": bd.upper_exact,
-        "upper_simplified": bd.upper_simplified,
-        "paper_value": row.paper_value,
-        "delta": row.delta,
-    }
+    # paper_value and delta live on the row, every other column on its breakdown
+    return {col: getattr(row if hasattr(row, col) else row.breakdown, col)
+            for col in TABLE_COLUMNS}
 
 
 def _cmd_table(args, parser, prec) -> int:
-    if not 2 <= args.g_from <= args.g_to:
-        parser.error("need 2 <= --from <= --to")
+    if not 2 <= args.g_from <= args.g_to <= bounds.MAX_GENUS:
+        parser.error("need 2 <= --from <= --to <= 2**53")
     rows = bounds.table(args.g_from, args.g_to, args.form, args.area)
     dicts = [_table_row_dict(row) for row in rows]
     if args.csv:

@@ -57,8 +57,8 @@ class Precision:
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "series_tail_tol", "lattice_tail_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         if self.em_cutoff < 10:
             raise ValueError("em_cutoff must be >= 10")
         if self.em_order < 2:

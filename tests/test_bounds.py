@@ -6,12 +6,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from atlab.bounds import (
+    AREA_VARIANTS,
+    BOUND_FORMS,
     PAPER_KAPPA,
     PAPER_TABLE_VALUES,
+    REFINED_E_CONSTANT,
     a_of_g,
+    assembled_bound,
     csel_lower,
     delta_conversion,
     e_of_g,
@@ -29,6 +34,7 @@ from atlab.bounds import (
     wentworth_delta,
     wilms_lower,
 )
+from atlab.numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
 
 K_CONST = -7.4434493107651412
 KAPPA = 0.54742770456757823
@@ -251,3 +257,109 @@ def test_table_regime_annotations():
         table(1, 5)
     with pytest.raises(ValueError):
         table(5, 3)
+
+
+# Genera where int64 products wrap (2**32 +- 1), far beyond the audit range,
+# at the float64-exact limit, and where numpy's SIMD log differs from libm's
+# by one ulp on AVX-512 (g - 1 = 9170, 1366 (g - 1) at g = 13262).
+LARGE_GENERA = (2**32 - 1, 2**32, 2**32 + 1, 10**12, 2**53, 9171, 13262)
+
+
+def _python_int_breakdown(g: int, area: str) -> dict:
+    """Every BoundBreakdown field from the documented formulas, evaluated
+    with Python ints and math.log term by term."""
+    e1 = exp_integral_e1(0.25)
+    k = -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
+    log_n = math.log(1366.0 * (g - 1))
+    tail = 4.0 / (g * (g - 1)) * log_n
+    heat = (1.0 - 1.0 / g) * e1
+    csel = -4.0 * log_n
+    head = 1.0 + math.log(4.0 * math.pi) if area == "e4pi" else math.log(36.0)
+    area_bound = head + math.log(g - 1.0) + tail
+    a_g = -8.0 * g * LN_2PI + (1.0 - g) * k
+    e_refined = (1.0 / (g - 1) + math.log(g - 1.0) + tail + k / 6.0
+                 + REFINED_E_CONSTANT)
+    return {
+        "genus": g,
+        "heat_integral": e1 / (4.0 * math.pi),
+        "heat_term": heat,
+        "csel_lower": csel,
+        "metric_ratio_bound_exact": (heat - csel / (g * (g - 1)) + 1.0 / (g - 1)
+                                     - math.log(4.0)),
+        "metric_ratio_bound_simplified": 1.0 + 4.0 * log_n / (g * (g - 1)),
+        "log_area_bound": area_bound,
+        "area_variant": area,
+        "a_g": a_g,
+        "wilms_lower": -2.0 * g * LN_2PI4,
+        "e_g_simple": math.log(36.0) + math.log(g - 1.0) + tail + k / 6.0,
+        "e_g_refined": e_refined,
+        "upper_exact": LN_2PI4 / 3.0 * g + a_g / 6.0 + area_bound,
+        "upper_simplified": 0.56 * g + e_refined,
+    }
+
+
+@pytest.mark.parametrize("area", AREA_VARIANTS)
+@pytest.mark.parametrize("g", LARGE_GENERA)
+def test_large_genus_breakdown_equals_python_int_formula(g, area):
+    expected = _python_int_breakdown(g, area)
+    for form in BOUND_FORMS:
+        assert upper_bound_logdet(g, form, area).as_dict() == expected
+    # The same genera as an int64 array must not wrap in g * (g - 1).
+    columns = upper_bound_logdet(np.array(LARGE_GENERA), "exact", area)
+    i = LARGE_GENERA.index(g)
+    for name, value in expected.items():
+        column = np.broadcast_to(getattr(columns, name), len(LARGE_GENERA))
+        assert column[i] == value, name
+
+
+@pytest.mark.parametrize("area", AREA_VARIANTS)
+@pytest.mark.parametrize("form", BOUND_FORMS)
+def test_table_rows_equal_scalar_breakdowns(form, area):
+    rows = table(2, 3729, form, area)
+    assert [row.breakdown for row in rows] == [
+        upper_bound_logdet(g, form, area) for g in range(2, 3730)]
+    last = rows[-1].breakdown.as_dict()
+    assert all(type(v) in (int, float, str) for v in last.values())
+
+
+@pytest.mark.parametrize("term, minimum", [
+    (heat_term, 2), (csel_lower, 2), (lambda g: metric_ratio_bound(g, "exact"), 2),
+    (lambda g: metric_ratio_bound(g, "simplified"), 2),
+    (lambda g: log_area_bound(g, "e4pi"), 2), (log_area_bound, 2), (a_of_g, 0),
+    (wilms_lower, 1), (lambda g: e_of_g(g, "simple"), 2), (e_of_g, 2),
+    (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
+    (fq_gap_lower, 1), (lambda g: fq_gap_lower(g, "derivation"), 1),
+])
+def test_array_evaluation_equals_scalar(term, minimum):
+    genera = list(range(minimum, 600)) + list(LARGE_GENERA)
+    values = term(np.array(genera))
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    scalars = [term(g) for g in genera]
+    assert all(type(v) is float for v in scalars)
+    assert values.tolist() == scalars
+    assert term(np.array(genera).reshape(-1, 1))[:, 0].tolist() == scalars
+    assert term(np.array([], dtype=int)).shape == (0,)
+
+
+def test_bad_genera_in_arrays_raise():
+    with pytest.raises(ValueError):
+        e_of_g(np.array([1, 5]))
+    with pytest.raises(ValueError):
+        heat_term(np.array([3, 2, 0]))
+    with pytest.raises(ValueError):
+        a_of_g(np.array([4, -1]))
+    with pytest.raises(ValueError):
+        wilms_lower(np.array([0]))
+    with pytest.raises(ValueError):
+        upper_bound_logdet(np.array([2, 1]))
+    # Beyond 2**53 float64 cannot hold g and g - 1 exactly.
+    with pytest.raises(ValueError):
+        csel_lower(np.array([5, 2**53 + 1], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        upper_bound_logdet(2**53 + 1)
+    with pytest.raises(ValueError):
+        e_of_g(2**70)
+    with pytest.raises(ValueError):
+        table(2**53 - 1, 2**53 + 1)
+    with pytest.raises(ValueError):
+        heat_term(np.array(["3"]))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from atlab import bounds, claims
 from atlab.claims import (
     EXPECTED_DISCREPANT,
     builtin_registry,
@@ -133,3 +134,34 @@ def test_precision_threads_through():
     report = run_all(Precision(rel_tol=1e-10), only=["CL-17"])
     assert report.records[0].status == "CONFIRMED"
     assert report.as_dict()["precision"]["rel_tol"] == 1e-10
+
+
+@pytest.mark.parametrize("claim_id, margin", [
+    ("CL-08", lambda g: 0.44 * g - bounds.e_of_g(g, "refined")),
+    ("CL-09", lambda g: g - bounds.upper_bound_logdet(g, "simplified").upper_simplified),
+])
+def test_sweep_records_match_per_genus_minimum(claim_id, margin):
+    # Independent oracle: the margin genus by genus through the scalar API.
+    worst_g = min(claims.SWEEP_G_RANGE, key=margin)
+    rec = evaluate(registry_by_id()[claim_id])
+    assert rec.status == "CONFIRMED"
+    assert type(rec.delta) is float and rec.delta == margin(worst_g)
+    assert rec.computed.startswith("0 violations over g in [11, 3580]")
+    assert rec.computed.endswith(f"= {rec.delta:.6f} at g = {worst_g}")
+
+
+def test_sweep_counts_violations():
+    computed, worst, passed = claims._sweep(lambda g: g - 20.0, "g - 20")
+    assert computed == ("10 violations over g in [11, 3580]; min margin "
+                        "g - 20 = -9.000000 at g = 11")
+    assert worst == -9.0 and not passed
+
+
+def test_asymptote_excesses_match_scalar_bounds():
+    rec = evaluate(registry_by_id()["CL-11"])
+    for g in claims.ASYMPTOTE_SAMPLES:
+        excess = (bounds.upper_bound_logdet(g).upper_exact
+                  - (bounds.PAPER_KAPPA * g + 1.0))
+        assert f"excess at g={g}: {excess:+.4f}" in rec.computed
+    assert rec.delta == bounds.upper_bound_logdet(3580).upper_exact - (
+        bounds.PAPER_KAPPA * 3580 + 1.0)

@@ -195,3 +195,30 @@ def test_precision_env_override(capsys, monkeypatch):
 def test_usage_errors(capsys):
     assert run(capsys, "bound")[0] == 2            # missing --genus
     assert run(capsys, "no-such-command")[0] == 2
+
+
+def test_non_finite_tau_is_a_usage_error(capsys):
+    for command in ("torus-det", "elliptic"):
+        for tau in ("nan,1", "0,inf", "inf,1", "0,nan", "-inf,2"):
+            code, out, err = run(capsys, command, f"--tau={tau}")
+            assert code == 2, (command, tau)
+            assert "finite" in err and out == ""
+
+
+def test_non_finite_precision_env_is_a_usage_error(capsys, monkeypatch):
+    for raw in ("inf", "-inf", "nan", "0", "-1e-12"):
+        monkeypatch.setenv("ATL_PRECISION", raw)
+        code, _, err = run(capsys, "bound", "--genus", "5")
+        assert code == 2, raw
+        assert "ATL_PRECISION" in err
+
+
+def test_genus_beyond_float64_range_is_a_usage_error(capsys):
+    assert run(capsys, "bound", "--genus", str(2**53 + 1))[0] == 2
+    assert run(capsys, "bound", "--genus", str(2**53), "--json")[0] == 0
+    assert run(capsys, "table", "--from", str(2**53 + 1),
+               "--to", str(2**53 + 2))[0] == 2
+
+
+def test_torus_det_nan_tol_is_a_usage_error(capsys):
+    assert run(capsys, "torus-det", "--tau", "0,1", "--tol", "nan")[0] == 2

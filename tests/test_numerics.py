@@ -64,6 +64,10 @@ def test_precision_validation():
         Precision(em_cutoff=5)
     with pytest.raises(ValueError):
         Precision(series_tail_tol=-1e-16)
+    for bad in (math.inf, math.nan):
+        for name in ("rel_tol", "series_tail_tol", "lattice_tail_tol"):
+            with pytest.raises(ValueError):
+                Precision(**{name: bad})
 
 
 def test_modular_transform_validation():
