@@ -33,6 +33,7 @@ from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
 MAX_GENUS = 2**53  # float64 holds every genus up to here, and g - 1, exactly
+MAX_TABLE_ROWS = 100_000  # ~1 s and ~130 MB peak; memory grows linearly with rows
 
 # Reference upper bounds listed for small genus in the audited source
 # (sec. 5); their generating formula is not recoverable, so they are data
@@ -295,9 +296,13 @@ def table(
     area_variant: str = "c36",
 ) -> list[TableRow]:
     """Rows for genus g_from..g_to; g in 2..10 carry the listed reference
-    value and its delta, larger genera carry the listed regime annotations."""
-    if not 2 <= g_from <= g_to:
-        raise ValueError("need 2 <= g_from <= g_to")
+    value and its delta, larger genera carry the listed regime annotations.
+    At most MAX_TABLE_ROWS rows; a longer window raises before allocating."""
+    if not 2 <= g_from <= g_to <= MAX_GENUS:
+        raise ValueError("need 2 <= g_from <= g_to <= 2**53")
+    if g_to - g_from + 1 > MAX_TABLE_ROWS:
+        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, "
+                         f"got {g_to - g_from + 1}")
     genera = np.arange(g_from, g_to + 1)
     columns = (np.broadcast_to(column, genera.shape).tolist() for column
                in upper_bound_logdet(genera, form, area_variant).as_dict().values())

@@ -25,7 +25,7 @@ from .numerics import (
     log_abs_eta,
     log_abs_qprod,
 )
-from .bounds import a_of_g
+from .bounds import wentworth_delta
 
 
 def log_arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
@@ -80,7 +80,7 @@ def faltings_delta_elliptic(
     """
     if reading not in ("direct", "shifted"):
         raise ValueError("reading must be 'direct' or 'shifted'")
-    value = -6.0 * d_ar_elliptic(tau, prec) + a_of_g(1)
+    value = wentworth_delta(d_ar_elliptic(tau, prec), 1)
     if reading == "shifted":
         value += 4.0 * LN_2PI
     return value

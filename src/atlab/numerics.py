@@ -21,6 +21,7 @@ no global mutable state beyond internal caches of immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,7 +120,9 @@ def reduce_to_fundamental_domain(
 
     Returns (tau', T) with tau' = T(tau).  The loop alternates x -> x - round(x)
     and tau -> -1/tau; it provably terminates, but a hard cap guards against
-    floating-point cycling on the |tau| = 1 boundary.
+    floating-point cycling on the |tau| = 1 boundary.  Raises ValueError when
+    x^2 + y^2 at a step is below the smallest normal double (tau too close to
+    the real axis): the inversion would divide by zero or by a subnormal.
     """
     p = prec or DEFAULT_PRECISION
     x, y = tau.x, tau.y
@@ -132,6 +135,9 @@ def reduce_to_fundamental_domain(
             b -= k * d
         norm = x * x + y * y
         if norm < 1.0 - p.rel_tol:
+            if norm < sys.float_info.min:
+                raise ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
+                                 "tau is too close to the real axis")
             x, y = -x / norm, y / norm
             a, b, c, d = -c, -d, a, b
         else:
@@ -170,11 +176,6 @@ def log_abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     red, _ = reduce_to_fundamental_domain(tau, p)
     val = -math.pi * red.y / 12.0 + log_abs_qprod(red.x, red.y, p.series_tail_tol)
     return val + 0.25 * (math.log(red.y) - math.log(tau.y))
-
-
-def abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
-    """|eta(tau)|, exposed only as exp(log_abs_eta)."""
-    return math.exp(log_abs_eta(tau, prec))
 
 
 def exp_integral_e1(x: float) -> float:

@@ -19,8 +19,9 @@ through the Mellin split at t = 1,
 
 both integrands exponentially small at their singular ends, and the
 regularized determinant is log det = -zeta'(0) = gamma_E + 1/(4 pi) - H(0).
-The closed form log det = log(y |eta(tau)|^4) is computed from the eta kernel
-and never enters the oracle path.
+The closed form log det = log(y |eta(tau)|^4) is the genus-1 invariant D_Ar
+(`elliptic.d_ar_elliptic`), computed from the eta kernel; it never enters the
+oracle path.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
+from .elliptic import d_ar_elliptic
 from .numerics import (
     DEFAULT_PRECISION,
     EULER_GAMMA,
     ConvergenceError,
     Precision,
     UpperHalfPoint,
-    log_abs_eta,
 )
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
@@ -173,6 +173,8 @@ def heat_trace(
 
 
 def _quad(f, a: float, b: float, p: Precision) -> float:
+    from scipy.integrate import quad  # imported here so only the oracle loads scipy
+
     out = quad(f, a, b, epsabs=0.1 * p.rel_tol, epsrel=10.0 * p.rel_tol,
                limit=200, full_output=1)
     if len(out) > 3:
@@ -268,9 +270,8 @@ def logdet_oracle(
     return EULER_GAMMA + area / (4.0 * math.pi) - h0
 
 
-def logdet_closed(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
-    """log det = log(y |eta(tau)|^4), the closed form (modular invariant)."""
-    return math.log(tau.y) + 4.0 * log_abs_eta(tau, prec)
+# log det = log(y |eta(tau)|^4) = D_Ar, the closed form (modular invariant).
+logdet_closed = d_ar_elliptic
 
 
 def scaled_logdet(base_logdet: float, gamma: float) -> float:
@@ -288,14 +289,6 @@ class DetComparison:
     logdet_closed: float
     logdet_oracle: float
     difference: float  # oracle - closed
-
-    def as_dict(self) -> dict:
-        return {
-            "tau": {"x": self.tau.x, "y": self.tau.y},
-            "logdet_closed": self.logdet_closed,
-            "logdet_oracle": self.logdet_oracle,
-            "difference": self.difference,
-        }
 
 
 def compare_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> DetComparison:

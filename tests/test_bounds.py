@@ -12,6 +12,7 @@ import pytest
 from atlab.bounds import (
     AREA_VARIANTS,
     BOUND_FORMS,
+    MAX_TABLE_ROWS,
     PAPER_KAPPA,
     PAPER_TABLE_VALUES,
     REFINED_E_CONSTANT,
@@ -245,6 +246,13 @@ def test_table_reference_rows():
         assert abs(row.delta - TABLE_DELTAS[g]) < 1e-5
         assert abs(row.delta) <= 0.75
         assert row.annotation == ""
+
+
+def test_table_window_is_bounded_before_allocating():
+    # Each window fails its row count before np.arange could allocate it.
+    for g_from, g_to in ((2, 2 + MAX_TABLE_ROWS), (2, 2**53), (10**6, 10**6 + 10**7)):
+        with pytest.raises(ValueError, match="at most 100000 rows"):
+            table(g_from, g_to)
 
 
 def test_table_regime_annotations():

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import atlab
 from atlab.cli import main
 
 
@@ -222,3 +226,53 @@ def test_genus_beyond_float64_range_is_a_usage_error(capsys):
 
 def test_torus_det_nan_tol_is_a_usage_error(capsys):
     assert run(capsys, "torus-det", "--tau", "0,1", "--tol", "nan")[0] == 2
+
+
+def test_non_convergence_exits_3(capsys, monkeypatch):
+    # rel_tol = 2 disables the inversion, so the q-series at y = 1e-6 cannot
+    # reach its tail tolerance.
+    monkeypatch.setenv("ATL_PRECISION", "2")
+    for argv in (("elliptic", "--tau", "0,1e-6"),
+                 ("torus-det", "--tau", "0,1e-6", "--method", "closed")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == "" and err.startswith("error: ") and "q-product" in err
+
+
+def test_tau_underflowing_norm_exits_2(capsys):
+    for tau in ("0,1e-300", "0.5,1e-300", "0,1e-310"):
+        for argv in (("elliptic", "--tau", tau),
+                     ("torus-det", "--tau", tau, "--method", "closed")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and err.startswith("error: ") and "underflows" in err
+    assert run(capsys, "elliptic", "--tau", "0,1e-150")[0] == 0
+
+
+def test_table_window_limit_exits_2(capsys):
+    code, out, err = run(capsys, "table", "--from", "2", "--to", str(2**53))
+    assert code == 2
+    assert out == "" and "at most 100000 rows" in err
+
+
+def test_only_the_oracle_loads_scipy():
+    # A fresh interpreter, since this test process may have loaded scipy.
+    script = (
+        "import contextlib, io, sys\n"
+        "from atlab.cli import main\n"
+        "def loads_scipy(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        "    return 'scipy' in sys.modules\n"
+        "print(loads_scipy('bound', '--genus', '5'),\n"
+        "      loads_scipy('table', '--from', '2', '--to', '12'),\n"
+        "      loads_scipy('elliptic', '--tau', '0,1', '--json'),\n"
+        "      loads_scipy('torus-det', '--tau', '0,1'))\n"
+    )
+    src = str(pathlib.Path(atlab.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "ATL_PRECISION"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "False", "True"]

@@ -18,7 +18,6 @@ from atlab.numerics import (
     ModularTransform,
     Precision,
     UpperHalfPoint,
-    abs_eta,
     exp_integral_e1,
     log_abs_eta,
     reduce_to_fundamental_domain,
@@ -117,7 +116,7 @@ def test_reduce_random_sample_properties():
 
 def test_log_abs_eta_at_i():
     assert abs(log_abs_eta(UpperHalfPoint(0.0, 1.0)) - LOG_ABS_ETA_I) < 1e-13
-    assert abs(abs_eta(UpperHalfPoint(0.0, 1.0)) - 0.76822542232605666) < 1e-13
+    assert abs(math.exp(log_abs_eta(UpperHalfPoint(0.0, 1.0))) - 0.76822542232605666) < 1e-13
 
 
 def test_log_abs_eta_at_2i():
@@ -131,6 +130,21 @@ def test_log_abs_eta_large_y_is_leading_term():
     # q -> 0: the product contributes nothing at working precision.
     tau = UpperHalfPoint(0.37, 200.0)
     assert abs(log_abs_eta(tau) - (-math.pi * 200.0 / 12.0)) < 1e-10
+
+
+def test_tau_near_the_real_axis_is_a_domain_error():
+    # |tau|^2 below the smallest normal double: zero (1e-300) or subnormal
+    # (1e-160) at the first step, or at a later one (0.5 + 1e-300 i inverts
+    # to -2 + 4e-300 i, then shifts to 4e-300 i).
+    for x, y in ((0.0, 1e-300), (0.0, 1e-160), (0.5, 1e-300), (0.0, 1e-310)):
+        with pytest.raises(ValueError, match="underflows"):
+            reduce_to_fundamental_domain(UpperHalfPoint(x, y))
+        with pytest.raises(ValueError, match="underflows"):
+            log_abs_eta(UpperHalfPoint(x, y))
+    # |tau|^2 = 1e-300 is still normal: one exact inversion to y = 1e150.
+    red, t = reduce_to_fundamental_domain(UpperHalfPoint(0.0, 1e-150))
+    assert (red.x, red.y, t.c) == (0.0, 1e150, 1)
+    assert math.isfinite(log_abs_eta(UpperHalfPoint(0.0, 1e-150)))
 
 
 def test_log_abs_eta_vs_raw_series_1000_samples():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from atlab import elliptic, numerics, torus
 from atlab.numerics import Precision, UpperHalfPoint
 from atlab.torus import (
     DetComparison,
@@ -226,6 +227,19 @@ def test_oracle_matches_closed_form():
 def test_oracle_frozen_values():
     assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
     assert abs(logdet_oracle(UnitTorus(UpperHalfPoint(0.0, 2.0))) - LOGDET_2I) <= 1e-9
+
+
+def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("one determinant route called the other's kernel")
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "log_abs_eta", forbidden)
+        m.setattr(elliptic, "log_abs_eta", forbidden)
+        assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
+    monkeypatch.setattr(torus, "_quad", forbidden)
+    assert abs(logdet_closed(TAU_I) - LOGDET_I) < 1e-12
+    assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
 
 
 def test_scaled_logdet_algebra():
