@@ -2,9 +2,10 @@
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
-3 numeric non-convergence.  Set ATL_PRECISION to override the default
-rel_tol (1e-12).  All output is deterministic for fixed flags; numbers are
-printed with 12 significant digits, '.' decimal point, no grouping.
+3 numeric non-convergence; a closed output pipe ends the process quietly
+(SIGPIPE).  Set ATL_PRECISION to override the default rel_tol (1e-12).
+All output is deterministic for fixed flags; numbers are printed with 12
+significant digits, '.' decimal point, no grouping.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import math
 import os
+import signal
 import sys
 
 from . import bounds, claims, elliptic, torus
@@ -260,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):  # end quietly on a closed pipe, like other filters
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -16,6 +16,7 @@ invariant; Area and log det individually are not.
 from __future__ import annotations
 
 import math
+import sys
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -34,8 +35,12 @@ def log_arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> flo
 
 
 def arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
-    """Area_Ar = 2 pi y |eta(tau)|^2."""
-    return math.exp(log_arakelov_area(tau, prec))
+    """Area_Ar = 2 pi y |eta(tau)|^2; ValueError where it is below the smallest
+    normal double (reduced y above ~1370), which log_arakelov_area is not."""
+    log_area = log_arakelov_area(tau, prec)
+    if log_area < math.log(sys.float_info.min):
+        raise ValueError(f"arakelov_area underflows (log_arakelov_area {log_area:.6g})")
+    return math.exp(log_area)
 
 
 def arakelov_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> float:

@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -99,10 +100,25 @@ def test_torus_det_shift_invariance(capsys):
     assert out_a == out_b
 
 
-def test_torus_det_tolerance_exit(capsys):
-    code, _, err = run(capsys, "torus-det", "--tau", "0,1", "--tol", "1e-18")
+def test_torus_det_tolerance_exit(capsys, monkeypatch):
+    # rel_tol 1e-4 stops the oracle after two levels, ~1e-13 from the closed form.
+    monkeypatch.setenv("ATL_PRECISION", "1e-4")
+    code, out, err = run(capsys, "torus-det", "--tau", "0.3,1.7", "--tol", "1e-15")
     assert code == 1
     assert "FAIL" in err
+    assert 0.0 < abs(float(out.split("difference")[1])) < 1e-6
+
+
+def test_torus_det_oracle_domain(capsys, monkeypatch):
+    # y = 1e-4 is the lower end of the oracle's documented domain.
+    code, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "oracle")
+    assert code == 0
+    oracle = float(out.split()[1])
+    _, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "closed")
+    closed = float(out.split()[1])
+    assert abs(oracle - closed) <= 1e-11 * abs(closed)  # both printed to 12 digits
+    monkeypatch.setenv("ATL_PRECISION", "1e-15")
+    assert run(capsys, "torus-det", "--tau", "0.3,1.7")[0] == 0
 
 
 def test_table_csv(tmp_path, capsys):
@@ -246,7 +262,16 @@ def test_tau_underflowing_norm_exits_2(capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert out == "" and err.startswith("error: ") and "underflows" in err
-    assert run(capsys, "elliptic", "--tau", "0,1e-150")[0] == 0
+    assert run(capsys, "torus-det", "--tau", "0,1e-150", "--method", "closed")[0] == 0
+
+
+def test_elliptic_area_underflow_exits_2(capsys):
+    # Reduced y = 2000 (and 1e150) puts Area_Ar below the normal doubles.
+    for tau in ("0,2000", "0,1e-150"):
+        code, out, err = run(capsys, "elliptic", "--tau", tau, "--json")
+        assert code == 2
+        assert out == "" and err.startswith("error: arakelov_area underflows")
+    assert run(capsys, "elliptic", "--tau", "0,1000", "--json")[0] == 0
 
 
 def test_table_window_limit_exits_2(capsys):
@@ -255,24 +280,40 @@ def test_table_window_limit_exits_2(capsys):
     assert out == "" and "at most 100000 rows" in err
 
 
-def test_only_the_oracle_loads_scipy():
+def child_env() -> dict:
+    src = str(pathlib.Path(atlab.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "ATL_PRECISION"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_no_subcommand_loads_scipy():
     # A fresh interpreter, since this test process may have loaded scipy.
     script = (
         "import contextlib, io, sys\n"
         "from atlab.cli import main\n"
-        "def loads_scipy(*argv):\n"
+        "for argv in (['bound', '--genus', '5'], ['table', '--from', '2', '--to', '12'],\n"
+        "             ['elliptic', '--tau', '0,1', '--json'], ['torus-det', '--tau', '0,1'],\n"
+        "             ['verify-claims', '--strict']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(list(argv)) == 0, argv\n"
-        "    return 'scipy' in sys.modules\n"
-        "print(loads_scipy('bound', '--genus', '5'),\n"
-        "      loads_scipy('table', '--from', '2', '--to', '12'),\n"
-        "      loads_scipy('elliptic', '--tau', '0,1', '--json'),\n"
-        "      loads_scipy('torus-det', '--tau', '0,1'))\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print('scipy' in sys.modules)\n"
     )
-    src = str(pathlib.Path(atlab.__file__).parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "ATL_PRECISION"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "False", "True"]
+    assert done.stdout.split() == ["False"] * 5
+
+
+def test_closed_pipe_ends_quietly():
+    # Like `atlab table --from 2 --to 3000 | head -1`: ~0.5 MB of rows, and the
+    # reader leaves after the header.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "atlab.cli", "table", "--from", "2", "--to", "3000"],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().split()[0] == b"genus"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE

@@ -7,6 +7,7 @@ Frozen digits evaluated at 30 decimals from the eta closed forms
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,12 +48,22 @@ def test_area_shift_invariance():
 
 
 def test_area_decays_at_large_y():
-    # log-area ~ log 2pi + log y - pi y/6 -> -inf; the area itself underflows
-    # gracefully through the log form.
+    # log-area ~ log 2pi + log y - pi y/6 -> -inf, finite through the log form.
     y = 120.0
     got = log_arakelov_area(UpperHalfPoint(0.0, y))
     assert abs(got - (LN_2PI + math.log(y) - math.pi * y / 6.0)) < 1e-10
-    assert arakelov_area(UpperHalfPoint(0.0, 4000.0)) == 0.0  # underflow, not error
+    assert log_arakelov_area(UpperHalfPoint(0.0, 4000.0)) < -2000.0
+
+
+def test_area_raises_where_it_underflows():
+    # The area leaves the normal doubles near y = 1370; below that it is exact,
+    # above it raises instead of returning 0.0 or a subnormal.
+    area = arakelov_area(UpperHalfPoint(0.0, 1000.0))
+    assert area >= sys.float_info.min
+    assert area == math.exp(log_arakelov_area(UpperHalfPoint(0.0, 1000.0)))
+    for y in (1400.0, 2000.0, 4000.0):
+        with pytest.raises(ValueError, match="underflows"):
+            arakelov_area(UpperHalfPoint(0.3, y))
 
 
 def test_arakelov_logdet_at_i():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from atlab import elliptic, numerics, torus
-from atlab.numerics import Precision, UpperHalfPoint
+from atlab.numerics import ConvergenceError, Precision, UpperHalfPoint
 from atlab.torus import (
     DetComparison,
     UnitTorus,
@@ -224,6 +224,33 @@ def test_oracle_matches_closed_form():
         assert abs(cmp.difference) <= 1e-9
 
 
+def test_oracle_matches_closed_form_over_its_domain():
+    # The domain logdet_oracle documents: y in [1e-4, 1e4] at any x, unreduced.
+    for x in (0.0, 0.2, 0.35, -0.5):
+        for y in np.geomspace(1e-4, 1e4, 25):
+            tau = UpperHalfPoint(x, float(y))
+            closed = logdet_closed(tau)
+            oracle = logdet_oracle(UnitTorus(tau))
+            assert abs(oracle - closed) <= 1e-12 * max(1.0, abs(closed)), tau
+
+
+def test_oracle_tight_tolerance_converges():
+    for rel_tol in (1e-15, 1e-16):
+        cmp = compare_logdet(UpperHalfPoint(0.3, 1.7), Precision(rel_tol=rel_tol))
+        assert abs(cmp.difference) <= 1e-12
+
+
+def test_oracle_convergence_error_names_its_inputs(monkeypatch):
+    # Steps 1/8 and 1/16 alone cannot bring the small-t half to rel_tol 1e-12.
+    monkeypatch.setattr(torus, "DE_LEVELS", 2)
+    with pytest.raises(ConvergenceError) as info:
+        logdet_oracle(UnitTorus(UpperHalfPoint(0.3, 1.7)), metric_scale=2.0)
+    message = str(info.value)
+    for part in ("small-t half", "tau = 0.3+1.7i", "metric scale 2.0", "rel_tol 1e-12",
+                 "|I_h - I_2h| = "):
+        assert part in message, message
+
+
 def test_oracle_frozen_values():
     assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
     assert abs(logdet_oracle(UnitTorus(UpperHalfPoint(0.0, 2.0))) - LOGDET_2I) <= 1e-9
@@ -237,7 +264,7 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
         m.setattr(numerics, "log_abs_eta", forbidden)
         m.setattr(elliptic, "log_abs_eta", forbidden)
         assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
-    monkeypatch.setattr(torus, "_quad", forbidden)
+    monkeypatch.setattr(torus, "_de_rule", forbidden)
     assert abs(logdet_closed(TAU_I) - LOGDET_I) < 1e-12
     assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
 
