@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-import numpy as np
-
 from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
 
 AREA_VARIANTS = ("e4pi", "c36")
@@ -58,27 +56,36 @@ REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 # numpy's SIMD log differs from libm's by one ulp at rare arguments (on
 # AVX-512 first at log(9170), i.e. g = 9171), so genus-dependent logs use
 # math.log on arrays too: a genus array gives exactly the scalar values.
-_libm_log = np.frompyfunc(math.log, 1, 1)
 _E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
 
 
 def _log(x):
-    return _libm_log(x).astype(float) if isinstance(x, np.ndarray) else math.log(x)
+    if isinstance(x, float):
+        return math.log(x)
+    import numpy as np
+    return np.frompyfunc(math.log, 1, 1)(x).astype(float)
 
 
 def _genera(g, minimum: int):
     """Check minimum <= g <= 2**53; return g as a float or a float64 array.
     In float64, g * (g - 1) rounds once like the exact Python-int product;
-    int64 arithmetic would wrap silently from g = 2**32 on."""
-    arr = np.asarray(g)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
-    lo, hi = (arr.min(initial=MAX_GENUS), arr.max(initial=minimum)) if arr.ndim else (g, g)
+    int64 arithmetic would wrap silently from g = 2**32 on.  A plain int or
+    float is checked without loading numpy."""
+    arr = lo = hi = g
+    if type(g) not in (int, float):  # numpy input, and bool or str to refuse
+        import numpy as np
+        arr = np.asarray(g)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
+        if arr.ndim:
+            lo, hi = arr.min(initial=MAX_GENUS), arr.max(initial=minimum)
+    if lo != lo:  # min propagates nan, which passes both range comparisons
+        raise ValueError("genus must be finite, got nan")
     if lo < minimum:
         raise ValueError(f"genus must be >= {minimum}, got {lo}")
     if hi > MAX_GENUS:
         raise ValueError(f"genus must be <= 2**53, got {hi}")
-    return arr.astype(float, copy=False) if arr.ndim else float(g)
+    return arr.astype(float, copy=False) if getattr(arr, "ndim", 0) else float(g)
 
 
 def heat_integral() -> float:
@@ -303,6 +310,7 @@ def table(
     if g_to - g_from + 1 > MAX_TABLE_ROWS:
         raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, "
                          f"got {g_to - g_from + 1}")
+    import numpy as np
     genera = np.arange(g_from, g_to + 1)
     columns = (np.broadcast_to(column, genera.shape).tolist() for column
                in upper_bound_logdet(genera, form, area_variant).as_dict().values())

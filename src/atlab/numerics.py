@@ -234,18 +234,24 @@ def _em_parameters(s: float, prec: Precision) -> tuple[int, int]:
     return prec.em_cutoff, prec.em_order
 
 
+def _check_em_domain(s: float, name: str) -> None:
+    if not -2.0 <= s <= 4.0:
+        raise ValueError(f"{name} is accurate only on -2 <= s <= 4, got s = {s!r}")
+    if abs(s - 1.0) < 0.1:
+        raise ValueError(f"{name} requires |s - 1| >= 0.1")
+
+
 def zeta_em(s: float, prec: Precision | None = None) -> float:
     """Riemann zeta via Euler-Maclaurin:
 
     zeta(s) = sum_{n=1}^{N} n^-s + N^(1-s)/(s-1) - N^-s/2
               + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-s-2j).
 
-    Absolute error <= 1e-12 on -2 <= s <= 4 at default precision.  Requires
-    |s - 1| >= 0.1 (simple pole).
+    Absolute error <= 1e-12 on -2 <= s <= 4 at default precision; raises
+    ValueError outside that range and for |s - 1| < 0.1 (simple pole).
     """
     p = prec or DEFAULT_PRECISION
-    if abs(s - 1.0) < 0.1:
-        raise ValueError("zeta_em requires |s - 1| >= 0.1")
+    _check_em_domain(s, "zeta_em")
     n_cut, order = _em_parameters(s, p)
     bern = _even_bernoulli(order)
     terms = [float(n) ** (-s) for n in range(1, n_cut + 1)]
@@ -266,10 +272,10 @@ def zeta_em_deriv(s: float, prec: Precision | None = None) -> float:
 
     The Pochhammer derivative is the product-rule sum over dropped factors,
     which stays exact when some factor s + i vanishes (e.g. s = -1, 0).
+    Same domain as zeta_em: -2 <= s <= 4, |s - 1| >= 0.1.
     """
     p = prec or DEFAULT_PRECISION
-    if abs(s - 1.0) < 0.1:
-        raise ValueError("zeta_em_deriv requires |s - 1| >= 0.1")
+    _check_em_domain(s, "zeta_em_deriv")
     n_cut, order = _em_parameters(s, p)
     bern = _even_bernoulli(order)
     ln_n = math.log(n_cut)

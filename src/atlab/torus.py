@@ -61,16 +61,25 @@ def _n_range(y: float, qmax: float) -> range:
     return range(-n_max, n_max + 1)
 
 
+def _row_bounds(x: float, y: float, n: int, qmax: float) -> tuple:
+    """(n x, (n y)^2, first m, last m) for the points of row n with Q <= qmax;
+    first > last when the row misses the ellipse."""
+    ny2 = (n * y) ** 2
+    rad = qmax * y - ny2
+    if rad < 0.0:
+        return n * x, ny2, 1, 0
+    half = math.sqrt(rad)
+    nx = n * x
+    return nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)
+
+
 def _row_q(x: float, y: float, n: int, qmax: float) -> np.ndarray:
     """Q values of row n (all m with Q <= qmax), origin excluded."""
-    rad = qmax * y - (n * y) ** 2
-    if rad < 0.0:
-        return np.empty(0)
-    half = math.sqrt(rad)
-    m = np.arange(math.ceil(-n * x - half), math.floor(-n * x + half) + 1.0)
+    nx, ny2, lo, hi = _row_bounds(x, y, n, qmax)
+    m = np.arange(lo, hi + 1.0)
     if n == 0:
         m = m[m != 0.0]
-    q = ((m + n * x) ** 2 + (n * y) ** 2) / y
+    q = ((m + nx) ** 2 + ny2) / y
     return q[q <= qmax]
 
 
@@ -113,11 +122,16 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
 
 def _q_values(torus: UnitTorus, qmax: float, q: np.ndarray | None = None) -> np.ndarray:
     """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax,
-    enumerated row by row, or sliced from q, a sorted superset."""
+    enumerated as one (row, m offset) block, or sliced from q, a sorted superset.
+    Bit for bit the sorted rows of _row_q: same row scalars, same expression."""
     if q is not None:
         return q[:np.searchsorted(q, qmax, side="right")]
     x, y = torus.tau.x, torus.tau.y
-    return np.sort(np.concatenate([_row_q(x, y, n, qmax) for n in _n_range(y, qmax)]))
+    rows = [(n, *_row_bounds(x, y, n, qmax)) for n in _n_range(y, qmax)]
+    n, nx, ny2, lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*rows))
+    m = lo + np.arange((hi - lo).max() + 1.0)
+    q = ((m + nx) ** 2 + ny2) / y
+    return np.sort(q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))])
 
 
 def _direct_minus_one(torus: UnitTorus, t, tail_tol: float, q=None):

@@ -330,14 +330,17 @@ def test_table_rows_equal_scalar_breakdowns(form, area):
     assert all(type(v) in (int, float, str) for v in last.values())
 
 
-@pytest.mark.parametrize("term, minimum", [
+PER_GENUS_TERMS = [
     (heat_term, 2), (csel_lower, 2), (lambda g: metric_ratio_bound(g, "exact"), 2),
     (lambda g: metric_ratio_bound(g, "simplified"), 2),
     (lambda g: log_area_bound(g, "e4pi"), 2), (log_area_bound, 2), (a_of_g, 0),
     (wilms_lower, 1), (lambda g: e_of_g(g, "simple"), 2), (e_of_g, 2),
     (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
     (fq_gap_lower, 1), (lambda g: fq_gap_lower(g, "derivation"), 1),
-])
+]
+
+
+@pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
 def test_array_evaluation_equals_scalar(term, minimum):
     genera = list(range(minimum, 600)) + list(LARGE_GENERA)
     values = term(np.array(genera))
@@ -371,3 +374,33 @@ def test_bad_genera_in_arrays_raise():
         table(2**53 - 1, 2**53 + 1)
     with pytest.raises(ValueError):
         heat_term(np.array(["3"]))
+
+
+@pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
+def test_genus_types_give_identical_floats(term, minimum):
+    # Plain int and float are checked without numpy, numpy scalars and 0-d
+    # arrays through it: both give the same float, bit for bit.
+    for g in (minimum, minimum + 1, 11, 9171, 2**32 + 1, 2**53 - 1):
+        want = term(g)
+        assert type(want) is float
+        for same in (float(g), np.int64(g), np.float64(g), np.array(g)):
+            got = term(same)
+            assert type(got) is float and got.hex() == want.hex(), (g, type(same))
+    for bad in (True, "3", 2**70, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            term(bad)
+
+
+@pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
+def test_nan_genus_raises(term, minimum):
+    for bad in (math.nan, np.float64(math.nan), np.array(math.nan),
+                np.array([minimum + 3.0, math.nan]), np.array([[math.nan]])):
+        with pytest.raises(ValueError, match="finite"):
+            term(bad)
+
+
+def test_nan_genus_raises_in_the_assembled_pipeline():
+    for call in (lambda: upper_bound_logdet(math.nan), lambda: wentworth_delta(0.0, math.nan),
+                 lambda: delta_conversion(0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -305,6 +305,28 @@ def test_no_subcommand_loads_scipy():
     assert done.stdout.split() == ["False"] * 5
 
 
+def test_bound_and_elliptic_load_no_numpy():
+    # bound, elliptic and the closed form compute on floats; the array paths
+    # (table, the oracle, the audit) still load numpy in the same interpreter.
+    script = (
+        "import contextlib, io, sys\n"
+        "from atlab.cli import main\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        "    return 'numpy' in sys.modules\n"
+        "print(run('bound', '--genus', '77'), run('bound', '--genus', '77', '--json'),\n"
+        "      run('elliptic', '--tau', '0.3,1.7', '--json'),\n"
+        "      run('torus-det', '--tau', '0.3,1.7', '--method', 'closed'),\n"
+        "      run('table', '--from', '2', '--to', '12'),\n"
+        "      run('torus-det', '--tau', '0.3,1.7'), run('verify-claims', '--strict'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"] * 4 + ["True"] * 3
+
+
 def test_closed_pipe_ends_quietly():
     # Like `atlab table --from 2 --to 3000 | head -1`: ~0.5 MB of rows, and the
     # reader leaves after the header.

@@ -234,3 +234,17 @@ def test_zeta_pole_guard():
         zeta_em(1.05)
     with pytest.raises(ValueError):
         zeta_em_deriv(0.95)
+
+
+def test_zeta_outside_its_documented_range_raises():
+    # Euler-Maclaurin at the default N and order is accurate on [-2, 4] only:
+    # unguarded, zeta_em(-10) gave -2.8e-6 where zeta(-10) = 0.
+    for s in (-10.0, -2.5, 4.5, 40.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="-2 <= s <= 4"):
+            zeta_em(s)
+        with pytest.raises(ValueError, match="-2 <= s <= 4"):
+            zeta_em_deriv(s)
+    assert abs(zeta_em(-2.0)) <= 1e-12
+    assert abs(zeta_em(4.0) - math.pi**4 / 90.0) <= 1e-12
+    # zeta'(-2) = -zeta(3) / (4 pi^2)
+    assert abs(zeta_em_deriv(-2.0) + 1.2020569031595943 / (4.0 * math.pi**2)) <= 1e-12

@@ -288,3 +288,15 @@ def test_scaling_law_numeric_rerun():
 def test_precision_object_is_honored():
     loose = Precision(rel_tol=1e-8, lattice_tail_tol=1e-14)
     assert abs(logdet_oracle(UnitTorus(TAU_I), loose) - LOGDET_I) <= 1e-6
+
+
+@pytest.mark.parametrize("x", (-3.0, -0.5, 0.0, 0.3, 3.0))
+@pytest.mark.parametrize("y", (1e-4, 0.01, 0.8660254037844386, 1.0, 7.0, 1e4))
+def test_block_enumeration_equals_the_row_walk(x, y):
+    # The oracle's one-block Q set must equal, bit for bit, the sorted rows that
+    # the direct zeta sum walks (boundary points and last ulps included).
+    t = UnitTorus(UpperHalfPoint(x, y))
+    for qmax in (0.3, 5.25, 34.0, 120.0):
+        rows = [torus._row_q(x, y, n, qmax) for n in torus._n_range(y, qmax)]
+        want = np.sort(np.concatenate(rows))
+        assert torus._q_values(t, qmax).tobytes() == want.tobytes(), qmax
