@@ -67,7 +67,8 @@ def _log(x):
 
 
 def _genera(g, minimum: int):
-    """Check minimum <= g <= 2**53; return g as a float or a float64 array.
+    """Check g is an integer in [minimum, 2**53]; return it as a float or a
+    float64 array (integral floats pass: the inner calls receive float64).
     In float64, g * (g - 1) rounds once like the exact Python-int product;
     int64 arithmetic would wrap silently from g = 2**32 on.  A plain int or
     float is checked without loading numpy."""
@@ -85,7 +86,15 @@ def _genera(g, minimum: int):
         raise ValueError(f"genus must be >= {minimum}, got {lo}")
     if hi > MAX_GENUS:
         raise ValueError(f"genus must be <= 2**53, got {hi}")
-    return arr.astype(float, copy=False) if getattr(arr, "ndim", 0) else float(g)
+    if getattr(arr, "ndim", 0):
+        arr = arr.astype(float, copy=False)
+        fractional = arr[arr % 1.0 != 0.0]
+        if not fractional.size:
+            return arr
+        g = fractional[0]
+    if not float(g).is_integer():
+        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {float(g)!r}")
+    return float(g)
 
 
 def heat_integral() -> float:

@@ -215,10 +215,13 @@ def _cl11(prec):
     g = np.array(ASYMPTOTE_SAMPLES)
     excess = bounds.assembled_bound(g, "exact", "c36") - (bounds.PAPER_KAPPA * g + 1.0)
     excesses = dict(zip(ASYMPTOTE_SAMPLES, excess.tolist()))
-    # The assembled bound exceeds kappa*g + 1 by ~log(g-1) + const, growing
-    # with g, so no genus satisfies this reading.
+    # The bound's slope is the true kappa, 2.83e-9 below the printed one, so the
+    # excess ~ log(g-1) + const - 2.83e-9 g peaks near g = 3.6e8 (at ~ +20) and
+    # crosses zero near g = 8.55e9: the reading fails from 3580 up to there.
     computed = "; ".join(f"excess at g={g}: {e:+.4f}" for g, e in excesses.items())
-    computed += "; bound - (kappa g + 1) grows like log g: no genus satisfies"
+    computed += ("; the printed slope exceeds the true kappa, so bound - (slope g + 1)"
+                 " turns negative only at very large g: the claim fails on the start"
+                 " of its range")
     return computed, excesses[3580], all(e <= 0.0 for e in excesses.values())
 
 

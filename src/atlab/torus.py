@@ -44,8 +44,8 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 POISSON_SWITCH = 0.2  # heat trace: Poisson form below, direct lattice sum above
 DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
 DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
-DIRECT_ZETA_QMAX = 2.0e6  # ~6.3e6 lattice points; boundary fluctuation ~1e-12 at s=2
 EIGENVALUE_MERGE_RTOL = 1e-9
+ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 MAX_EIGENVALUE_COUNT = 2_000_000
 
 
@@ -56,53 +56,23 @@ class UnitTorus:
     tau: UpperHalfPoint
 
 
-def _n_range(y: float, qmax: float) -> range:
-    n_max = int(math.floor(math.sqrt(qmax / y)))
-    return range(-n_max, n_max + 1)
-
-
-def _row_bounds(x: float, y: float, n: int, qmax: float) -> tuple:
-    """(n x, (n y)^2, first m, last m) for the points of row n with Q <= qmax;
-    first > last when the row misses the ellipse."""
-    ny2 = (n * y) ** 2
-    rad = qmax * y - ny2
-    if rad < 0.0:
-        return n * x, ny2, 1, 0
-    half = math.sqrt(rad)
-    nx = n * x
-    return nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)
-
-
-def _row_q(x: float, y: float, n: int, qmax: float) -> np.ndarray:
-    """Q values of row n (all m with Q <= qmax), origin excluded."""
-    nx, ny2, lo, hi = _row_bounds(x, y, n, qmax)
-    m = np.arange(lo, hi + 1.0)
-    if n == 0:
-        m = m[m != 0.0]
-    q = ((m + nx) ** 2 + ny2) / y
-    return q[q <= qmax]
-
-
-def eigenvalues_below(
-    torus: UnitTorus,
-    cutoff: float,
-    max_count: int = MAX_EIGENVALUE_COUNT,
-) -> list[tuple[float, int]]:
+def eigenvalues_below(torus: UnitTorus, cutoff: float) -> list[tuple[float, int]]:
     """All eigenvalues lambda = 4 pi^2 Q <= cutoff as (lambda, multiplicity),
     sorted ascending, multiplicities merged at relative tolerance 1e-9.
 
     The (m, n) ranges come from the lattice Gram form, so nothing below the
-    cutoff is missed.  Raises if the list would exceed max_count.
+    cutoff is missed.  Raises if the list would exceed MAX_EIGENVALUE_COUNT.
     """
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     qmax = cutoff / FOUR_PI_SQ
     # Weyl count ~ pi * qmax; refuse before enumerating something huge.
-    if math.pi * qmax > 1.2 * max_count + 64:
-        raise ValueError(f"cutoff {cutoff} would enumerate > {max_count} eigenvalues")
+    if math.pi * qmax > 1.2 * MAX_EIGENVALUE_COUNT + 64:
+        raise ValueError(f"cutoff {cutoff} would enumerate > {MAX_EIGENVALUE_COUNT} eigenvalues")
     q = _q_values(torus, qmax)
-    if len(q) > max_count:
-        raise ValueError(f"cutoff {cutoff} enumerates {len(q)} > {max_count} eigenvalues")
+    if len(q) > MAX_EIGENVALUE_COUNT:
+        raise ValueError(
+            f"cutoff {cutoff} enumerates {len(q)} > {MAX_EIGENVALUE_COUNT} eigenvalues")
     out: list[tuple[float, int]] = []
     for lam in FOUR_PI_SQ * q:
         if out and lam - out[-1][0] <= EIGENVALUE_MERGE_RTOL * max(out[-1][0], 1.0):
@@ -123,11 +93,21 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
 def _q_values(torus: UnitTorus, qmax: float, q: np.ndarray | None = None) -> np.ndarray:
     """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax,
     enumerated as one (row, m offset) block, or sliced from q, a sorted superset.
-    Bit for bit the sorted rows of _row_q: same row scalars, same expression."""
+
+    Row n spans ceil(-nx - half) <= m <= floor(-nx + half), half^2 = qmax y - (n y)^2.
+    The row scalars stay Python floats: (n y) ** 2 goes through libm pow, which
+    differs from numpy's square in the last ulp (n = 397, y = 1e-4)."""
     if q is not None:
         return q[:np.searchsorted(q, qmax, side="right")]
     x, y = torus.tau.x, torus.tau.y
-    rows = [(n, *_row_bounds(x, y, n, qmax)) for n in _n_range(y, qmax)]
+    n_max = int(math.floor(math.sqrt(qmax / y)))
+    rows = []
+    for n in range(-n_max, n_max + 1):
+        nx, ny2 = n * x, (n * y) ** 2
+        rad = qmax * y - ny2
+        if rad >= 0.0:
+            half = math.sqrt(rad)
+            rows.append((n, nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)))
     n, nx, ny2, lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*rows))
     m = lo + np.arange((hi - lo).max() + 1.0)
     q = ((m + nx) ** 2 + ny2) / y
@@ -157,28 +137,19 @@ def _theta_minus_pole(torus: UnitTorus, t: np.ndarray, tail_tol: float, q=None):
         _poisson_remainder(torus, small, tail_tol, q)))
 
 
-def heat_trace(
-    torus: UnitTorus,
-    t: float,
-    prec: Precision | None = None,
-    method: str = "auto",
-) -> float:
+def heat_trace(torus: UnitTorus, t: float, prec: Precision | None = None) -> float:
     """Theta(t) = 1 + sum' e^(-lambda t), the full trace including the kernel.
 
-    method "auto" switches to the Poisson-summed form below t = 0.2, where the
-    direct sum would need many terms; "direct" and "poisson" force a branch
-    (they agree to ~1e-15 at the switch).
+    The direct lattice sum from t = 0.2 on; below it the Poisson-summed form,
+    where the direct sum would need many terms (the two agree to ~1e-15 at
+    the switch).
     """
     p = prec or DEFAULT_PRECISION
     if t <= 0.0:
         raise ValueError("heat_trace requires t > 0")
-    if method == "auto":
-        method = "poisson" if t < POISSON_SWITCH else "direct"
-    if method == "direct":
-        return 1.0 + float(_direct_minus_one(torus, t, p.lattice_tail_tol))
-    if method == "poisson":
+    if t < POISSON_SWITCH:
         return 1.0 / (4.0 * math.pi * t) + float(_poisson_remainder(torus, t, p.lattice_tail_tol))
-    raise ValueError(f"unknown heat_trace method {method!r}")
+    return 1.0 + float(_direct_minus_one(torus, t, p.lattice_tail_tol))
 
 
 def _de_rule(f, p: Precision, where: str) -> float:
@@ -232,45 +203,25 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     return small + large
 
 
-def _epstein_power_sum(x: float, y: float, s: float, qmax: float) -> float:
-    """sum over 0 < Q <= qmax of Q^-s, row-wise (no storage of the full set)."""
-    total = 0.0
-    for n in _n_range(y, qmax):
-        q = _row_q(x, y, n, qmax)
-        if len(q):
-            total += float((q ** -s).sum())
-    return total
+def spectral_zeta(torus: UnitTorus, s: float, prec: Precision | None = None) -> float:
+    """zeta_tau(s) = sum' lambda^-s, continued through the Mellin split as
 
+        rgamma(s) [1/(4 pi (s-1)) + H(s)] - rgamma(s+1)
 
-def spectral_zeta(
-    torus: UnitTorus,
-    s: float,
-    prec: Precision | None = None,
-    method: str = "auto",
-) -> float:
-    """zeta_tau(s) = sum' lambda^-s, analytically continued.
-
-    "mellin" evaluates  rgamma(s) [1/(4 pi (s-1)) + H(s)] - rgamma(s+1)
     (the -1/s kernel term folded into 1/Gamma(s+1), regular at s = 0, where
-    the value is -1 for every tau).  "direct" (requires s > 1.5) sums
-    Q^-s over Q <= 2e6 and adds the integral tail pi Q_max^(1-s)/(s-1);
-    the two routes agree to ~1e-12.  "auto" picks direct for s > 1.5.
+    the value is -1 for every tau).  Verified for -10 <= s <= 3, |s-1| >= 0.05,
+    to 1.5e-12 relative against the Chowla-Selberg series; other s raise
+    ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
+    terms stay ~1/Gamma(s), so they cancel (near tau = i: 4e-12 relative at
+    s = 4, 5e-7 at s = 10); beyond |s| ~ 11 the quadrature nodes overflow.
     """
     p = prec or DEFAULT_PRECISION
+    if not ZETA_S_MIN <= s <= ZETA_S_MAX:
+        raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
     if abs(s - 1.0) < 0.05:
         raise ValueError("spectral_zeta has a simple pole at s = 1; need |s-1| >= 0.05")
-    if method == "auto":
-        method = "direct" if s > 1.5 else "mellin"
-    if method == "direct":
-        if s <= 1.5:
-            raise ValueError("direct eigenvalue sum needs s > 1.5")
-        core = _epstein_power_sum(torus.tau.x, torus.tau.y, s, DIRECT_ZETA_QMAX)
-        tail = math.pi * DIRECT_ZETA_QMAX ** (1.0 - s) / (s - 1.0)
-        return (core + tail) * FOUR_PI_SQ ** -s
-    if method == "mellin":
-        h = _mellin_h(torus, s, p, 1.0)
-        return _rgamma(s) * (1.0 / (4.0 * math.pi * (s - 1.0)) + h) - _rgamma(s + 1.0)
-    raise ValueError(f"unknown spectral_zeta method {method!r}")
+    h = _mellin_h(torus, s, p, 1.0)
+    return _rgamma(s) * (1.0 / (4.0 * math.pi * (s - 1.0)) + h) - _rgamma(s + 1.0)
 
 
 def logdet_oracle(

@@ -404,3 +404,22 @@ def test_nan_genus_raises_in_the_assembled_pipeline():
                  lambda: delta_conversion(0.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+@pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
+def test_non_integer_genus_raises(term, minimum):
+    for bad in (minimum + 0.5, np.float64(minimum + 2.5), np.array(minimum + 1e-9),
+                np.array([minimum + 0.0, minimum + 0.5]), np.array([[2.0**51 + 0.5]])):
+        with pytest.raises(ValueError, match="integer"):
+            term(bad)
+
+
+def test_non_integer_genus_raises_in_the_assembled_pipeline():
+    assert e_of_g(2.0) == e_of_g(2)
+    assert e_of_g(np.array([2.0, 3.0])).tolist() == [e_of_g(2), e_of_g(3)]
+    for call in (lambda: e_of_g(2.5), lambda: e_of_g(np.array([2.0, 2.5])),
+                 lambda: upper_bound_logdet(2.5),
+                 lambda: upper_bound_logdet(np.array([3.0, 7.25])),
+                 lambda: wentworth_delta(0.0, 1.5), lambda: delta_conversion(0.0, 0.5)):
+        with pytest.raises(ValueError, match="integer"):
+            call()

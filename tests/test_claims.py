@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -165,3 +166,20 @@ def test_asymptote_excesses_match_scalar_bounds():
         assert f"excess at g={g}: {excess:+.4f}" in rec.computed
     assert rec.delta == bounds.upper_bound_logdet(3580).upper_exact - (
         bounds.PAPER_KAPPA * 3580 + 1.0)
+
+
+def test_asymptote_text_states_the_sign_change():
+    # The printed slope lies above the true kappa, so the printed line overtakes
+    # the assembled bound at large genus: "no genus satisfies" is false.
+    assert bounds.kappa() < bounds.PAPER_KAPPA
+    g = 10**10
+    assert bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0) < 0.0
+    rec = evaluate(registry_by_id()["CL-11"])
+    assert rec.status == "DISCREPANT"
+    assert "no genus satisfies" not in rec.computed
+    assert "turns negative" in rec.computed
+    # Same numbers, in the same order, as before: the three excesses and the 1.
+    numbers = re.findall(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", rec.computed)
+    excess = {g: bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0)
+              for g in claims.ASYMPTOTE_SAMPLES}
+    assert numbers == [x for g, e in excess.items() for x in (str(g), f"{e:+.4f}")] + ["1"]

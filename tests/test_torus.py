@@ -15,9 +15,11 @@ import pytest
 from atlab import elliptic, numerics, torus
 from atlab.numerics import ConvergenceError, Precision, UpperHalfPoint
 from atlab.torus import (
+    FOUR_PI_SQ,
     DetComparison,
     UnitTorus,
     _direct_minus_one,
+    _poisson_remainder,
     compare_logdet,
     eigenvalues_below,
     heat_trace,
@@ -41,6 +43,34 @@ LOGDET_I = -1.0546882809956719
 LOGDET_2I = -1.4012618712756446
 # sum' (m^2+n^2)^-2 = 4 zeta(2) beta(2) (beta(2) = Catalan), over (4 pi^2)^2.
 ZETA2_SQUARE_LATTICE = 0.003866946590737210
+
+
+def chowla_selberg_zeta(x: float, y: float, s: float, terms: int = 40) -> float:
+    """Exact reference for zeta_tau(s) = (4 pi^2)^-s y^s sum' |m + n tau|^-2s,
+    by the Chowla-Selberg series at 30 digits (Borwein, Glasser, McPhedran,
+    Wan & Zucker, Lattice Sums Then and Now, ch. 1):
+
+        sum' |m + n tau|^-2s = 2 zeta(2s)
+            + 2 sqrt(pi) Gamma(s - 1/2)/Gamma(s) zeta(2s - 1) y^(1-2s)
+            + (8 pi^s/Gamma(s)) y^(1/2-s) sum_{N>=1} cos(2 pi N x) K_nu(2 pi N y)
+                                            sum_{d|N} (d^2/N)^nu,   nu = s - 1/2.
+
+    The K-Bessel terms fall like e^(-2 pi N y); terms = 40 is far past 30
+    digits for y >= 0.9.  At s = 1/2 two terms have canceling poles.
+    """
+    assert y >= 0.9 and s != 0.5, (y, s)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x, y, s = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(s)
+        nu, pi = s - mpmath.mpf(1) / 2, mpmath.pi
+        series = sum(mpmath.cos(2 * pi * n * x) * mpmath.besselk(nu, 2 * pi * n * y)
+                     * sum((mpmath.mpf(d) ** 2 / n) ** nu for d in range(1, n + 1) if n % d == 0)
+                     for n in range(1, terms + 1))
+        lattice = (2 * mpmath.zeta(2 * s)
+                   + 2 * mpmath.sqrt(pi) * mpmath.gamma(nu) / mpmath.gamma(s)
+                   * mpmath.zeta(2 * s - 1) * y ** (1 - 2 * s)
+                   + 8 * pi ** s / mpmath.gamma(s) * y ** (mpmath.mpf(1) / 2 - s) * series)
+        return float((y / (4 * pi * pi)) ** s * lattice)
 
 
 def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int):
@@ -137,11 +167,13 @@ def test_heat_trace_positive_domain():
 
 
 def test_poisson_direct_consistency_at_switch():
+    tail_tol = Precision().lattice_tail_tol
     for tau in SAMPLE_TAUS:
         torus = UnitTorus(tau)
-        d = heat_trace(torus, 0.2, method="direct")
-        p = heat_trace(torus, 0.2, method="poisson")
+        d = 1.0 + _direct_minus_one(torus, 0.2, tail_tol)
+        p = 1.0 / (0.8 * math.pi) + _poisson_remainder(torus, 0.2, tail_tol)
         assert abs(d - p) <= 1e-12
+        assert heat_trace(torus, 0.2) == d
 
 
 def test_heat_trace_strictly_decreasing():
@@ -161,18 +193,28 @@ def test_spectral_zeta_at_zero_all_samples():
 
 
 def test_spectral_zeta_square_lattice_s2():
-    torus = UnitTorus(TAU_I)
-    mellin = spectral_zeta(torus, 2.0, method="mellin")
-    direct = spectral_zeta(torus, 2.0, method="direct")
-    assert abs(mellin - ZETA2_SQUARE_LATTICE) <= 1e-12
-    assert abs(mellin - direct) <= 1e-10
+    assert abs(spectral_zeta(UnitTorus(TAU_I), 2.0) - ZETA2_SQUARE_LATTICE) <= 1e-12
 
 
-def test_spectral_zeta_direct_vs_mellin_generic_tau():
-    torus = UnitTorus(UpperHalfPoint(0.3, 1.7))
-    for s in (1.8, 2.0, 3.0):
-        assert abs(spectral_zeta(torus, s, method="mellin")
-                   - spectral_zeta(torus, s, method="direct")) <= 1e-10
+def test_spectral_zeta_chowla_selberg_generic_tau():
+    for tau in (TAU_I, UpperHalfPoint(0.3, 1.7), UpperHalfPoint(0.5, 0.9)):
+        for s in (1.8, 2.0, 3.0):
+            want = chowla_selberg_zeta(tau.x, tau.y, s)
+            assert abs(spectral_zeta(UnitTorus(tau), s) - want) <= 1e-14, (tau, s)
+
+
+def test_spectral_zeta_functional_equation():
+    # Lambda(s) = pi^-s Gamma(s) (4 pi^2)^s zeta_tau(s) = Lambda(1 - s) for the
+    # unit-area lattice; this reaches s < 1, on both sides of s = 1/2.
+    def completed(torus, s):
+        return math.pi ** -s * math.gamma(s) * FOUR_PI_SQ ** s * spectral_zeta(torus, s)
+
+    taus = SAMPLE_TAUS[2:] + (TAU_I, UpperHalfPoint(0.1, 0.05), UpperHalfPoint(0.2, 30.0))
+    for tau in taus:
+        torus = UnitTorus(tau)
+        for s in (-0.7, 0.2, 0.3, 0.45, 1.6, 2.5):
+            a, b = completed(torus, s), completed(torus, 1.0 - s)
+            assert abs(a - b) <= 1e-12 * abs(b), (tau, s)
 
 
 def test_spectral_zeta_brute_force_oracle_s2():
@@ -189,7 +231,7 @@ def test_spectral_zeta_brute_force_oracle_s2():
                 total += q**-2.0
     total += math.pi * qmax**-1.0
     oracle = total / (4.0 * math.pi**2) ** 2
-    assert abs(spectral_zeta(UnitTorus(TAU_I), 2.0, method="mellin") - oracle) <= 1e-10
+    assert abs(spectral_zeta(UnitTorus(TAU_I), 2.0) - oracle) <= 1e-10
 
 
 def test_spectral_zeta_pole_guard():
@@ -198,7 +240,16 @@ def test_spectral_zeta_pole_guard():
     with pytest.raises(ValueError):
         spectral_zeta(UnitTorus(TAU_I), 1.04)
     with pytest.raises(ValueError):
-        spectral_zeta(UnitTorus(TAU_I), 0.5, method="direct")
+        spectral_zeta(UnitTorus(TAU_I), 0.96)
+
+
+def test_spectral_zeta_outside_its_range_raises():
+    # Above s = 3 the Mellin terms cancel (relative error 4e-12 at s = 4 near
+    # tau = i, 5e-7 at s = 10); below s = -11 the quadrature overflows.
+    for s in (3.5, 4.0, 10.0, 12.0, -10.5, -12.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="spectral_zeta"):
+            spectral_zeta(UnitTorus(TAU_I), s)
+    assert spectral_zeta(UnitTorus(TAU_I), -10.0) == 0.0  # a trivial zero
 
 
 def test_logdet_closed_frozen_values():
@@ -293,10 +344,18 @@ def test_precision_object_is_honored():
 @pytest.mark.parametrize("x", (-3.0, -0.5, 0.0, 0.3, 3.0))
 @pytest.mark.parametrize("y", (1e-4, 0.01, 0.8660254037844386, 1.0, 7.0, 1e4))
 def test_block_enumeration_equals_the_row_walk(x, y):
-    # The oracle's one-block Q set must equal, bit for bit, the sorted rows that
-    # the direct zeta sum walks (boundary points and last ulps included).
+    # The oracle's one-block Q set must equal, bit for bit, a brute-force walk
+    # that keeps every point of generous windows: two rows past |n| <= sqrt(qmax/y),
+    # and in each row the m within sqrt(qmax y) + 2 of -n x, with no per-row
+    # ellipse limits.  The row scalars are Python floats, as in _q_values.
     t = UnitTorus(UpperHalfPoint(x, y))
     for qmax in (0.3, 5.25, 34.0, 120.0):
-        rows = [torus._row_q(x, y, n, qmax) for n in torus._n_range(y, qmax)]
+        n_max, half = int(math.sqrt(qmax / y)) + 2, math.sqrt(qmax * y) + 2.0
+        rows = []
+        for n in range(-n_max, n_max + 1):
+            nx, ny2 = n * x, (n * y) ** 2
+            m = np.arange(math.floor(-nx - half), math.ceil(-nx + half) + 1.0)
+            q = ((m + nx) ** 2 + ny2) / y
+            rows.append(q[(q <= qmax) & ((m != 0.0) | (n != 0))])
         want = np.sort(np.concatenate(rows))
         assert torus._q_values(t, qmax).tobytes() == want.tobytes(), qmax
