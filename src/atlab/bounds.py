@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
+from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, libm, zeta_prime_minus1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
@@ -53,17 +53,10 @@ PAPER_KAPPA = 0.5474277074  # printed slope digits
 PAPER_FOUR_ZETA_PRIME = -0.661685
 REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 
-# numpy's SIMD log differs from libm's by one ulp at rare arguments (on
-# AVX-512 first at log(9170), i.e. g = 9171), so genus-dependent logs use
-# math.log on arrays too: a genus array gives exactly the scalar values.
+# Genus-dependent logs go through libm on arrays too (numerics.libm), so a
+# genus array gives exactly the scalar values.
 _E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
-
-
-def _log(x):
-    if isinstance(x, float):
-        return math.log(x)
-    import numpy as np
-    return np.frompyfunc(math.log, 1, 1)(x).astype(float)
+_log = partial(libm, math.log)
 
 
 def _genera(g, minimum: int):

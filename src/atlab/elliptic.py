@@ -11,6 +11,11 @@ The bound constant is 3/(pi y), the value the proof chain and the small-genus
 listing agree on; the alternative 6/(pi y) printed in the statement it derives
 from is tracked by the claims registry, not used here.  D_Ar is modular
 invariant; Area and log det individually are not.
+
+log_arakelov_area, arakelov_logdet, d_ar_elliptic and elliptic_upper_bound_log
+take a tau of Python floats or of equal-shape float arrays (see
+UpperHalfPoint) through one expression; an array gives exactly the scalar
+values element-wise, and a scalar tau never loads numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .numerics import (
     LN_2PI,
     Precision,
     UpperHalfPoint,
+    libm,
     log_abs_eta,
     log_abs_qprod,
 )
@@ -31,7 +37,7 @@ from .bounds import wentworth_delta
 
 def log_arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     """log Area_Ar = log 2pi + log y + 2 log|eta|, stable at large y."""
-    return LN_2PI + math.log(tau.y) + 2.0 * log_abs_eta(tau, prec)
+    return LN_2PI + libm(math.log, tau.y) + 2.0 * log_abs_eta(tau, prec)
 
 
 def arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
@@ -45,18 +51,18 @@ def arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
 
 def arakelov_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     """log det under the Arakelov metric: log 2pi + 2 log y + 6 log|eta|."""
-    return LN_2PI + 2.0 * math.log(tau.y) + 6.0 * log_abs_eta(tau, prec)
+    return LN_2PI + 2.0 * libm(math.log, tau.y) + 6.0 * log_abs_eta(tau, prec)
 
 
 def d_ar_elliptic(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     """D_Ar = log(det / Area) = log y + 4 log|eta|; scale and modular invariant."""
-    return math.log(tau.y) + 4.0 * log_abs_eta(tau, prec)
+    return libm(math.log, tau.y) + 4.0 * log_abs_eta(tau, prec)
 
 
 def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
     """log(2 pi y^2 e^(-pi y/2 + 3/(pi y))); depends on y only."""
     y = tau.y
-    return LN_2PI + 2.0 * math.log(y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
+    return LN_2PI + 2.0 * libm(math.log, y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
 
 
 def qprod_bound(

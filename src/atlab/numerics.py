@@ -6,7 +6,9 @@ double precision:
 * log|eta(tau)|, eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau),
   evaluated after SL2(Z) reduction to the standard fundamental domain
   (|x| <= 1/2, |tau| >= 1), where |q| <= e^(-pi sqrt 3) ~= 0.00433 and a
-  handful of product terms reach any sensible tolerance.
+  handful of product terms reach any sensible tolerance.  tau may also be
+  an array of points: the same steps then run element-wise through numpy and
+  give exactly the scalar values (a Python-float tau never loads numpy).
 * The exponential integral E1(x) = int_x^inf e^(-u)/u du, by alternating
   series for x <= 1 and a Lentz-evaluated continued fraction for x > 1.
 * The Riemann zeta function and its s-derivative by Euler-Maclaurin
@@ -36,6 +38,17 @@ _QSERIES_MAX_TERMS = 200_000
 
 class ConvergenceError(RuntimeError):
     """A numeric routine failed to reach its requested tolerance."""
+
+
+def libm(fn, x):
+    """fn, a function of the math module, at a float x or element-wise at a
+    float array x.  numpy's own SIMD log differs from libm's by one ulp at
+    rare arguments (on AVX-512 first at log(9170)), so array paths call libm
+    too and give exactly the scalar values.  A float x never loads numpy."""
+    if isinstance(x, (int, float)):
+        return fn(x)
+    import numpy as np
+    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -71,21 +84,38 @@ DEFAULT_PRECISION = Precision()
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A point tau = x + iy in the upper half-plane (y > 0)."""
+    """A point tau = x + iy in the upper half-plane (y > 0), or an array of
+    them: x and y as equal-shape float arrays, checked element-wise."""
 
     x: float
     y: float
 
+    @property
+    def is_array(self) -> bool:
+        return not isinstance(self.y, (int, float))
+
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if isinstance(self.x, (int, float)) and not self.is_array:
+            finite = math.isfinite(self.x) and math.isfinite(self.y)
+            positive = self.y > 0.0
+        else:
+            import numpy as np
+            x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+            if x.shape != y.shape:
+                raise ValueError(f"tau needs x and y of one shape, got {x.shape} and {y.shape}")
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            finite = np.isfinite(x).all() and np.isfinite(y).all()
+            positive = (y > 0.0).all()
+        if not finite:
             raise ValueError("tau must have finite coordinates")
-        if self.y <= 0.0:
+        if not positive:
             raise ValueError("tau must satisfy y > 0")
 
     @property
     def q_abs(self) -> float:
         """|q| = e^(-2 pi y), always in (0, 1)."""
-        return math.exp(-2.0 * math.pi * self.y)
+        return libm(math.exp, -2.0 * math.pi * self.y)
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -136,12 +166,37 @@ def reduce_to_fundamental_domain(
         norm = x * x + y * y
         if norm < 1.0 - p.rel_tol:
             if norm < sys.float_info.min:
-                raise ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
-                                 "tau is too close to the real axis")
+                raise _norm_underflow(x, y)
             x, y = -x / norm, y / norm
             a, b, c, d = -c, -d, a, b
         else:
             return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
+    raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
+
+
+def _norm_underflow(x: float, y: float) -> ValueError:
+    return ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
+                      "tau is too close to the real axis")
+
+
+def _reduce_array(x, y, p: Precision):
+    """The reduced (x, y) of reduce_to_fundamental_domain for flat arrays x, y,
+    by the same steps element-wise (np.round rounds half to even, like round).
+    A reduced element is a fixed point of a step: |x| <= 1/2 shifts by
+    round(x) = +-0, which can flip only the sign of a zero x (and cos(+-0) is
+    1), and it does not invert.  So every element takes steps until none does."""
+    import numpy as np
+    for _ in range(_REDUCTION_MAX_STEPS):
+        x = x - np.round(x)
+        norm = x * x + y * y
+        invert = norm < 1.0 - p.rel_tol
+        if not invert.any():
+            return x, y
+        tiny = invert & (norm < sys.float_info.min)
+        if tiny.any():
+            i = tiny.argmax()
+            raise _norm_underflow(float(x[i]), float(y[i]))
+        x, y = np.where(invert, -x / norm, x), np.where(invert, y / norm, y)
     raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
 
 
@@ -163,6 +218,26 @@ def log_abs_qprod(x: float, y: float, tail_tol: float) -> float:
     raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
 
 
+def _log_abs_qprod_array(x, y, tail_tol: float):
+    """log_abs_qprod at flat arrays x, y.  Each element runs the scalar
+    loop's operations in its order and leaves at the term where the scalar
+    loop returns; terms are computed for the elements still running only."""
+    import numpy as np
+    qa = libm(math.exp, -2.0 * math.pi * y)
+    one_minus = -libm(math.expm1, -2.0 * math.pi * y)
+    total = np.zeros_like(y)
+    live = np.arange(y.size)
+    qn, om2 = np.ones_like(y), one_minus * one_minus
+    for n in range(1, _QSERIES_MAX_TERMS + 1):
+        qn = qn * qa
+        total[live] += 0.5 * libm(math.log1p, qn * (qn - 2.0 * libm(math.cos, 2.0 * math.pi * n * x)))
+        keep = ~(qn * qa / om2 < tail_tol)
+        if not keep.any():
+            return total
+        live, x, qa, qn, om2 = live[keep], x[keep], qa[keep], qn[keep], om2[keep]
+    raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
+
+
 def log_abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     """log|eta(tau)| = -pi y'/12 + sum_n log|1 - q'^n| at the reduced point,
     plus the transformation correction.
@@ -170,12 +245,19 @@ def log_abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     |eta(tau)| = |c tau + d|^(-1/2) |eta(tau')| for tau' = T(tau); the factor
     is applied as (y'/y)^(1/4), the same quantity via y' = y / |c tau + d|^2.
     Working in log space keeps large y safe (e^(-pi y / 12) underflows for
-    y of a few thousand).
+    y of a few thousand).  An array tau gives an array of the same shape,
+    equal element for element to the scalar values.
     """
     p = prec or DEFAULT_PRECISION
-    red, _ = reduce_to_fundamental_domain(tau, p)
-    val = -math.pi * red.y / 12.0 + log_abs_qprod(red.x, red.y, p.series_tail_tol)
-    return val + 0.25 * (math.log(red.y) - math.log(tau.y))
+    if tau.is_array:
+        x, y = _reduce_array(tau.x.ravel(), tau.y.ravel(), p)
+        qprod = _log_abs_qprod_array(x, y, p.series_tail_tol).reshape(tau.y.shape)
+        y = y.reshape(tau.y.shape)
+    else:
+        red, _ = reduce_to_fundamental_domain(tau, p)
+        y, qprod = red.y, log_abs_qprod(red.x, red.y, p.series_tail_tol)
+    val = -math.pi * y / 12.0 + qprod
+    return val + 0.25 * (libm(math.log, y) - libm(math.log, tau.y))
 
 
 def exp_integral_e1(x: float) -> float:

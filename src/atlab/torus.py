@@ -47,6 +47,7 @@ DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
 EIGENVALUE_MERGE_RTOL = 1e-9
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 MAX_EIGENVALUE_COUNT = 2_000_000
+Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
 
 
 @dataclass(frozen=True)
@@ -92,26 +93,43 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
 
 def _q_values(torus: UnitTorus, qmax: float, q: np.ndarray | None = None) -> np.ndarray:
     """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax,
-    enumerated as one (row, m offset) block, or sliced from q, a sorted superset.
+    enumerated in (row, m offset) blocks, or sliced from q, a sorted superset.
 
-    Row n spans ceil(-nx - half) <= m <= floor(-nx + half), half^2 = qmax y - (n y)^2.
-    The row scalars stay Python floats: (n y) ** 2 goes through libm pow, which
-    differs from numpy's square in the last ulp (n = 397, y = 1e-4)."""
+    A block holds at most Q_BLOCK_CELLS cells, since row n spans at most
+    2 sqrt(qmax y) + 1 values of m, so memory stays a small multiple of the
+    output; up to qmax ~ Q_BLOCK_CELLS / 4 (the oracle's qmax is ~34) it is
+    one block.  The kept values are sorted once."""
     if q is not None:
         return q[:np.searchsorted(q, qmax, side="right")]
     x, y = torus.tau.x, torus.tau.y
     n_max = int(math.floor(math.sqrt(qmax / y)))
+    step = max(1, int(Q_BLOCK_CELLS / (2.0 * math.sqrt(qmax * y) + 2.0)))
+    kept = [_q_block(x, y, qmax, range(n, min(n + step, n_max + 1)))
+            for n in range(-n_max, n_max + 1, step)]
+    q = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    q.sort()
+    return q
+
+
+def _q_block(x: float, y: float, qmax: float, ns: range) -> np.ndarray:
+    """The values Q <= qmax of the rows ns, unsorted, (0, 0) left out.
+
+    Row n spans ceil(-nx - half) <= m <= floor(-nx + half), half^2 = qmax y - (n y)^2.
+    The row scalars stay Python floats: (n y) ** 2 goes through libm pow, which
+    differs from numpy's square in the last ulp (n = 397, y = 1e-4)."""
     rows = []
-    for n in range(-n_max, n_max + 1):
+    for n in ns:
         nx, ny2 = n * x, (n * y) ** 2
         rad = qmax * y - ny2
         if rad >= 0.0:
             half = math.sqrt(rad)
             rows.append((n, nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)))
+    if not rows:
+        return np.empty(0)
     n, nx, ny2, lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*rows))
     m = lo + np.arange((hi - lo).max() + 1.0)
     q = ((m + nx) ** 2 + ny2) / y
-    return np.sort(q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))])
+    return q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))]
 
 
 def _direct_minus_one(torus: UnitTorus, t, tail_tol: float, q=None):

@@ -181,3 +181,33 @@ def test_wilms_margins_recorded_not_asserted():
     lower = wilms_lower(1)
     assert faltings_delta_elliptic(TAU_I, "direct") > lower
     assert faltings_delta_elliptic(TAU_I, "shifted") > lower
+
+
+def _sample_taus(rng) -> tuple[np.ndarray, np.ndarray]:
+    """10 500 taus: x in [-3, 3] with y log-uniform in [1e-4, 1e4], the lines
+    |x| = 1/2, the arc |tau| = 1, the corners y ~ 1e-4 and y ~ 1e4, and the
+    CL-19 grid (x = 0.3, y from 0.05 to 100 as the audit builds it)."""
+    arc = rng.uniform(1e-3, math.pi - 1e-3, 1500)
+    xs = (rng.uniform(-3.0, 3.0, 6000), np.repeat([0.5, -0.5], 750), np.cos(arc),
+          rng.uniform(-3.0, 3.0, 2000), np.full(500, 0.3))
+    ys = (10.0 ** rng.uniform(-4.0, 4.0, 6000), 10.0 ** rng.uniform(-4.0, 4.0, 1500),
+          np.sin(arc), 10.0 ** np.repeat([-4.0, 4.0], 1000) * rng.uniform(1.0, 1.5, 2000),
+          np.array([0.05 * (100.0 / 0.05) ** (i / 499.0) for i in range(500)]))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("fn", [log_abs_eta, arakelov_logdet, d_ar_elliptic,
+                                log_arakelov_area, elliptic_upper_bound_log])
+def test_array_tau_equals_the_scalar_path_bit_for_bit(fn):
+    x, y = _sample_taus(np.random.default_rng(2026))
+    got = fn(UpperHalfPoint(x, y))
+    want = np.array([fn(UpperHalfPoint(a, b)) for a, b in zip(x.tolist(), y.tolist())])
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_logdet_closed_takes_an_array():
+    x, y = np.array([0.0, 0.3, -0.5]), np.array([1.0, 1.7, 0.8660254037844386])
+    got = logdet_closed(UpperHalfPoint(x, y))
+    assert got.tolist() == [logdet_closed(UpperHalfPoint(a, b)) for a, b in zip(x, y)]
+    assert abs(got[0] - D_AR_I) < 1e-12

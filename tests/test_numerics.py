@@ -147,6 +147,43 @@ def test_tau_near_the_real_axis_is_a_domain_error():
     assert math.isfinite(log_abs_eta(UpperHalfPoint(0.0, 1e-150)))
 
 
+def _error_text(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.3, math.nan), (math.inf, 1.0),
+                                 (0.3, -math.inf), (0.3, math.inf), (0.3, 0.0),
+                                 (0.3, -1.0), (0.0, 1e-300), (0.5, 1e-300), (0.0, 1e-310)])
+def test_array_tau_refuses_a_bad_element_with_the_scalar_message(bad):
+    # One bad element among good ones fails the whole array, with the text
+    # the scalar path gives for that element alone.
+    x, y = np.array([0.3, -2.2, bad[0], 0.5]), np.array([1.0, 0.01, bad[1], 3.0])
+    want = _error_text(lambda: log_abs_eta(UpperHalfPoint(*bad)))
+    assert _error_text(lambda: log_abs_eta(UpperHalfPoint(x, y))) == want
+    assert _error_text(lambda: log_abs_eta(UpperHalfPoint(x.reshape(2, 2), y.reshape(2, 2)))) == want
+
+
+def test_array_tau_needs_one_shape():
+    for x, y in ((np.zeros(3), np.ones(4)), (np.zeros((2, 2)), np.ones(4)),
+                 (0.3, np.ones(4)), (np.zeros(4), 1.0), ([0.0, 0.1], [1.0])):
+        with pytest.raises(ValueError, match="one shape"):
+            UpperHalfPoint(x, y)
+
+
+def test_array_tau_keeps_its_shape():
+    x = np.array([[0.3, -1.7, 0.5], [0.0, 2.25, -0.5]])
+    y = np.array([[1.0, 0.02, 0.9], [1e-4, 30.0, 1e4]])
+    got = log_abs_eta(UpperHalfPoint(x, y))
+    assert got.shape == (2, 3) and got.dtype == np.float64
+    want = [log_abs_eta(UpperHalfPoint(float(a), float(b))) for a, b in zip(x.flat, y.flat)]
+    assert got.ravel().tolist() == want
+    zero_d = log_abs_eta(UpperHalfPoint(np.float64(0.3) + np.zeros(()), np.ones(())))
+    assert zero_d.shape == () and float(zero_d) == log_abs_eta(UpperHalfPoint(0.3, 1.0))
+    assert log_abs_eta(UpperHalfPoint(np.zeros(0), np.ones(0))).shape == (0,)
+
+
 def test_log_abs_eta_vs_raw_series_1000_samples():
     # Reduction path vs raw series (raw form only where |q| <= 0.5).
     rng = np.random.default_rng(42)

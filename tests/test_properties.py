@@ -1,0 +1,64 @@
+"""Property tests (hypothesis): an array input gives exactly the scalar values.
+
+Taus are drawn over the fundamental domain, its edges (|x| = 1/2 and the arc
+|tau| = 1), the corners y ~ 1e-4 and y ~ 1e4, and the strip |x| <= 3 around
+them; genera over [2, 2**53].  Runs are derandomized, so the suite stays
+deterministic, and keep no example database.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from atlab import bounds
+from atlab.elliptic import (
+    arakelov_logdet,
+    d_ar_elliptic,
+    elliptic_upper_bound_log,
+    log_arakelov_area,
+)
+from atlab.numerics import UpperHalfPoint, log_abs_eta
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+TAU_FUNCTIONS = (log_abs_eta, arakelov_logdet, d_ar_elliptic, log_arakelov_area,
+                 elliptic_upper_bound_log)
+
+
+def _reals(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _log_uniform(lo: float, hi: float):
+    return _reals(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_INTERIOR = _reals(-0.5, 0.5).flatmap(
+    lambda x: _reals(0.0, 1e4).map(lambda h: (x, math.sqrt(1.0 - x * x) + h)))
+_LINES = st.tuples(st.sampled_from((-0.5, 0.5)), _log_uniform(0.8660254037844386, 1e4))
+_ARC = _reals(-0.5, 0.5).map(lambda x: (x, math.sqrt(1.0 - x * x)))
+_CORNERS = st.tuples(_reals(-3.0, 3.0), _log_uniform(1e-4, 2e-4) | _log_uniform(5e3, 1e4))
+_STRIP = st.tuples(_reals(-3.0, 3.0), _log_uniform(1e-4, 1e4))
+TAUS = st.lists(_INTERIOR | _LINES | _ARC | _CORNERS | _STRIP, min_size=1, max_size=40)
+
+
+@PROPERTY_SETTINGS
+@given(TAUS)
+def test_tau_array_equals_scalars(points):
+    x, y = (np.array(column) for column in zip(*points))
+    tau = UpperHalfPoint(x, y)
+    for fn in TAU_FUNCTIONS:
+        want = np.array([fn(UpperHalfPoint(a, b)) for a, b in points])
+        assert fn(tau).tobytes() == want.tobytes(), fn.__name__
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(2, bounds.MAX_GENUS) | st.integers(2, 10_000), min_size=1,
+                max_size=40))
+def test_genus_array_equals_scalars(genera):
+    got = bounds.upper_bound_logdet(np.array(genera, dtype=float))
+    for g, exact, simplified in zip(genera, got.upper_exact, got.upper_simplified):
+        want = bounds.upper_bound_logdet(g)
+        assert (exact, simplified) == (want.upper_exact, want.upper_simplified), g

@@ -8,6 +8,10 @@ kernel) share no code, so their agreement is a genuine dual-route check.
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,3 +363,41 @@ def test_block_enumeration_equals_the_row_walk(x, y):
             rows.append(q[(q <= qmax) & ((m != 0.0) | (n != 0))])
         want = np.sort(np.concatenate(rows))
         assert torus._q_values(t, qmax).tobytes() == want.tobytes(), qmax
+
+
+@pytest.mark.parametrize("cells", (40, 700))
+def test_row_chunks_equal_one_block(monkeypatch, cells):
+    # Above Q_BLOCK_CELLS the rows go in chunks; the sorted union must be the
+    # one-block output, bit for bit (here with a tiny block to force chunks).
+    taus = [UnitTorus(UpperHalfPoint(x, y)) for x in (-3.0, 0.0, 0.3, 0.5)
+            for y in (1e-4, 0.01, 1.0, 7.0, 1e4)]
+    want = [[torus._q_values(t, qmax) for qmax in (0.3, 5.25, 34.0, 120.0)] for t in taus]
+    monkeypatch.setattr(torus, "Q_BLOCK_CELLS", cells)
+    for t, values in zip(taus, want):
+        for qmax, q in zip((0.3, 5.25, 34.0, 120.0), values):
+            assert torus._q_values(t, qmax).tobytes() == q.tobytes(), (t.tau, qmax)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_q_enumeration_memory_stays_bounded():
+    # qmax = 5e5 keeps ~1.57 M points (12.6 MB).  As one block at y = 1e-4 the
+    # (row, m) block and its masks grew the peak RSS by ~100 MB; in row chunks
+    # the growth stays under 60 MB.  A fresh interpreter, for a clean peak.
+    script = (
+        "import resource\n"
+        "from atlab import torus\n"
+        "from atlab.numerics import UpperHalfPoint\n"
+        "torus._q_values(torus.UnitTorus(UpperHalfPoint(0.3, 1.0)), 34.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "q = torus._q_values(torus.UnitTorus(UpperHalfPoint(0.3, 1e-4)), 5e5)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(q.size, (after - before) / 1024.0)\n"
+    )
+    src = str(pathlib.Path(torus.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    size, growth_mb = done.stdout.split()
+    assert int(size) > 1_500_000
+    assert float(growth_mb) <= 60.0
