@@ -41,8 +41,11 @@ import numpy as np
 from . import bounds, elliptic, torus
 from .numerics import (
     DEFAULT_PRECISION,
+    EM_CUTOFF,
+    EM_ORDER,
     LN_2PI,
     LN_2PI4,
+    QSERIES_TAIL_TOL,
     Precision,
     UpperHalfPoint,
     exp_integral_e1,
@@ -118,8 +121,10 @@ class ClaimReport:
 
     def as_dict(self) -> dict:
         return {
-            "precision": {f.name: getattr(self.precision, f.name)
-                          for f in fields(self.precision)},
+            # rel_tol is the run's; the fixed truncations are listed beside it
+            "precision": {"rel_tol": self.precision.rel_tol,
+                          "series_tail_tol": QSERIES_TAIL_TOL, "em_cutoff": EM_CUTOFF,
+                          "em_order": EM_ORDER, "lattice_tail_tol": torus.LATTICE_TAIL_TOL},
             "claims": [rec.as_dict() for rec in self.records],
             "summary": self.summary,
             "warnings": list(self.warnings),
@@ -279,7 +284,7 @@ def _cl19(prec):
     qa = tau.q_abs
     violations = int(np.count_nonzero(6.0 * qa / (1.0 - qa) > 3.0 / (math.pi * y)))
     violations += int(np.count_nonzero(
-        elliptic.arakelov_logdet(tau, prec) >= elliptic.elliptic_upper_bound_log(tau)))
+        elliptic.arakelov_logdet(tau) >= elliptic.elliptic_upper_bound_log(tau)))
     computed = (f"{violations} violations over 500 y in [0.05, 100] "
                 f"(q-product chain and assembled genus-1 bound)")
     return computed, None, violations == 0
@@ -292,8 +297,8 @@ def _cl19_statement(prec):
 
 def _cl20(prec):
     tau = UpperHalfPoint(0.0, 1.0)
-    direct = elliptic.faltings_delta_elliptic(tau, "direct", prec)
-    shifted = elliptic.faltings_delta_elliptic(tau, "shifted", prec)
+    direct = elliptic.faltings_delta_elliptic(tau, "direct")
+    shifted = elliptic.faltings_delta_elliptic(tau, "shifted")
     lower = bounds.wilms_lower(1)
     computed = (f"delta direct(i) = {direct:.6f}, shifted(i) = {shifted:.6f}, "
                 f"lower bound -2 log(2 pi^4) = {lower:.6f}; margins "

@@ -3,7 +3,10 @@
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
 3 numeric non-convergence; a closed output pipe ends the process quietly
-(SIGPIPE).  Set ATL_PRECISION to override the default rel_tol (1e-12).
+(SIGPIPE).  ATL_PRECISION overrides the spectral oracle's quadrature tolerance
+rel_tol (default 1e-12), used by `torus-det --method oracle|both` and by
+claims CL-17 and CL-18 of `verify-claims`; every subcommand validates it.  The
+closed forms run to fixed truncations and ignore it.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 """
@@ -83,14 +86,14 @@ def _cmd_bound(args, parser, prec) -> int:
 
 def _cmd_elliptic(args, parser, prec) -> int:
     tau = _parse_tau(args.tau, parser)
-    logdet = elliptic.arakelov_logdet(tau, prec)
+    logdet = elliptic.arakelov_logdet(tau)
     bound = elliptic.elliptic_upper_bound_log(tau)
     payload = {
         "tau": {"x": tau.x, "y": tau.y},
-        "arakelov_area": elliptic.arakelov_area(tau, prec),
-        "log_arakelov_area": elliptic.log_arakelov_area(tau, prec),
+        "arakelov_area": elliptic.arakelov_area(tau),
+        "log_arakelov_area": elliptic.log_arakelov_area(tau),
         "arakelov_logdet": logdet,
-        "d_ar": elliptic.d_ar_elliptic(tau, prec),
+        "d_ar": elliptic.d_ar_elliptic(tau),
         "upper_bound_log": bound,
         "bound_slack": bound - logdet,
     }
@@ -107,7 +110,7 @@ def _cmd_torus_det(args, parser, prec) -> int:
     if not args.tol > 0.0:
         parser.error(f"--tol must be positive, got {args.tol}")
     if args.method == "closed":  # torus.logdet_closed, without loading torus and numpy
-        print(f"logdet_closed  {_fmt(elliptic.d_ar_elliptic(tau, prec))}")
+        print(f"logdet_closed  {_fmt(elliptic.d_ar_elliptic(tau))}")
         return 0
     from . import torus
     if args.method == "oracle":
@@ -164,8 +167,10 @@ def _cmd_table(args, parser, prec) -> int:
 def _cmd_verify_claims(args, parser, prec) -> int:
     from . import claims
     only = None
-    if args.only:
+    if args.only is not None:
         only = [cid.strip() for cid in args.only.split(",") if cid.strip()]
+        if not only:
+            parser.error(f"--only names no claim id, got {args.only!r}")
     try:
         report = claims.run_all(prec, only=only)
     except KeyError as exc:
@@ -197,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Flat-torus determinants, genus-1 Arakelov invariants, effective "
             "log det bounds for g > 1, and the numeric claim audit.  "
-            "Set ATL_PRECISION to override the default rel_tol."
+            "Set ATL_PRECISION to override the spectral oracle's quadrature "
+            "tolerance rel_tol (torus-det --method oracle|both, verify-claims "
+            "CL-17/CL-18); the closed forms run to fixed truncations."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

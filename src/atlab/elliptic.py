@@ -12,10 +12,11 @@ listing agree on; the alternative 6/(pi y) printed in the statement it derives
 from is tracked by the claims registry, not used here.  D_Ar is modular
 invariant; Area and log det individually are not.
 
-log_arakelov_area, arakelov_logdet, d_ar_elliptic and elliptic_upper_bound_log
-take a tau of Python floats or of equal-shape float arrays (see
-UpperHalfPoint) through one expression; an array gives exactly the scalar
-values element-wise, and a scalar tau never loads numpy.
+log_arakelov_area, arakelov_area, arakelov_logdet, d_ar_elliptic and
+elliptic_upper_bound_log take a tau of Python floats or of equal-shape float
+arrays (see UpperHalfPoint) through one expression; an array gives exactly the
+scalar values element-wise, and a scalar tau never loads numpy.  Every series
+runs to the fixed truncations of numerics; no Precision reaches this module.
 """
 
 from __future__ import annotations
@@ -23,40 +24,34 @@ from __future__ import annotations
 import math
 import sys
 
-from .numerics import (
-    DEFAULT_PRECISION,
-    LN_2PI,
-    Precision,
-    UpperHalfPoint,
-    libm,
-    log_abs_eta,
-    log_abs_qprod,
-)
+from .numerics import LN_2PI, UpperHalfPoint, libm, log_abs_eta, log_abs_qprod
 from .bounds import wentworth_delta
 
 
-def log_arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
+def log_arakelov_area(tau: UpperHalfPoint) -> float:
     """log Area_Ar = log 2pi + log y + 2 log|eta|, stable at large y."""
-    return LN_2PI + libm(math.log, tau.y) + 2.0 * log_abs_eta(tau, prec)
+    return LN_2PI + libm(math.log, tau.y) + 2.0 * log_abs_eta(tau)
 
 
-def arakelov_area(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
+def arakelov_area(tau: UpperHalfPoint) -> float:
     """Area_Ar = 2 pi y |eta(tau)|^2; ValueError where it is below the smallest
-    normal double (reduced y above ~1370), which log_arakelov_area is not."""
-    log_area = log_arakelov_area(tau, prec)
-    if log_area < math.log(sys.float_info.min):
-        raise ValueError(f"arakelov_area underflows (log_arakelov_area {log_area:.6g})")
-    return math.exp(log_area)
+    normal double (reduced y above ~1370), which log_arakelov_area is not.
+    An array tau is refused if any element underflows, naming the smallest."""
+    log_area = log_arakelov_area(tau)
+    low = log_area.min(initial=math.inf) if tau.is_array else log_area
+    if low < math.log(sys.float_info.min):
+        raise ValueError(f"arakelov_area underflows (log_arakelov_area {low:.6g})")
+    return libm(math.exp, log_area)
 
 
-def arakelov_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
+def arakelov_logdet(tau: UpperHalfPoint) -> float:
     """log det under the Arakelov metric: log 2pi + 2 log y + 6 log|eta|."""
-    return LN_2PI + 2.0 * libm(math.log, tau.y) + 6.0 * log_abs_eta(tau, prec)
+    return LN_2PI + 2.0 * libm(math.log, tau.y) + 6.0 * log_abs_eta(tau)
 
 
-def d_ar_elliptic(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
+def d_ar_elliptic(tau: UpperHalfPoint) -> float:
     """D_Ar = log(det / Area) = log y + 4 log|eta|; scale and modular invariant."""
-    return libm(math.log, tau.y) + 4.0 * log_abs_eta(tau, prec)
+    return libm(math.log, tau.y) + 4.0 * log_abs_eta(tau)
 
 
 def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
@@ -65,22 +60,20 @@ def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
     return LN_2PI + 2.0 * libm(math.log, y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
 
 
-def qprod_bound(
-    tau: UpperHalfPoint, prec: Precision | None = None
-) -> tuple[float, float]:
+def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
     """(lhs, rhs) with lhs = log|prod (1 - q^n)| and rhs = |q|/(1 - |q|).
 
-    lhs <= rhs always (the q-product inequality behind the upper bound).
+    lhs <= rhs always (the q-product inequality behind the upper bound).  The
+    series runs on tau as given, unreduced, so tau must be a scalar.
     """
-    p = prec or DEFAULT_PRECISION
-    lhs = log_abs_qprod(tau.x, tau.y, p.series_tail_tol)
+    if tau.is_array:
+        raise ValueError("qprod_bound takes a scalar tau: its series runs on the unreduced tau")
+    lhs = log_abs_qprod(tau.x, tau.y)
     qa = tau.q_abs
     return lhs, qa / (1.0 - qa)
 
 
-def faltings_delta_elliptic(
-    tau: UpperHalfPoint, reading: str = "direct", prec: Precision | None = None
-) -> float:
+def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:
     """delta via the genus-1 torsion relation -6 D_Ar + a(1), under either
     normalization reading.
 
@@ -91,7 +84,7 @@ def faltings_delta_elliptic(
     """
     if reading not in ("direct", "shifted"):
         raise ValueError("reading must be 'direct' or 'shifted'")
-    value = wentworth_delta(d_ar_elliptic(tau, prec), 1)
+    value = wentworth_delta(d_ar_elliptic(tau), 1)
     if reading == "shifted":
         value += 4.0 * LN_2PI
     return value

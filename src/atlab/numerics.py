@@ -16,8 +16,10 @@ double precision:
   analytically (never by finite differences).
 * Assorted exact constants.
 
-All functions are pure and deterministic for a fixed `Precision`; there is
-no global mutable state beyond internal caches of immutable values.
+All functions are pure and deterministic, and run to the fixed truncations
+set by the module constants below; there is no global mutable state beyond
+internal caches of immutable values.  `Precision` carries the one tolerance a
+caller may choose, which only the spectral oracle in `torus` reads.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ LN_2PI4 = math.log(2.0) + 4.0 * math.log(math.pi)  # log(2 * pi^4)
 
 _REDUCTION_MAX_STEPS = 64
 _QSERIES_MAX_TERMS = 200_000
+REDUCTION_SLACK = 1e-12  # invert only where |tau|^2 < 1 - REDUCTION_SLACK
+QSERIES_TAIL_TOL = 1e-16  # the q-product stops once its tail is below this
+EM_CUTOFF, EM_ORDER = 50, 8  # Euler-Maclaurin direct-sum length N and Bernoulli terms
 
 
 class ConvergenceError(RuntimeError):
@@ -53,30 +58,15 @@ def libm(fn, x):
 
 @dataclass(frozen=True)
 class Precision:
-    """Numeric-control knobs shared by all kernels.
-
-    rel_tol          target error for derived quantities (also the
-                     fundamental-domain boundary slack)
-    series_tail_tol  truncation threshold for q-series tails
-    em_cutoff        direct-sum length N in the Euler-Maclaurin formula
-    em_order         number of Bernoulli correction terms
-    lattice_tail_tol truncation threshold for lattice heat sums
-    """
+    """The one accuracy setting a caller chooses: rel_tol, the target error
+    of the spectral oracle's quadrature (torus.logdet_oracle, spectral_zeta).
+    The closed forms here run to the fixed truncations above instead."""
 
     rel_tol: float = 1e-12
-    series_tail_tol: float = 1e-16
-    em_cutoff: int = 50
-    em_order: int = 8
-    lattice_tail_tol: float = 1e-18
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "series_tail_tol", "lattice_tail_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
-        if self.em_cutoff < 10:
-            raise ValueError("em_cutoff must be >= 10")
-        if self.em_order < 2:
-            raise ValueError("em_order must be >= 2")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and strictly positive")
 
 
 DEFAULT_PRECISION = Precision()
@@ -143,10 +133,9 @@ class ModularTransform:
         return UpperHalfPoint(w.real, w.imag)
 
 
-def reduce_to_fundamental_domain(
-    tau: UpperHalfPoint, prec: Precision | None = None
-) -> tuple[UpperHalfPoint, ModularTransform]:
-    """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1 - rel_tol by shifts and inversions.
+def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, ModularTransform]:
+    """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1 - REDUCTION_SLACK by shifts and
+    inversions (the slack is fixed, independent of any Precision).
 
     Returns (tau', T) with tau' = T(tau).  The loop alternates x -> x - round(x)
     and tau -> -1/tau; it provably terminates, but a hard cap guards against
@@ -154,7 +143,6 @@ def reduce_to_fundamental_domain(
     x^2 + y^2 at a step is below the smallest normal double (tau too close to
     the real axis): the inversion would divide by zero or by a subnormal.
     """
-    p = prec or DEFAULT_PRECISION
     x, y = tau.x, tau.y
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_REDUCTION_MAX_STEPS):
@@ -164,7 +152,7 @@ def reduce_to_fundamental_domain(
             a -= k * c
             b -= k * d
         norm = x * x + y * y
-        if norm < 1.0 - p.rel_tol:
+        if norm < 1.0 - REDUCTION_SLACK:
             if norm < sys.float_info.min:
                 raise _norm_underflow(x, y)
             x, y = -x / norm, y / norm
@@ -179,7 +167,7 @@ def _norm_underflow(x: float, y: float) -> ValueError:
                       "tau is too close to the real axis")
 
 
-def _reduce_array(x, y, p: Precision):
+def _reduce_array(x, y):
     """The reduced (x, y) of reduce_to_fundamental_domain for flat arrays x, y,
     by the same steps element-wise (np.round rounds half to even, like round).
     A reduced element is a fixed point of a step: |x| <= 1/2 shifts by
@@ -189,7 +177,7 @@ def _reduce_array(x, y, p: Precision):
     for _ in range(_REDUCTION_MAX_STEPS):
         x = x - np.round(x)
         norm = x * x + y * y
-        invert = norm < 1.0 - p.rel_tol
+        invert = norm < 1.0 - REDUCTION_SLACK
         if not invert.any():
             return x, y
         tiny = invert & (norm < sys.float_info.min)
@@ -200,10 +188,10 @@ def _reduce_array(x, y, p: Precision):
     raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
 
 
-def log_abs_qprod(x: float, y: float, tail_tol: float) -> float:
+def log_abs_qprod(x: float, y: float) -> float:
     """log|prod_{n>=1} (1 - q^n)| with q = e^(2 pi i (x + iy)).
 
-    Truncated once the remaining tail is provably below tail_tol, using
+    Truncated once the remaining tail is provably below QSERIES_TAIL_TOL, using
     |log|1 - q^n|| <= |q|^n / (1 - |q|) and the geometric tail bound.
     """
     qa = math.exp(-2.0 * math.pi * y)
@@ -213,12 +201,12 @@ def log_abs_qprod(x: float, y: float, tail_tol: float) -> float:
     for n in range(1, _QSERIES_MAX_TERMS + 1):
         qn *= qa
         total += 0.5 * math.log1p(qn * (qn - 2.0 * math.cos(2.0 * math.pi * n * x)))
-        if qn * qa / (one_minus * one_minus) < tail_tol:
+        if qn * qa / (one_minus * one_minus) < QSERIES_TAIL_TOL:
             return total
     raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
 
 
-def _log_abs_qprod_array(x, y, tail_tol: float):
+def _log_abs_qprod_array(x, y):
     """log_abs_qprod at flat arrays x, y.  Each element runs the scalar
     loop's operations in its order and leaves at the term where the scalar
     loop returns; terms are computed for the elements still running only."""
@@ -231,14 +219,14 @@ def _log_abs_qprod_array(x, y, tail_tol: float):
     for n in range(1, _QSERIES_MAX_TERMS + 1):
         qn = qn * qa
         total[live] += 0.5 * libm(math.log1p, qn * (qn - 2.0 * libm(math.cos, 2.0 * math.pi * n * x)))
-        keep = ~(qn * qa / om2 < tail_tol)
+        keep = ~(qn * qa / om2 < QSERIES_TAIL_TOL)
         if not keep.any():
             return total
         live, x, qa, qn, om2 = live[keep], x[keep], qa[keep], qn[keep], om2[keep]
     raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
 
 
-def log_abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
+def log_abs_eta(tau: UpperHalfPoint) -> float:
     """log|eta(tau)| = -pi y'/12 + sum_n log|1 - q'^n| at the reduced point,
     plus the transformation correction.
 
@@ -248,14 +236,13 @@ def log_abs_eta(tau: UpperHalfPoint, prec: Precision | None = None) -> float:
     y of a few thousand).  An array tau gives an array of the same shape,
     equal element for element to the scalar values.
     """
-    p = prec or DEFAULT_PRECISION
     if tau.is_array:
-        x, y = _reduce_array(tau.x.ravel(), tau.y.ravel(), p)
-        qprod = _log_abs_qprod_array(x, y, p.series_tail_tol).reshape(tau.y.shape)
+        x, y = _reduce_array(tau.x.ravel(), tau.y.ravel())
+        qprod = _log_abs_qprod_array(x, y).reshape(tau.y.shape)
         y = y.reshape(tau.y.shape)
     else:
-        red, _ = reduce_to_fundamental_domain(tau, p)
-        y, qprod = red.y, log_abs_qprod(red.x, red.y, p.series_tail_tol)
+        red, _ = reduce_to_fundamental_domain(tau)
+        y, qprod = red.y, log_abs_qprod(red.x, red.y)
     val = -math.pi * y / 12.0 + qprod
     return val + 0.25 * (libm(math.log, y) - libm(math.log, tau.y))
 
@@ -308,12 +295,12 @@ def _even_bernoulli(count: int) -> tuple[float, ...]:
     return tuple(float(bern[2 * j]) for j in range(1, count + 1))
 
 
-def _em_parameters(s: float, prec: Precision) -> tuple[int, int]:
+def _em_parameters(s: float) -> tuple[int, int]:
     # For s < 0.5 the partial sums grow like N^(1-s); a long direct sum then
     # costs ~N^(1-s) ulp of cancellation, so shrink N and deepen the tail.
     if s < 0.5:
-        return max(12, prec.em_cutoff // 4), prec.em_order + 4
-    return prec.em_cutoff, prec.em_order
+        return max(12, EM_CUTOFF // 4), EM_ORDER + 4
+    return EM_CUTOFF, EM_ORDER
 
 
 def _check_em_domain(s: float, name: str) -> None:
@@ -323,18 +310,18 @@ def _check_em_domain(s: float, name: str) -> None:
         raise ValueError(f"{name} requires |s - 1| >= 0.1")
 
 
-def zeta_em(s: float, prec: Precision | None = None) -> float:
+def zeta_em(s: float) -> float:
     """Riemann zeta via Euler-Maclaurin:
 
     zeta(s) = sum_{n=1}^{N} n^-s + N^(1-s)/(s-1) - N^-s/2
               + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-s-2j).
 
-    Absolute error <= 1e-12 on -2 <= s <= 4 at default precision; raises
+    N = EM_CUTOFF and M = EM_ORDER (N / 4 and M + 4 for s < 0.5).
+    Absolute error <= 1e-12 on -2 <= s <= 4; raises
     ValueError outside that range and for |s - 1| < 0.1 (simple pole).
     """
-    p = prec or DEFAULT_PRECISION
     _check_em_domain(s, "zeta_em")
-    n_cut, order = _em_parameters(s, p)
+    n_cut, order = _em_parameters(s)
     bern = _even_bernoulli(order)
     terms = [float(n) ** (-s) for n in range(1, n_cut + 1)]
     terms.append(float(n_cut) ** (1.0 - s) / (s - 1.0))
@@ -349,16 +336,15 @@ def zeta_em(s: float, prec: Precision | None = None) -> float:
     return math.fsum(terms)
 
 
-def zeta_em_deriv(s: float, prec: Precision | None = None) -> float:
+def zeta_em_deriv(s: float) -> float:
     """zeta'(s) by term-wise analytic differentiation of the formula above.
 
     The Pochhammer derivative is the product-rule sum over dropped factors,
     which stays exact when some factor s + i vanishes (e.g. s = -1, 0).
     Same domain as zeta_em: -2 <= s <= 4, |s - 1| >= 0.1.
     """
-    p = prec or DEFAULT_PRECISION
     _check_em_domain(s, "zeta_em_deriv")
-    n_cut, order = _em_parameters(s, p)
+    n_cut, order = _em_parameters(s)
     bern = _even_bernoulli(order)
     ln_n = math.log(n_cut)
     terms = [-math.log(n) * float(n) ** (-s) for n in range(2, n_cut + 1)]
@@ -387,5 +373,5 @@ def zeta_em_deriv(s: float, prec: Precision | None = None) -> float:
 
 @lru_cache(maxsize=1)
 def zeta_prime_minus1() -> float:
-    """zeta'(-1) at default precision, cached (~-0.1654211437004509)."""
-    return zeta_em_deriv(-1.0, DEFAULT_PRECISION)
+    """zeta'(-1), cached (~-0.1654211437004509)."""
+    return zeta_em_deriv(-1.0)

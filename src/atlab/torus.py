@@ -48,6 +48,7 @@ EIGENVALUE_MERGE_RTOL = 1e-9
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 MAX_EIGENVALUE_COUNT = 2_000_000
 Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
+LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
 
 
 @dataclass(frozen=True)
@@ -155,19 +156,18 @@ def _theta_minus_pole(torus: UnitTorus, t: np.ndarray, tail_tol: float, q=None):
         _poisson_remainder(torus, small, tail_tol, q)))
 
 
-def heat_trace(torus: UnitTorus, t: float, prec: Precision | None = None) -> float:
+def heat_trace(torus: UnitTorus, t: float) -> float:
     """Theta(t) = 1 + sum' e^(-lambda t), the full trace including the kernel.
 
     The direct lattice sum from t = 0.2 on; below it the Poisson-summed form,
     where the direct sum would need many terms (the two agree to ~1e-15 at
     the switch).
     """
-    p = prec or DEFAULT_PRECISION
     if t <= 0.0:
         raise ValueError("heat_trace requires t > 0")
     if t < POISSON_SWITCH:
-        return 1.0 / (4.0 * math.pi * t) + float(_poisson_remainder(torus, t, p.lattice_tail_tol))
-    return 1.0 + float(_direct_minus_one(torus, t, p.lattice_tail_tol))
+        return 1.0 / (4.0 * math.pi * t) + float(_poisson_remainder(torus, t, LATTICE_TAIL_TOL))
+    return 1.0 + float(_direct_minus_one(torus, t, LATTICE_TAIL_TOL))
 
 
 def _de_rule(f, p: Precision, where: str) -> float:
@@ -208,7 +208,7 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     Q is enumerated once for both halves: Poisson nodes have u < POISSON_SWITCH,
     direct nodes u >= min(POISSON_SWITCH, 1/scale^2).
     """
-    tol, area = p.lattice_tail_tol, metric_scale * metric_scale
+    tol, area = LATTICE_TAIL_TOL, metric_scale * metric_scale
     q = _q_values(torus, max(_poisson_qmax(POISSON_SWITCH, tol),
                              _direct_qmax(min(POISSON_SWITCH, 1.0 / area), tol)))
     where = f"H({s:g}) at tau = {torus.tau.x!r}+{torus.tau.y!r}i, metric scale {metric_scale!r}"
@@ -289,6 +289,7 @@ class DetComparison:
 
 
 def compare_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> DetComparison:
-    closed = logdet_closed(tau, prec)
+    """Both routes at tau; prec sets the oracle's tolerance only."""
+    closed = logdet_closed(tau)
     oracle = logdet_oracle(UnitTorus(tau), prec)
     return DetComparison(tau, closed, oracle, oracle - closed)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import atlab
+from atlab import torus
 from atlab.cli import main
 
 
@@ -184,6 +185,15 @@ def test_verify_claims_only(capsys):
     assert "CONFIRMED" in out
 
 
+def test_verify_claims_only_without_ids_is_a_usage_error(capsys):
+    # An empty selection would run no claim and pass --strict vacuously.
+    for ids in (",", "", " , "):
+        code, out, err = run(capsys, "verify-claims", "--only", ids, "--strict")
+        assert code == 2, ids
+        assert out == "" and err.count("usage:") == 1
+        assert "--only names no claim id" in err
+
+
 def test_verify_claims_unknown_id(capsys):
     assert run(capsys, "verify-claims", "--only", "CL-99")[0] == 2
 
@@ -245,14 +255,27 @@ def test_torus_det_nan_tol_is_a_usage_error(capsys):
 
 
 def test_non_convergence_exits_3(capsys, monkeypatch):
-    # rel_tol = 2 disables the inversion, so the q-series at y = 1e-6 cannot
-    # reach its tail tolerance.
-    monkeypatch.setenv("ATL_PRECISION", "2")
-    for argv in (("elliptic", "--tau", "0,1e-6"),
-                 ("torus-det", "--tau", "0,1e-6", "--method", "closed")):
-        code, out, err = run(capsys, *argv)
-        assert code == 3, argv
-        assert out == "" and err.startswith("error: ") and "q-product" in err
+    # Steps 1/8 and 1/16 alone cannot bring the oracle to rel_tol 1e-12.
+    monkeypatch.setattr(torus, "DE_LEVELS", 2)
+    for method in ("oracle", "both"):
+        code, out, err = run(capsys, "torus-det", "--tau", "0.3,1.7", "--method", method)
+        assert code == 3, method
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "double-exponential rule" in err
+
+
+def test_precision_moves_only_the_oracle(capsys, monkeypatch):
+    # The closed forms run to fixed truncations: ATL_PRECISION, the oracle's
+    # tolerance, leaves their bytes alone, even where a slack of 2 in the
+    # SL2(Z) reduction would leave y = 1e-6 to an endless q-series.
+    for argv in (("torus-det", "--tau", "0,1e-6", "--method", "closed"),
+                 ("elliptic", "--tau", "0.2,0.05", "--json")):
+        default = run(capsys, *argv)
+        assert default[0] == 0
+        for raw in ("2", "1e-4"):
+            monkeypatch.setenv("ATL_PRECISION", raw)
+            assert run(capsys, *argv) == default, (argv, raw)
+            monkeypatch.delenv("ATL_PRECISION")
 
 
 def test_tau_underflowing_norm_exits_2(capsys):

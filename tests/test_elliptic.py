@@ -64,6 +64,12 @@ def test_area_raises_where_it_underflows():
     for y in (1400.0, 2000.0, 4000.0):
         with pytest.raises(ValueError, match="underflows"):
             arakelov_area(UpperHalfPoint(0.3, y))
+    # An array is refused with the scalar message of its smallest element.
+    with pytest.raises(ValueError) as scalar:
+        arakelov_area(UpperHalfPoint(0.3, 4000.0))
+    with pytest.raises(ValueError) as array:
+        arakelov_area(UpperHalfPoint(np.full(4, 0.3), np.array([1.0, 4000.0, 2000.0, 1000.0])))
+    assert str(array.value) == str(scalar.value)
 
 
 def test_arakelov_logdet_at_i():
@@ -197,9 +203,12 @@ def _sample_taus(rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.mark.parametrize("fn", [log_abs_eta, arakelov_logdet, d_ar_elliptic,
-                                log_arakelov_area, elliptic_upper_bound_log])
+                                log_arakelov_area, elliptic_upper_bound_log, arakelov_area])
 def test_array_tau_equals_the_scalar_path_bit_for_bit(fn):
     x, y = _sample_taus(np.random.default_rng(2026))
+    if fn is arakelov_area:  # only where the area is a normal double
+        keep = log_arakelov_area(UpperHalfPoint(x, y)) >= math.log(sys.float_info.min)
+        x, y = x[keep], y[keep]
     got = fn(UpperHalfPoint(x, y))
     want = np.array([fn(UpperHalfPoint(a, b)) for a, b in zip(x.tolist(), y.tolist())])
     assert got.shape == x.shape and got.dtype == np.float64

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from atlab.bounds import k_const, kappa
+from atlab.elliptic import qprod_bound
 from atlab.numerics import (
+    REDUCTION_SLACK,
     ConvergenceError,
     ModularTransform,
     Precision,
@@ -55,18 +58,9 @@ def test_upper_half_point_validation():
 
 
 def test_precision_validation():
-    with pytest.raises(ValueError):
-        Precision(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        Precision(em_order=1)
-    with pytest.raises(ValueError):
-        Precision(em_cutoff=5)
-    with pytest.raises(ValueError):
-        Precision(series_tail_tol=-1e-16)
-    for bad in (math.inf, math.nan):
-        for name in ("rel_tol", "series_tail_tol", "lattice_tail_tol"):
-            with pytest.raises(ValueError):
-                Precision(**{name: bad})
+    for bad in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Precision(rel_tol=bad)
 
 
 def test_modular_transform_validation():
@@ -102,13 +96,12 @@ def test_reduce_inversion():
 
 def test_reduce_random_sample_properties():
     rng = np.random.default_rng(20260811)
-    p = Precision()
     for _ in range(500):
         tau = UpperHalfPoint(rng.uniform(-5, 5), rng.uniform(0.05, 50.0))
         red, t = reduce_to_fundamental_domain(tau)
         assert t.a * t.d - t.b * t.c == 1
         assert abs(red.x) <= 0.5 + 1e-15
-        assert red.x * red.x + red.y * red.y >= 1.0 - p.rel_tol
+        assert red.x * red.x + red.y * red.y >= 1.0 - REDUCTION_SLACK
         w = t.apply(tau)
         assert abs(w.x - red.x) <= 1e-9 * max(1.0, abs(red.x))
         assert abs(w.y - red.y) <= 1e-9 * red.y
@@ -170,6 +163,9 @@ def test_array_tau_needs_one_shape():
                  (0.3, np.ones(4)), (np.zeros(4), 1.0), ([0.0, 0.1], [1.0])):
         with pytest.raises(ValueError, match="one shape"):
             UpperHalfPoint(x, y)
+    # qprod_bound runs its series on the unreduced tau: it takes no array.
+    with pytest.raises(ValueError, match="scalar tau"):
+        qprod_bound(UpperHalfPoint(np.array([0.3, 0.1]), np.array([1.0, 2.0])))
 
 
 def test_array_tau_keeps_its_shape():
@@ -257,13 +253,27 @@ def test_zeta_range_accuracy_vs_independent_series():
         assert abs(zeta_em(s) - oracle) <= 5.0 * n_cut ** -s + 1e-12
 
 
-def test_zeta_prime_minus1_two_settings():
-    a = zeta_em_deriv(-1.0, Precision(em_cutoff=50, em_order=8))
-    b = zeta_em_deriv(-1.0, Precision(em_cutoff=80, em_order=10))
-    assert abs(a - b) <= 1e-11
+def test_zeta_em_and_constants_against_mpmath():
     assert abs(zeta_prime_minus1() - ZETA_PRIME_M1) <= 1e-12
     assert zeta_prime_minus1() < 0.0
     assert abs(4.0 * zeta_prime_minus1() - (-0.661685)) <= 1e-5
+    # The documented 1e-12 over the whole domain, at steps of 0.05 (worst
+    # seen: 2.3e-13 for zeta, 4.9e-13 for zeta').
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for k in range(121):
+            s = k / 20.0 - 2.0
+            if abs(s - 1.0) < 0.1:
+                continue
+            assert abs(zeta_em(s) - float(mpmath.zeta(s))) <= 1e-12, s
+            assert abs(zeta_em_deriv(s) - float(mpmath.zeta(s, derivative=1))) <= 1e-12, s
+        # K and kappa carry 24 zeta'(-1) and 4 zeta'(-1) (seen: 2.6e-13, 4.3e-14).
+        k_ref = (-24 * mpmath.zeta(-1, derivative=1) + 1
+                 - 6 * mpmath.log(2 * mpmath.pi) - 2 * mpmath.log(2))
+        kappa_ref = (mpmath.log(2 * mpmath.pi ** 4) / 3
+                     - mpmath.log(2 * mpmath.pi) * 4 / 3 - k_ref / 6)
+    assert abs(k_const() - float(k_ref)) <= 1e-12
+    assert abs(kappa() - float(kappa_ref)) <= 1e-13
 
 
 def test_zeta_pole_guard():

@@ -20,6 +20,7 @@ from atlab import elliptic, numerics, torus
 from atlab.numerics import ConvergenceError, Precision, UpperHalfPoint
 from atlab.torus import (
     FOUR_PI_SQ,
+    LATTICE_TAIL_TOL,
     DetComparison,
     UnitTorus,
     _direct_minus_one,
@@ -171,11 +172,10 @@ def test_heat_trace_positive_domain():
 
 
 def test_poisson_direct_consistency_at_switch():
-    tail_tol = Precision().lattice_tail_tol
     for tau in SAMPLE_TAUS:
         torus = UnitTorus(tau)
-        d = 1.0 + _direct_minus_one(torus, 0.2, tail_tol)
-        p = 1.0 / (0.8 * math.pi) + _poisson_remainder(torus, 0.2, tail_tol)
+        d = 1.0 + _direct_minus_one(torus, 0.2, LATTICE_TAIL_TOL)
+        p = 1.0 / (0.8 * math.pi) + _poisson_remainder(torus, 0.2, LATTICE_TAIL_TOL)
         assert abs(d - p) <= 1e-12
         assert heat_trace(torus, 0.2) == d
 
@@ -341,7 +341,7 @@ def test_scaling_law_numeric_rerun():
 
 
 def test_precision_object_is_honored():
-    loose = Precision(rel_tol=1e-8, lattice_tail_tol=1e-14)
+    loose = Precision(rel_tol=1e-8)
     assert abs(logdet_oracle(UnitTorus(TAU_I), loose) - LOGDET_I) <= 1e-6
 
 
