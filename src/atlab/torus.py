@@ -26,6 +26,7 @@ oracle path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,16 +93,14 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
     return 4.0 * t * (math.log(1.0 / tail_tol) + 1.0)
 
 
-def _q_values(torus: UnitTorus, qmax: float, q: np.ndarray | None = None) -> np.ndarray:
+def _q_values(torus: UnitTorus, qmax: float) -> np.ndarray:
     """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax,
-    enumerated in (row, m offset) blocks, or sliced from q, a sorted superset.
+    enumerated in (row, m offset) blocks.
 
     A block holds at most Q_BLOCK_CELLS cells, since row n spans at most
     2 sqrt(qmax y) + 1 values of m, so memory stays a small multiple of the
     output; up to qmax ~ Q_BLOCK_CELLS / 4 (the oracle's qmax is ~34) it is
     one block.  The kept values are sorted once."""
-    if q is not None:
-        return q[:np.searchsorted(q, qmax, side="right")]
     x, y = torus.tau.x, torus.tau.y
     n_max = int(math.floor(math.sqrt(qmax / y)))
     step = max(1, int(Q_BLOCK_CELLS / (2.0 * math.sqrt(qmax * y) + 2.0)))
@@ -133,27 +132,23 @@ def _q_block(x: float, y: float, qmax: float, ns: range) -> np.ndarray:
     return q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))]
 
 
-def _direct_minus_one(torus: UnitTorus, t, tail_tol: float, q=None):
+def _lattice_sum(q: np.ndarray, scale: np.ndarray, qmax: float) -> np.ndarray:
+    """sum_{Q <= qmax} e^(scale Q) at each scale (an array of rows), q sorted."""
+    return np.exp(np.multiply.outer(scale, q[:q.searchsorted(qmax, side="right")])).sum(-1)
+
+
+def _direct_minus_one(torus: UnitTorus, t, tail_tol: float):
     """Theta(t) - 1 = sum' e^(-4 pi^2 Q t) at a scalar or an array t,
     truncated below tail_tol at the smallest t."""
-    q = _q_values(torus, _direct_qmax(np.min(t, initial=math.inf), tail_tol), q)
-    return np.exp(np.multiply.outer(-FOUR_PI_SQ * t, q)).sum(-1)
+    qmax = _direct_qmax(np.min(t, initial=math.inf), tail_tol)
+    return _lattice_sum(_q_values(torus, qmax), -FOUR_PI_SQ * t, qmax)
 
 
-def _poisson_remainder(torus: UnitTorus, t, tail_tol: float, q=None):
+def _poisson_remainder(torus: UnitTorus, t, tail_tol: float):
     """Theta(t) - 1/(4 pi t) = (1/(4 pi t)) sum' e^(-Q/(4 t)) at a scalar or
     an array t, truncated below tail_tol at the largest t."""
-    q = _q_values(torus, _poisson_qmax(np.max(t, initial=0.0), tail_tol), q)
-    return np.exp(np.multiply.outer(-0.25 / t, q)).sum(-1) / (4.0 * math.pi * t)
-
-
-def _theta_minus_pole(torus: UnitTorus, t: np.ndarray, tail_tol: float, q=None):
-    """Theta(t) - 1/(4 pi t) at descending t, computed without cancellation
-    on either side of the Poisson switch."""
-    large, small = np.split(t, [np.searchsorted(-t, -POISSON_SWITCH, side="right")])
-    return np.concatenate((
-        _direct_minus_one(torus, large, tail_tol, q) + 1.0 - 1.0 / (4.0 * math.pi * large),
-        _poisson_remainder(torus, small, tail_tol, q)))
+    qmax = _poisson_qmax(np.max(t, initial=0.0), tail_tol)
+    return _lattice_sum(_q_values(torus, qmax), -0.25 / t, qmax) / (4.0 * math.pi * t)
 
 
 def heat_trace(torus: UnitTorus, t: float) -> float:
@@ -170,26 +165,36 @@ def heat_trace(torus: UnitTorus, t: float) -> float:
     return 1.0 + float(_direct_minus_one(torus, t, LATTICE_TAIL_TOL))
 
 
-def _de_rule(f, p: Precision, where: str) -> float:
-    """int_1^inf f(w) dw by the exp-sinh rule w = 1 + e^((pi/2) sinh v).
-
-    Nested trapezoid sums in v over |v| <= DE_VMAX: the step halves from 1/8
-    to 1/256 and each level calls f once, on its new nodes only.  Converged
-    when two levels agree to max(0.1 rel_tol, 10 rel_tol |I|).
-    """
-    h, total = 0.125, 0.0
-    v = np.arange(-DE_VMAX, DE_VMAX + h, h)
-    for level in range(DE_LEVELS):
+def _de_nodes(levels: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(h, w, dw) per level of the exp-sinh rule w = 1 + e^((pi/2) sinh v), |v| <= DE_VMAX:
+    trapezoid steps h in v halving from 1/8, each level holding its new nodes only."""
+    h, v, nodes = 0.125, np.arange(-DE_VMAX, DE_VMAX + 0.125, 0.125), []
+    for _ in range(levels):
         e = np.exp(0.5 * math.pi * np.sinh(v))  # w - 1
-        dw = 0.5 * math.pi * np.cosh(v) * e
-        prev, total = total, 0.5 * total + h * float((f(1.0 + e) * dw).sum())
+        nodes.append((h, 1.0 + e, 0.5 * math.pi * np.cosh(v) * e))
+        h *= 0.5
+        v = np.arange(h - DE_VMAX, DE_VMAX, 2.0 * h)
+    return nodes
+
+
+_DE_NODES = _de_nodes(DE_LEVELS)  # the full rule; DE_LEVELS, read per call, may cut it
+
+
+def _de_rule(level_sums, p: Precision, where: tuple) -> float:
+    """int_1^inf f(w) dw by the exp-sinh rule of _DE_NODES, steps 1/8 to 1/256
+    (DE_LEVELS, read per call); level_sums yields sum f(w) dw over each level's
+    new nodes, drawn only while needed.  Converged when two levels agree to
+    max(0.1 rel_tol, 10 rel_tol |I|); else raises, naming where = (half, s, x, y, scale)."""
+    total = 0.0
+    for level, (h, _, _), part in zip(range(DE_LEVELS), _DE_NODES, level_sums):
+        prev, total = total, 0.5 * total + h * part
         target = max(0.1 * p.rel_tol, 10.0 * p.rel_tol * abs(total))
         if level and abs(total - prev) <= target:
             return total
-        h *= 0.5
-        v = np.arange(h - DE_VMAX, DE_VMAX, 2.0 * h)
-    raise ConvergenceError(f"{where}: double-exponential rule missed {target:.3g} (rel_tol "
-                           f"{p.rel_tol:g}); last |I_h - I_2h| = {abs(total - prev):.3g}")
+    raise ConvergenceError(
+        "{}-t half of H({:g}) at tau = {!r}+{!r}i, metric scale {!r}: ".format(*where)
+        + f"double-exponential rule missed {target:.3g} (rel_tol {p.rel_tol:g}); "
+        f"last |I_h - I_2h| = {abs(total - prev):.3g}")
 
 
 def _rgamma(s: float) -> float:
@@ -199,6 +204,37 @@ def _rgamma(s: float) -> float:
     return 1.0 / math.gamma(s)
 
 
+@functools.lru_cache(maxsize=8)
+def _mellin_plan(s: float, area: float) -> tuple[tuple, tuple]:
+    """Per DE level, all of H(s) at metric area `area` but the lattice sums.
+    Small half (t = 1/(w area), descending, Poisson split k): weight, dw, k,
+    direct scales, Q cut and pole 1/(4 pi t) for t[:k], Poisson scales, Q cut
+    and 4 pi t for t[k:].  Large half (u = w / area): weight, dw, scales, Q cut."""
+    tol, small, large = LATTICE_TAIL_TOL, [], []
+    for _, w, dw in _DE_NODES:
+        t = 1.0 / (w * area)
+        k = int(np.searchsorted(-t, -POISSON_SWITCH, side="right"))
+        direct, poisson = t[:k], t[k:]
+        small.append((w ** (-1.0 - s), dw, k,
+                      -FOUR_PI_SQ * direct, _direct_qmax(np.min(direct, initial=math.inf), tol),
+                      1.0 / (4.0 * math.pi * direct),
+                      -0.25 / poisson, _poisson_qmax(np.max(poisson, initial=0.0), tol),
+                      4.0 * math.pi * poisson))
+        u = w / area
+        large.append((w ** (s - 1.0), dw, -FOUR_PI_SQ * u, _direct_qmax(np.min(u), tol)))
+    return tuple(small), tuple(large)
+
+
+def _small_half_sums(q: np.ndarray, plan: tuple):
+    """sum w^(-1-s) (Theta - 1/(4 pi t)) dw per level, without cancellation:
+    the direct sum above the Poisson switch, the Poisson remainder below it."""
+    for weight, dw, k, direct, direct_qmax, pole, poisson, poisson_qmax, four_pi_t in plan:
+        theta = np.empty(weight.size)
+        theta[:k] = _lattice_sum(q, direct, direct_qmax) + 1.0 - pole
+        theta[k:] = _lattice_sum(q, poisson, poisson_qmax) / four_pi_t
+        yield float((weight * theta * dw).sum())
+
+
 def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> float:
     """H(s) for the metric scaled by metric_scale^2 (eigenvalues / scale^2,
     area scale^2): integrands are evaluated at u = t / scale^2.
@@ -206,19 +242,17 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     t = 1/w maps the small half onto [1, inf) too (t^(s-1) dt = w^(-s-1) dw),
     so its nodes t = 1/(1 + e^((pi/2) sinh v)) are tanh-sinh nodes on (0, 1).
     Q is enumerated once for both halves: Poisson nodes have u < POISSON_SWITCH,
-    direct nodes u >= min(POISSON_SWITCH, 1/scale^2).
+    direct nodes u >= min(POISSON_SWITCH, 1/scale^2).  All else is _mellin_plan's.
     """
     tol, area = LATTICE_TAIL_TOL, metric_scale * metric_scale
     q = _q_values(torus, max(_poisson_qmax(POISSON_SWITCH, tol),
                              _direct_qmax(min(POISSON_SWITCH, 1.0 / area), tol)))
-    where = f"H({s:g}) at tau = {torus.tau.x!r}+{torus.tau.y!r}i, metric scale {metric_scale!r}"
-    small = _de_rule(
-        lambda w: w ** (-1.0 - s) * _theta_minus_pole(torus, 1.0 / (w * area), tol, q),
-        p, "small-t half of " + where)
-    large = _de_rule(
-        lambda t: t ** (s - 1.0) * _direct_minus_one(torus, t / area, tol, q),
-        p, "large-t half of " + where)
-    return small + large
+    small, large = _mellin_plan(s, area)
+    large_sums = (float((weight * _lattice_sum(q, scale, qmax) * dw).sum())
+                  for weight, dw, scale, qmax in large)
+    where = (s, torus.tau.x, torus.tau.y, metric_scale)
+    return (_de_rule(_small_half_sums(q, small), p, ("small", *where))
+            + _de_rule(large_sums, p, ("large", *where)))
 
 
 def spectral_zeta(torus: UnitTorus, s: float, prec: Precision | None = None) -> float:

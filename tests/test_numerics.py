@@ -227,6 +227,26 @@ def test_e1_bracketing():
         assert 0.5 * math.exp(-x) * math.log1p(2.0 / x) <= v <= math.exp(-x) * math.log1p(1.0 / x)
 
 
+def test_eta_and_e1_against_mpmath():
+    # 40-digit references at seeded points: log|eta| over 1e-3 <= y <= 1e4 and
+    # |x| <= 3 (the reduction's far side included), E1 over [1e-8, 700] and
+    # across the series / continued-fraction switch at x = 1.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(4711)
+    taus = [(float(x), float(10.0 ** e))
+            for x, e in zip(rng.uniform(-3.0, 3.0, 60), rng.uniform(-3.0, 4.0, 60))]
+    taus += [(0.5, 1e-3), (-0.5, 1e4), (0.0, 1e-3), (0.5, 0.8660254037844386)]
+    xs = [float(10.0 ** e) for e in rng.uniform(-8.0, math.log10(700.0), 60)]
+    xs += [1e-8, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 700.0]
+    with mpmath.workdps(40):
+        for x, y in taus:
+            ref = float(mpmath.log(abs(mpmath.eta(mpmath.mpc(x, y)))))
+            assert abs(log_abs_eta(UpperHalfPoint(x, y)) - ref) <= 1e-13 * max(1.0, abs(ref)), (x, y)
+        for x in xs:
+            ref = float(mpmath.e1(x))
+            assert abs(exp_integral_e1(x) - ref) <= 2e-14 * ref, x
+
+
 def test_e1_domain():
     with pytest.raises(ValueError):
         exp_integral_e1(0.0)

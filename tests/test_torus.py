@@ -324,6 +324,81 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
     assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
 
 
+def reference_mellin_h(t: UnitTorus, s: float, metric_scale: float) -> float:
+    """H(s) by the level-by-level composition the quadrature plan replaced:
+    nodes recomputed on every level, the small-t integrand split with np.split
+    at POISSON_SWITCH and joined with np.concatenate, default rel_tol."""
+    tol, area, rel_tol = LATTICE_TAIL_TOL, metric_scale * metric_scale, 1e-12
+    q = torus._q_values(t, max(torus._poisson_qmax(torus.POISSON_SWITCH, tol),
+                               torus._direct_qmax(min(torus.POISSON_SWITCH, 1.0 / area), tol)))
+
+    def direct(u):
+        cut = q[:np.searchsorted(q, torus._direct_qmax(np.min(u, initial=math.inf), tol), "right")]
+        return np.exp(np.multiply.outer(-FOUR_PI_SQ * u, cut)).sum(-1)
+
+    def small(w):
+        u = 1.0 / (w * area)
+        hi, lo = np.split(u, [np.searchsorted(-u, -torus.POISSON_SWITCH, side="right")])
+        cut = q[:np.searchsorted(q, torus._poisson_qmax(np.max(lo, initial=0.0), tol), "right")]
+        poisson = np.exp(np.multiply.outer(-0.25 / lo, cut)).sum(-1) / (4.0 * math.pi * lo)
+        return w ** (-1.0 - s) * np.concatenate(
+            (direct(hi) + 1.0 - 1.0 / (4.0 * math.pi * hi), poisson))
+
+    halves = []
+    for f in (small, lambda w: w ** (s - 1.0) * direct(w / area)):
+        h, total, v = 0.125, 0.0, np.arange(-torus.DE_VMAX, torus.DE_VMAX + 0.125, 0.125)
+        for level in range(torus.DE_LEVELS):
+            e = np.exp(0.5 * math.pi * np.sinh(v))
+            dw = 0.5 * math.pi * np.cosh(v) * e
+            prev, total = total, 0.5 * total + h * float((f(1.0 + e) * dw).sum())
+            if level and abs(total - prev) <= max(0.1 * rel_tol, 10.0 * rel_tol * abs(total)):
+                break
+            h *= 0.5
+            v = np.arange(h - torus.DE_VMAX, torus.DE_VMAX, 2.0 * h)
+        halves.append(total)
+    return halves[0] + halves[1]
+
+
+def test_quadrature_plan_keeps_every_bit():
+    # The plan only hoists tau-independent arrays, so every float operation is
+    # the reference's, in its order.  Both sides run on this numpy, whose exp
+    # may differ between CPUs in the last bit, so nothing here is frozen.
+    rng = np.random.default_rng(20260)
+    taus = [UpperHalfPoint(float(x), float(10.0 ** e))
+            for x, e in zip(rng.uniform(-3.0, 3.0, 200), rng.uniform(-4.0, 4.0, 200))]
+    taus += [UpperHalfPoint(x, y) for x in (-0.5, 0.0, 0.5, 2.5)
+             for y in (1e-4, 1.07e-4, 0.8660254037844386, 9.3e3, 1e4)]
+    for k, tau in enumerate(taus):
+        t = UnitTorus(tau)
+        scales = (1.0, 0.5, 2.0) if k % 10 == 0 else (1.0,)
+        for g in scales:
+            want = np.float64(numerics.EULER_GAMMA + g * g / (4.0 * math.pi)
+                              - reference_mellin_h(t, 0.0, g))
+            assert np.float64(logdet_oracle(t, metric_scale=g)).tobytes() == want.tobytes(), (tau, g)
+        if k % 20 == 0:
+            for s in (-10.0, -3.0, 0.5, 2.0, 3.0):
+                h = reference_mellin_h(t, s, 1.0)
+                want = np.float64(torus._rgamma(s) * (1.0 / (4.0 * math.pi * (s - 1.0)) + h)
+                                  - torus._rgamma(s + 1.0))
+                assert np.float64(spectral_zeta(t, s)).tobytes() == want.tobytes(), (tau, s)
+
+
+def test_cached_plan_freezes_no_setting(monkeypatch):
+    t = UnitTorus(UpperHalfPoint(0.3, 1.7))
+    base = logdet_oracle(t)  # builds the node table and the (s, area) = (0, 1) plan
+    hits = torus._mellin_plan.cache_info().hits
+    assert logdet_oracle(t) == base
+    assert torus._mellin_plan.cache_info().hits == hits + 1
+    with monkeypatch.context() as m:
+        m.setattr(torus, "DE_LEVELS", 2)
+        with pytest.raises(ConvergenceError, match="small-t half of H"):
+            logdet_oracle(t)
+    assert abs(logdet_oracle(t, Precision(1e-16)) - base) <= 1e-12
+    for g in np.linspace(0.5, 4.0, 20):
+        assert abs(logdet_oracle(t, metric_scale=float(g)) - scaled_logdet(base, g)) <= 1e-12
+    assert torus._mellin_plan.cache_info().currsize <= 8
+
+
 def test_scaled_logdet_algebra():
     assert scaled_logdet(-1.5, 1.0) == -1.5
     assert abs(scaled_logdet(-1.054692, math.e) - 0.945308) < 1e-12
