@@ -47,6 +47,7 @@ DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
 DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
 EIGENVALUE_MERGE_RTOL = 1e-9
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
+METRIC_SCALE_MIN, METRIC_SCALE_MAX = 1e-3, 32.0  # logdet_oracle's verified range
 MAX_EIGENVALUE_COUNT = 2_000_000
 Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
@@ -292,10 +293,15 @@ def logdet_oracle(
     by g^2), the configuration used to verify the scaling law numerically.
     Verified for 1e-4 <= y <= 1e4 at any x (tau as given, unreduced), within
     1e-12 max(1, |closed form|); ConvergenceError where rel_tol is missed.
+    metric_scale is verified on [1e-3, 32] (the scaling law within 1.5e-14
+    relative at y = 1e-4 to 1e4; 32 costs up to ~75 ms).  The Q set grows like
+    metric_scale^2, so other scales, non-finite ones included, raise
+    ValueError before anything is enumerated.
     """
     p = prec or DEFAULT_PRECISION
-    if metric_scale <= 0.0:
-        raise ValueError("metric_scale must be positive")
+    if not METRIC_SCALE_MIN <= metric_scale <= METRIC_SCALE_MAX:
+        raise ValueError(f"logdet_oracle needs {METRIC_SCALE_MIN:g} <= metric_scale <= "
+                         f"{METRIC_SCALE_MAX:g}, got {metric_scale!r}")
     area = metric_scale * metric_scale
     h0 = _mellin_h(torus, 0.0, p, metric_scale)
     return EULER_GAMMA + area / (4.0 * math.pi) - h0
@@ -307,8 +313,8 @@ logdet_closed = d_ar_elliptic
 
 def scaled_logdet(base_logdet: float, gamma: float) -> float:
     """Metric scaling law: log det(gamma^2 g) = 2 log gamma + log det(g)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return base_logdet + 2.0 * math.log(gamma)
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 from atlab import bounds, claims
@@ -156,6 +158,73 @@ def test_sweep_counts_violations():
     assert computed == ("10 violations over g in [11, 3580]; min margin "
                         "g - 20 = -9.000000 at g = 11")
     assert worst == -9.0 and not passed
+
+
+def array_sweep(margin_of_g, label):
+    """The sweep the bisection replaced: every genus of the range as one array."""
+    g = np.arange(claims.SWEEP_G_RANGE.start, claims.SWEEP_G_RANGE.stop)
+    margin = margin_of_g(g)
+    worst_i = int(np.argmin(margin))
+    worst = float(margin[worst_i])
+    computed = (f"{np.count_nonzero(margin <= 0.0)} violations over g in "
+                f"[{g[0]}, {g[-1]}]; min margin {label} = {worst:.6f} "
+                f"at g = {g[worst_i]}")
+    return computed, worst, worst > 0.0
+
+
+def sweep_margins(monkeypatch):
+    """{claim id: (margin, label)} as CL-08 and CL-09 hand them to _sweep."""
+    margins = {}
+    with monkeypatch.context() as m:
+        for claim_id in ("CL-08", "CL-09"):
+            m.setattr(claims, "_sweep", lambda margin, label, cid=claim_id:
+                      margins.setdefault(cid, (margin, label)))
+            registry_by_id()[claim_id].compute(None)
+    return margins
+
+
+def counted(margin_of_g, calls):
+    """margin_of_g that records each genus it is called with."""
+    def margin(g):
+        calls.append(g)
+        return margin_of_g(g)
+    return margin
+
+
+MAX_SWEEP_CALLS = 1 + math.ceil(math.log2(len(claims.SWEEP_G_RANGE) + 1))
+
+
+def test_sweep_certificate_gives_the_array_sweep_record(monkeypatch):
+    for claim_id, (margin, label) in sweep_margins(monkeypatch).items():
+        calls = []
+        got = claims._sweep(counted(margin, calls), label)
+        assert got == array_sweep(margin, label), claim_id
+        assert got == registry_by_id()[claim_id].compute(None)
+        assert 0 < len(calls) <= MAX_SWEEP_CALLS
+        assert all(type(g) is int for g in calls)
+
+
+def test_sweep_margins_increase(monkeypatch):
+    # The bisection's precondition, in floats: strictly increasing on
+    # [4, 3580] (the lemma's range) and on log-spaced genera up to 2**53.
+    spaced = np.unique(np.round(np.geomspace(4.0, bounds.MAX_GENUS, 400)))
+    assert spaced[-1] == bounds.MAX_GENUS
+    for claim_id, (margin, _) in sweep_margins(monkeypatch).items():
+        for g in (np.arange(4, 3581), spaced):
+            assert (np.diff(margin(g)) > 0.0).all(), claim_id
+
+
+@pytest.mark.parametrize("offset, violations", [
+    (10.5, 0), (11, 1), (20, 10), (3580, 3570), (4000, 3570)])
+def test_sweep_bisection_counts_like_brute_force(offset, violations):
+    assert sum(g - offset <= 0 for g in claims.SWEEP_G_RANGE) == violations
+    calls = []
+    computed, worst, passed = claims._sweep(counted(lambda g: g - offset, calls), "m")
+    assert computed == (f"{violations} violations over g in [11, 3580]; min margin "
+                        f"m = {11 - offset:.6f} at g = 11")
+    assert worst == 11 - offset and passed == (violations == 0)
+    assert (computed, worst, passed) == array_sweep(lambda g: g - offset, "m")
+    assert len(calls) <= MAX_SWEEP_CALLS
 
 
 def test_asymptote_excesses_match_scalar_bounds():

@@ -404,6 +404,31 @@ def test_scaled_logdet_algebra():
     assert abs(scaled_logdet(-1.054692, math.e) - 0.945308) < 1e-12
     with pytest.raises(ValueError):
         scaled_logdet(0.0, 0.0)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            scaled_logdet(0.0, gamma)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-200,
+                                   5e-4, 64.0, 1e200])
+def test_oracle_refuses_metric_scales_outside_the_verified_range(monkeypatch, scale):
+    # Refused before Q is enumerated: the cost grows like scale^2, and far out
+    # of range the Q set alone would not fit in memory.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle started on a refused metric scale")
+
+    monkeypatch.setattr(torus, "_mellin_h", forbidden)
+    with pytest.raises(ValueError, match="metric_scale"):
+        logdet_oracle(UnitTorus(TAU_I), metric_scale=scale)
+
+
+def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
+    for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
+        t = UnitTorus(tau)
+        base = logdet_oracle(t)
+        for g in (torus.METRIC_SCALE_MIN, torus.METRIC_SCALE_MAX):
+            got = logdet_oracle(t, metric_scale=g)
+            assert abs(got - scaled_logdet(base, g)) <= 1e-13 * max(1.0, abs(base)), (tau, g)
 
 
 def test_scaling_law_numeric_rerun():
