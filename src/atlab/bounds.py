@@ -269,25 +269,6 @@ def fq_gap_coefficients(reading: str = "as_stated") -> tuple[float, float]:
     raise ValueError("reading must be 'as_stated' or 'derivation'")
 
 
-def fq_gap_lower(g, reading: str = "as_stated"):
-    """slope * g + constant under the chosen reading, g >= 1."""
-    g = _genera(g, 1)
-    slope, const = fq_gap_coefficients(reading)
-    return slope * g + const
-
-
-def delta_conversion(delta_prime: float, g: int) -> float:
-    """Normalization shift delta = delta' + 4 g log 2pi, g >= 0."""
-    _genera(g, 0)
-    return delta_prime + 4.0 * g * LN_2PI
-
-
-def wentworth_delta(d_ar: float, g: int) -> float:
-    """delta = -6 D_Ar + a(g), g >= 1."""
-    _genera(g, 1)
-    return -6.0 * d_ar + a_of_g(g)
-
-
 @dataclass(frozen=True)
 class TableRow:
     """One genus row: the breakdown plus the reference column."""

@@ -145,7 +145,6 @@ def _cmd_table(args, parser, prec) -> int:
                     writer.writerow([_fmt(d[col]) for col in TABLE_COLUMNS])
         except OSError as exc:
             parser.error(f"cannot write {args.csv}: {exc}")
-        return 0
     if args.json:
         try:
             with open(args.json, "w") as fh:
@@ -153,6 +152,7 @@ def _cmd_table(args, parser, prec) -> int:
                 fh.write("\n")
         except OSError as exc:
             parser.error(f"cannot write {args.json}: {exc}")
+    if args.csv or args.json:
         return 0
     header = "  ".join(f"{c:>16s}" for c in TABLE_COLUMNS)
     print(header)

@@ -25,7 +25,6 @@ import math
 import sys
 
 from .numerics import LN_2PI, UpperHalfPoint, libm, log_abs_eta, log_abs_qprod
-from .bounds import wentworth_delta
 
 
 def log_arakelov_area(tau: UpperHalfPoint) -> float:
@@ -75,7 +74,8 @@ def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
 
 def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:
     """delta via the genus-1 torsion relation -6 D_Ar + a(1), under either
-    normalization reading.
+    normalization reading; a(1) = -8 log 2pi, as the (1 - g) K term of
+    a(g) vanishes at g = 1.
 
     "direct" applies the relation as printed; "shifted" adds 4 log 2pi (the
     delta vs delta' offset).  The two readings differ by a constant the
@@ -84,7 +84,7 @@ def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> flo
     """
     if reading not in ("direct", "shifted"):
         raise ValueError("reading must be 'direct' or 'shifted'")
-    value = wentworth_delta(d_ar_elliptic(tau), 1)
+    value = -6.0 * d_ar_elliptic(tau) + (-8.0 * LN_2PI)
     if reading == "shifted":
         value += 4.0 * LN_2PI
     return value

@@ -11,9 +11,9 @@ double precision:
   give exactly the scalar values (a Python-float tau never loads numpy).
 * The exponential integral E1(x) = int_x^inf e^(-u)/u du, by alternating
   series for x <= 1 and a Lentz-evaluated continued fraction for x > 1.
-* The Riemann zeta function and its s-derivative by Euler-Maclaurin
-  summation, the derivative obtained by differentiating every term
-  analytically (never by finite differences).
+* The s-derivative zeta'(s) of the Riemann zeta function (downstream needs
+  only zeta'(-1)), by differentiating every term of its Euler-Maclaurin
+  summation analytically (never by finite differences).
 * Assorted exact constants.
 
 All functions are pure and deterministic, and run to the fixed truncations
@@ -107,9 +107,6 @@ class UpperHalfPoint:
         """|q| = e^(-2 pi y), always in (0, 1)."""
         return libm(math.exp, -2.0 * math.pi * self.y)
 
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class ModularTransform:
@@ -123,14 +120,6 @@ class ModularTransform:
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("transform must be unimodular (ad - bc = 1)")
-
-    @property
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
-
-    def apply(self, tau: UpperHalfPoint) -> UpperHalfPoint:
-        w = (self.a * tau.as_complex() + self.b) / (self.c * tau.as_complex() + self.d)
-        return UpperHalfPoint(w.real, w.imag)
 
 
 def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, ModularTransform]:
@@ -303,47 +292,22 @@ def _em_parameters(s: float) -> tuple[int, int]:
     return EM_CUTOFF, EM_ORDER
 
 
-def _check_em_domain(s: float, name: str) -> None:
-    if not -2.0 <= s <= 4.0:
-        raise ValueError(f"{name} is accurate only on -2 <= s <= 4, got s = {s!r}")
-    if abs(s - 1.0) < 0.1:
-        raise ValueError(f"{name} requires |s - 1| >= 0.1")
-
-
-def zeta_em(s: float) -> float:
-    """Riemann zeta via Euler-Maclaurin:
+def zeta_em_deriv(s: float) -> float:
+    """zeta'(s) by analytic differentiation, term by term, of Euler-Maclaurin
 
     zeta(s) = sum_{n=1}^{N} n^-s + N^(1-s)/(s-1) - N^-s/2
-              + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-s-2j).
+              + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-s-2j),
 
-    N = EM_CUTOFF and M = EM_ORDER (N / 4 and M + 4 for s < 0.5).
-    Absolute error <= 1e-12 on -2 <= s <= 4; raises
-    ValueError outside that range and for |s - 1| < 0.1 (simple pole).
-    """
-    _check_em_domain(s, "zeta_em")
-    n_cut, order = _em_parameters(s)
-    bern = _even_bernoulli(order)
-    terms = [float(n) ** (-s) for n in range(1, n_cut + 1)]
-    terms.append(float(n_cut) ** (1.0 - s) / (s - 1.0))
-    terms.append(-0.5 * float(n_cut) ** (-s))
-    fact = 1.0
-    for j in range(1, order + 1):
-        fact *= (2 * j - 1) * (2 * j)
-        poch = 1.0
-        for i in range(2 * j - 1):
-            poch *= s + i
-        terms.append(bern[j - 1] / fact * poch * float(n_cut) ** (1.0 - s - 2 * j))
-    return math.fsum(terms)
-
-
-def zeta_em_deriv(s: float) -> float:
-    """zeta'(s) by term-wise analytic differentiation of the formula above.
-
-    The Pochhammer derivative is the product-rule sum over dropped factors,
+    N = EM_CUTOFF and M = EM_ORDER (N / 4 and M + 4 for s < 0.5).  The
+    Pochhammer derivative is the product-rule sum over dropped factors,
     which stays exact when some factor s + i vanishes (e.g. s = -1, 0).
-    Same domain as zeta_em: -2 <= s <= 4, |s - 1| >= 0.1.
+    Absolute error <= 1e-12 on -2 <= s <= 4; raises ValueError outside that
+    range and for |s - 1| < 0.1 (the pole of zeta).
     """
-    _check_em_domain(s, "zeta_em_deriv")
+    if not -2.0 <= s <= 4.0:
+        raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 4, got s = {s!r}")
+    if abs(s - 1.0) < 0.1:
+        raise ValueError("zeta_em_deriv requires |s - 1| >= 0.1")
     n_cut, order = _em_parameters(s)
     bern = _even_bernoulli(order)
     ln_n = math.log(n_cut)

@@ -45,10 +45,8 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 POISSON_SWITCH = 0.2  # heat trace: Poisson form below, direct lattice sum above
 DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
 DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
-EIGENVALUE_MERGE_RTOL = 1e-9
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 METRIC_SCALE_MIN, METRIC_SCALE_MAX = 1e-3, 32.0  # logdet_oracle's verified range
-MAX_EIGENVALUE_COUNT = 2_000_000
 Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
 
@@ -60,32 +58,6 @@ class UnitTorus:
     tau: UpperHalfPoint
 
 
-def eigenvalues_below(torus: UnitTorus, cutoff: float) -> list[tuple[float, int]]:
-    """All eigenvalues lambda = 4 pi^2 Q <= cutoff as (lambda, multiplicity),
-    sorted ascending, multiplicities merged at relative tolerance 1e-9.
-
-    The (m, n) ranges come from the lattice Gram form, so nothing below the
-    cutoff is missed.  Raises if the list would exceed MAX_EIGENVALUE_COUNT.
-    """
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
-    qmax = cutoff / FOUR_PI_SQ
-    # Weyl count ~ pi * qmax; refuse before enumerating something huge.
-    if math.pi * qmax > 1.2 * MAX_EIGENVALUE_COUNT + 64:
-        raise ValueError(f"cutoff {cutoff} would enumerate > {MAX_EIGENVALUE_COUNT} eigenvalues")
-    q = _q_values(torus, qmax)
-    if len(q) > MAX_EIGENVALUE_COUNT:
-        raise ValueError(
-            f"cutoff {cutoff} enumerates {len(q)} > {MAX_EIGENVALUE_COUNT} eigenvalues")
-    out: list[tuple[float, int]] = []
-    for lam in FOUR_PI_SQ * q:
-        if out and lam - out[-1][0] <= EIGENVALUE_MERGE_RTOL * max(out[-1][0], 1.0):
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((lam, 1))
-    return out
-
-
 def _direct_qmax(t: float, tail_tol: float) -> float:
     return math.log(1.0 / tail_tol) / (FOUR_PI_SQ * t)
 
@@ -95,13 +67,15 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
 
 
 def _q_values(torus: UnitTorus, qmax: float) -> np.ndarray:
-    """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax,
-    enumerated in (row, m offset) blocks.
+    """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax:
+    the family every lattice sum of the oracle runs over, enumerated in
+    (row, m offset) blocks.
 
-    A block holds at most Q_BLOCK_CELLS cells, since row n spans at most
-    2 sqrt(qmax y) + 1 values of m, so memory stays a small multiple of the
-    output; up to qmax ~ Q_BLOCK_CELLS / 4 (the oracle's qmax is ~34) it is
-    one block.  The kept values are sorted once."""
+    There are 2 sqrt(qmax / y) + 1 rows and row n spans at most
+    2 sqrt(qmax y) + 1 values of m.  A block holds at most Q_BLOCK_CELLS
+    cells, so memory stays a small multiple of the output even where the rows
+    are many: the oracle's qmax is ~34 at metric scale 1, and a y such as
+    1e-9 gives ~4e5 rows.  The kept values are sorted once."""
     x, y = torus.tau.x, torus.tau.y
     n_max = int(math.floor(math.sqrt(qmax / y)))
     step = max(1, int(Q_BLOCK_CELLS / (2.0 * math.sqrt(qmax * y) + 2.0)))
@@ -136,34 +110,6 @@ def _q_block(x: float, y: float, qmax: float, ns: range) -> np.ndarray:
 def _lattice_sum(q: np.ndarray, scale: np.ndarray, qmax: float) -> np.ndarray:
     """sum_{Q <= qmax} e^(scale Q) at each scale (an array of rows), q sorted."""
     return np.exp(np.multiply.outer(scale, q[:q.searchsorted(qmax, side="right")])).sum(-1)
-
-
-def _direct_minus_one(torus: UnitTorus, t, tail_tol: float):
-    """Theta(t) - 1 = sum' e^(-4 pi^2 Q t) at a scalar or an array t,
-    truncated below tail_tol at the smallest t."""
-    qmax = _direct_qmax(np.min(t, initial=math.inf), tail_tol)
-    return _lattice_sum(_q_values(torus, qmax), -FOUR_PI_SQ * t, qmax)
-
-
-def _poisson_remainder(torus: UnitTorus, t, tail_tol: float):
-    """Theta(t) - 1/(4 pi t) = (1/(4 pi t)) sum' e^(-Q/(4 t)) at a scalar or
-    an array t, truncated below tail_tol at the largest t."""
-    qmax = _poisson_qmax(np.max(t, initial=0.0), tail_tol)
-    return _lattice_sum(_q_values(torus, qmax), -0.25 / t, qmax) / (4.0 * math.pi * t)
-
-
-def heat_trace(torus: UnitTorus, t: float) -> float:
-    """Theta(t) = 1 + sum' e^(-lambda t), the full trace including the kernel.
-
-    The direct lattice sum from t = 0.2 on; below it the Poisson-summed form,
-    where the direct sum would need many terms (the two agree to ~1e-15 at
-    the switch).
-    """
-    if t <= 0.0:
-        raise ValueError("heat_trace requires t > 0")
-    if t < POISSON_SWITCH:
-        return 1.0 / (4.0 * math.pi * t) + float(_poisson_remainder(torus, t, LATTICE_TAIL_TOL))
-    return 1.0 + float(_direct_minus_one(torus, t, LATTICE_TAIL_TOL))
 
 
 def _de_nodes(levels: int) -> list[tuple[float, np.ndarray, np.ndarray]]:

@@ -19,10 +19,8 @@ from atlab.bounds import (
     a_of_g,
     assembled_bound,
     csel_lower,
-    delta_conversion,
     e_of_g,
     fq_gap_coefficients,
-    fq_gap_lower,
     genus0_det,
     heat_integral,
     heat_term,
@@ -32,7 +30,6 @@ from atlab.bounds import (
     metric_ratio_bound,
     table,
     upper_bound_logdet,
-    wentworth_delta,
     wilms_lower,
 )
 from atlab.numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
@@ -217,24 +214,9 @@ def test_fq_gap_readings():
     assert abs((slope_a + kappa()) - (-k_const() / 3.0)) <= 5e-7
     # The printed constant and the derivation constant provably coincide.
     assert abs(const_a - const_d) <= 1e-9
-    assert abs(fq_gap_lower(1, "derivation") - FQ_DERIVATION_G1) < 1e-11
+    assert abs(slope_d + const_d - FQ_DERIVATION_G1) < 1e-11  # the derivation bound at g = 1
     with pytest.raises(ValueError):
         fq_gap_coefficients("bogus")
-    with pytest.raises(ValueError):
-        fq_gap_lower(0)
-
-
-def test_delta_conversion_and_wentworth():
-    assert abs(delta_conversion(0.0, 1) - 4.0 * math.log(2.0 * math.pi)) < 1e-12
-    assert delta_conversion(1.75, 0) == 1.75
-    assert delta_conversion(delta_conversion(0.3, 5) - 20.0 * math.log(2.0 * math.pi), 0) \
-        == pytest.approx(0.3, abs=1e-12)
-    assert wentworth_delta(0.0, 1) == a_of_g(1)
-    assert abs(wentworth_delta(-1.0546882809956719, 1) - (-8.3748868453007323)) < 1e-10
-    d0 = wentworth_delta(0.0, 4)
-    assert wentworth_delta(2.0, 4) == pytest.approx(d0 - 12.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        wentworth_delta(0.0, 0)
 
 
 def test_table_reference_rows():
@@ -336,7 +318,6 @@ PER_GENUS_TERMS = [
     (lambda g: log_area_bound(g, "e4pi"), 2), (log_area_bound, 2), (a_of_g, 0),
     (wilms_lower, 1), (lambda g: e_of_g(g, "simple"), 2), (e_of_g, 2),
     (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
-    (fq_gap_lower, 1), (lambda g: fq_gap_lower(g, "derivation"), 1),
 ]
 
 
@@ -400,10 +381,8 @@ def test_nan_genus_raises(term, minimum):
 
 
 def test_nan_genus_raises_in_the_assembled_pipeline():
-    for call in (lambda: upper_bound_logdet(math.nan), lambda: wentworth_delta(0.0, math.nan),
-                 lambda: delta_conversion(0.0, math.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            call()
+    with pytest.raises(ValueError, match="finite"):
+        upper_bound_logdet(math.nan)
 
 
 @pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
@@ -419,7 +398,6 @@ def test_non_integer_genus_raises_in_the_assembled_pipeline():
     assert e_of_g(np.array([2.0, 3.0])).tolist() == [e_of_g(2), e_of_g(3)]
     for call in (lambda: e_of_g(2.5), lambda: e_of_g(np.array([2.0, 2.5])),
                  lambda: upper_bound_logdet(2.5),
-                 lambda: upper_bound_logdet(np.array([3.0, 7.25])),
-                 lambda: wentworth_delta(0.0, 1.5), lambda: delta_conversion(0.0, 0.5)):
+                 lambda: upper_bound_logdet(np.array([3.0, 7.25]))):
         with pytest.raises(ValueError, match="integer"):
             call()

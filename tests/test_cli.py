@@ -159,6 +159,19 @@ def test_table_json(tmp_path, capsys):
                                "paper_value", "delta"}
 
 
+def test_table_csv_and_json_both_written(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
+    code, out, err = run(capsys, "table", "--from", "2", "--to", "3",
+                         "--csv", str(csv_path), "--json", str(json_path))
+    assert (code, out, err) == (0, "", "")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for flag, path in (("--csv", csv_path), ("--json", json_path)):
+        assert run(capsys, "table", "--from", "2", "--to", "3",
+                   flag, str(alone / path.name)) == (0, "", "")
+        assert path.read_bytes() == (alone / path.name).read_bytes()
+
+
 def test_table_unwritable_path(capsys):
     code, _, err = run(capsys, "table", "--from", "2", "--to", "3",
                        "--csv", "/nonexistent-dir/out.csv")

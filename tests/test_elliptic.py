@@ -7,11 +7,15 @@ Frozen digits evaluated at 30 decimals from the eta closed forms
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import atlab
 from atlab.bounds import a_of_g, wilms_lower
 from atlab.elliptic import (
     arakelov_area,
@@ -176,9 +180,25 @@ def test_faltings_delta_readings():
 
 
 def test_faltings_delta_is_wentworth_at_g1():
-    got = faltings_delta_elliptic(TAU_I, "direct")
-    want = -6.0 * d_ar_elliptic(TAU_I) + a_of_g(1)
-    assert got == want
+    # elliptic writes a(1) as -8 log 2pi itself; the bounds pipeline's a(1)
+    # must give the same bits at every tau.
+    rng = np.random.default_rng(20261018)
+    xs, ys = rng.uniform(-3.0, 3.0, 1200), 10.0 ** rng.uniform(-4.0, 4.0, 1200)
+    for tau in [TAU_I] + [UpperHalfPoint(float(x), float(y)) for x, y in zip(xs, ys)]:
+        got = faltings_delta_elliptic(tau, "direct")
+        want = -6.0 * d_ar_elliptic(tau) + a_of_g(1)
+        assert got == want, tau
+
+
+def test_elliptic_does_not_import_bounds():
+    # A fresh interpreter, since this test process has loaded bounds.
+    script = "import sys, atlab.elliptic\nprint('atlab.bounds' in sys.modules)\n"
+    src = str(pathlib.Path(atlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_wilms_margins_recorded_not_asserted():

@@ -1,4 +1,4 @@
-"""Kernel tests: fundamental-domain reduction, log|eta|, E1, Euler-Maclaurin zeta.
+"""Kernel tests: fundamental-domain reduction, log|eta|, E1, Euler-Maclaurin zeta'.
 
 Frozen reference digits come from closed forms evaluated independently at 30
 decimal digits (noted next to each constant); in-test oracles are raw series
@@ -24,7 +24,6 @@ from atlab.numerics import (
     exp_integral_e1,
     log_abs_eta,
     reduce_to_fundamental_domain,
-    zeta_em,
     zeta_em_deriv,
     zeta_prime_minus1,
 )
@@ -35,6 +34,8 @@ LOG_ABS_ETA_2I = -0.52360226295889747
 E1_QUARTER = 1.0442826344437382
 ZETA_PRIME_M1 = -0.16542114370045093  # 1/12 - log(Glaisher)
 ZETA_PRIME_0 = -0.91893853320467274  # -log(2 pi)/2
+ZETA_PRIME_2 = -0.93754825431584375  # (pi^2/6)(gamma + log(2 pi) - 12 log(Glaisher))
+ZETA_PRIME_4 = -0.068911265896125380  # mpmath zeta(4, derivative=1) at 30 digits
 
 
 def raw_log_abs_eta(x: float, y: float, n_terms: int = 200) -> float:
@@ -44,6 +45,12 @@ def raw_log_abs_eta(x: float, y: float, n_terms: int = 200) -> float:
         r = math.exp(-2.0 * math.pi * n * y)
         total += 0.5 * math.log1p(r * r - 2.0 * r * math.cos(2.0 * math.pi * n * x))
     return total
+
+
+def apply(t: ModularTransform, tau: UpperHalfPoint) -> complex:
+    """T(tau) = (a tau + b) / (c tau + d) in Python complex arithmetic."""
+    z = complex(tau.x, tau.y)
+    return (t.a * z + t.b) / (t.c * z + t.d)
 
 
 def test_upper_half_point_validation():
@@ -67,13 +74,13 @@ def test_modular_transform_validation():
     with pytest.raises(ValueError):
         ModularTransform(1, 1, 1, 1)
     t = ModularTransform(0, -1, 1, 0)
-    w = t.apply(UpperHalfPoint(0.0, 0.1))
-    assert abs(w.x) < 1e-15 and abs(w.y - 10.0) < 1e-12
+    w = apply(t, UpperHalfPoint(0.0, 0.1))
+    assert abs(w.real) < 1e-15 and abs(w.imag - 10.0) < 1e-12
 
 
 def test_reduce_already_reduced_is_identity():
     red, t = reduce_to_fundamental_domain(UpperHalfPoint(0.0, 5.0))
-    assert t.is_identity
+    assert (t.a, t.b, t.c, t.d) == (1, 0, 0, 1)
     assert red.x == 0.0 and red.y == 5.0
 
 
@@ -102,9 +109,9 @@ def test_reduce_random_sample_properties():
         assert t.a * t.d - t.b * t.c == 1
         assert abs(red.x) <= 0.5 + 1e-15
         assert red.x * red.x + red.y * red.y >= 1.0 - REDUCTION_SLACK
-        w = t.apply(tau)
-        assert abs(w.x - red.x) <= 1e-9 * max(1.0, abs(red.x))
-        assert abs(w.y - red.y) <= 1e-9 * red.y
+        w = apply(t, tau)
+        assert abs(w.real - red.x) <= 1e-9 * max(1.0, abs(red.x))
+        assert abs(w.imag - red.y) <= 1e-9 * red.y
 
 
 def test_log_abs_eta_at_i():
@@ -255,9 +262,11 @@ def test_e1_domain():
 
 
 def test_zeta_classical_values():
-    assert abs(zeta_em(0.0) - (-0.5)) <= 1e-12
-    assert abs(zeta_em(2.0) - math.pi**2 / 6.0) <= 1e-12
-    assert abs(zeta_em(-1.0) - (-1.0 / 12.0)) <= 1e-12
+    assert abs(zeta_em_deriv(2.0) - ZETA_PRIME_2) <= 1e-12
+    # log(Glaisher) = 1/12 - zeta'(-1)
+    glaisher_form = math.pi**2 / 6.0 * (0.57721566490153286 + math.log(2.0 * math.pi)
+                                        - 12.0 * (1.0 / 12.0 - ZETA_PRIME_M1))
+    assert abs(zeta_em_deriv(2.0) - glaisher_form) <= 1e-12
 
 
 def test_zeta_deriv_values():
@@ -266,11 +275,14 @@ def test_zeta_deriv_values():
 
 
 def test_zeta_range_accuracy_vs_independent_series():
-    # Oracle for s > 1: direct Dirichlet sum plus integral tail bracketing.
+    # Oracle for s > 1: direct sum of -log(n) n^-s plus the s-derivative of
+    # the integral tail N^(1-s)/(s-1); the next term is log(N) N^-s / 2.
     for s in (1.5, 2.5, 3.0, 4.0):
         n_cut = 2000
-        oracle = sum(n ** -s for n in range(1, n_cut + 1)) + n_cut ** (1 - s) / (s - 1)
-        assert abs(zeta_em(s) - oracle) <= 5.0 * n_cut ** -s + 1e-12
+        ln_n, tail = math.log(n_cut), n_cut ** (1 - s) / (s - 1)
+        oracle = -sum(math.log(n) * n ** -s for n in range(2, n_cut + 1)) \
+            - ln_n * tail - tail / (s - 1)
+        assert abs(zeta_em_deriv(s) - oracle) <= 5.0 * ln_n * n_cut ** -s + 1e-12
 
 
 def test_zeta_em_and_constants_against_mpmath():
@@ -278,14 +290,13 @@ def test_zeta_em_and_constants_against_mpmath():
     assert zeta_prime_minus1() < 0.0
     assert abs(4.0 * zeta_prime_minus1() - (-0.661685)) <= 1e-5
     # The documented 1e-12 over the whole domain, at steps of 0.05 (worst
-    # seen: 2.3e-13 for zeta, 4.9e-13 for zeta').
+    # seen: 4.9e-13).
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for k in range(121):
             s = k / 20.0 - 2.0
             if abs(s - 1.0) < 0.1:
                 continue
-            assert abs(zeta_em(s) - float(mpmath.zeta(s))) <= 1e-12, s
             assert abs(zeta_em_deriv(s) - float(mpmath.zeta(s, derivative=1))) <= 1e-12, s
         # K and kappa carry 24 zeta'(-1) and 4 zeta'(-1) (seen: 2.6e-13, 4.3e-14).
         k_ref = (-24 * mpmath.zeta(-1, derivative=1) + 1
@@ -297,21 +308,17 @@ def test_zeta_em_and_constants_against_mpmath():
 
 
 def test_zeta_pole_guard():
-    with pytest.raises(ValueError):
-        zeta_em(1.05)
-    with pytest.raises(ValueError):
-        zeta_em_deriv(0.95)
+    for s in (1.05, 0.95, 1.0):
+        with pytest.raises(ValueError, match=r"\|s - 1\| >= 0.1"):
+            zeta_em_deriv(s)
 
 
 def test_zeta_outside_its_documented_range_raises():
     # Euler-Maclaurin at the default N and order is accurate on [-2, 4] only:
-    # unguarded, zeta_em(-10) gave -2.8e-6 where zeta(-10) = 0.
+    # unguarded, the zeta sum gave -2.8e-6 at s = -10 where zeta(-10) = 0.
     for s in (-10.0, -2.5, 4.5, 40.0, -math.inf, math.inf, math.nan):
         with pytest.raises(ValueError, match="-2 <= s <= 4"):
-            zeta_em(s)
-        with pytest.raises(ValueError, match="-2 <= s <= 4"):
             zeta_em_deriv(s)
-    assert abs(zeta_em(-2.0)) <= 1e-12
-    assert abs(zeta_em(4.0) - math.pi**4 / 90.0) <= 1e-12
+    assert abs(zeta_em_deriv(4.0) - ZETA_PRIME_4) <= 1e-12
     # zeta'(-2) = -zeta(3) / (4 pi^2)
     assert abs(zeta_em_deriv(-2.0) + 1.2020569031595943 / (4.0 * math.pi**2)) <= 1e-12

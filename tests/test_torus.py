@@ -21,13 +21,14 @@ from atlab.numerics import ConvergenceError, Precision, UpperHalfPoint
 from atlab.torus import (
     FOUR_PI_SQ,
     LATTICE_TAIL_TOL,
+    POISSON_SWITCH,
     DetComparison,
     UnitTorus,
-    _direct_minus_one,
-    _poisson_remainder,
+    _direct_qmax,
+    _lattice_sum,
+    _poisson_qmax,
+    _q_values,
     compare_logdet,
-    eigenvalues_below,
-    heat_trace,
     logdet_closed,
     logdet_oracle,
     scaled_logdet,
@@ -78,8 +79,8 @@ def chowla_selberg_zeta(x: float, y: float, s: float, terms: int = 40) -> float:
         return float((y / (4 * pi * pi)) ** s * lattice)
 
 
-def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int):
-    """Oracle: plain double loop over |m|, |n| <= box with the same merge rule."""
+def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int) -> list[float]:
+    """Oracle: every lambda <= cutoff, sorted, by a plain double loop over |m|, |n| <= box."""
     lams = []
     for m in range(-box, box + 1):
         for n in range(-box, box + 1):
@@ -89,106 +90,97 @@ def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int):
             lam = 4.0 * math.pi**2 * q
             if lam <= cutoff:
                 lams.append(lam)
-    lams.sort()
-    merged: list[tuple[float, int]] = []
-    for lam in lams:
-        if merged and lam - merged[-1][0] <= 1e-9 * max(merged[-1][0], 1.0):
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((lam, 1))
-    return merged
+    return sorted(lams)
+
+
+def spectrum(tau: UpperHalfPoint, cutoff: float) -> np.ndarray:
+    """The eigenvalues 4 pi^2 Q <= cutoff, with multiplicity, from the Q set
+    the oracle's lattice sums run over."""
+    return FOUR_PI_SQ * _q_values(UnitTorus(tau), cutoff / FOUR_PI_SQ)
+
+
+def theta(t_torus: UnitTorus, t: float) -> float:
+    """Theta(t) = 1 + sum' e^(-lambda t) from the oracle's lattice sums: the
+    direct sum from POISSON_SWITCH on, the Poisson-summed form below it."""
+    if t >= POISSON_SWITCH:
+        qmax = _direct_qmax(t, LATTICE_TAIL_TOL)
+        return 1.0 + float(_lattice_sum(_q_values(t_torus, qmax), -FOUR_PI_SQ * t, qmax))
+    qmax, pole = _poisson_qmax(t, LATTICE_TAIL_TOL), 1.0 / (4.0 * math.pi * t)
+    return pole + float(_lattice_sum(_q_values(t_torus, qmax), -0.25 / t, qmax)) * pole
 
 
 def test_smallest_eigenvalue_square_lattice():
-    eigs = eigenvalues_below(UnitTorus(TAU_I), 40.0)
-    assert len(eigs) == 1
-    lam, mult = eigs[0]
-    assert abs(lam - 4.0 * math.pi**2) < 1e-9
-    assert mult == 4  # (+-1, 0), (0, +-1)
+    lams = spectrum(TAU_I, 40.0)
+    assert lams.size == 4  # (+-1, 0), (0, +-1)
+    assert np.abs(lams - 4.0 * math.pi**2).max() < 1e-9
 
 
 def test_below_first_eigenvalue_is_empty():
-    assert eigenvalues_below(UnitTorus(TAU_I), 39.0) == []
+    assert spectrum(TAU_I, 39.0).size == 0
 
 
 def test_hexagonal_multiplicity_six():
-    hexa = UnitTorus(UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0))
-    eigs = eigenvalues_below(hexa, 46.0)
-    assert len(eigs) == 1
-    lam, mult = eigs[0]
-    assert mult == 6
-    assert abs(lam - 45.585750062112451) < 1e-9  # 8 pi^2 / sqrt 3
-    assert eigs == brute_force_eigenvalues(hexa.tau, 46.0, 3)
+    hexa = UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)
+    lams = spectrum(hexa, 46.0)
+    assert lams.size == 6
+    assert np.abs(lams - 45.585750062112451).max() < 1e-9  # 8 pi^2 / sqrt 3
+    assert np.allclose(lams, brute_force_eigenvalues(hexa, 46.0, 3), rtol=1e-12, atol=0.0)
 
 
 def test_eigenvalues_match_brute_force():
     tau = UpperHalfPoint(0.3, 1.7)
-    got = eigenvalues_below(UnitTorus(tau), 300.0)
+    got = spectrum(tau, 300.0)
     want = brute_force_eigenvalues(tau, 300.0, 30)
-    assert len(got) == len(want)
-    for (la, ma), (lb, mb) in zip(got, want):
-        assert ma == mb
-        assert abs(la - lb) < 1e-12 * max(1.0, lb)
-
-
-def test_eigenvalues_guards():
-    with pytest.raises(ValueError):
-        eigenvalues_below(UnitTorus(TAU_I), -1.0)
-    with pytest.raises(ValueError):
-        eigenvalues_below(UnitTorus(TAU_I), 1e12)
+    assert got.size == len(want)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_weyl_counting():
     cutoff = 4.0e4
-    eigs = eigenvalues_below(UnitTorus(TAU_I), cutoff)
-    count = sum(mult for _, mult in eigs)
+    count = spectrum(TAU_I, cutoff).size
     assert abs(count / (cutoff / (4.0 * math.pi)) - 1.0) < 0.05
 
 
 def test_heat_trace_large_t_two_term():
     # Theta(1) - 1 = 4 e^(-4 pi^2) ~= 2.85e-17, below double resolution next
-    # to the kernel term, so observe the remainder sum itself.
-    rem = _direct_minus_one(UnitTorus(TAU_I), 1.0, 1e-18)
+    # to the kernel term, so observe the lattice sum itself.
+    qmax = _direct_qmax(1.0, 1e-18)
+    rem = _lattice_sum(_q_values(UnitTorus(TAU_I), qmax), -FOUR_PI_SQ, qmax)
     assert abs(rem - 4.0 * math.exp(-4.0 * math.pi**2)) < 1e-25
-    assert heat_trace(UnitTorus(TAU_I), 1.0) == 1.0
+    assert theta(UnitTorus(TAU_I), 1.0) == 1.0
 
 
 def test_heat_trace_small_t_poisson_pole():
     # Leading 1/(4 pi t); the first correction is ~4 e^-25/(4 pi t) ~ 4.4e-10.
-    got = heat_trace(UnitTorus(TAU_I), 0.01)
+    got = theta(UnitTorus(TAU_I), 0.01)
     assert abs(got - 1.0 / (0.04 * math.pi)) < 1e-9
     assert got > 1.0 / (0.04 * math.pi)
 
 
 def test_heat_trace_tends_to_one():
-    assert heat_trace(UnitTorus(TAU_I), 60.0) == 1.0
-
-
-def test_heat_trace_positive_domain():
-    with pytest.raises(ValueError):
-        heat_trace(UnitTorus(TAU_I), 0.0)
-    with pytest.raises(ValueError):
-        heat_trace(UnitTorus(TAU_I), -0.3)
+    assert theta(UnitTorus(TAU_I), 60.0) == 1.0
 
 
 def test_poisson_direct_consistency_at_switch():
+    # The two forms of Theta the oracle joins at POISSON_SWITCH agree there.
+    t, tol = POISSON_SWITCH, LATTICE_TAIL_TOL
+    direct_qmax, poisson_qmax = _direct_qmax(t, tol), _poisson_qmax(t, tol)
     for tau in SAMPLE_TAUS:
-        torus = UnitTorus(tau)
-        d = 1.0 + _direct_minus_one(torus, 0.2, LATTICE_TAIL_TOL)
-        p = 1.0 / (0.8 * math.pi) + _poisson_remainder(torus, 0.2, LATTICE_TAIL_TOL)
-        assert abs(d - p) <= 1e-12
-        assert heat_trace(torus, 0.2) == d
+        q = _q_values(UnitTorus(tau), max(direct_qmax, poisson_qmax))
+        d = 1.0 + _lattice_sum(q, -FOUR_PI_SQ * t, direct_qmax)
+        p = (1.0 + _lattice_sum(q, -0.25 / t, poisson_qmax)) / (4.0 * math.pi * t)
+        assert abs(d - p) <= 1e-12, tau
 
 
 def test_heat_trace_strictly_decreasing():
     # Strict on grids where Theta - 1 is representable; beyond that the trace
     # sits exactly on the kernel plateau.
     for tau in (TAU_I, UpperHalfPoint(0.5, math.sqrt(3.0) / 2.0)):
-        torus = UnitTorus(tau)
-        values = [heat_trace(torus, t) for t in np.geomspace(0.03, 0.9, 25)]
+        t_torus = UnitTorus(tau)
+        values = [theta(t_torus, t) for t in np.geomspace(0.03, 0.9, 25)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] >= 1.0
-    assert heat_trace(UnitTorus(TAU_I), 5.0) == 1.0
+    assert theta(UnitTorus(TAU_I), 5.0) == 1.0
 
 
 def test_spectral_zeta_at_zero_all_samples():
