@@ -132,7 +132,13 @@ def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, M
     x^2 + y^2 at a step is below the smallest normal double (tau too close to
     the real axis): the inversion would divide by zero or by a subnormal.
     """
-    x, y = tau.x, tau.y
+    x, y, a, b, c, d = _reduce(tau.x, tau.y)
+    return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
+
+
+def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
+    """The steps of reduce_to_fundamental_domain on plain floats: the reduced
+    (x', y') and the transform's (a, b, c, d), with no objects built."""
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_REDUCTION_MAX_STEPS):
         k = round(x)
@@ -147,7 +153,7 @@ def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, M
             x, y = -x / norm, y / norm
             a, b, c, d = -c, -d, a, b
         else:
-            return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
+            return x, y, a, b, c, d
     raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
 
 
@@ -230,8 +236,8 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
         qprod = _log_abs_qprod_array(x, y).reshape(tau.y.shape)
         y = y.reshape(tau.y.shape)
     else:
-        red, _ = reduce_to_fundamental_domain(tau)
-        y, qprod = red.y, log_abs_qprod(red.x, red.y)
+        x, y, *_ = _reduce(tau.x, tau.y)
+        qprod = log_abs_qprod(x, y)
     val = -math.pi * y / 12.0 + qprod
     return val + 0.25 * (libm(math.log, y) - libm(math.log, tau.y))
 

@@ -49,6 +49,9 @@ ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 METRIC_SCALE_MIN, METRIC_SCALE_MAX = 1e-3, 32.0  # logdet_oracle's verified range
 Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
+EXP_ZERO = -750.0  # numpy's exp is exactly +0.0 at and below -745.1332
+ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
+ORACLE_X_MAX = 2.0 ** 53  # the oracle refuses larger |x|: n x overflows near 1e308
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,9 @@ def _q_values(torus: UnitTorus, qmax: float) -> np.ndarray:
     There are 2 sqrt(qmax / y) + 1 rows and row n spans at most
     2 sqrt(qmax y) + 1 values of m.  A block holds at most Q_BLOCK_CELLS
     cells, so memory stays a small multiple of the output even where the rows
-    are many: the oracle's qmax is ~34 at metric scale 1, and a y such as
-    1e-9 gives ~4e5 rows.  The kept values are sorted once."""
+    are many.  Every tau the oracle accepts is one block: its qmax is ~34 at
+    metric scale 1 and ~1075 at 32, where y in [1e-4, 1e4] gives at most
+    ~8.6e3 cells.  The kept values are sorted once."""
     x, y = torus.tau.x, torus.tau.y
     n_max = int(math.floor(math.sqrt(qmax / y)))
     step = max(1, int(Q_BLOCK_CELLS / (2.0 * math.sqrt(qmax * y) + 2.0)))
@@ -174,11 +178,20 @@ def _mellin_plan(s: float, area: float) -> tuple[tuple, tuple]:
 
 def _small_half_sums(q: np.ndarray, plan: tuple):
     """sum w^(-1-s) (Theta - 1/(4 pi t)) dw per level, without cancellation:
-    the direct sum above the Poisson switch, the Poisson remainder below it."""
+    the direct sum above the Poisson switch, the Poisson remainder below it.
+
+    t descends, so the Poisson scales -1/(4t) do not increase, and the rows
+    whose largest term e^(scale Q_min) has scale Q_min < EXP_ZERO form a
+    suffix.  Every term of such a row is exactly +0.0 (Q >= Q_min and the
+    rounding of scale Q is monotone), so the row is +0.0 without evaluating
+    it.  q is never empty: Q_min <= 2/sqrt(3) (the Hermite constant of a
+    unit-area lattice) lies below every qmax the oracle enumerates to."""
     for weight, dw, k, direct, direct_qmax, pole, poisson, poisson_qmax, four_pi_t in plan:
         theta = np.empty(weight.size)
+        live = k + int(np.count_nonzero(poisson * q[0] >= EXP_ZERO))
         theta[:k] = _lattice_sum(q, direct, direct_qmax) + 1.0 - pole
-        theta[k:] = _lattice_sum(q, poisson, poisson_qmax) / four_pi_t
+        theta[k:live] = _lattice_sum(q, poisson[:live - k], poisson_qmax) / four_pi_t[:live - k]
+        theta[live:] = 0.0
         yield float((weight * theta * dw).sum())
 
 
@@ -190,14 +203,22 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     so its nodes t = 1/(1 + e^((pi/2) sinh v)) are tanh-sinh nodes on (0, 1).
     Q is enumerated once for both halves: Poisson nodes have u < POISSON_SWITCH,
     direct nodes u >= min(POISSON_SWITCH, 1/scale^2).  All else is _mellin_plan's.
+
+    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] or |x| > ORACLE_X_MAX raises
+    ValueError before Q is enumerated: the Q set grows like sqrt(max(y, 1/y)),
+    and n x overflows for |x| near the largest double.
     """
+    x, y = torus.tau.x, torus.tau.y
+    if not (ORACLE_Y_MIN <= y <= ORACLE_Y_MAX and abs(x) <= ORACLE_X_MAX):
+        raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g} "
+                         f"and |x| <= 2**53, got tau = {x!r}+{y!r}i")
     tol, area = LATTICE_TAIL_TOL, metric_scale * metric_scale
     q = _q_values(torus, max(_poisson_qmax(POISSON_SWITCH, tol),
                              _direct_qmax(min(POISSON_SWITCH, 1.0 / area), tol)))
     small, large = _mellin_plan(s, area)
     large_sums = (float((weight * _lattice_sum(q, scale, qmax) * dw).sum())
                   for weight, dw, scale, qmax in large)
-    where = (s, torus.tau.x, torus.tau.y, metric_scale)
+    where = (s, x, y, metric_scale)
     return (_de_rule(_small_half_sums(q, small), p, ("small", *where))
             + _de_rule(large_sums, p, ("large", *where)))
 
@@ -213,6 +234,7 @@ def spectral_zeta(torus: UnitTorus, s: float, prec: Precision | None = None) -> 
     ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
     terms stay ~1/Gamma(s), so they cancel (near tau = i: 4e-12 relative at
     s = 4, 5e-7 at s = 10); beyond |s| ~ 11 the quadrature nodes overflow.
+    tau must lie in logdet_oracle's domain, else ValueError.
     """
     p = prec or DEFAULT_PRECISION
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
@@ -237,8 +259,11 @@ def logdet_oracle(
 
     metric_scale = g rescales the metric by g^2 (eigenvalues by 1/g^2, area
     by g^2), the configuration used to verify the scaling law numerically.
-    Verified for 1e-4 <= y <= 1e4 at any x (tau as given, unreduced), within
+    Verified for 1e-4 <= y <= 1e4, |x| <= 3 (tau as given, unreduced), within
     1e-12 max(1, |closed form|); ConvergenceError where rel_tol is missed.
+    Larger |x| loses accuracy as n x rounds (8.6e-12 seen near x = 33), and
+    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] or |x| > ORACLE_X_MAX raises
+    ValueError before anything is enumerated.
     metric_scale is verified on [1e-3, 32] (the scaling law within 1.5e-14
     relative at y = 1e-4 to 1e4; 32 costs up to ~75 ms).  The Q set grows like
     metric_scale^2, so other scales, non-finite ones included, raise

@@ -122,6 +122,24 @@ def test_torus_det_oracle_domain(capsys, monkeypatch):
     assert run(capsys, "torus-det", "--tau", "0.3,1.7")[0] == 0
 
 
+def test_torus_det_refuses_taus_outside_the_oracle_domain(capsys):
+    # Exit 2 with one error line: 1e308 used to overflow n x in the Q
+    # enumeration (a traceback), 1e300 to hit numpy's array size limit, and a
+    # y past 1e4 to run the oracle unverified.  The closed form still runs.
+    for tau in ("1e308,1", "-1e308,1", "0.3,1e300", "0,1e5", "0,9e-5"):
+        for method in ("oracle", "both"):
+            code, out, err = run(capsys, "torus-det", f"--tau={tau}", "--method", method)
+            assert code == 2, (tau, method)
+            assert out == "" and err.count("\n") == 1, (tau, method)
+            assert err.startswith("error: the spectral oracle needs"), (tau, method)
+        assert run(capsys, "torus-det", f"--tau={tau}", "--method", "closed")[0] == 0, tau
+    done = subprocess.run([sys.executable, "-m", "atlab.cli", "torus-det", "--tau", "1e308,1"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_table_csv(tmp_path, capsys):
     path = tmp_path / "out.csv"
     code, _, _ = run(capsys, "table", "--from", "2", "--to", "12",

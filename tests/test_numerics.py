@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from atlab import numerics
 from atlab.bounds import k_const, kappa
 from atlab.elliptic import qprod_bound
 from atlab.numerics import (
@@ -22,7 +23,9 @@ from atlab.numerics import (
     Precision,
     UpperHalfPoint,
     exp_integral_e1,
+    libm,
     log_abs_eta,
+    log_abs_qprod,
     reduce_to_fundamental_domain,
     zeta_em_deriv,
     zeta_prime_minus1,
@@ -145,6 +148,41 @@ def test_tau_near_the_real_axis_is_a_domain_error():
     red, t = reduce_to_fundamental_domain(UpperHalfPoint(0.0, 1e-150))
     assert (red.x, red.y, t.c) == (0.0, 1e150, 1)
     assert math.isfinite(log_abs_eta(UpperHalfPoint(0.0, 1e-150)))
+
+
+def test_scalar_eta_equals_the_value_through_the_reduced_point():
+    # log_abs_eta reduces on plain floats (numerics._reduce); its value must
+    # be, bit for bit, the one computed from reduce_to_fundamental_domain's
+    # point, at random taus, near the cusps p/q and down to y = 1e-150.
+    rng = np.random.default_rng(20261018)
+    points = [(float(x), float(10.0 ** e)) for x, e in
+              zip(rng.uniform(-5.0, 5.0, 400), rng.uniform(-6.0, 4.0, 400))]
+    points += [(p / q + float(rng.uniform(-1e-3, 1e-3)), float(10.0 ** rng.uniform(-3.5, -2.0)))
+               for q in range(1, 12) for p in range(-q, q + 1)]
+    points += [(0.0, 1e-150), (0.5, 1e-150), (-0.4972609819432181, 0.0010632024231741785),
+               (0.0, 1.0), (0.5, 0.8660254037844386), (1, 2)]
+    for x, y in points:
+        tau = UpperHalfPoint(x, y)
+        red, t = reduce_to_fundamental_domain(tau)
+        assert numerics._reduce(x, y) == (red.x, red.y, t.a, t.b, t.c, t.d), (x, y)
+        want = (-math.pi * red.y / 12.0 + log_abs_qprod(red.x, red.y)
+                + 0.25 * (libm(math.log, red.y) - libm(math.log, y)))
+        assert log_abs_eta(tau).hex() == float(want).hex(), (x, y)
+
+
+def test_reduction_errors_keep_their_messages(monkeypatch):
+    underflow = ("|tau|^2 underflows at reduction step 0.0 + 1e-300i: "
+                 "tau is too close to the real axis")
+    for fn in (reduce_to_fundamental_domain, log_abs_eta):
+        with pytest.raises(ValueError) as err:
+            fn(UpperHalfPoint(0.0, 1e-300))
+        assert str(err.value) == underflow
+    # One step cannot reduce 0.3 + 0.1i (it inverts, then must shift).
+    monkeypatch.setattr(numerics, "_REDUCTION_MAX_STEPS", 1)
+    for fn in (reduce_to_fundamental_domain, log_abs_eta):
+        with pytest.raises(ConvergenceError) as err:
+            fn(UpperHalfPoint(0.3, 0.1))
+        assert str(err.value) == "fundamental-domain reduction did not settle in 64 steps"
 
 
 def _error_text(fn, *args) -> str:

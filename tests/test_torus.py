@@ -373,6 +373,41 @@ def test_quadrature_plan_keeps_every_bit():
                 want = np.float64(torus._rgamma(s) * (1.0 / (4.0 * math.pi * (s - 1.0)) + h)
                                   - torus._rgamma(s + 1.0))
                 assert np.float64(spectral_zeta(t, s)).tobytes() == want.tobytes(), (tau, s)
+    # The ends of the metric-scale range: at 1e-3 most small-t nodes take the
+    # direct sum, at 32 every one takes the Poisson form, and many of those
+    # rows are all-zero, the rows _small_half_sums skips.
+    for tau in (UpperHalfPoint(0.3, 1e-4), UpperHalfPoint(-0.5, 0.8660254037844386),
+                UpperHalfPoint(2.5, 1.7), UpperHalfPoint(0.0, 1e4)):
+        t = UnitTorus(tau)
+        for g in (torus.METRIC_SCALE_MIN, torus.METRIC_SCALE_MAX):
+            want = np.float64(numerics.EULER_GAMMA + g * g / (4.0 * math.pi)
+                              - reference_mellin_h(t, 0.0, g))
+            assert np.float64(logdet_oracle(t, metric_scale=g)).tobytes() == want.tobytes(), (tau, g)
+
+
+def test_exp_is_exactly_zero_at_and_below_exp_zero():
+    # The premise of skipping all-zero Poisson rows: numpy's exp gives +0.0
+    # (not a subnormal, not -0.0) from EXP_ZERO down, on its scalar path and
+    # on its SIMD path for arrays.
+    args = (torus.EXP_ZERO, math.nextafter(torus.EXP_ZERO, -math.inf), -1e3, -1e300, -math.inf)
+    assert torus.EXP_ZERO <= -745.1332191019412
+    for a in args:
+        assert np.exp(np.float64(a)).tobytes() == np.float64(0.0).tobytes(), a
+        assert np.exp(np.full(67, a)).tobytes() == np.zeros(67).tobytes(), a
+    block = np.exp(np.linspace(torus.EXP_ZERO, -1e4, 1000))
+    assert block.tobytes() == np.zeros(1000).tobytes()
+
+
+@pytest.mark.parametrize("s", (-10.0, 0.0, 0.5, 3.0))
+@pytest.mark.parametrize("scale", (1e-3, 0.5, 1.0, 2.0, 32.0))
+def test_poisson_scales_do_not_increase(s, scale):
+    # So a level's all-zero Poisson rows form a suffix; and being negative,
+    # each row's largest term is the one at Q_min.
+    small, _ = torus._mellin_plan(s, scale * scale)
+    for level in small:
+        poisson = level[6]
+        assert np.all(np.diff(poisson) <= 0.0)
+        assert np.all(poisson < 0.0)
 
 
 def test_cached_plan_freezes_no_setting(monkeypatch):
@@ -412,6 +447,24 @@ def test_oracle_refuses_metric_scales_outside_the_verified_range(monkeypatch, sc
     monkeypatch.setattr(torus, "_mellin_h", forbidden)
     with pytest.raises(ValueError, match="metric_scale"):
         logdet_oracle(UnitTorus(TAU_I), metric_scale=scale)
+
+
+@pytest.mark.parametrize("x, y", [(1e308, 1.0), (-1e300, 1.0), (math.nextafter(2.0**53, math.inf), 1.0),
+                                  (0.3, 1e300), (0.0, 1e5), (0.0, math.nextafter(1e4, math.inf)),
+                                  (0.5, math.nextafter(1e-4, 0.0)), (0.0, 1e-9)])
+def test_oracle_refuses_taus_outside_its_domain(monkeypatch, x, y):
+    # Refused before Q is enumerated: n x overflows for |x| near the largest
+    # double, and the Q set grows like sqrt(max(y, 1/y)) (at y = 1e300 past
+    # numpy's largest array).
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle started on a refused tau")
+
+    monkeypatch.setattr(torus, "_q_values", forbidden)
+    t = UnitTorus(UpperHalfPoint(x, y))
+    with pytest.raises(ValueError, match="spectral oracle needs"):
+        logdet_oracle(t)
+    with pytest.raises(ValueError, match="spectral oracle needs"):
+        spectral_zeta(t, 0.0)
 
 
 def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
