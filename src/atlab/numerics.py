@@ -39,6 +39,7 @@ _QSERIES_MAX_TERMS = 200_000
 REDUCTION_SLACK = 1e-12  # invert only where |tau|^2 < 1 - REDUCTION_SLACK
 QSERIES_TAIL_TOL = 1e-16  # the q-product stops once its tail is below this
 EM_CUTOFF, EM_ORDER = 50, 8  # Euler-Maclaurin direct-sum length N and Bernoulli terms
+TAU_Y_MAX = sys.float_info.max / math.pi  # largest y with pi y (log|eta|'s -pi y/12) finite
 
 
 class ConvergenceError(RuntimeError):
@@ -87,7 +88,7 @@ class UpperHalfPoint:
     def __post_init__(self) -> None:
         if isinstance(self.x, (int, float)) and not self.is_array:
             finite = math.isfinite(self.x) and math.isfinite(self.y)
-            positive = self.y > 0.0
+            positive, bounded = self.y > 0.0, self.y <= TAU_Y_MAX
         else:
             import numpy as np
             x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
@@ -96,11 +97,13 @@ class UpperHalfPoint:
             object.__setattr__(self, "x", x)
             object.__setattr__(self, "y", y)
             finite = np.isfinite(x).all() and np.isfinite(y).all()
-            positive = (y > 0.0).all()
+            positive, bounded = (y > 0.0).all(), (y <= TAU_Y_MAX).all()
         if not finite:
             raise ValueError("tau must have finite coordinates")
         if not positive:
             raise ValueError("tau must satisfy y > 0")
+        if not bounded:
+            raise ValueError(f"tau must satisfy y <= {TAU_Y_MAX!r} (pi y finite)")
 
     @property
     def q_abs(self) -> float:

@@ -47,11 +47,9 @@ DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
 DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 METRIC_SCALE_MIN, METRIC_SCALE_MAX = 1e-3, 32.0  # logdet_oracle's verified range
-Q_BLOCK_CELLS = 1 << 18  # (row, m) cells per block of the Q enumeration
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
 EXP_ZERO = -750.0  # numpy's exp is exactly +0.0 at and below -745.1332
 ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
-ORACLE_X_MAX = 2.0 ** 53  # the oracle refuses larger |x|: n x overflows near 1e308
 
 
 @dataclass(frozen=True)
@@ -71,44 +69,30 @@ def _poisson_qmax(t: float, tail_tol: float) -> float:
 
 def _q_values(torus: UnitTorus, qmax: float) -> np.ndarray:
     """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax:
-    the family every lattice sum of the oracle runs over, enumerated in
-    (row, m offset) blocks.
+    the family every lattice sum of the oracle runs over, at x mod 1.
 
-    There are 2 sqrt(qmax / y) + 1 rows and row n spans at most
-    2 sqrt(qmax y) + 1 values of m.  A block holds at most Q_BLOCK_CELLS
-    cells, so memory stays a small multiple of the output even where the rows
-    are many.  Every tau the oracle accepts is one block: its qmax is ~34 at
-    metric scale 1 and ~1075 at 32, where y in [1e-4, 1e4] gives at most
-    ~8.6e3 cells.  The kept values are sorted once."""
+    Z + tau Z is the lattice of tau + k, so x is first shifted by round(x)
+    (exact in doubles): any finite x gives the Q set of x - round(x), and n x
+    stays small.  Row n spans ceil(-nx - half) <= m <= floor(-nx + half),
+    half^2 = qmax y - (n y)^2, and all rows go in one (row, m) block: the
+    oracle's largest qmax, ~1075 at metric scale 32, gives at most ~8.5e3
+    cells over y in [1e-4, 1e4].  The row scalars stay Python floats: (n y) ** 2
+    goes through libm pow, which differs from numpy's square in the last ulp
+    (n = 397, y = 1e-4)."""
     x, y = torus.tau.x, torus.tau.y
+    x -= round(x)
     n_max = int(math.floor(math.sqrt(qmax / y)))
-    step = max(1, int(Q_BLOCK_CELLS / (2.0 * math.sqrt(qmax * y) + 2.0)))
-    kept = [_q_block(x, y, qmax, range(n, min(n + step, n_max + 1)))
-            for n in range(-n_max, n_max + 1, step)]
-    q = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    q.sort()
-    return q
-
-
-def _q_block(x: float, y: float, qmax: float, ns: range) -> np.ndarray:
-    """The values Q <= qmax of the rows ns, unsorted, (0, 0) left out.
-
-    Row n spans ceil(-nx - half) <= m <= floor(-nx + half), half^2 = qmax y - (n y)^2.
-    The row scalars stay Python floats: (n y) ** 2 goes through libm pow, which
-    differs from numpy's square in the last ulp (n = 397, y = 1e-4)."""
     rows = []
-    for n in ns:
+    for n in range(-n_max, n_max + 1):
         nx, ny2 = n * x, (n * y) ** 2
         rad = qmax * y - ny2
         if rad >= 0.0:
             half = math.sqrt(rad)
             rows.append((n, nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)))
-    if not rows:
-        return np.empty(0)
     n, nx, ny2, lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*rows))
     m = lo + np.arange((hi - lo).max() + 1.0)
     q = ((m + nx) ** 2 + ny2) / y
-    return q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))]
+    return np.sort(q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))])
 
 
 def _lattice_sum(q: np.ndarray, scale: np.ndarray, qmax: float) -> np.ndarray:
@@ -204,14 +188,13 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     Q is enumerated once for both halves: Poisson nodes have u < POISSON_SWITCH,
     direct nodes u >= min(POISSON_SWITCH, 1/scale^2).  All else is _mellin_plan's.
 
-    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] or |x| > ORACLE_X_MAX raises
-    ValueError before Q is enumerated: the Q set grows like sqrt(max(y, 1/y)),
-    and n x overflows for |x| near the largest double.
+    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] raises ValueError before Q is
+    enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
     """
     x, y = torus.tau.x, torus.tau.y
-    if not (ORACLE_Y_MIN <= y <= ORACLE_Y_MAX and abs(x) <= ORACLE_X_MAX):
-        raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g} "
-                         f"and |x| <= 2**53, got tau = {x!r}+{y!r}i")
+    if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
+        raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
+                         f"got tau = {x!r}+{y!r}i")
     tol, area = LATTICE_TAIL_TOL, metric_scale * metric_scale
     q = _q_values(torus, max(_poisson_qmax(POISSON_SWITCH, tol),
                              _direct_qmax(min(POISSON_SWITCH, 1.0 / area), tol)))
@@ -234,7 +217,7 @@ def spectral_zeta(torus: UnitTorus, s: float, prec: Precision | None = None) -> 
     ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
     terms stay ~1/Gamma(s), so they cancel (near tau = i: 4e-12 relative at
     s = 4, 5e-7 at s = 10); beyond |s| ~ 11 the quadrature nodes overflow.
-    tau must lie in logdet_oracle's domain, else ValueError.
+    tau must lie in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
     """
     p = prec or DEFAULT_PRECISION
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
@@ -259,15 +242,13 @@ def logdet_oracle(
 
     metric_scale = g rescales the metric by g^2 (eigenvalues by 1/g^2, area
     by g^2), the configuration used to verify the scaling law numerically.
-    Verified for 1e-4 <= y <= 1e4, |x| <= 3 (tau as given, unreduced), within
-    1e-12 max(1, |closed form|); ConvergenceError where rel_tol is missed.
-    Larger |x| loses accuracy as n x rounds (8.6e-12 seen near x = 33), and
-    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] or |x| > ORACLE_X_MAX raises
-    ValueError before anything is enumerated.
-    metric_scale is verified on [1e-3, 32] (the scaling law within 1.5e-14
-    relative at y = 1e-4 to 1e4; 32 costs up to ~75 ms).  The Q set grows like
-    metric_scale^2, so other scales, non-finite ones included, raise
-    ValueError before anything is enumerated.
+    Verified for 1e-4 <= y <= 1e4 and any finite x within 1e-12
+    max(1, |closed form|), and for metric_scale in [1e-3, 32] (the scaling law
+    within 1.5e-14 relative; 32 costs up to ~75 ms); ConvergenceError where
+    rel_tol is missed.  The lattice is taken at x mod 1 (_q_values), so x and
+    x - round(x) give the same bits; no S inversion enters.  Other y or scales,
+    non-finite ones included, raise ValueError before anything is enumerated:
+    the Q set grows like sqrt(max(y, 1/y)) and like metric_scale^2.
     """
     p = prec or DEFAULT_PRECISION
     if not METRIC_SCALE_MIN <= metric_scale <= METRIC_SCALE_MAX:

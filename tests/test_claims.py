@@ -252,3 +252,18 @@ def test_asymptote_text_states_the_sign_change():
     excess = {g: bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0)
               for g in claims.ASYMPTOTE_SAMPLES}
     assert numbers == [x for g, e in excess.items() for x in (str(g), f"{e:+.4f}")] + ["1"]
+
+
+def test_equality_claims_state_their_value_and_tolerance_once():
+    # Each equality check repeats its claim's value and tolerance inline;
+    # evaluate never reads Claim.tolerance.  The record must agree with the
+    # registry, so the two copies cannot drift apart.
+    checked = 0
+    for claim in builtin_registry():
+        if claim.kind != "equality" or not isinstance(claim.claimed, float):
+            continue
+        rec = evaluate(claim)
+        assert rec.delta == rec.computed - claim.claimed, claim.id
+        assert (rec.status == "CONFIRMED") == (abs(rec.delta) <= claim.tolerance), claim.id
+        checked += 1
+    assert checked == 19

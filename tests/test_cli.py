@@ -123,21 +123,40 @@ def test_torus_det_oracle_domain(capsys, monkeypatch):
 
 
 def test_torus_det_refuses_taus_outside_the_oracle_domain(capsys):
-    # Exit 2 with one error line: 1e308 used to overflow n x in the Q
-    # enumeration (a traceback), 1e300 to hit numpy's array size limit, and a
-    # y past 1e4 to run the oracle unverified.  The closed form still runs.
-    for tau in ("1e308,1", "-1e308,1", "0.3,1e300", "0,1e5", "0,9e-5"):
+    # Exit 2 with one error line: 1e300 used to hit numpy's array size limit,
+    # and a y past 1e4 to run the oracle unverified.  The closed form still runs.
+    for tau in ("0.3,1e300", "0,1e5", "0,9e-5"):
         for method in ("oracle", "both"):
             code, out, err = run(capsys, "torus-det", f"--tau={tau}", "--method", method)
             assert code == 2, (tau, method)
             assert out == "" and err.count("\n") == 1, (tau, method)
             assert err.startswith("error: the spectral oracle needs"), (tau, method)
         assert run(capsys, "torus-det", f"--tau={tau}", "--method", "closed")[0] == 0, tau
-    done = subprocess.run([sys.executable, "-m", "atlab.cli", "torus-det", "--tau", "1e308,1"],
+    done = subprocess.run([sys.executable, "-m", "atlab.cli", "torus-det", "--tau", "0,1e5"],
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def test_torus_det_takes_any_finite_x_mod_1(capsys):
+    # The lattice of tau + k is the lattice of tau: x = +-1e308 (n x once
+    # overflowed in the Q enumeration) prints exactly the output at x = 0.
+    for method in ("closed", "oracle", "both"):
+        want = run(capsys, "torus-det", "--tau", "0,1", "--method", method)
+        assert want[0] == 0
+        for tau in ("1e308,1", "-1e308,1"):
+            assert run(capsys, "torus-det", f"--tau={tau}", "--method", method) == want, (tau, method)
+
+
+def test_y_past_pi_y_overflow_exits_2(capsys):
+    # pi y overflows above sys.float_info.max / pi: the closed form once
+    # printed -inf there, and elliptic blamed an underflowing area.
+    for argv in (("torus-det", "--tau", "0.3,1e308", "--method", "closed"),
+                 ("torus-det", "--tau", "0.3,1e308"), ("elliptic", "--tau", "0.3,1e308")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: tau must satisfy y <= ") and err.count("\n") == 1, argv
 
 
 def test_table_csv(tmp_path, capsys):

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from atlab import numerics
 from atlab.bounds import k_const, kappa
-from atlab.elliptic import qprod_bound
+from atlab.elliptic import d_ar_elliptic, qprod_bound
 from atlab.numerics import (
     REDUCTION_SLACK,
     ConvergenceError,
@@ -65,6 +65,17 @@ def test_upper_half_point_validation():
         UpperHalfPoint(math.nan, 1.0)
     p = UpperHalfPoint(0.3, 2.0)
     assert 0.0 < p.q_abs < 1.0
+
+
+def test_y_is_refused_where_pi_y_overflows():
+    # log|eta| carries -pi y / 12: finite at y0 = TAU_Y_MAX, inf one double up
+    # (where the closed form printed -inf), so that y is refused.  The array
+    # path refuses it too (test_array_tau_refuses_a_bad_element_...).
+    y0 = numerics.TAU_Y_MAX
+    assert math.isfinite(math.pi * y0) and math.pi * math.nextafter(y0, math.inf) == math.inf
+    assert math.isfinite(d_ar_elliptic(UpperHalfPoint(0.3, y0)))
+    with pytest.raises(ValueError, match=r"tau must satisfy y <= 5\.72"):
+        UpperHalfPoint(0.3, math.nextafter(y0, math.inf))
 
 
 def test_precision_validation():
@@ -193,7 +204,8 @@ def _error_text(fn, *args) -> str:
 
 @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.3, math.nan), (math.inf, 1.0),
                                  (0.3, -math.inf), (0.3, math.inf), (0.3, 0.0),
-                                 (0.3, -1.0), (0.0, 1e-300), (0.5, 1e-300), (0.0, 1e-310)])
+                                 (0.3, -1.0), (0.0, 1e-300), (0.5, 1e-300), (0.0, 1e-310),
+                                 (0.3, 1e308), (0.3, math.nextafter(numerics.TAU_Y_MAX, math.inf))])
 def test_array_tau_refuses_a_bad_element_with_the_scalar_message(bad):
     # One bad element among good ones fails the whole array, with the text
     # the scalar path gives for that element alone.
