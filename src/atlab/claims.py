@@ -27,6 +27,9 @@ Forensic notes baked into the expectations:
   dropped +log 2pi; the delta is accordingly ~log 2pi ~= 1.8379.
 * CL-13: the printed slope 1.933721640489272 is the symbolic slope evaluated
   with the printed rounding 4 zeta'(-1) ~= -0.661685 (reproduced to ~6e-16).
+* CL-17: spectral_zeta(tau, 0) is rgamma(0) (...) - rgamma(1), exactly -1.0
+  whenever H(0) is finite, since rgamma(0) = 0.  The claim is structural:
+  it certifies only that the quadrature of H(0) converges at tau = i.
 * CL-19: the corollary statement prints 6/(pi y) where its own proof and the
   small-genus listing conclude 3/(pi y); the chain is CONFIRMED, the
   statement constant recorded separately as CL-19-statement.
@@ -36,21 +39,19 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import bounds, elliptic, torus
 from .numerics import (
-    DEFAULT_PRECISION,
     EM_CUTOFF,
     EM_ORDER,
     LN_2PI,
     LN_2PI4,
     QSERIES_TAIL_TOL,
-    Precision,
     UpperHalfPoint,
     exp_integral_e1,
     zeta_prime_minus1,
@@ -74,7 +75,11 @@ ASYMPTOTE_SAMPLES = (3580, 10_000, 100_000)
 
 @dataclass(frozen=True)
 class Claim:
-    """A registered assertion plus the recipe to recompute it."""
+    """A registered assertion plus the recipe to recompute it.
+
+    A claim with a float `claimed` and a `tolerance` computes its value only;
+    evaluate derives the delta and the verdict.  Every other claim computes
+    (computed, delta, passed); passed is ignored for ASSUMED/AMBIGUOUS claims."""
 
     id: str
     location: str
@@ -82,7 +87,7 @@ class Claim:
     kind: str  # equality | inequality | sweep | ambiguous
     claimed: float | str
     tolerance: float | None
-    compute: Callable[[Precision], tuple]
+    compute: Callable[[], float | tuple]
     status_override: str | None = None  # ASSUMED / AMBIGUOUS claims
 
 
@@ -106,7 +111,6 @@ class ClaimRecord:
 @dataclass(frozen=True)
 class ClaimReport:
     records: tuple[ClaimRecord, ...]
-    precision: Precision
     warnings: tuple[str, ...]
 
     @property
@@ -125,8 +129,8 @@ class ClaimReport:
 
     def as_dict(self) -> dict:
         return {
-            # rel_tol is the run's; the fixed truncations are listed beside it
-            "precision": {"rel_tol": self.precision.rel_tol,
+            # the oracle's quadrature tolerance and the fixed truncations
+            "precision": {"rel_tol": torus.ORACLE_REL_TOL,
                           "series_tail_tol": QSERIES_TAIL_TOL, "em_cutoff": EM_CUTOFF,
                           "em_order": EM_ORDER, "lattice_tail_tol": torus.LATTICE_TAIL_TOL},
             "claims": [rec.as_dict() for rec in self.records],
@@ -138,43 +142,21 @@ class ClaimReport:
         return json.dumps(self.as_dict(), indent=2)
 
 
-def _id_sort_key(claim_id: str) -> tuple:
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", claim_id))
-
-
 # ---------------------------------------------------------------------------
-# Individual claim computations.  Each returns (computed, delta, passed);
-# passed is ignored for ASSUMED/AMBIGUOUS claims.
+# Claim computations that return (computed, delta, passed).
 # ---------------------------------------------------------------------------
 
-def _cl01(prec):
+def _cl01():
     val = bounds.heat_integral()
     return val, val - 0.0832, (val <= 0.0832) and (val < 0.1)
 
 
-def _cl02(prec):
-    val = bounds.heat_integral()
-    return val, val - 0.0832, abs(val - 0.0832) <= 2e-4
-
-
-def _cl03(prec):
-    # Large-g limit of the constant term: heat term - log 4 -> E1(1/4) - log 4.
-    val = exp_integral_e1(0.25) - math.log(4.0)
-    return val, val - (-0.33), abs(val - (-0.33)) <= 0.02
-
-
-def _cl04(prec):
+def _cl04():
     val = 4.0 * math.pi * math.e
     return val, val - 36.0, val < 36.0
 
 
-def _cl05(prec):
-    val = bounds.kappa()
-    return val, val - bounds.PAPER_KAPPA, abs(val - bounds.PAPER_KAPPA) <= 1e-8
-
-
-def _cl06(prec):
+def _cl06():
     parts = {
         "log(2 pi^4)/3": (LN_2PI4 / 3.0, 1.7573),
         "(4/3) log 2pi": ((4.0 / 3.0) * LN_2PI, 2.4505),
@@ -186,7 +168,7 @@ def _cl06(prec):
     return computed, worst, worst <= 2e-3
 
 
-def _cl07(prec):
+def _cl07():
     val = bounds.kappa()
     return val, val - 0.56, val < 0.56 < 1.0
 
@@ -225,24 +207,16 @@ def _sweep(margin_of_g, label):
     return computed, worst, worst > 0.0
 
 
-def _cl08(prec):
+def _cl08():
     return _sweep(lambda g: 0.44 * g - bounds.e_of_g(g, "refined"), "0.44g - E(g)")
 
 
-def _cl09(prec):
+def _cl09():
     return _sweep(lambda g: g - bounds.assembled_bound(g, "simplified"),
                   "g - (0.56g + E(g))")
 
 
-def _cl10(g):
-    def compute(prec):
-        val = bounds.assembled_bound(g, "exact", "c36")
-        delta = val - bounds.PAPER_TABLE_VALUES[g]
-        return val, delta, abs(delta) <= 0.75
-    return compute
-
-
-def _cl11(prec):
+def _cl11():
     g = np.array(ASYMPTOTE_SAMPLES)
     excess = bounds.assembled_bound(g, "exact", "c36") - (bounds.PAPER_KAPPA * g + 1.0)
     excesses = dict(zip(ASYMPTOTE_SAMPLES, excess.tolist()))
@@ -256,49 +230,15 @@ def _cl11(prec):
     return computed, excesses[3580], all(e <= 0.0 for e in excesses.values())
 
 
-def _cl12(prec):
-    printed = -3.6113717392987086 + -0.661685
-    _, c_a = bounds.fq_gap_coefficients("as_stated")
-    return c_a, c_a - printed, abs(c_a - printed) <= 1e-6
-
-
-def _cl13(prec):
-    slope, _ = bounds.fq_gap_coefficients("as_stated")
-    printed = 1.933721640489272
-    return slope, slope - printed, abs(slope - printed) <= 1e-9
-
-
-def _cl14(prec):
-    val = 1.934 - 4.273  # the printed bound evaluated at g = 1
-    printed = -2.334
-    return val, val - printed, abs(val - printed) <= 1e-3
-
-
-def _cl15(prec):
-    val = bounds.genus0_det()
-    return val, val - 2.46984, abs(val - 2.46984) <= 1e-4
-
-
-def _cl16(prec):
-    val = 4.0 * zeta_prime_minus1()
-    printed = -0.661685
-    return val, val - printed, abs(val - printed) <= 1e-5
-
-
-def _cl17(prec):
-    val = torus.spectral_zeta(torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0, prec)
-    return val, val - (-1.0), abs(val + 1.0) <= 1e-6
-
-
-def _cl18(prec):
+def _cl18():
     worst = 0.0
     for tau in (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.0, 2.0)):
-        cmp = torus.compare_logdet(tau, prec)
+        cmp = torus.compare_logdet(tau)
         worst = max(worst, abs(cmp.difference))
     return worst, worst, worst <= 1e-6
 
 
-def _cl19(prec):
+def _cl19():
     # Chain with 3/(pi y): 6 |q|/(1-|q|) = 6/(e^(2 pi y) - 1) <= 3/(pi y),
     # and the assembled bound dominates the Arakelov log det.  The chain holds
     # for every tau, not only at these samples: log|prod (1 - q^n)| <=
@@ -316,12 +256,7 @@ def _cl19(prec):
     return computed, None, violations == 0
 
 
-def _cl19_statement(prec):
-    # Statement numerator 6 vs the proof / listing numerator 3.
-    return 3.0, 3.0 - 6.0, abs(3.0 - 6.0) < 1e-12
-
-
-def _cl20(prec):
+def _cl20():
     tau = UpperHalfPoint(0.0, 1.0)
     direct = elliptic.faltings_delta_elliptic(tau, "direct")
     shifted = elliptic.faltings_delta_elliptic(tau, "shifted")
@@ -333,7 +268,7 @@ def _cl20(prec):
     return computed, None, None
 
 
-def _cl21(prec):
+def _cl21():
     return None, None, None
 
 
@@ -343,13 +278,14 @@ def builtin_registry() -> list[Claim]:
     claims = [
         Claim("CL-01", "sec. 4", r"\le 0.0832<0.1", "inequality",
               "E1(1/4)/(4 pi) <= 0.0832 < 0.1", None, _cl01),
-        Claim("CL-02", "sec. 4", "0.0832", "equality", 0.0832, 2e-4, _cl02),
+        Claim("CL-02", "sec. 4", "0.0832", "equality", 0.0832, 2e-4, bounds.heat_integral),
+        # Large-g limit of the constant term: heat term - log 4 -> E1(1/4) - log 4.
         Claim("CL-03", "sec. 4", r"\frac{1}{g-1}-0.33", "equality",
-              -0.33, 0.02, _cl03),
+              -0.33, 0.02, lambda: exp_integral_e1(0.25) - math.log(4.0)),
         Claim("CL-04", "sec. 4", r"e*4\pi(g-1)* (1366(g-1))^{..} < 36 (g-1)(..)",
               "inequality", "4 pi e < 36", None, _cl04),
         Claim("CL-05", "sec. 5", "0.5474277074g+1", "equality",
-              0.5474277074, 1e-8, _cl05),
+              0.5474277074, 1e-8, bounds.kappa),
         Claim("CL-06", "sec. 4", r"\approx 1.7573-2.4505+2.07-\frac{1}{6}+4\zeta'(-1)",
               "equality", "partial constants 1.7573 / 2.4505 / 2.07", 2e-3, _cl06),
         Claim("CL-07", "sec. 4", "< 1.21-0.67=0.56<1", "inequality",
@@ -362,32 +298,36 @@ def builtin_registry() -> list[Claim]:
     for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items()):
         claims.append(Claim(
             f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}",
-            "equality", paper_val, 0.75, _cl10(g)))
+            "equality", paper_val, 0.75, partial(bounds.assembled_bound, g, "exact", "c36")))
     claims += [
         Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
               "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580",
               None, _cl11),
         Claim("CL-12", "corollary (sec. 4)",
               r"\approx -3.6113717392987086-0.661685", "equality",
-              -4.2730567392987086, 1e-6, _cl12),
+              -4.2730567392987086, 1e-6, lambda: bounds.fq_gap_coefficients("as_stated")[1]),
         Claim("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
-              "equality", 1.933721640489272, 1e-9, _cl13),
+              "equality", 1.933721640489272, 1e-9,
+              lambda: bounds.fq_gap_coefficients("as_stated")[0]),
+        # The printed bound evaluated at g = 1.
         Claim("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
-              "equality", -2.334, 1e-3, _cl14),
+              "equality", -2.334, 1e-3, lambda: 1.934 - 4.273),
         Claim("CL-15", "sec. 5", r"\approx 2.46984", "equality",
-              2.46984, 1e-4, _cl15),
+              2.46984, 1e-4, bounds.genus0_det),
         Claim("CL-16", "corollary (sec. 4)", "-0.661685", "equality",
-              -0.661685, 1e-5, _cl16),
+              -0.661685, 1e-5, lambda: 4.0 * zeta_prime_minus1()),
         Claim("CL-17", "lemma 6.5 proof", "note $Z(0)=-1$", "equality",
-              -1.0, 1e-6, _cl17),
+              -1.0, 1e-6,
+              partial(torus.spectral_zeta, torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0)),
         Claim("CL-18", "lemmas 6.4/6.5", r"\det(\Delta)=y|\eta(z)|^{4}",
               "equality", "spectral oracle = closed form at tau in {i, 2i}",
               1e-6, _cl18),
         Claim("CL-19", "corollary 6.6 proof",
               r"\le 2\log(y)-\frac{\pi y}{2}+\frac{3}{\pi y}", "sweep",
               "q-product chain with 3/(pi y) holds", None, _cl19),
+        # Statement numerator 6 vs the proof / listing numerator 3.
         Claim("CL-19-statement", "corollary 6.6 statement", r"\frac{6}{\pi y}",
-              "equality", 6.0, 1e-12, _cl19_statement),
+              "equality", 6.0, 1e-12, lambda: 3.0),
         Claim("CL-20", "sec. 2", r"\delta_{Fal}(X)>-2g\log(2\pi^4)", "ambiguous",
               "delta(i) > -2 log(2 pi^4) under the g = 1 torsion relation",
               None, _cl20, status_override="AMBIGUOUS"),
@@ -397,15 +337,19 @@ def builtin_registry() -> list[Claim]:
               "metric-comparison corollary", None, _cl21,
               status_override="ASSUMED"),
     ]
-    claims.sort(key=lambda c: _id_sort_key(c.id))
     return claims
 
 
-def evaluate(claim: Claim, prec: Precision | None = None) -> ClaimRecord:
-    """Recompute one claim; computation failures become ERRORED records."""
-    p = prec or DEFAULT_PRECISION
+def evaluate(claim: Claim) -> ClaimRecord:
+    """Recompute one claim; computation failures become ERRORED records.
+    A float claim with a tolerance passes when |computed - claimed| <= tolerance."""
     try:
-        computed, delta, passed = claim.compute(p)
+        if isinstance(claim.claimed, float) and claim.tolerance is not None:
+            computed = claim.compute()
+            delta = computed - claim.claimed
+            passed = abs(delta) <= claim.tolerance
+        else:
+            computed, delta, passed = claim.compute()
     except Exception as exc:  # noqa: BLE001 - audit must not abort
         return ClaimRecord(claim.id, claim.location, claim.quote, claim.kind,
                            claim.claimed, f"error: {exc}", None, "ERRORED")
@@ -417,15 +361,12 @@ def evaluate(claim: Claim, prec: Precision | None = None) -> ClaimRecord:
                        claim.claimed, computed, delta, status)
 
 
-def run_all(
-    prec: Precision | None = None, only: list[str] | None = None
-) -> ClaimReport:
+def run_all(only: list[str] | None = None) -> ClaimReport:
     """Evaluate the registry (or the `only` subset) in id order.
 
-    Deterministic: two runs at the same Precision serialize bit-identically.
+    Deterministic: two runs serialize bit-identically.
     Raises KeyError for unknown ids in `only`.
     """
-    p = prec or DEFAULT_PRECISION
     registry = builtin_registry()
     if only is not None:
         known = {c.id for c in registry}
@@ -434,10 +375,10 @@ def run_all(
             raise KeyError(f"unknown claim ids: {', '.join(unknown)}")
         wanted = set(only)
         registry = [c for c in registry if c.id in wanted]
-    records = tuple(evaluate(claim, p) for claim in registry)
+    records = tuple(evaluate(claim) for claim in registry)
     warnings = tuple(
         f"{rec.id}: listed in the expected-discrepant allowlist but CONFIRMED"
         for rec in records
         if rec.id in EXPECTED_DISCREPANT and rec.status == "CONFIRMED"
     )
-    return ClaimReport(records, p, warnings)
+    return ClaimReport(records, warnings)

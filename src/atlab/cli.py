@@ -3,10 +3,9 @@
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
 3 numeric non-convergence; a closed output pipe ends the process quietly
-(SIGPIPE).  ATL_PRECISION overrides the spectral oracle's quadrature tolerance
-rel_tol (default 1e-12), used by `torus-det --method oracle|both` and by
-claims CL-17 and CL-18 of `verify-claims`; every subcommand validates it.  The
-closed forms run to fixed truncations and ignore it.
+(SIGPIPE).  The spectral oracle (`torus-det --method oracle|both`, claims
+CL-17 and CL-18 of `verify-claims`) runs to the fixed quadrature tolerance
+torus.ORACLE_REL_TOL = 1e-12, the closed forms to fixed truncations.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 """
@@ -17,12 +16,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import signal
 import sys
 
 from . import bounds, elliptic
-from .numerics import ConvergenceError, Precision, UpperHalfPoint
+from .numerics import ConvergenceError, UpperHalfPoint
 
 TABLE_COLUMNS = (
     "genus", "heat_term", "csel_lower", "log_area_bound", "a_g",
@@ -53,17 +51,7 @@ def _parse_tau(text: str, parser: argparse.ArgumentParser) -> UpperHalfPoint:
     return UpperHalfPoint(x, y)
 
 
-def _precision_from_env(parser: argparse.ArgumentParser) -> Precision:
-    raw = os.environ.get("ATL_PRECISION")
-    if raw is None:
-        return Precision()
-    try:
-        return Precision(rel_tol=float(raw))
-    except ValueError:
-        parser.error(f"ATL_PRECISION must be a finite positive float, got {raw!r}")
-
-
-def _cmd_bound(args, parser, prec) -> int:
+def _cmd_bound(args, parser) -> int:
     if not 2 <= args.genus <= bounds.MAX_GENUS:
         parser.error("bound requires 2 <= --genus <= 2**53; "
                      "for genus 1 use `atlab elliptic`")
@@ -84,7 +72,7 @@ def _cmd_bound(args, parser, prec) -> int:
     return 0
 
 
-def _cmd_elliptic(args, parser, prec) -> int:
+def _cmd_elliptic(args, parser) -> int:
     tau = _parse_tau(args.tau, parser)
     logdet = elliptic.arakelov_logdet(tau)
     bound = elliptic.elliptic_upper_bound_log(tau)
@@ -105,7 +93,7 @@ def _cmd_elliptic(args, parser, prec) -> int:
     return 0
 
 
-def _cmd_torus_det(args, parser, prec) -> int:
+def _cmd_torus_det(args, parser) -> int:
     tau = _parse_tau(args.tau, parser)
     if not args.tol > 0.0:
         parser.error(f"--tol must be positive, got {args.tol}")
@@ -114,10 +102,10 @@ def _cmd_torus_det(args, parser, prec) -> int:
         return 0
     from . import torus
     if args.method == "oracle":
-        value = torus.logdet_oracle(torus.UnitTorus(tau), prec)
+        value = torus.logdet_oracle(torus.UnitTorus(tau))
         print(f"logdet_oracle  {_fmt(value)}")
         return 0
-    cmp = torus.compare_logdet(tau, prec)
+    cmp = torus.compare_logdet(tau)
     print(f"logdet_closed  {_fmt(cmp.logdet_closed)}")
     print(f"logdet_oracle  {_fmt(cmp.logdet_oracle)}")
     print(f"difference     {_fmt(cmp.difference)}")
@@ -133,7 +121,7 @@ def _table_row_dict(row: bounds.TableRow) -> dict:
             for col in TABLE_COLUMNS}
 
 
-def _cmd_table(args, parser, prec) -> int:
+def _cmd_table(args, parser) -> int:
     rows = bounds.table(args.g_from, args.g_to, args.form, args.area)
     dicts = [_table_row_dict(row) for row in rows]
     if args.csv:
@@ -164,7 +152,7 @@ def _cmd_table(args, parser, prec) -> int:
     return 0
 
 
-def _cmd_verify_claims(args, parser, prec) -> int:
+def _cmd_verify_claims(args, parser) -> int:
     from . import claims
     only = None
     if args.only is not None:
@@ -172,7 +160,7 @@ def _cmd_verify_claims(args, parser, prec) -> int:
         if not only:
             parser.error(f"--only names no claim id, got {args.only!r}")
     try:
-        report = claims.run_all(prec, only=only)
+        report = claims.run_all(only=only)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
     for rec in report.records:
@@ -201,10 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="atlab",
         description=(
             "Flat-torus determinants, genus-1 Arakelov invariants, effective "
-            "log det bounds for g > 1, and the numeric claim audit.  "
-            "Set ATL_PRECISION to override the spectral oracle's quadrature "
-            "tolerance rel_tol (torus-det --method oracle|both, verify-claims "
-            "CL-17/CL-18); the closed forms run to fixed truncations."
+            "log det bounds for g > 1, and the numeric claim audit."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser, _precision_from_env(parser))
+        return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:  # argparse exits; normalize to a return code
         return int(exc.code or 0)
     except ValueError as exc:  # domain error raised by the library

@@ -16,7 +16,7 @@ log_arakelov_area, arakelov_area, arakelov_logdet, d_ar_elliptic and
 elliptic_upper_bound_log take a tau of Python floats or of equal-shape float
 arrays (see UpperHalfPoint) through one expression; an array gives exactly the
 scalar values element-wise, and a scalar tau never loads numpy.  Every series
-runs to the fixed truncations of numerics; no Precision reaches this module.
+runs to the fixed truncations of numerics.
 """
 
 from __future__ import annotations

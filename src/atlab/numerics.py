@@ -18,8 +18,7 @@ double precision:
 
 All functions are pure and deterministic, and run to the fixed truncations
 set by the module constants below; there is no global mutable state beyond
-internal caches of immutable values.  `Precision` carries the one tolerance a
-caller may choose, which only the spectral oracle in `torus` reads.
+internal caches of immutable values.
 """
 
 from __future__ import annotations
@@ -58,22 +57,6 @@ def libm(fn, x):
 
 
 @dataclass(frozen=True)
-class Precision:
-    """The one accuracy setting a caller chooses: rel_tol, the target error
-    of the spectral oracle's quadrature (torus.logdet_oracle, spectral_zeta).
-    The closed forms here run to the fixed truncations above instead."""
-
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be finite and strictly positive")
-
-
-DEFAULT_PRECISION = Precision()
-
-
-@dataclass(frozen=True)
 class UpperHalfPoint:
     """A point tau = x + iy in the upper half-plane (y > 0), or an array of
     them: x and y as equal-shape float arrays, checked element-wise."""
@@ -107,8 +90,12 @@ class UpperHalfPoint:
 
     @property
     def q_abs(self) -> float:
-        """|q| = e^(-2 pi y), always in (0, 1)."""
-        return libm(math.exp, -2.0 * math.pi * self.y)
+        """|q| = e^(-2 pi y), in [0, 1) (+0.0 once it underflows)."""
+        if not self.is_array:
+            return math.exp(-2.0 * math.pi * self.y)
+        import numpy as np
+        with np.errstate(over="ignore"):  # -inf past y ~ 2.86e307, as in float arithmetic
+            return libm(math.exp, -2.0 * math.pi * self.y)
 
 
 @dataclass(frozen=True)
@@ -127,7 +114,7 @@ class ModularTransform:
 
 def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, ModularTransform]:
     """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1 - REDUCTION_SLACK by shifts and
-    inversions (the slack is fixed, independent of any Precision).
+    inversions (REDUCTION_SLACK, a fixed constant).
 
     Returns (tau', T) with tau' = T(tau).  The loop alternates x -> x - round(x)
     and tau -> -1/tau; it provably terminates, but a hard cap guards against
@@ -174,7 +161,8 @@ def _reduce_array(x, y):
     import numpy as np
     for _ in range(_REDUCTION_MAX_STEPS):
         x = x - np.round(x)
-        norm = x * x + y * y
+        with np.errstate(over="ignore"):  # inf past y ~ 1.34e154, as in float arithmetic
+            norm = x * x + y * y
         invert = norm < 1.0 - REDUCTION_SLACK
         if not invert.any():
             return x, y
@@ -209,8 +197,10 @@ def _log_abs_qprod_array(x, y):
     loop's operations in its order and leaves at the term where the scalar
     loop returns; terms are computed for the elements still running only."""
     import numpy as np
-    qa = libm(math.exp, -2.0 * math.pi * y)
-    one_minus = -libm(math.expm1, -2.0 * math.pi * y)
+    with np.errstate(over="ignore"):  # -inf past y ~ 2.86e307, as in float arithmetic
+        minus_2pi_y = -2.0 * math.pi * y
+    qa = libm(math.exp, minus_2pi_y)
+    one_minus = -libm(math.expm1, minus_2pi_y)
     total = np.zeros_like(y)
     live = np.arange(y.size)
     qn, om2 = np.ones_like(y), one_minus * one_minus

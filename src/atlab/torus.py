@@ -33,18 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import d_ar_elliptic
-from .numerics import (
-    DEFAULT_PRECISION,
-    EULER_GAMMA,
-    ConvergenceError,
-    Precision,
-    UpperHalfPoint,
-)
+from .numerics import EULER_GAMMA, ConvergenceError, UpperHalfPoint
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 POISSON_SWITCH = 0.2  # heat trace: Poisson form below, direct lattice sum above
 DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
 DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
+ORACLE_REL_TOL = 1e-12  # the quadrature's target relative error, read per call
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 METRIC_SCALE_MIN, METRIC_SCALE_MAX = 1e-3, 32.0  # logdet_oracle's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
@@ -115,20 +110,21 @@ def _de_nodes(levels: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
 _DE_NODES = _de_nodes(DE_LEVELS)  # the full rule; DE_LEVELS, read per call, may cut it
 
 
-def _de_rule(level_sums, p: Precision, where: tuple) -> float:
+def _de_rule(level_sums, where: tuple) -> float:
     """int_1^inf f(w) dw by the exp-sinh rule of _DE_NODES, steps 1/8 to 1/256
     (DE_LEVELS, read per call); level_sums yields sum f(w) dw over each level's
     new nodes, drawn only while needed.  Converged when two levels agree to
-    max(0.1 rel_tol, 10 rel_tol |I|); else raises, naming where = (half, s, x, y, scale)."""
-    total = 0.0
+    max(0.1 rel_tol, 10 rel_tol |I|), rel_tol = ORACLE_REL_TOL (read per call);
+    else raises, naming where = (half, s, x, y, scale)."""
+    rel_tol, total = ORACLE_REL_TOL, 0.0
     for level, (h, _, _), part in zip(range(DE_LEVELS), _DE_NODES, level_sums):
         prev, total = total, 0.5 * total + h * part
-        target = max(0.1 * p.rel_tol, 10.0 * p.rel_tol * abs(total))
+        target = max(0.1 * rel_tol, 10.0 * rel_tol * abs(total))
         if level and abs(total - prev) <= target:
             return total
     raise ConvergenceError(
         "{}-t half of H({:g}) at tau = {!r}+{!r}i, metric scale {!r}: ".format(*where)
-        + f"double-exponential rule missed {target:.3g} (rel_tol {p.rel_tol:g}); "
+        + f"double-exponential rule missed {target:.3g} (rel_tol {rel_tol:g}); "
         f"last |I_h - I_2h| = {abs(total - prev):.3g}")
 
 
@@ -179,7 +175,7 @@ def _small_half_sums(q: np.ndarray, plan: tuple):
         yield float((weight * theta * dw).sum())
 
 
-def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> float:
+def _mellin_h(torus: UnitTorus, s: float, metric_scale: float) -> float:
     """H(s) for the metric scaled by metric_scale^2 (eigenvalues / scale^2,
     area scale^2): integrands are evaluated at u = t / scale^2.
 
@@ -202,37 +198,32 @@ def _mellin_h(torus: UnitTorus, s: float, p: Precision, metric_scale: float) -> 
     large_sums = (float((weight * _lattice_sum(q, scale, qmax) * dw).sum())
                   for weight, dw, scale, qmax in large)
     where = (s, x, y, metric_scale)
-    return (_de_rule(_small_half_sums(q, small), p, ("small", *where))
-            + _de_rule(large_sums, p, ("large", *where)))
+    return (_de_rule(_small_half_sums(q, small), ("small", *where))
+            + _de_rule(large_sums, ("large", *where)))
 
 
-def spectral_zeta(torus: UnitTorus, s: float, prec: Precision | None = None) -> float:
+def spectral_zeta(torus: UnitTorus, s: float) -> float:
     """zeta_tau(s) = sum' lambda^-s, continued through the Mellin split as
 
         rgamma(s) [1/(4 pi (s-1)) + H(s)] - rgamma(s+1)
 
     (the -1/s kernel term folded into 1/Gamma(s+1), regular at s = 0, where
-    the value is -1 for every tau).  Verified for -10 <= s <= 3, |s-1| >= 0.05,
-    to 1.5e-12 relative against the Chowla-Selberg series; other s raise
-    ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
+    rgamma(0) = 0 leaves exactly -1.0 whenever H(0) is finite).  Verified for
+    -10 <= s <= 3, |s-1| >= 0.05, to 1.5e-12 relative against the
+    Chowla-Selberg series; other s raise ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
     terms stay ~1/Gamma(s), so they cancel (near tau = i: 4e-12 relative at
     s = 4, 5e-7 at s = 10); beyond |s| ~ 11 the quadrature nodes overflow.
     tau must lie in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
     """
-    p = prec or DEFAULT_PRECISION
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
         raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
     if abs(s - 1.0) < 0.05:
         raise ValueError("spectral_zeta has a simple pole at s = 1; need |s-1| >= 0.05")
-    h = _mellin_h(torus, s, p, 1.0)
+    h = _mellin_h(torus, s, 1.0)
     return _rgamma(s) * (1.0 / (4.0 * math.pi * (s - 1.0)) + h) - _rgamma(s + 1.0)
 
 
-def logdet_oracle(
-    torus: UnitTorus,
-    prec: Precision | None = None,
-    metric_scale: float = 1.0,
-) -> float:
+def logdet_oracle(torus: UnitTorus, metric_scale: float = 1.0) -> float:
     """-zeta'(0) from the Mellin split, never touching the eta closed form.
 
     Around s = 0, zeta(s) = (s + gamma_E s^2 + ...)(-1/s + R(s)) with
@@ -245,17 +236,16 @@ def logdet_oracle(
     Verified for 1e-4 <= y <= 1e4 and any finite x within 1e-12
     max(1, |closed form|), and for metric_scale in [1e-3, 32] (the scaling law
     within 1.5e-14 relative; 32 costs up to ~75 ms); ConvergenceError where
-    rel_tol is missed.  The lattice is taken at x mod 1 (_q_values), so x and
+    ORACLE_REL_TOL is missed.  The lattice is taken at x mod 1 (_q_values), so x and
     x - round(x) give the same bits; no S inversion enters.  Other y or scales,
     non-finite ones included, raise ValueError before anything is enumerated:
     the Q set grows like sqrt(max(y, 1/y)) and like metric_scale^2.
     """
-    p = prec or DEFAULT_PRECISION
     if not METRIC_SCALE_MIN <= metric_scale <= METRIC_SCALE_MAX:
         raise ValueError(f"logdet_oracle needs {METRIC_SCALE_MIN:g} <= metric_scale <= "
                          f"{METRIC_SCALE_MAX:g}, got {metric_scale!r}")
     area = metric_scale * metric_scale
-    h0 = _mellin_h(torus, 0.0, p, metric_scale)
+    h0 = _mellin_h(torus, 0.0, metric_scale)
     return EULER_GAMMA + area / (4.0 * math.pi) - h0
 
 
@@ -280,8 +270,8 @@ class DetComparison:
     difference: float  # oracle - closed
 
 
-def compare_logdet(tau: UpperHalfPoint, prec: Precision | None = None) -> DetComparison:
-    """Both routes at tau; prec sets the oracle's tolerance only."""
+def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
+    """Both routes at tau."""
     closed = logdet_closed(tau)
-    oracle = logdet_oracle(UnitTorus(tau), prec)
+    oracle = logdet_oracle(UnitTorus(tau))
     return DetComparison(tau, closed, oracle, oracle - closed)

@@ -103,7 +103,7 @@ def test_torus_det_shift_invariance(capsys):
 
 def test_torus_det_tolerance_exit(capsys, monkeypatch):
     # rel_tol 1e-4 stops the oracle after two levels, ~1e-13 from the closed form.
-    monkeypatch.setenv("ATL_PRECISION", "1e-4")
+    monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-4)
     code, out, err = run(capsys, "torus-det", "--tau", "0.3,1.7", "--tol", "1e-15")
     assert code == 1
     assert "FAIL" in err
@@ -118,7 +118,7 @@ def test_torus_det_oracle_domain(capsys, monkeypatch):
     _, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "closed")
     closed = float(out.split()[1])
     assert abs(oracle - closed) <= 1e-11 * abs(closed)  # both printed to 12 digits
-    monkeypatch.setenv("ATL_PRECISION", "1e-15")
+    monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-15)
     assert run(capsys, "torus-det", "--tau", "0.3,1.7")[0] == 0
 
 
@@ -264,14 +264,6 @@ def test_verify_claims_json_roundtrip(tmp_path, capsys):
                                              for p in __import__("re").split(r"(\d+)", s)])
 
 
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ATL_PRECISION", "1e-10")
-    code, out, _ = run(capsys, "torus-det", "--tau", "0,1", "--method", "both")
-    assert code == 0
-    monkeypatch.setenv("ATL_PRECISION", "not-a-number")
-    assert run(capsys, "elliptic", "--tau", "0,1")[0] == 2
-
-
 def test_usage_errors(capsys):
     assert run(capsys, "bound")[0] == 2            # missing --genus
     assert run(capsys, "no-such-command")[0] == 2
@@ -283,14 +275,6 @@ def test_non_finite_tau_is_a_usage_error(capsys):
             code, out, err = run(capsys, command, f"--tau={tau}")
             assert code == 2, (command, tau)
             assert "finite" in err and out == ""
-
-
-def test_non_finite_precision_env_is_a_usage_error(capsys, monkeypatch):
-    for raw in ("inf", "-inf", "nan", "0", "-1e-12"):
-        monkeypatch.setenv("ATL_PRECISION", raw)
-        code, _, err = run(capsys, "bound", "--genus", "5")
-        assert code == 2, raw
-        assert "ATL_PRECISION" in err
 
 
 def test_genus_beyond_float64_range_is_a_usage_error(capsys):
@@ -312,20 +296,6 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
         assert code == 3, method
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "double-exponential rule" in err
-
-
-def test_precision_moves_only_the_oracle(capsys, monkeypatch):
-    # The closed forms run to fixed truncations: ATL_PRECISION, the oracle's
-    # tolerance, leaves their bytes alone, even where a slack of 2 in the
-    # SL2(Z) reduction would leave y = 1e-6 to an endless q-series.
-    for argv in (("torus-det", "--tau", "0,1e-6", "--method", "closed"),
-                 ("elliptic", "--tau", "0.2,0.05", "--json")):
-        default = run(capsys, *argv)
-        assert default[0] == 0
-        for raw in ("2", "1e-4"):
-            monkeypatch.setenv("ATL_PRECISION", raw)
-            assert run(capsys, *argv) == default, (argv, raw)
-            monkeypatch.delenv("ATL_PRECISION")
 
 
 def test_tau_underflowing_norm_exits_2(capsys):
@@ -355,7 +325,7 @@ def test_table_window_limit_exits_2(capsys):
 
 def child_env() -> dict:
     src = str(pathlib.Path(atlab.__file__).parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "ATL_PRECISION"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
 

@@ -26,7 +26,7 @@ from atlab.elliptic import (
     log_arakelov_area,
     qprod_bound,
 )
-from atlab.numerics import LN_2PI, UpperHalfPoint, log_abs_eta
+from atlab.numerics import LN_2PI, TAU_Y_MAX, UpperHalfPoint, log_abs_eta
 from atlab.torus import logdet_closed, scaled_logdet
 
 TAU_I = UpperHalfPoint(0.0, 1.0)
@@ -210,20 +210,24 @@ def test_wilms_margins_recorded_not_asserted():
 
 
 def _sample_taus(rng) -> tuple[np.ndarray, np.ndarray]:
-    """10 500 taus: x in [-3, 3] with y log-uniform in [1e-4, 1e4], the lines
-    |x| = 1/2, the arc |tau| = 1, the corners y ~ 1e-4 and y ~ 1e4, and the
-    CL-19 grid (x = 0.3, y from 0.05 to 100 as the audit builds it)."""
+    """10 506 taus: x in [-3, 3] with y log-uniform in [1e-4, 1e4], the lines
+    |x| = 1/2, the arc |tau| = 1, the corners y ~ 1e-4 and y ~ 1e4, the
+    CL-19 grid (x = 0.3, y from 0.05 to 100 as the audit builds it), and huge
+    y up to TAU_Y_MAX, where x^2 + y^2 (past ~1.34e154) and 2 pi y (past
+    ~2.86e307) overflow to inf as they do in float arithmetic."""
     arc = rng.uniform(1e-3, math.pi - 1e-3, 1500)
     xs = (rng.uniform(-3.0, 3.0, 6000), np.repeat([0.5, -0.5], 750), np.cos(arc),
-          rng.uniform(-3.0, 3.0, 2000), np.full(500, 0.3))
+          rng.uniform(-3.0, 3.0, 2000), np.full(500, 0.3), np.full(6, 0.3))
     ys = (10.0 ** rng.uniform(-4.0, 4.0, 6000), 10.0 ** rng.uniform(-4.0, 4.0, 1500),
           np.sin(arc), 10.0 ** np.repeat([-4.0, 4.0], 1000) * rng.uniform(1.0, 1.5, 2000),
-          np.array([0.05 * (100.0 / 0.05) ** (i / 499.0) for i in range(500)]))
+          np.array([0.05 * (100.0 / 0.05) ** (i / 499.0) for i in range(500)]),
+          np.array([1e154, 1.4e154, 1e200, 1e300, 3e307, TAU_Y_MAX]))
     return np.concatenate(xs), np.concatenate(ys)
 
 
 @pytest.mark.parametrize("fn", [log_abs_eta, arakelov_logdet, d_ar_elliptic,
-                                log_arakelov_area, elliptic_upper_bound_log, arakelov_area])
+                                log_arakelov_area, elliptic_upper_bound_log, arakelov_area,
+                                pytest.param(lambda tau: tau.q_abs, id="q_abs")])
 def test_array_tau_equals_the_scalar_path_bit_for_bit(fn):
     x, y = _sample_taus(np.random.default_rng(2026))
     if fn is arakelov_area:  # only where the area is a normal double

@@ -20,7 +20,6 @@ from atlab.numerics import (
     REDUCTION_SLACK,
     ConvergenceError,
     ModularTransform,
-    Precision,
     UpperHalfPoint,
     exp_integral_e1,
     libm,
@@ -76,12 +75,6 @@ def test_y_is_refused_where_pi_y_overflows():
     assert math.isfinite(d_ar_elliptic(UpperHalfPoint(0.3, y0)))
     with pytest.raises(ValueError, match=r"tau must satisfy y <= 5\.72"):
         UpperHalfPoint(0.3, math.nextafter(y0, math.inf))
-
-
-def test_precision_validation():
-    for bad in (0.0, -1e-12, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            Precision(rel_tol=bad)
 
 
 def test_modular_transform_validation():
