@@ -23,15 +23,18 @@ goes through the same expression and equals the scalar values element-wise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache, partial
+from itertools import repeat
+from typing import NamedTuple
 
 from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, libm, zeta_prime_minus1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
 MAX_GENUS = 2**53  # float64 holds every genus up to here, and g - 1, exactly
-MAX_TABLE_ROWS = 100_000  # ~1 s and ~130 MB peak; memory grows linearly with rows
+# At the limit (2-vCPU x86-64): bounds.table ~0.5 s, 112 MB peak RSS; `atlab table`
+# with --csv and --json ~4.6 s, 138 MB peak.  Memory grows linearly with rows.
+MAX_TABLE_ROWS = 100_000
 
 # Reference upper bounds listed for small genus in the audited source
 # (sec. 5); their generating formula is not recoverable, so they are data
@@ -53,10 +56,12 @@ PAPER_KAPPA = 0.5474277074  # printed slope digits
 PAPER_FOUR_ZETA_PRIME = -0.661685
 REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 
-# Genus-dependent logs go through libm on arrays too (numerics.libm), so a
-# genus array gives exactly the scalar values.
+# The two genus-dependent logs go through libm on arrays too (numerics.libm),
+# so a genus array gives exactly the scalar values.
 _E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
 _log = partial(libm, math.log)
+_LN_4, _LN_36 = math.log(4.0), math.log(36.0)
+_AREA_HEAD = {"e4pi": 1.0 + math.log(4.0 * math.pi), "c36": _LN_36}
 
 
 def _genera(g, minimum: int):
@@ -95,70 +100,28 @@ def heat_integral() -> float:
     return _E1_QUARTER / (4.0 * math.pi)
 
 
-def heat_term(g):
-    """4 pi (1 - 1/g) * heat_integral = (1 - 1/g) E1(1/4), g >= 2."""
-    g = _genera(g, 2)
-    return (1.0 - 1.0 / g) * _E1_QUARTER
-
-
-def csel_lower(g):
-    """Selberg-constant lower bound -4 log(1366 (g-1)), g >= 2."""
-    g = _genera(g, 2)
-    return -4.0 * _log(1366.0 * (g - 1.0))
-
-
-def metric_ratio_bound(g, form: str = "exact"):
-    """Upper bound on log(mu_Ar/mu_hyp).
-
-    exact:      heat_term(g) - csel_lower(g)/(g(g-1)) + 1/(g-1) - log 4
-    simplified: 1 + 4 log(1366(g-1))/(g(g-1))
-    exact <= simplified for all g >= 2.
-    """
-    g = _genera(g, 2)
-    if form == "exact":
-        return (heat_term(g) - csel_lower(g) / (g * (g - 1.0))
-                + 1.0 / (g - 1.0) - math.log(4.0))
-    if form == "simplified":
-        return 1.0 + 4.0 * _log(1366.0 * (g - 1.0)) / (g * (g - 1.0))
-    raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
-
-
-def _area_tail(g):
-    """(4/(g(g-1))) log(1366(g-1)), shared by the area bound and E(g)."""
-    return 4.0 / (g * (g - 1.0)) * _log(1366.0 * (g - 1.0))
-
-
-def log_area_bound(g, variant: str = "c36"):
-    """log of the Arakelov-area bound, g >= 2.
-
-    e4pi: 1 + log(4 pi) + log(g-1) + (4/(g(g-1))) log(1366(g-1))
-    c36:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1))
-    e4pi < c36 since 4 pi e ~= 34.16 < 36.
-    """
-    g = _genera(g, 2)
-    if variant == "e4pi":
-        return 1.0 + math.log(4.0 * math.pi) + _log(g - 1.0) + _area_tail(g)
-    if variant == "c36":
-        return math.log(36.0) + _log(g - 1.0) + _area_tail(g)
-    raise ValueError(f"variant must be one of {AREA_VARIANTS}, got {variant!r}")
-
-
 @lru_cache(maxsize=1)
 def k_const() -> float:
     """K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2 (~ -7.4434493)."""
     return -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
 
 
+def _a(g):
+    return -8.0 * g * LN_2PI + (1.0 - g) * k_const()
+
+
+def _wilms(g):
+    return -2.0 * g * LN_2PI4
+
+
 def a_of_g(g):
     """a(g) = -8 g log 2pi + (1 - g) K, defined for g >= 0."""
-    g = _genera(g, 0)
-    return -8.0 * g * LN_2PI + (1.0 - g) * k_const()
+    return _a(_genera(g, 0))
 
 
 def wilms_lower(g):
     """Lower bound -2 g log(2 pi^4) on the delta invariant, g >= 1."""
-    g = _genera(g, 1)
-    return -2.0 * g * LN_2PI4
+    return _wilms(_genera(g, 1))
 
 
 def kappa() -> float:
@@ -166,40 +129,7 @@ def kappa() -> float:
     return LN_2PI4 / 3.0 - (4.0 / 3.0) * LN_2PI - k_const() / 6.0
 
 
-def e_of_g(g, variant: str = "refined"):
-    """Sub-leading term E(g) of the display bound 0.56 g + E(g), g >= 2.
-
-    simple:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6
-    refined: 1/(g-1) + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6 + 2.1890125
-
-    The refined variant is canonical: it satisfies E(g) < 0.44 g from g = 11 on
-    (the simple variant only from g = 12).
-    """
-    g = _genera(g, 2)
-    if variant == "simple":
-        return math.log(36.0) + _log(g - 1.0) + _area_tail(g) + k_const() / 6.0
-    if variant == "refined":
-        return (1.0 / (g - 1.0) + _log(g - 1.0) + _area_tail(g) + k_const() / 6.0
-                + REFINED_E_CONSTANT)
-    raise ValueError(f"variant must be 'simple' or 'refined', got {variant!r}")
-
-
-def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
-    """Assembled upper bound on log det(D_Ar), g >= 2.
-
-    exact:      (log(2 pi^4)/3) g + a(g)/6 + log_area_bound(g, area_variant)
-    simplified: 0.56 g + E_refined(g)       (display-form constant 0.56)
-    """
-    g = _genera(g, 2)
-    if form == "exact":
-        return LN_2PI4 / 3.0 * g + a_of_g(g) / 6.0 + log_area_bound(g, area_variant)
-    if form == "simplified":
-        return 0.56 * g + e_of_g(g, "refined")
-    raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
-
-
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     """Every term of the genus-g bound pipeline plus the assembled bounds."""
 
     genus: int
@@ -218,28 +148,99 @@ class BoundBreakdown:
     upper_simplified: float
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-def upper_bound_logdet(
-    g: int, form: str = "exact", area_variant: str = "c36"
-) -> BoundBreakdown:
+def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -> BoundBreakdown:
     """Assembled upper bound on log det(D_Ar) with the full term breakdown.
 
-    upper_exact      = assembled_bound(g, "exact", area_variant)
-    upper_simplified = assembled_bound(g, "simplified")
-    For an array of genera, every per-genus field is an array.
+    The one place each per-genus term is computed: the genus is checked once,
+    log(g-1) and log(1366(g-1)) are evaluated once each, and every field is
+    built from them.  `form` is only validated (both bounds are fields).  For
+    an array of genera, every per-genus field is an array.
     """
     gf = _genera(g, 2)
     if form not in BOUND_FORMS:
         raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
+    if area_variant not in AREA_VARIANTS:
+        raise ValueError(f"variant must be one of {AREA_VARIANTS}, got {area_variant!r}")
+    log_g1 = _log(gf - 1.0)
+    log_n = _log(1366.0 * (gf - 1.0))
+    tail = 4.0 / (gf * (gf - 1.0)) * log_n
+    heat = (1.0 - 1.0 / gf) * _E1_QUARTER
+    csel = -4.0 * log_n
+    area = _AREA_HEAD[area_variant] + log_g1 + tail
+    a_g = _a(gf)
+    k6 = k_const() / 6.0
+    e_refined = 1.0 / (gf - 1.0) + log_g1 + tail + k6 + REFINED_E_CONSTANT
     return BoundBreakdown(
-        g, heat_integral(), heat_term(gf), csel_lower(gf),
-        metric_ratio_bound(gf, "exact"), metric_ratio_bound(gf, "simplified"),
-        log_area_bound(gf, area_variant), area_variant, a_of_g(gf),
-        wilms_lower(gf), e_of_g(gf, "simple"), e_of_g(gf, "refined"),
-        assembled_bound(gf, "exact", area_variant), assembled_bound(gf, "simplified"),
+        g, heat_integral(), heat, csel,
+        heat - csel / (gf * (gf - 1.0)) + 1.0 / (gf - 1.0) - _LN_4,
+        1.0 + 4.0 * log_n / (gf * (gf - 1.0)),
+        area, area_variant, a_g, _wilms(gf),
+        _LN_36 + log_g1 + tail + k6, e_refined,
+        LN_2PI4 / 3.0 * gf + a_g / 6.0 + area, 0.56 * gf + e_refined,
     )
+
+
+def heat_term(g):
+    """4 pi (1 - 1/g) * heat_integral = (1 - 1/g) E1(1/4), g >= 2."""
+    return upper_bound_logdet(g).heat_term
+
+
+def csel_lower(g):
+    """Selberg-constant lower bound -4 log(1366 (g-1)), g >= 2."""
+    return upper_bound_logdet(g).csel_lower
+
+
+def metric_ratio_bound(g, form: str = "exact"):
+    """Upper bound on log(mu_Ar/mu_hyp).
+
+    exact:      heat_term(g) - csel_lower(g)/(g(g-1)) + 1/(g-1) - log 4
+    simplified: 1 + 4 log(1366(g-1))/(g(g-1))
+    exact <= simplified for all g >= 2.
+    """
+    bd = upper_bound_logdet(g, form)
+    return bd.metric_ratio_bound_exact if form == "exact" else bd.metric_ratio_bound_simplified
+
+
+def log_area_bound(g, variant: str = "c36"):
+    """log of the Arakelov-area bound, g >= 2.
+
+    e4pi: 1 + log(4 pi) + log(g-1) + (4/(g(g-1))) log(1366(g-1))
+    c36:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1))
+    e4pi < c36 since 4 pi e ~= 34.16 < 36.
+    """
+    return upper_bound_logdet(g, "exact", variant).log_area_bound
+
+
+def e_of_g(g, variant: str = "refined"):
+    """Sub-leading term E(g) of the display bound 0.56 g + E(g), g >= 2.
+
+    simple:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6
+    refined: 1/(g-1) + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6 + 2.1890125
+
+    The refined variant is canonical: it satisfies E(g) < 0.44 g from g = 11 on
+    (the simple variant only from g = 12).
+    """
+    bd = upper_bound_logdet(g)
+    if variant == "simple":
+        return bd.e_g_simple
+    if variant == "refined":
+        return bd.e_g_refined
+    raise ValueError(f"variant must be 'simple' or 'refined', got {variant!r}")
+
+
+def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
+    """Assembled upper bound on log det(D_Ar), g >= 2.
+
+    exact:      (log(2 pi^4)/3) g + a(g)/6 + log_area_bound(g, area_variant)
+    simplified: 0.56 g + E_refined(g)       (display-form constant 0.56;
+                area_variant is not used)
+    """
+    if form != "exact":
+        return upper_bound_logdet(g, form).upper_simplified
+    return upper_bound_logdet(g, form, area_variant).upper_exact
 
 
 def genus0_det() -> float:
@@ -269,8 +270,7 @@ def fq_gap_coefficients(reading: str = "as_stated") -> tuple[float, float]:
     raise ValueError("reading must be 'as_stated' or 'derivation'")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One genus row: the breakdown plus the reference column."""
 
     breakdown: BoundBreakdown
@@ -279,33 +279,28 @@ class TableRow:
     annotation: str
 
 
-def table(
-    g_from: int,
-    g_to: int,
-    form: str = "exact",
-    area_variant: str = "c36",
-) -> list[TableRow]:
+def table(g_from: int, g_to: int, form: str = "exact",
+          area_variant: str = "c36") -> list[TableRow]:
     """Rows for genus g_from..g_to; g in 2..10 carry the listed reference
     value and its delta, larger genera carry the listed regime annotations.
-    At most MAX_TABLE_ROWS rows; a longer window raises before allocating."""
+    At most MAX_TABLE_ROWS rows; a longer window raises before allocating.
+
+    `form` is only validated and changes no row: every row carries both
+    upper_exact and upper_simplified.  It stays while the benchmark's
+    genus_table workload passes it."""
     if not 2 <= g_from <= g_to <= MAX_GENUS:
         raise ValueError("need 2 <= g_from <= g_to <= 2**53")
-    if g_to - g_from + 1 > MAX_TABLE_ROWS:
-        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, "
-                         f"got {g_to - g_from + 1}")
+    n = g_to - g_from + 1
+    if n > MAX_TABLE_ROWS:
+        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, got {n}")
     import numpy as np
-    genera = np.arange(g_from, g_to + 1)
-    columns = (np.broadcast_to(column, genera.shape).tolist() for column
-               in upper_bound_logdet(genera, form, area_variant).as_dict().values())
-    rows = []
-    for bd in map(BoundBreakdown, *columns):
-        paper = PAPER_TABLE_VALUES.get(bd.genus)
-        delta = None if paper is None else bd.upper_exact - paper
-        if bd.genus >= 3580:
-            annotation = f"listed regime: bounded above by {PAPER_KAPPA}*g + 1"
-        elif bd.genus > 10:
-            annotation = "listed regime: bounded above by g"
-        else:
-            annotation = ""
-        rows.append(TableRow(bd, paper, delta, annotation))
-    return rows
+    bd = upper_bound_logdet(np.arange(g_from, g_to + 1), form, area_variant)
+    # Rows below genus 11 carry the reference value, from 3580 on the kappa regime.
+    listed, linear = (min(max(at - g_from, 0), n) for at in (11, 3580))
+    papers = [PAPER_TABLE_VALUES[g] for g in range(g_from, g_from + listed)]
+    deltas = [u - p for u, p in zip(bd.upper_exact[:listed].tolist(), papers)]
+    annotations = ([""] * listed + ["listed regime: bounded above by g"] * (linear - listed)
+                   + [f"listed regime: bounded above by {PAPER_KAPPA}*g + 1"] * (n - linear))
+    columns = (c.tolist() if isinstance(c, np.ndarray) else repeat(c) for c in bd)
+    return list(map(TableRow, map(BoundBreakdown, *columns), papers + [None] * (n - listed),
+                    deltas + [None] * (n - listed), annotations))

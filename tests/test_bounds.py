@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from atlab import bounds
 from atlab.bounds import (
     AREA_VARIANTS,
     BOUND_FORMS,
@@ -16,6 +17,8 @@ from atlab.bounds import (
     PAPER_KAPPA,
     PAPER_TABLE_VALUES,
     REFINED_E_CONSTANT,
+    BoundBreakdown,
+    TableRow,
     a_of_g,
     assembled_bound,
     csel_lower,
@@ -310,6 +313,48 @@ def test_table_rows_equal_scalar_breakdowns(form, area):
         upper_bound_logdet(g, form, area) for g in range(2, 3730)]
     last = rows[-1].breakdown.as_dict()
     assert all(type(v) in (int, float, str) for v in last.values())
+
+
+def test_pipeline_checks_the_genus_once_and_takes_two_logs(monkeypatch):
+    # log(g-1) and log(1366(g-1)) are each evaluated once per call, and every
+    # field is built from them; the genus is checked once.
+    calls = dict.fromkeys(("_genera", "_log"), 0)
+
+    def counted(name):
+        inner = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counted(name))
+    for call in (lambda: upper_bound_logdet(np.arange(2, 3581)),
+                 lambda: upper_bound_logdet(77), lambda: table(2, 3580, "exact", "e4pi"),
+                 lambda: e_of_g(77), lambda: assembled_bound(np.arange(2, 40))):
+        calls.update(_genera=0, _log=0)
+        call()
+        assert calls == {"_genera": 1, "_log": 2}
+
+
+def test_rows_are_named_tuples():
+    assert BoundBreakdown._fields == (
+        "genus", "heat_integral", "heat_term", "csel_lower", "metric_ratio_bound_exact",
+        "metric_ratio_bound_simplified", "log_area_bound", "area_variant", "a_g",
+        "wilms_lower", "e_g_simple", "e_g_refined", "upper_exact", "upper_simplified")
+    assert TableRow._fields == ("breakdown", "paper_value", "delta", "annotation")
+    (row,) = table(11, 11)
+    bd = row.breakdown
+    assert bd == tuple(bd.as_dict().values()) and list(bd.as_dict()) == list(bd._fields)
+    assert bd[0] == bd.genus == 11 and bd[-1] == bd.upper_simplified
+    assert row == (bd, None, None, "listed regime: bounded above by g")
+
+
+def test_table_form_is_validated_and_changes_no_row():
+    assert table(2, 40, "exact") == table(2, 40, "simplified")
+    with pytest.raises(ValueError, match="form must be one of"):
+        table(2, 3, "bogus")
 
 
 PER_GENUS_TERMS = [

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -207,6 +210,48 @@ def test_table_csv_and_json_both_written(tmp_path, capsys):
         assert run(capsys, "table", "--from", "2", "--to", "3",
                    flag, str(alone / path.name)) == (0, "", "")
         assert path.read_bytes() == (alone / path.name).read_bytes()
+
+
+def _golden_commands():
+    """The table and bound command lines whose output bytes are frozen."""
+    windows = [(("--from", str(lo), "--to", str(hi)),)
+               for lo, hi in ((2, 3580), (9, 12), (3570, 3590))]
+    windows += [(("--from", str(2**53 - 20), "--to", str(2**53)), ("--area", area))
+                for area in ("e4pi", "c36")]
+    for window in windows:
+        flags = sum(window, ())
+        for out in ((), ("--csv", "t.csv"), ("--json", "t.json")):
+            yield ("table",) + flags + out
+    for genus in (2, 11, 3580, 2**53):
+        for flags in ((), ("--form", "simplified", "--area", "e4pi")):
+            for out in ((), ("--json",)):
+                yield ("bound", "--genus", str(genus)) + flags + out
+
+
+def cli_digests(workdir: pathlib.Path) -> dict:
+    """SHA-256 of stdout, stderr and each written file, per command line."""
+    digests = {}
+    for argv in _golden_commands():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(workdir / a) if a.startswith("t.") else a for a in argv])
+        entry = {"exit": code}
+        for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
+            entry[name] = hashlib.sha256(text.encode()).hexdigest()
+        for name in argv:
+            if name.startswith("t."):
+                entry[name] = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                (workdir / name).unlink()
+        digests[" ".join(argv)] = entry
+    return digests
+
+
+def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
+    # Frozen before the genus pipeline computed its two logs once; windows
+    # cross the 10/11 and 3579/3580 annotation changes and end at 2**53.
+    golden = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
+    assert cli_digests(tmp_path) == golden
 
 
 def test_table_unwritable_path(capsys):
