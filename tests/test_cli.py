@@ -213,7 +213,7 @@ def test_table_csv_and_json_both_written(tmp_path, capsys):
 
 
 def _golden_commands():
-    """The table and bound command lines whose output bytes are frozen."""
+    """The command lines whose output bytes are frozen."""
     windows = [(("--from", str(lo), "--to", str(hi)),)
                for lo, hi in ((2, 3580), (9, 12), (3570, 3590))]
     windows += [(("--from", str(2**53 - 20), "--to", str(2**53)), ("--area", area))
@@ -226,6 +226,14 @@ def _golden_commands():
         for flags in ((), ("--form", "simplified", "--area", "e4pi")):
             for out in ((), ("--json",)):
                 yield ("bound", "--genus", str(genus)) + flags + out
+    yield ("verify-claims",)
+    yield ("verify-claims", "--only", "CL-05,CL-12")
+    yield ("verify-claims", "--strict", "--json", "t.json")
+    yield ("elliptic", "--tau", "0.3,1.7")
+    yield ("elliptic", "--tau", "0.3,1.7", "--json")
+    for tau in ("0.3,1.7", "0.5,0.8660254037844386"):
+        for method in ("closed", "oracle", "both"):
+            yield ("torus-det", "--tau", tau, "--method", method)
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
