@@ -15,9 +15,10 @@ The pipeline assembles, per genus:
 with a(g) = -8g log 2pi + (1-g) K, K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2,
 and asymptotic slope kappa = log(2 pi^4)/3 - (4/3) log 2pi - K/6 ~= 0.5474277.
 Also the genus-0 determinant value, the Faltings-vs-Quillen gap corollary in
-both printed and re-derived readings, and the small-genus reference table.
-Every per-genus function takes a genus or a numpy array of genera; an array
-goes through the same expression and equals the scalar values element-wise.
+its printed reading, and the small-genus reference table.  Every per-genus
+function takes a genus or a numpy array of genera; an array goes through the
+same expression and equals the scalar values element-wise.  The single terms
+are fields of upper_bound_logdet's breakdown.
 """
 
 from __future__ import annotations
@@ -106,17 +107,8 @@ def k_const() -> float:
     return -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
 
 
-def _a(g):
-    return -8.0 * g * LN_2PI + (1.0 - g) * k_const()
-
-
 def _wilms(g):
     return -2.0 * g * LN_2PI4
-
-
-def a_of_g(g):
-    """a(g) = -8 g log 2pi + (1 - g) K, defined for g >= 0."""
-    return _a(_genera(g, 0))
 
 
 def wilms_lower(g):
@@ -147,9 +139,6 @@ class BoundBreakdown(NamedTuple):
     upper_exact: float
     upper_simplified: float
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -> BoundBreakdown:
     """Assembled upper bound on log det(D_Ar) with the full term breakdown.
@@ -170,7 +159,7 @@ def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -
     heat = (1.0 - 1.0 / gf) * _E1_QUARTER
     csel = -4.0 * log_n
     area = _AREA_HEAD[area_variant] + log_g1 + tail
-    a_g = _a(gf)
+    a_g = -8.0 * gf * LN_2PI + (1.0 - gf) * k_const()
     k6 = k_const() / 6.0
     e_refined = 1.0 / (gf - 1.0) + log_g1 + tail + k6 + REFINED_E_CONSTANT
     return BoundBreakdown(
@@ -181,37 +170,6 @@ def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -
         _LN_36 + log_g1 + tail + k6, e_refined,
         LN_2PI4 / 3.0 * gf + a_g / 6.0 + area, 0.56 * gf + e_refined,
     )
-
-
-def heat_term(g):
-    """4 pi (1 - 1/g) * heat_integral = (1 - 1/g) E1(1/4), g >= 2."""
-    return upper_bound_logdet(g).heat_term
-
-
-def csel_lower(g):
-    """Selberg-constant lower bound -4 log(1366 (g-1)), g >= 2."""
-    return upper_bound_logdet(g).csel_lower
-
-
-def metric_ratio_bound(g, form: str = "exact"):
-    """Upper bound on log(mu_Ar/mu_hyp).
-
-    exact:      heat_term(g) - csel_lower(g)/(g(g-1)) + 1/(g-1) - log 4
-    simplified: 1 + 4 log(1366(g-1))/(g(g-1))
-    exact <= simplified for all g >= 2.
-    """
-    bd = upper_bound_logdet(g, form)
-    return bd.metric_ratio_bound_exact if form == "exact" else bd.metric_ratio_bound_simplified
-
-
-def log_area_bound(g, variant: str = "c36"):
-    """log of the Arakelov-area bound, g >= 2.
-
-    e4pi: 1 + log(4 pi) + log(g-1) + (4/(g(g-1))) log(1366(g-1))
-    c36:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1))
-    e4pi < c36 since 4 pi e ~= 34.16 < 36.
-    """
-    return upper_bound_logdet(g, "exact", variant).log_area_bound
 
 
 def e_of_g(g, variant: str = "refined"):
@@ -234,7 +192,7 @@ def e_of_g(g, variant: str = "refined"):
 def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
     """Assembled upper bound on log det(D_Ar), g >= 2.
 
-    exact:      (log(2 pi^4)/3) g + a(g)/6 + log_area_bound(g, area_variant)
+    exact:      (log(2 pi^4)/3) g + a(g)/6 + log Area(g, area_variant)
     simplified: 0.56 g + E_refined(g)       (display-form constant 0.56;
                 area_variant is not used)
     """
@@ -255,19 +213,16 @@ def fq_gap_coefficients(reading: str = "as_stated") -> tuple[float, float]:
     "as_stated" reproduces the printed corollary: the slope is the printed
     symbolic sum evaluated with the printed rounding of 4 zeta'(-1) (that
     rounding is what yields the published 16-digit slope); the constant is
-    the printed symbolic constant C at full precision.  "derivation" follows
-    the algebraic chain -2 log 2pi - a(g)/6 - (g/3) log(2 pi^4), giving
-    slope -kappa and the same constant (they provably coincide).
+    the printed symbolic constant C at full precision.  "as_stated" is the
+    only reading.
     """
-    if reading == "as_stated":
-        slope = ((4.0 / 3.0) * LN_2PI - LN_2PI4 / 3.0 + PAPER_FOUR_ZETA_PRIME
-                 - 1.0 / 6.0 + LN_2PI + math.log(2.0) / 3.0)
-        const = (-LN_2PI + 4.0 * zeta_prime_minus1() - 1.0 / 6.0
-                 + math.log(2.0) / 3.0)
-        return slope, const
-    if reading == "derivation":
-        return -kappa(), -2.0 * LN_2PI - k_const() / 6.0
-    raise ValueError("reading must be 'as_stated' or 'derivation'")
+    if reading != "as_stated":
+        raise ValueError("reading must be 'as_stated'")
+    slope = ((4.0 / 3.0) * LN_2PI - LN_2PI4 / 3.0 + PAPER_FOUR_ZETA_PRIME
+             - 1.0 / 6.0 + LN_2PI + math.log(2.0) / 3.0)
+    const = (-LN_2PI + 4.0 * zeta_prime_minus1() - 1.0 / 6.0
+             + math.log(2.0) / 3.0)
+    return slope, const
 
 
 class TableRow(NamedTuple):

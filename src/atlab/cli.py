@@ -17,11 +17,18 @@ import csv
 import json
 import math
 import operator
+import re
 import signal
 import sys
 
 from . import bounds, elliptic
 from .numerics import ConvergenceError, UpperHalfPoint
+
+# One coordinate of --tau: an ASCII decimal literal, or an inf/nan spelling
+# for the finiteness check to name.  float() alone also takes 1_0 and
+# non-ASCII digits.
+_TAU_PART = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                       r"|inf(?:inity)?|nan)", re.IGNORECASE)
 
 TABLE_COLUMNS = (
     "genus", "heat_term", "csel_lower", "log_area_bound", "a_g",
@@ -39,12 +46,9 @@ def _fmt(value) -> str:
 
 def _parse_tau(text: str, parser: argparse.ArgumentParser) -> UpperHalfPoint:
     parts = text.split(",")
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(map(_TAU_PART.fullmatch, parts)):
         parser.error(f"--tau must be 'x,y' with two decimal literals, got {text!r}")
-    try:
-        x, y = float(parts[0]), float(parts[1])
-    except ValueError:
-        parser.error(f"--tau must be 'x,y' with two decimal literals, got {text!r}")
+    x, y = float(parts[0]), float(parts[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         parser.error(f"--tau requires finite x and y, got {text!r}")
     if y <= 0.0:
@@ -59,14 +63,14 @@ def _cmd_bound(args, parser) -> int:
     bd = bounds.upper_bound_logdet(args.genus, args.form, args.area)
     headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
     if args.json:
-        payload = bd.as_dict()
+        payload = bd._asdict()
         payload["form"] = args.form
         payload["upper_bound"] = headline
         print(json.dumps(payload, indent=2))
         return 0
     print(f"genus {bd.genus} upper bound on log det ({args.form}, {args.area}): "
           f"{_fmt(headline)}")
-    for key, value in bd.as_dict().items():
+    for key, value in bd._asdict().items():
         if key == "genus":
             continue
         print(f"  {key:30s} {_fmt(value)}")
@@ -201,12 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ell = sub.add_parser("elliptic", help="genus-1 Arakelov quantities at tau")
     p_ell.add_argument("--tau", required=True, metavar="X,Y",
-                       help="tau = x + iy as two decimals 'x,y' (y > 0)")
+                       help="tau = x + iy as two decimals 'x,y' (y > 0); "
+                            "write --tau=X,Y when x is negative")
     p_ell.add_argument("--json", action="store_true")
 
     p_det = sub.add_parser("torus-det", help="flat-torus log determinant")
     p_det.add_argument("--tau", required=True, metavar="X,Y",
-                       help="tau = x + iy as two decimals 'x,y' (y > 0)")
+                       help="tau = x + iy as two decimals 'x,y' (y > 0); "
+                            "write --tau=X,Y when x is negative")
     p_det.add_argument("--method", choices=("closed", "oracle", "both"),
                        default="both")
     p_det.add_argument("--tol", type=float, default=1e-6,

@@ -9,11 +9,11 @@ double precision:
   handful of product terms reach any sensible tolerance.  tau may also be
   an array of points: the same steps then run element-wise through numpy and
   give exactly the scalar values (a Python-float tau never loads numpy).
-* The exponential integral E1(x) = int_x^inf e^(-u)/u du, by alternating
-  series for x <= 1 and a Lentz-evaluated continued fraction for x > 1.
-* The s-derivative zeta'(s) of the Riemann zeta function (downstream needs
-  only zeta'(-1)), by differentiating every term of its Euler-Maclaurin
-  summation analytically (never by finite differences).
+* The exponential integral E1(x) = int_x^inf e^(-u)/u du on 0 < x <= 1, by
+  its alternating series (downstream needs only E1(1/4)).
+* The s-derivative zeta'(s) of the Riemann zeta function on -2 <= s <= 0
+  (downstream needs only zeta'(-1)), by differentiating every term of its
+  Euler-Maclaurin summation analytically (never by finite differences).
 * Assorted exact constants.
 
 All functions are pure and deterministic, and run to the fixed truncations
@@ -37,7 +37,7 @@ _REDUCTION_MAX_STEPS = 64
 _QSERIES_MAX_TERMS = 200_000
 REDUCTION_SLACK = 1e-12  # invert only where |tau|^2 < 1 - REDUCTION_SLACK
 QSERIES_TAIL_TOL = 1e-16  # the q-product stops once its tail is below this
-EM_CUTOFF, EM_ORDER = 50, 8  # Euler-Maclaurin direct-sum length N and Bernoulli terms
+EM_CUTOFF, EM_ORDER = 12, 12  # Euler-Maclaurin direct-sum length N and Bernoulli terms
 TAU_Y_MAX = sys.float_info.max / math.pi  # largest y with pi y (log|eta|'s -pi y/12) finite
 
 
@@ -236,39 +236,21 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
 
 
 def exp_integral_e1(x: float) -> float:
-    """E1(x) = int_x^inf e^(-u)/u du for x > 0, relative error ~1e-14.
+    """E1(x) = int_x^inf e^(-u)/u du for 0 < x <= 1, relative error ~1e-14:
 
-    x <= 1: E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!).
-    x  > 1: E1(x) = e^(-x) / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
-            evaluated by the modified Lentz algorithm.
+    E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!).
+
+    Raises ValueError for any other x (NaN and inf included).
     """
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError("exp_integral_e1 requires x > 0")
-    if x <= 1.0:
-        total = term = x
-        k = 1
-        while abs(term) > 1e-18 * abs(total):
-            k += 1
-            term *= -x * (k - 1) / (k * k)
-            total += term
-        return -EULER_GAMMA - math.log(x) + total
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x) * h
-    raise ConvergenceError("continued fraction for E1 did not converge")
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"exp_integral_e1 requires 0 < x <= 1, got x = {x!r}")
+    total = term = x
+    k = 1
+    while abs(term) > 1e-18 * abs(total):
+        k += 1
+        term *= -x * (k - 1) / (k * k)
+        total += term
+    return -EULER_GAMMA - math.log(x) + total
 
 
 @lru_cache(maxsize=8)
@@ -283,31 +265,22 @@ def _even_bernoulli(count: int) -> tuple[float, ...]:
     return tuple(float(bern[2 * j]) for j in range(1, count + 1))
 
 
-def _em_parameters(s: float) -> tuple[int, int]:
-    # For s < 0.5 the partial sums grow like N^(1-s); a long direct sum then
-    # costs ~N^(1-s) ulp of cancellation, so shrink N and deepen the tail.
-    if s < 0.5:
-        return max(12, EM_CUTOFF // 4), EM_ORDER + 4
-    return EM_CUTOFF, EM_ORDER
-
-
 def zeta_em_deriv(s: float) -> float:
     """zeta'(s) by analytic differentiation, term by term, of Euler-Maclaurin
 
     zeta(s) = sum_{n=1}^{N} n^-s + N^(1-s)/(s-1) - N^-s/2
               + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} N^(1-s-2j),
 
-    N = EM_CUTOFF and M = EM_ORDER (N / 4 and M + 4 for s < 0.5).  The
-    Pochhammer derivative is the product-rule sum over dropped factors,
-    which stays exact when some factor s + i vanishes (e.g. s = -1, 0).
-    Absolute error <= 1e-12 on -2 <= s <= 4; raises ValueError outside that
-    range and for |s - 1| < 0.1 (the pole of zeta).
+    N = EM_CUTOFF and M = EM_ORDER.  The partial sums grow like N^(1-s), and
+    a long direct sum costs ~N^(1-s) ulp of cancellation, hence the short N
+    and deep tail.  The Pochhammer derivative is the product-rule sum over
+    dropped factors, which stays exact when some factor s + i vanishes
+    (e.g. s = -1, 0).  Absolute error <= 1e-12 on -2 <= s <= 0; raises
+    ValueError outside that range.
     """
-    if not -2.0 <= s <= 4.0:
-        raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 4, got s = {s!r}")
-    if abs(s - 1.0) < 0.1:
-        raise ValueError("zeta_em_deriv requires |s - 1| >= 0.1")
-    n_cut, order = _em_parameters(s)
+    if not -2.0 <= s <= 0.0:
+        raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 0, got s = {s!r}")
+    n_cut, order = EM_CUTOFF, EM_ORDER
     bern = _even_bernoulli(order)
     ln_n = math.log(n_cut)
     terms = [-math.log(n) * float(n) ** (-s) for n in range(2, n_cut + 1)]

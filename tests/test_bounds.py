@@ -1,6 +1,6 @@
 """Genus-bound pipeline: per-term values, assembled bounds, sweeps, and the
-two corollary readings.  Frozen digits from 30-decimal evaluation of the
-printed formulas."""
+two corollary readings (the derivation reading is computed here).  Frozen
+digits from 30-decimal evaluation of the printed formulas."""
 
 from __future__ import annotations
 
@@ -19,18 +19,13 @@ from atlab.bounds import (
     REFINED_E_CONSTANT,
     BoundBreakdown,
     TableRow,
-    a_of_g,
     assembled_bound,
-    csel_lower,
     e_of_g,
     fq_gap_coefficients,
     genus0_det,
     heat_integral,
-    heat_term,
     k_const,
     kappa,
-    log_area_bound,
-    metric_ratio_bound,
     table,
     upper_bound_logdet,
     wilms_lower,
@@ -73,63 +68,62 @@ def test_heat_integral_bracket():
 
 
 def test_heat_term():
-    assert abs(heat_term(2) - HEAT_TERM_2) < 1e-12
-    assert abs(heat_term(10**9) - 1.0442826344437382) < 1e-8  # factor -> 1
-    assert abs(heat_term(3) / (4.0 * math.pi * (1 - 1 / 3)) - heat_integral()) < 1e-15
+    assert abs(upper_bound_logdet(2).heat_term - HEAT_TERM_2) < 1e-12
+    assert abs(upper_bound_logdet(10**9).heat_term - 1.0442826344437382) < 1e-8  # factor -> 1
+    assert abs(upper_bound_logdet(3).heat_term / (4.0 * math.pi * (1 - 1 / 3))
+               - heat_integral()) < 1e-15
     with pytest.raises(ValueError):
-        heat_term(1)
+        upper_bound_logdet(1)
 
 
 def test_csel_lower():
-    assert abs(csel_lower(2) - CSEL_2) < 1e-11
-    assert abs(csel_lower(1367) - 2.0 * csel_lower(2)) < 1e-10  # -8 log 1366
-    values = [csel_lower(g) for g in range(2, 40)]
+    csel_2 = upper_bound_logdet(2).csel_lower
+    assert abs(csel_2 - CSEL_2) < 1e-11
+    assert abs(upper_bound_logdet(1367).csel_lower - 2.0 * csel_2) < 1e-10  # -8 log 1366
+    values = upper_bound_logdet(np.arange(2, 40)).csel_lower.tolist()
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
-        csel_lower(0)
+        upper_bound_logdet(0)
 
 
 def test_metric_ratio_bound():
-    assert abs(metric_ratio_bound(2, "exact") - MRB_EXACT_2) < 1e-11
-    assert abs(metric_ratio_bound(2, "simplified") - MRB_SIMPLIFIED_2) < 1e-11
-    with pytest.raises(ValueError):
-        metric_ratio_bound(2, "bogus")
-    with pytest.raises(ValueError):
-        metric_ratio_bound(1)
+    bd = upper_bound_logdet(2)
+    assert abs(bd.metric_ratio_bound_exact - MRB_EXACT_2) < 1e-11
+    assert abs(bd.metric_ratio_bound_simplified - MRB_SIMPLIFIED_2) < 1e-11
 
 
 def test_metric_ratio_exact_below_simplified_sweep():
-    for g in range(2, 5001):
-        assert metric_ratio_bound(g, "exact") <= metric_ratio_bound(g, "simplified")
+    bd = upper_bound_logdet(np.arange(2, 5001))
+    assert (bd.metric_ratio_bound_exact <= bd.metric_ratio_bound_simplified).all()
 
 
 def test_metric_ratio_large_g_limit():
     # exact -> E1(1/4) - log 4 ~= -0.342012
-    assert abs(metric_ratio_bound(10**7, "exact") - (-0.34201172667615242)) < 1e-6
+    assert abs(upper_bound_logdet(10**7).metric_ratio_bound_exact
+               - (-0.34201172667615242)) < 1e-6
 
 
 def test_log_area_bound():
-    assert abs(log_area_bound(2, "c36") - LA_C36_2) < 1e-11
-    assert abs(log_area_bound(2, "e4pi") - LA_E4PI_2) < 1e-11
-    assert abs(log_area_bound(10, "c36") - LA_C36_10) < 1e-11
+    assert abs(upper_bound_logdet(2, "exact", "c36").log_area_bound - LA_C36_2) < 1e-11
+    assert abs(upper_bound_logdet(2, "exact", "e4pi").log_area_bound - LA_E4PI_2) < 1e-11
+    assert abs(upper_bound_logdet(10).log_area_bound - LA_C36_10) < 1e-11
     with pytest.raises(ValueError):
-        log_area_bound(2, "bogus")
-    with pytest.raises(ValueError):
-        log_area_bound(1)
+        upper_bound_logdet(2, "exact", "bogus")
 
 
 def test_log_area_e4pi_below_c36_sweep():
     # 4 pi e ~= 34.159 < 36, so e4pi is the tighter chain everywhere.
-    for g in range(2, 5001):
-        assert log_area_bound(g, "e4pi") < log_area_bound(g, "c36")
+    genera = np.arange(2, 5001)
+    assert (upper_bound_logdet(genera, "exact", "e4pi").log_area_bound
+            < upper_bound_logdet(genera, "exact", "c36").log_area_bound).all()
 
 
 def test_k_const_and_a_of_g():
     assert abs(k_const() - K_CONST) < 1e-12
-    assert abs(a_of_g(1) - A_1) < 1e-12
-    assert abs(a_of_g(2) - A_2) < 1e-12
-    with pytest.raises(ValueError):
-        a_of_g(-1)
+    # a(g) = -8 g log 2pi + (1 - g) K at g = 1, a genus the pipeline refuses
+    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * k_const()
+    assert abs(a_1 - A_1) < 1e-12
+    assert abs(upper_bound_logdet(2).a_g - A_2) < 1e-12
 
 
 def test_wilms_lower():
@@ -207,7 +201,9 @@ def test_genus0_det():
 
 def test_fq_gap_readings():
     slope_a, const_a = fq_gap_coefficients("as_stated")
-    slope_d, const_d = fq_gap_coefficients("derivation")
+    # The derivation reading follows the algebraic chain
+    # -2 log 2pi - a(g)/6 - (g/3) log(2 pi^4): slope -kappa, constant below.
+    slope_d, const_d = -kappa(), -2.0 * LN_2PI - k_const() / 6.0
     assert abs(slope_a - SLOPE_AS_STATED) < 1e-12
     assert abs(const_a - CONST_AS_STATED) < 1e-12
     assert abs(slope_a - 1.933722) <= 1e-5
@@ -218,8 +214,9 @@ def test_fq_gap_readings():
     # The printed constant and the derivation constant provably coincide.
     assert abs(const_a - const_d) <= 1e-9
     assert abs(slope_d + const_d - FQ_DERIVATION_G1) < 1e-11  # the derivation bound at g = 1
-    with pytest.raises(ValueError):
-        fq_gap_coefficients("bogus")
+    for reading in ("bogus", "derivation"):
+        with pytest.raises(ValueError, match="as_stated"):
+            fq_gap_coefficients(reading)
 
 
 def test_table_reference_rows():
@@ -296,7 +293,7 @@ def _python_int_breakdown(g: int, area: str) -> dict:
 def test_large_genus_breakdown_equals_python_int_formula(g, area):
     expected = _python_int_breakdown(g, area)
     for form in BOUND_FORMS:
-        assert upper_bound_logdet(g, form, area).as_dict() == expected
+        assert upper_bound_logdet(g, form, area)._asdict() == expected
     # The same genera as an int64 array must not wrap in g * (g - 1).
     columns = upper_bound_logdet(np.array(LARGE_GENERA), "exact", area)
     i = LARGE_GENERA.index(g)
@@ -311,7 +308,7 @@ def test_table_rows_equal_scalar_breakdowns(form, area):
     rows = table(2, 3729, form, area)
     assert [row.breakdown for row in rows] == [
         upper_bound_logdet(g, form, area) for g in range(2, 3730)]
-    last = rows[-1].breakdown.as_dict()
+    last = rows[-1].breakdown._asdict()
     assert all(type(v) in (int, float, str) for v in last.values())
 
 
@@ -346,7 +343,7 @@ def test_rows_are_named_tuples():
     assert TableRow._fields == ("breakdown", "paper_value", "delta", "annotation")
     (row,) = table(11, 11)
     bd = row.breakdown
-    assert bd == tuple(bd.as_dict().values()) and list(bd.as_dict()) == list(bd._fields)
+    assert bd == tuple(bd._asdict().values()) and list(bd._asdict()) == list(bd._fields)
     assert bd[0] == bd.genus == 11 and bd[-1] == bd.upper_simplified
     assert row == (bd, None, None, "listed regime: bounded above by g")
 
@@ -357,10 +354,18 @@ def test_table_form_is_validated_and_changes_no_row():
         table(2, 3, "bogus")
 
 
+def _field(name, area="c36"):
+    """The selector g -> upper_bound_logdet(g, "exact", area).<name>."""
+    return lambda g: getattr(upper_bound_logdet(g, "exact", area), name)
+
+
 PER_GENUS_TERMS = [
-    (heat_term, 2), (csel_lower, 2), (lambda g: metric_ratio_bound(g, "exact"), 2),
-    (lambda g: metric_ratio_bound(g, "simplified"), 2),
-    (lambda g: log_area_bound(g, "e4pi"), 2), (log_area_bound, 2), (a_of_g, 0),
+    pytest.param(_field("heat_term"), 2, id="heat_term-2"),
+    pytest.param(_field("csel_lower"), 2, id="csel_lower-2"),
+    (_field("metric_ratio_bound_exact"), 2), (_field("metric_ratio_bound_simplified"), 2),
+    (_field("log_area_bound", "e4pi"), 2),
+    pytest.param(_field("log_area_bound"), 2, id="log_area_bound-2"),
+    pytest.param(_field("a_g"), 2, id="a_g-2"),
     (wilms_lower, 1), (lambda g: e_of_g(g, "simple"), 2), (e_of_g, 2),
     (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
 ]
@@ -382,16 +387,16 @@ def test_bad_genera_in_arrays_raise():
     with pytest.raises(ValueError):
         e_of_g(np.array([1, 5]))
     with pytest.raises(ValueError):
-        heat_term(np.array([3, 2, 0]))
+        upper_bound_logdet(np.array([3, 2, 0]))
     with pytest.raises(ValueError):
-        a_of_g(np.array([4, -1]))
+        upper_bound_logdet(np.array([4, -1]))
     with pytest.raises(ValueError):
         wilms_lower(np.array([0]))
     with pytest.raises(ValueError):
         upper_bound_logdet(np.array([2, 1]))
     # Beyond 2**53 float64 cannot hold g and g - 1 exactly.
     with pytest.raises(ValueError):
-        csel_lower(np.array([5, 2**53 + 1], dtype=np.uint64))
+        upper_bound_logdet(np.array([5, 2**53 + 1], dtype=np.uint64))
     with pytest.raises(ValueError):
         upper_bound_logdet(2**53 + 1)
     with pytest.raises(ValueError):
@@ -399,7 +404,7 @@ def test_bad_genera_in_arrays_raise():
     with pytest.raises(ValueError):
         table(2**53 - 1, 2**53 + 1)
     with pytest.raises(ValueError):
-        heat_term(np.array(["3"]))
+        upper_bound_logdet(np.array(["3"]))
 
 
 @pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)

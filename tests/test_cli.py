@@ -257,6 +257,9 @@ def cli_digests(workdir: pathlib.Path) -> dict:
 def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # Frozen before the genus pipeline computed its two logs once; windows
     # cross the 10/11 and 3579/3580 annotation changes and end at 2**53.
+    # The verify-claims, elliptic and torus-det lines were frozen before the
+    # E1 and zeta' kernels were cut to their used arguments; the report file's
+    # digest was refrozen after, for its "precision" block alone.
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden
@@ -328,6 +331,29 @@ def test_non_finite_tau_is_a_usage_error(capsys):
             code, out, err = run(capsys, command, f"--tau={tau}")
             assert code == 2, (command, tau)
             assert "finite" in err and out == ""
+
+
+def test_tau_takes_only_ascii_decimal_literals(capsys):
+    # float() alone would read 1_0 as 10, fullwidth or Arabic-Indic digits as
+    # ASCII ones, and strip surrounding whitespace.
+    for tau in ("1_0,1", "0.3,1_7", "\uff10.3,1.7", "0.3,\uff11", "\u0663,1", " 0.3,1.7",
+                "0.3,1.7\n", "0x1,1", "1e,1", "0.3;1.7", "0.3,1.7,1"):
+        for command in ("elliptic", "torus-det"):
+            code, out, err = run(capsys, command, f"--tau={tau}")
+            assert code == 2, (command, tau)
+            assert out == "" and "two decimal literals" in err
+    for tau in ("+0.3,+1.7", ".3,1.", "3e-1,17E-1", "-0.3,1.7"):
+        assert run(capsys, "elliptic", f"--tau={tau}")[0] == 0, tau
+
+
+def test_negative_x_needs_the_equals_form(capsys):
+    # argparse takes a lone "-0.3,1.7" for an option, so --tau needs "=".
+    code, out, _ = run(capsys, "torus-det", "--tau=-0.3,1.7")
+    assert code == 0 and out.startswith("logdet_closed")
+    assert run(capsys, "torus-det", "--tau", "-0.3,1.7")[0] == 2
+    for command in ("elliptic", "torus-det"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "write --tau=X,Y when x is negative" in " ".join(out.split())
 
 
 def test_genus_beyond_float64_range_is_a_usage_error(capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import atlab
-from atlab.bounds import a_of_g, wilms_lower
+from atlab.bounds import k_const, wilms_lower
 from atlab.elliptic import (
     arakelov_area,
     arakelov_logdet,
@@ -180,13 +180,14 @@ def test_faltings_delta_readings():
 
 
 def test_faltings_delta_is_wentworth_at_g1():
-    # elliptic writes a(1) as -8 log 2pi itself; the bounds pipeline's a(1)
-    # must give the same bits at every tau.
+    # elliptic writes a(1) as -8 log 2pi itself; the bounds formula
+    # a(g) = -8 g log 2pi + (1 - g) K at g = 1 must give the same bits at every tau.
+    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * k_const()
     rng = np.random.default_rng(20261018)
     xs, ys = rng.uniform(-3.0, 3.0, 1200), 10.0 ** rng.uniform(-4.0, 4.0, 1200)
     for tau in [TAU_I] + [UpperHalfPoint(float(x), float(y)) for x, y in zip(xs, ys)]:
         got = faltings_delta_elliptic(tau, "direct")
-        want = -6.0 * d_ar_elliptic(tau) + a_of_g(1)
+        want = -6.0 * d_ar_elliptic(tau) + a_1
         assert got == want, tau
 
 
