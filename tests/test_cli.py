@@ -234,6 +234,15 @@ def _golden_commands():
     for tau in ("0.3,1.7", "0.5,0.8660254037844386"):
         for method in ("closed", "oracle", "both"):
             yield ("torus-det", "--tau", tau, "--method", method)
+    # exit 2: usage and domain errors, their stderr included
+    yield ("elliptic", "--tau", "1_0,1")
+    yield ("elliptic", "--tau", "0,1e308")
+    yield ("bound", "--genus", "1")
+    yield ("table", "--from", "5", "--to", "2")
+    yield ("table", "--from", "2", "--to", "100002")
+    yield ("torus-det", "--tau=0.3,1e-5", "--method", "oracle")
+    yield ("torus-det", "--tau", "0.3,1.7", "--tol", "0")
+    yield ("verify-claims", "--only", "CL-99")
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
