@@ -34,7 +34,7 @@ AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
 MAX_GENUS = 2**53  # float64 holds every genus up to here, and g - 1, exactly
 # At the limit (2-vCPU x86-64): bounds.table ~0.5 s, 112 MB peak RSS; `atlab table`
-# with --csv and --json ~4.6 s, 138 MB peak.  Memory grows linearly with rows.
+# with --csv and --json ~2.9 s, 112 MB peak.  Memory grows linearly with rows.
 MAX_TABLE_ROWS = 100_000
 
 # Reference upper bounds listed for small genus in the audited source

@@ -37,15 +37,14 @@ Forensic notes baked into the expectations:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bounds, elliptic, torus
+from ._jsontext import array_text, leaf_texts, object_writer
 from .numerics import (
     EM_CUTOFF,
     EM_ORDER,
@@ -73,8 +72,7 @@ SWEEP_G_RANGE = range(11, 3581)
 ASYMPTOTE_SAMPLES = (3580, 10_000, 100_000)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A registered assertion plus the recipe to recompute it.
 
     A claim with a float `claimed` and a `tolerance` computes its value only;
@@ -91,9 +89,8 @@ class Claim:
     status_override: str | None = None  # ASSUMED / AMBIGUOUS claims
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
-    """One evaluated claim, as serialized into the report."""
+class ClaimRecord(NamedTuple):
+    """One evaluated claim, as serialized into the report (its _asdict())."""
 
     id: str
     location: str
@@ -104,18 +101,30 @@ class ClaimRecord:
     delta: float | None
     status: str
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+_SUMMARY_KEYS = tuple(status.lower() for status in STATUSES)
+_PRECISION_KEYS = ("rel_tol", "series_tail_tol", "em_cutoff", "em_order", "lattice_tail_tol")
+_REPORT_KEYS = ("precision", "claims", "summary", "warnings")
+_write_precision = object_writer(_PRECISION_KEYS, 1)
+_write_records = object_writer(ClaimRecord._fields, 2)
+_write_summary = object_writer(_SUMMARY_KEYS, 1)
+_write_report = object_writer(_REPORT_KEYS, 0)
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+def _precision() -> tuple:
+    """The oracle's quadrature tolerance and the fixed truncations, in
+    _PRECISION_KEYS order (read at call time: tests vary the tolerance)."""
+    return (torus.ORACLE_REL_TOL, QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER,
+            torus.LATTICE_TAIL_TOL)
+
+
+class ClaimReport(NamedTuple):
     records: tuple[ClaimRecord, ...]
     warnings: tuple[str, ...]
 
     @property
     def summary(self) -> dict:
-        counts = {status.lower(): 0 for status in STATUSES}
+        counts = dict.fromkeys(_SUMMARY_KEYS, 0)
         for rec in self.records:
             counts[rec.status.lower()] += 1
         return counts
@@ -129,17 +138,31 @@ class ClaimReport:
 
     def as_dict(self) -> dict:
         return {
-            # the oracle's quadrature tolerance and the fixed truncations
-            "precision": {"rel_tol": torus.ORACLE_REL_TOL,
-                          "series_tail_tol": QSERIES_TAIL_TOL, "em_cutoff": EM_CUTOFF,
-                          "em_order": EM_ORDER, "lattice_tail_tol": torus.LATTICE_TAIL_TOL},
-            "claims": [rec.as_dict() for rec in self.records],
+            "precision": dict(zip(_PRECISION_KEYS, _precision())),
+            "claims": [rec._asdict() for rec in self.records],
             "summary": self.summary,
             "warnings": list(self.warnings),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """json.dumps(self.as_dict(), indent=2), byte for byte: every scalar
+        leaf is encoded in one C-encoder call and joined under fixed key
+        lines (see _jsontext)."""
+        leaves = list(_precision())
+        for rec in self.records:
+            leaves += rec
+        leaves += self.summary.values()
+        leaves += self.warnings
+        texts = leaf_texts(leaves)
+        p = len(_PRECISION_KEYS)
+        r = p + len(ClaimRecord._fields) * len(self.records)
+        s = r + len(_SUMMARY_KEYS)
+        return _write_report([
+            *_write_precision(texts[:p]),
+            array_text(_write_records(texts[p:r]), 1),
+            *_write_summary(texts[r:s]),
+            array_text(texts[s:], 1),
+        ])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +240,8 @@ def _cl09():
 
 
 def _cl11():
-    g = np.array(ASYMPTOTE_SAMPLES)
-    excess = bounds.assembled_bound(g, "exact", "c36") - (bounds.PAPER_KAPPA * g + 1.0)
-    excesses = dict(zip(ASYMPTOTE_SAMPLES, excess.tolist()))
+    excesses = {g: bounds.assembled_bound(g, "exact", "c36") - (bounds.PAPER_KAPPA * g + 1.0)
+                for g in ASYMPTOTE_SAMPLES}
     # The bound's slope is the true kappa, 2.83e-9 below the printed one, so the
     # excess ~ log(g-1) + const - 2.83e-9 g peaks near g = 3.6e8 (at ~ +20) and
     # crosses zero near g = 8.55e9: the reading fails from 3580 up to there.

@@ -20,8 +20,10 @@ import operator
 import re
 import signal
 import sys
+from functools import partial
 
 from . import bounds, elliptic
+from ._jsontext import dump_object_array
 from .numerics import ConvergenceError, UpperHalfPoint
 
 # One coordinate of --tau: an ASCII decimal literal, or an inf/nan spelling
@@ -29,6 +31,10 @@ from .numerics import ConvergenceError, UpperHalfPoint
 # non-ASCII digits.
 _TAU_PART = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
                        r"|inf(?:inity)?|nan)", re.IGNORECASE)
+
+# argparse wraps help and usage text to the terminal width (COLUMNS, or the
+# tty's); 78 is what it uses with neither, so the text never depends on them.
+_HelpFormatter = partial(argparse.HelpFormatter, width=78)
 
 TABLE_COLUMNS = (
     "genus", "heat_term", "csel_lower", "log_area_bound", "a_g",
@@ -139,8 +145,7 @@ def _cmd_table(args, parser) -> int:
     if args.json:
         try:
             with open(args.json, "w") as fh:
-                json.dump([dict(zip(TABLE_COLUMNS, rec)) for rec in _table_records(rows)],
-                          fh, indent=2)
+                dump_object_array(fh, TABLE_COLUMNS, _table_records(rows))
                 fh.write("\n")
         except OSError as exc:
             parser.error(f"cannot write {args.json}: {exc}")
@@ -194,22 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
             "Flat-torus determinants, genus-1 Arakelov invariants, effective "
             "log det bounds for g > 1, and the numeric claim audit."
         ),
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p_bound = sub.add_parser("bound", help="genus-g upper bound breakdown (g >= 2)")
+    p_bound = add_parser("bound", help="genus-g upper bound breakdown (g >= 2)")
     p_bound.add_argument("--genus", type=int, required=True)
     p_bound.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact")
     p_bound.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
     p_bound.add_argument("--json", action="store_true")
 
-    p_ell = sub.add_parser("elliptic", help="genus-1 Arakelov quantities at tau")
+    p_ell = add_parser("elliptic", help="genus-1 Arakelov quantities at tau")
     p_ell.add_argument("--tau", required=True, metavar="X,Y",
                        help="tau = x + iy as two decimals 'x,y' (y > 0); "
                             "write --tau=X,Y when x is negative")
     p_ell.add_argument("--json", action="store_true")
 
-    p_det = sub.add_parser("torus-det", help="flat-torus log determinant")
+    p_det = add_parser("torus-det", help="flat-torus log determinant")
     p_det.add_argument("--tau", required=True, metavar="X,Y",
                        help="tau = x + iy as two decimals 'x,y' (y > 0); "
                             "write --tau=X,Y when x is negative")
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--tol", type=float, default=1e-6,
                        help="with --method both, exit 1 if |difference| > tol")
 
-    p_table = sub.add_parser("table", help="per-genus bound table")
+    p_table = add_parser("table", help="per-genus bound table")
     p_table.add_argument("--from", dest="g_from", type=int, required=True)
     p_table.add_argument("--to", dest="g_to", type=int, required=True)
     p_table.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact",
@@ -228,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--csv", metavar="PATH")
     p_table.add_argument("--json", metavar="PATH")
 
-    p_claims = sub.add_parser("verify-claims", help="recompute the claim registry")
+    p_claims = add_parser("verify-claims", help="recompute the claim registry")
     p_claims.add_argument("--only", metavar="IDS",
                           help="comma-separated claim ids")
     p_claims.add_argument("--json", metavar="PATH")

@@ -224,15 +224,20 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     y of a few thousand).  An array tau gives an array of the same shape,
     equal element for element to the scalar values.
     """
-    if tau.is_array:
-        x, y = _reduce_array(tau.x.ravel(), tau.y.ravel())
-        qprod = _log_abs_qprod_array(x, y).reshape(tau.y.shape)
-        y = y.reshape(tau.y.shape)
-    else:
+    if not tau.is_array:
         x, y, *_ = _reduce(tau.x, tau.y)
-        qprod = log_abs_qprod(x, y)
-    val = -math.pi * y / 12.0 + qprod
-    return val + 0.25 * (libm(math.log, y) - libm(math.log, tau.y))
+        val = -math.pi * y / 12.0 + log_abs_qprod(x, y)
+        return val + 0.25 * (math.log(y) - math.log(tau.y))
+    import numpy as np
+    y0 = tau.y.ravel()
+    x, y = _reduce_array(tau.x.ravel(), y0)
+    val = -math.pi * y / 12.0 + _log_abs_qprod_array(x, y)
+    # Where the reduction left y alone the correction is 0.25 * 0.0 = +0.0,
+    # so only the elements it moved take their two logs.
+    moved = y != y0
+    correction = np.zeros_like(y)
+    correction[moved] = 0.25 * (libm(math.log, y[moved]) - libm(math.log, y0[moved]))
+    return (val + correction).reshape(tau.y.shape)
 
 
 def exp_integral_e1(x: float) -> float:

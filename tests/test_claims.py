@@ -132,6 +132,43 @@ def test_report_json_shape():
     assert json.loads(json.dumps(payload)) == payload
 
 
+# Scalar leaves the report writer must encode as json.dumps does.
+ODD_LEAVES = (math.nan, math.inf, -math.inf, -0.0, 0.0, None, 0, -7, 2**64, 1e-320,
+              True, "caf\u00e9 \u2264 \U0001d70b", "\x1f", "a\x1fb", ", ", '"q"',
+              "back\\slash", "new\nline\r\t", "", "{}", "[1, 2]", "\ud800")
+
+
+def hand_built_report(leaves, warnings):
+    """A ClaimReport whose records carry `leaves` in their first seven fields,
+    each with the next status of STATUSES."""
+    leaves = list(leaves) + [None] * (-len(leaves) % 7)
+    records = [claims.ClaimRecord(*leaves[i:i + 7], claims.STATUSES[i % 5])
+               for i in range(0, len(leaves), 7)]
+    return claims.ClaimReport(tuple(records), tuple(warnings))
+
+
+def test_report_json_is_the_indented_json_dumps_text():
+    reports = [run_all(), run_all(only=["CL-05", "CL-12"]), run_all(only=["CL-10-g2"]),
+               run_all(only=[]), hand_built_report(ODD_LEAVES, [w for w in ODD_LEAVES
+                                                               if isinstance(w, str)]),
+               hand_built_report(ODD_LEAVES[::-1], ()), hand_built_report((), ["only"])]
+    assert not reports[1].warnings and reports[2].warnings
+    for report in reports:
+        assert report.to_json() == json.dumps(report.as_dict(), indent=2)
+
+
+def test_claims_and_records_are_tuples():
+    claim = registry_by_id()["CL-05"]
+    assert claim == tuple(claim) and claim[0] == "CL-05"
+    assert claim.status_override is None
+    rec = evaluate(claim)
+    assert list(rec._asdict()) == ["id", "location", "quote", "kind", "claimed",
+                                   "computed", "delta", "status"]
+    assert rec == claims.ClaimRecord(*rec)
+    report = run_all(only=["CL-05"])
+    assert report == (report.records, report.warnings)
+
+
 def test_precision_threads_through(monkeypatch):
     monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-10)
     report = run_all(only=["CL-17"])

@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import atlab
-from atlab import torus
+from atlab import _jsontext, torus
 from atlab.cli import main
 
 
@@ -199,6 +199,20 @@ def test_table_json(tmp_path, capsys):
                                "paper_value", "delta"}
 
 
+def test_table_json_writer_is_json_dump_across_blocks(monkeypatch):
+    # Two records a block here, so 0..5 records cover no block, one, a full
+    # last block and a partial one; the leaves include text json must escape.
+    monkeypatch.setattr(_jsontext, "_BLOCK", 2)
+    keys = ("genus", "k\u00e9y", "quo\"te", "{x}")
+    leaves = [2, -0.0, float("nan"), float("inf"), None, "\x1f, \\\n", "\u2264", True]
+    for count in range(6):
+        records = [tuple(leaves[(i + k) % len(leaves)] for k in range(4)) for i in range(count)]
+        got, want = io.StringIO(), io.StringIO()
+        _jsontext.dump_object_array(got, keys, iter(records))
+        json.dump([dict(zip(keys, rec)) for rec in records], want, indent=2)
+        assert got.getvalue() == want.getvalue(), count
+
+
 def test_table_csv_and_json_both_written(tmp_path, capsys):
     csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
     code, out, err = run(capsys, "table", "--from", "2", "--to", "3",
@@ -363,6 +377,22 @@ def test_negative_x_needs_the_equals_form(capsys):
     for command in ("elliptic", "torus-det"):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0 and "write --tau=X,Y when x is negative" in " ".join(out.split())
+
+
+def test_help_and_usage_text_ignore_the_terminal_width(capsys, monkeypatch):
+    # argparse would wrap to COLUMNS (or the tty); the parser pins 78 columns.
+    argvs = [("--help",), ("elliptic", "--tau", "1_0,1")]
+    argvs += [(command, "--help") for command in
+              ("bound", "elliptic", "torus-det", "table", "verify-claims")]
+    outputs = []
+    for columns in ("30", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        outputs.append([run(capsys, *argv) for argv in argvs])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [code for code, _, _ in outputs[0]] == [0, 2, 0, 0, 0, 0, 0]
 
 
 def test_genus_beyond_float64_range_is_a_usage_error(capsys):

@@ -173,6 +173,28 @@ def test_scalar_eta_equals_the_value_through_the_reduced_point():
         assert log_abs_eta(tau).hex() == float(want).hex(), (x, y)
 
 
+def test_array_eta_takes_the_correction_logs_only_where_the_reduction_moved_y(monkeypatch):
+    # Where the reduction only shifts x (or does nothing), y' = y and the
+    # modular correction is 0.25 * 0.0: no log is taken for it.
+    evaluated = {}
+
+    def counting_libm(fn, x):
+        evaluated[fn] = evaluated.get(fn, 0) + np.size(x)
+        return libm(fn, x)
+    monkeypatch.setattr(numerics, "libm", counting_libm)
+    x = np.array([0.3, -2.2, 0.5, 7.25, -0.5, 0.0])
+    y = np.array([1.0, 1.5, 0.8660254037844386, 3.0, 1e4, 1.0])
+    got = log_abs_eta(UpperHalfPoint(x, y))
+    assert evaluated.get(math.log, 0) == 0 and evaluated[math.log1p] > 0
+    assert got.tolist() == [log_abs_eta(UpperHalfPoint(a, b)) for a, b in zip(x, y)]
+    # Two of these four are inverted: two logs each.
+    evaluated.clear()
+    x, y = np.array([0.3, 0.3, 0.1, 2.0]), np.array([0.5, 2.0, 0.01, 1.5])
+    got = log_abs_eta(UpperHalfPoint(x, y))
+    assert evaluated[math.log] == 4
+    assert got.tolist() == [log_abs_eta(UpperHalfPoint(a, b)) for a, b in zip(x, y)]
+
+
 def test_reduction_errors_keep_their_messages(monkeypatch):
     underflow = ("|tau|^2 underflows at reduction step 0.0 + 1e-300i: "
                  "tau is too close to the real axis")

@@ -1,6 +1,7 @@
 """Property tests (hypothesis): an array input gives exactly the scalar values,
 the determinant oracle meets the closed form and the metric scaling law, D_Ar
-is modular invariant, and the q-product inequality holds.
+is modular invariant, the q-product inequality holds, and the claims report's
+JSON writer gives json.dumps's indented text for any scalar leaves.
 
 Taus are drawn over the fundamental domain, its edges (|x| = 1/2 and the arc
 |tau| = 1), the corners y ~ 1e-4 and y ~ 1e4, and the strip |x| <= 3 around
@@ -10,13 +11,14 @@ deterministic, and keep no example database.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from atlab import bounds
+from atlab import bounds, claims
 from atlab.torus import UnitTorus, logdet_closed, logdet_oracle
 from atlab.elliptic import (
     arakelov_logdet,
@@ -119,3 +121,18 @@ def test_d_ar_is_modular_invariant(point):
 def test_qprod_lhs_stays_below_rhs(point):
     lhs, rhs = qprod_bound(UpperHalfPoint(*point))
     assert lhs <= rhs
+
+
+LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+          | st.text() | st.sampled_from(("\x1f", ", ", '"', "\\", "\n", "\ud800")))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(*[LEAVES] * 7, st.sampled_from(claims.STATUSES)), max_size=6),
+       st.lists(st.text() | st.just("\x1f"), max_size=4))
+def test_report_json_equals_indented_json_dumps(records, warnings):
+    # The one-pass writer is byte-identical to json.dumps(..., indent=2) for
+    # any scalar leaves: NaN, infinities, -0.0, big ints, any text.
+    report = claims.ClaimReport(tuple(claims.ClaimRecord(*r) for r in records),
+                                tuple(warnings))
+    assert report.to_json() == json.dumps(report.as_dict(), indent=2)
