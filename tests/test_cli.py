@@ -257,6 +257,13 @@ def _golden_commands():
     yield ("torus-det", "--tau=0.3,1e-5", "--method", "oracle")
     yield ("torus-det", "--tau", "0.3,1.7", "--tol", "0")
     yield ("verify-claims", "--only", "CL-99")
+    # the area underflow, a point near the cusp, the oracle's lowest y in the
+    # closed form, x far from 0, and a single bound with no other flag
+    yield ("elliptic", "--tau", "0,2000")
+    yield ("elliptic", "--tau=-0.4972609819432181,0.0010632024231741785", "--json")
+    yield ("torus-det", "--tau", "0,1e-4", "--method", "closed")
+    yield ("torus-det", "--tau", "1e308,1")
+    yield ("bound", "--genus", "77")
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
