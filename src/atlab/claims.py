@@ -387,8 +387,10 @@ def run_all(only: list[str] | None = None) -> ClaimReport:
     """Evaluate the registry (or the `only` subset) in id order.
 
     Deterministic: two runs serialize bit-identically.
-    Raises KeyError for unknown ids in `only`.
+    Raises KeyError for unknown ids in `only`, ValueError for an empty `only`.
     """
+    if only is not None and not only:
+        raise ValueError("only names no claim id")
     registry = builtin_registry()
     if only is not None:
         known = {c.id for c in registry}

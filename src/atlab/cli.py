@@ -8,13 +8,12 @@ CL-17 and CL-18 of `verify-claims`) runs to the fixed quadrature tolerance
 torus.ORACLE_REL_TOL = 1e-12, the closed forms to fixed truncations.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
+Start-up is most of a `bound` call, so each handler imports what only it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import operator
 import re
@@ -22,8 +21,7 @@ import signal
 import sys
 from functools import partial
 
-from . import bounds, elliptic
-from ._jsontext import dump_object_array
+from . import bounds
 from .numerics import ConvergenceError, UpperHalfPoint
 
 # One coordinate of --tau: an ASCII decimal literal, or an inf/nan spelling
@@ -69,6 +67,7 @@ def _cmd_bound(args, parser) -> int:
     bd = bounds.upper_bound_logdet(args.genus, args.form, args.area)
     headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
     if args.json:
+        import json
         payload = bd._asdict()
         payload["form"] = args.form
         payload["upper_bound"] = headline
@@ -84,6 +83,7 @@ def _cmd_bound(args, parser) -> int:
 
 
 def _cmd_elliptic(args, parser) -> int:
+    from . import elliptic
     tau = _parse_tau(args.tau, parser)
     logdet = elliptic.arakelov_logdet(tau)
     bound = elliptic.elliptic_upper_bound_log(tau)
@@ -97,6 +97,7 @@ def _cmd_elliptic(args, parser) -> int:
         "bound_slack": bound - logdet,
     }
     if args.json:
+        import json
         print(json.dumps(payload, indent=2))
         return 0
     for key, value in payload.items():
@@ -109,7 +110,8 @@ def _cmd_torus_det(args, parser) -> int:
     if not args.tol > 0.0:
         parser.error(f"--tol must be positive, got {args.tol}")
     if args.method == "closed":  # torus.logdet_closed, without loading torus and numpy
-        print(f"logdet_closed  {_fmt(elliptic.d_ar_elliptic(tau))}")
+        from .elliptic import d_ar_elliptic
+        print(f"logdet_closed  {_fmt(d_ar_elliptic(tau))}")
         return 0
     from . import torus
     if args.method == "oracle":
@@ -135,6 +137,7 @@ def _table_records(rows):
 def _cmd_table(args, parser) -> int:
     rows = bounds.table(args.g_from, args.g_to, args.form, args.area)
     if args.csv:
+        import csv
         try:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -143,6 +146,7 @@ def _cmd_table(args, parser) -> int:
         except OSError as exc:
             parser.error(f"cannot write {args.csv}: {exc}")
     if args.json:
+        from ._jsontext import dump_object_array
         try:
             with open(args.json, "w") as fh:
                 dump_object_array(fh, TABLE_COLUMNS, _table_records(rows))

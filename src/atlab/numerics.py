@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 EULER_GAMMA = 0.5772156649015328606
@@ -56,29 +55,21 @@ def libm(fn, x):
     return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     """A point tau = x + iy in the upper half-plane (y > 0), or an array of
     them: x and y as equal-shape float arrays, checked element-wise."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    @property
-    def is_array(self) -> bool:
-        return not isinstance(self.y, (int, float))
-
-    def __post_init__(self) -> None:
-        if isinstance(self.x, (int, float)) and not self.is_array:
-            finite = math.isfinite(self.x) and math.isfinite(self.y)
-            positive, bounded = self.y > 0.0, self.y <= TAU_Y_MAX
+    def __new__(cls, x, y):
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            finite = math.isfinite(x) and math.isfinite(y)
+            positive, bounded = y > 0.0, y <= TAU_Y_MAX
         else:
             import numpy as np
-            x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
             if x.shape != y.shape:
                 raise ValueError(f"tau needs x and y of one shape, got {x.shape} and {y.shape}")
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
             finite = np.isfinite(x).all() and np.isfinite(y).all()
             positive, bounded = (y > 0.0).all(), (y <= TAU_Y_MAX).all()
         if not finite:
@@ -87,6 +78,11 @@ class UpperHalfPoint:
             raise ValueError("tau must satisfy y > 0")
         if not bounded:
             raise ValueError(f"tau must satisfy y <= {TAU_Y_MAX!r} (pi y finite)")
+        return super().__new__(cls, x, y)
+
+    @property
+    def is_array(self) -> bool:
+        return not isinstance(self.y, (int, float))
 
     @property
     def q_abs(self) -> float:
@@ -98,18 +94,15 @@ class UpperHalfPoint:
             return libm(math.exp, -2.0 * math.pi * self.y)
 
 
-@dataclass(frozen=True)
-class ModularTransform:
+class ModularTransform(namedtuple("ModularTransform", "a b c d")):
     """An SL2(Z) element acting by tau -> (a tau + b) / (c tau + d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
+    def __new__(cls, a, b, c, d):
+        if a * d - b * c != 1:
             raise ValueError("transform must be unimodular (ad - bc = 1)")
+        return super().__new__(cls, a, b, c, d)
 
 
 def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, ModularTransform]:
@@ -260,14 +253,15 @@ def exp_integral_e1(x: float) -> float:
 
 @lru_cache(maxsize=8)
 def _even_bernoulli(count: int) -> tuple[float, ...]:
-    """(B_2, B_4, ..., B_{2*count}) as floats, from the exact recurrence."""
+    """(B_2, B_4, ..., B_{2*count}) as floats, from the exact recurrence on the
+    integers B_m * (2 count + 1)! (by von Staudt-Clausen, B_m's denominator has
+    only primes p <= m + 1); int / int rounds correctly, as float(Fraction) does."""
     n_max = 2 * count
-    bern = [Fraction(0)] * (n_max + 1)
-    bern[0] = Fraction(1)
+    scale = math.factorial(n_max + 1)
+    num = [scale]
     for m in range(1, n_max + 1):
-        acc = sum(Fraction(math.comb(m + 1, j)) * bern[j] for j in range(m))
-        bern[m] = -acc / (m + 1)
-    return tuple(float(bern[2 * j]) for j in range(1, count + 1))
+        num.append(-sum(math.comb(m + 1, j) * num[j] for j in range(m)) // (m + 1))
+    return tuple(num[2 * j] / scale for j in range(1, count + 1))
 
 
 def zeta_em_deriv(s: float) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ EXP_ZERO = -750.0  # numpy's exp is exactly +0.0 at and below -745.1332
 ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
 
 
-@dataclass(frozen=True)
-class UnitTorus:
+class UnitTorus(NamedTuple):
     """Unit-area flat torus parametrized by tau in the upper half-plane."""
 
     tau: UpperHalfPoint
@@ -260,8 +259,7 @@ def scaled_logdet(base_logdet: float, gamma: float) -> float:
     return base_logdet + 2.0 * math.log(gamma)
 
 
-@dataclass(frozen=True)
-class DetComparison:
+class DetComparison(NamedTuple):
     """Closed-form vs oracle log-determinant for one torus."""
 
     tau: UpperHalfPoint

@@ -119,6 +119,14 @@ def test_run_subset_and_unknown_id():
         run_all(only=["CL-05", "CL-99"])
 
 
+def test_empty_subset_is_refused():
+    # An empty filter would give a report with no records whose strict_ok()
+    # is True: an audit that passes without checking anything.
+    for only in ([], ()):
+        with pytest.raises(ValueError, match="only names no claim id"):
+            run_all(only=only)
+
+
 def test_report_json_shape():
     report = run_all(only=["CL-05", "CL-12"])
     payload = json.loads(report.to_json())
@@ -149,8 +157,8 @@ def hand_built_report(leaves, warnings):
 
 def test_report_json_is_the_indented_json_dumps_text():
     reports = [run_all(), run_all(only=["CL-05", "CL-12"]), run_all(only=["CL-10-g2"]),
-               run_all(only=[]), hand_built_report(ODD_LEAVES, [w for w in ODD_LEAVES
-                                                               if isinstance(w, str)]),
+               claims.ClaimReport((), ()),
+               hand_built_report(ODD_LEAVES, [w for w in ODD_LEAVES if isinstance(w, str)]),
                hand_built_report(ODD_LEAVES[::-1], ()), hand_built_report((), ["only"])]
     assert not reports[1].warnings and reports[2].warnings
     for report in reports:

@@ -495,6 +495,32 @@ def test_bound_and_elliptic_load_no_numpy():
     assert done.stdout.split() == ["False"] * 4 + ["True"] * 3
 
 
+def test_numpy_free_commands_import_only_what_they_use():
+    # Start-up is most of a bound or elliptic call, so no module serves a
+    # single call site it does not reach.  Each command runs in a fresh
+    # interpreter, measured against what a bare one already holds (site may
+    # preload typing, re or enum).
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    bare = loaded("")
+    never = {"dataclasses", "fractions", "decimal", "inspect", "numpy"}
+    text_bound_never = {"json", "csv", "atlab._jsontext", "atlab.elliptic"}
+    for argv in (["bound", "--genus", "77"], ["bound", "--genus", "77", "--json"],
+                 ["elliptic", "--tau", "0.3,1.7", "--json"],
+                 ["torus-det", "--tau", "0.3,1.7", "--method", "closed"]):
+        added = loaded("import contextlib, io\nfrom atlab.cli import main\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n"
+                       f"    assert main({argv!r}) == 0\n") - bare
+        assert "atlab.cli" in added
+        assert not added & never, (argv, added & never)
+        if argv == ["bound", "--genus", "77"]:
+            assert not added & text_bound_never, added & text_bound_never
+
+
 def test_closed_pipe_ends_quietly():
     # Like `atlab table --from 2 --to 3000 | head -1`: ~0.5 MB of rows, and the
     # reader leaves after the header.

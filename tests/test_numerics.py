@@ -8,6 +8,7 @@ and adaptive quadrature that never call the kernel under test.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,30 @@ def test_modular_transform_validation():
     t = ModularTransform(0, -1, 1, 0)
     w = apply(t, UpperHalfPoint(0.0, 0.1))
     assert abs(w.real) < 1e-15 and abs(w.imag - 10.0) < 1e-12
+
+
+def test_point_and_transform_are_checked_immutable_tuples():
+    tau = UpperHalfPoint(0.3, 1.7)
+    assert repr(tau) == "UpperHalfPoint(x=0.3, y=1.7)" and tau == (0.3, 1.7)
+    t = ModularTransform(0, -1, 1, 0)
+    assert repr(t) == "ModularTransform(a=0, b=-1, c=1, d=0)"
+    for obj, field in ((tau, "x"), (tau, "y"), (t, "a"), (t, "d")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+    for args, message in (((math.nan, 1.0), "tau must have finite coordinates"),
+                          ((0.3, 0.0), r"tau must satisfy y > 0"),
+                          ((0.3, math.inf), "tau must have finite coordinates"),
+                          ((0.3, 1e308), r"tau must satisfy y <= 5\.72.* \(pi y finite\)"),
+                          ((np.zeros(2), np.ones(3)),
+                           r"tau needs x and y of one shape, got \(2,\) and \(3,\)")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UpperHalfPoint(*args)
+    with pytest.raises(ValueError, match=r"^transform must be unimodular \(ad - bc = 1\)$"):
+        ModularTransform(a=2, b=0, c=0, d=1)
+    arr = UpperHalfPoint([0.1, 0.2], [1.0, 2.0])
+    assert isinstance(arr.x, np.ndarray) and arr.is_array and not tau.is_array
 
 
 def test_reduce_already_reduced_is_identity():
@@ -367,6 +392,22 @@ def test_zeta_em_and_constants_against_mpmath():
                      - mpmath.log(2 * mpmath.pi) * 4 / 3 - k_ref / 6)
     assert abs(k_const() - float(k_ref)) <= 1e-12
     assert abs(kappa() - float(kappa_ref)) <= 1e-13
+
+
+def test_even_bernoulli_numbers_are_the_exact_recurrences_floats():
+    # B_m = -1/(m+1) sum_{j<m} C(m+1, j) B_j over the rationals, rounded once.
+    bern = [Fraction(1)]
+    for m in range(1, 61):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    for count in range(1, 31):
+        assert numerics._even_bernoulli(count) == tuple(
+            float(bern[2 * j]) for j in range(1, count + 1)), count
+
+
+def test_zeta_prime_and_the_constants_built_on_it_keep_their_bits():
+    assert repr(zeta_prime_minus1()) == "-0.16542114370044012"
+    assert repr(k_const()) == "-7.4434493107654"
+    assert repr(kappa()) == "0.5474277045676217"
 
 
 def test_zeta_pole_guard():

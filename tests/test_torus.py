@@ -272,6 +272,17 @@ def test_oracle_matches_closed_form():
         assert abs(cmp.difference) <= 1e-9
 
 
+def test_torus_records_are_immutable_tuples():
+    cmp = compare_logdet(TAU_I)
+    assert cmp == (TAU_I, cmp.logdet_closed, cmp.logdet_oracle, cmp.difference)
+    assert list(cmp._asdict()) == ["tau", "logdet_closed", "logdet_oracle", "difference"]
+    t_torus = UnitTorus(TAU_I)
+    assert repr(t_torus) == "UnitTorus(tau=UpperHalfPoint(x=0.0, y=1.0))"
+    for obj, field in ((t_torus, "tau"), (cmp, "difference")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
 def test_oracle_matches_closed_form_over_its_domain():
     # The domain logdet_oracle documents: y in [1e-4, 1e4] at any finite x.
     # The large x need the shift to x mod 1: n x on the raw x rounds away
