@@ -12,6 +12,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import atlab
 from atlab import _jsontext, torus
@@ -264,15 +265,26 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0,1e-4", "--method", "closed")
     yield ("torus-det", "--tau", "1e308,1")
     yield ("bound", "--genus", "77")
+    # exit 3: the oracle's rule cut to steps 1/8 and 1/16 misses its tolerance
+    for method in ("oracle", "both"):
+        yield ("torus.DE_LEVELS=2", "torus-det", "--tau", "0.3,1.7", "--method", method)
+    # exit 2: a --tau of valid syntax whose value is not a point tau
+    yield ("elliptic", "--tau=inf,1")
+    yield ("elliptic", "--tau", "0,-1")
+    yield ("torus-det", "--tau", "1e999,1", "--method", "closed")
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
-    """SHA-256 of stdout, stderr and each written file, per command line."""
+    """SHA-256 of stdout, stderr and each written file, per command line.
+    A leading "torus.DE_LEVELS=n" runs the line with torus.DE_LEVELS set to n."""
     digests = {}
     for argv in _golden_commands():
+        levels = argv[0].partition("torus.DE_LEVELS=")[2]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([str(workdir / a) if a.startswith("t.") else a for a in argv])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.object(torus, "DE_LEVELS", int(levels or torus.DE_LEVELS)):
+            code = main([str(workdir / a) if a.startswith("t.") else a
+                         for a in argv[bool(levels):]])
         entry = {"exit": code}
         for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
             entry[name] = hashlib.sha256(text.encode()).hexdigest()
