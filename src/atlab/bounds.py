@@ -18,7 +18,8 @@ Also the genus-0 determinant value, the Faltings-vs-Quillen gap corollary in
 its printed reading, and the small-genus reference table.  Every per-genus
 function takes a genus or a numpy array of genera; an array goes through the
 same expression and equals the scalar values element-wise.  The single terms
-are fields of upper_bound_logdet's breakdown.
+are fields of upper_bound_logdet's breakdown, which checks the genus, form
+and area variant; e_of_g and assembled_bound return one of its fields.
 """
 
 from __future__ import annotations
@@ -172,21 +173,16 @@ def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -
     )
 
 
-def e_of_g(g, variant: str = "refined"):
-    """Sub-leading term E(g) of the display bound 0.56 g + E(g), g >= 2.
+def e_of_g(g):
+    """Sub-leading term E(g) of the display bound 0.56 g + E(g), g >= 2:
 
-    simple:  log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6
-    refined: 1/(g-1) + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6 + 2.1890125
+    1/(g-1) + log(g-1) + (4/(g(g-1))) log(1366(g-1)) + K/6 + 2.1890125,
 
-    The refined variant is canonical: it satisfies E(g) < 0.44 g from g = 11 on
-    (the simple variant only from g = 12).
+    the refined E(g), which satisfies E(g) < 0.44 g from g = 11 on.  The
+    breakdown's e_g_simple, log 36 + log(g-1) + (4/(g(g-1))) log(1366(g-1))
+    + K/6, does only from g = 12 on.
     """
-    bd = upper_bound_logdet(g)
-    if variant == "simple":
-        return bd.e_g_simple
-    if variant == "refined":
-        return bd.e_g_refined
-    raise ValueError(f"variant must be 'simple' or 'refined', got {variant!r}")
+    return upper_bound_logdet(g).e_g_refined
 
 
 def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
@@ -194,11 +190,10 @@ def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
 
     exact:      (log(2 pi^4)/3) g + a(g)/6 + log Area(g, area_variant)
     simplified: 0.56 g + E_refined(g)       (display-form constant 0.56;
-                area_variant is not used)
+                area_variant is checked but not used)
     """
-    if form != "exact":
-        return upper_bound_logdet(g, form).upper_simplified
-    return upper_bound_logdet(g, form, area_variant).upper_exact
+    bd = upper_bound_logdet(g, form, area_variant)
+    return bd.upper_exact if form == "exact" else bd.upper_simplified
 
 
 def genus0_det() -> float:
@@ -206,18 +201,14 @@ def genus0_det() -> float:
     return math.exp(-4.0 * zeta_prime_minus1() + 7.0 / 6.0 - (4.0 / 3.0) * math.log(2.0))
 
 
-def fq_gap_coefficients(reading: str = "as_stated") -> tuple[float, float]:
+def fq_gap_coefficients() -> tuple[float, float]:
     """(slope, constant) of the Faltings-vs-Quillen gap lower bound
-    h_F - h_Q >= slope * g + constant.
+    h_F - h_Q >= slope * g + constant, as the corollary prints it.
 
-    "as_stated" reproduces the printed corollary: the slope is the printed
-    symbolic sum evaluated with the printed rounding of 4 zeta'(-1) (that
-    rounding is what yields the published 16-digit slope); the constant is
-    the printed symbolic constant C at full precision.  "as_stated" is the
-    only reading.
+    The slope is the printed symbolic sum evaluated with the printed rounding
+    of 4 zeta'(-1) (that rounding is what yields the published 16-digit
+    slope); the constant is the printed symbolic constant C at full precision.
     """
-    if reading != "as_stated":
-        raise ValueError("reading must be 'as_stated'")
     slope = ((4.0 / 3.0) * LN_2PI - LN_2PI4 / 3.0 + PAPER_FOUR_ZETA_PRIME
              - 1.0 / 6.0 + LN_2PI + math.log(2.0) / 3.0)
     const = (-LN_2PI + 4.0 * zeta_prime_minus1() - 1.0 / 6.0

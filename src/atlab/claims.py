@@ -75,9 +75,10 @@ ASYMPTOTE_SAMPLES = (3580, 10_000, 100_000)
 class Claim(NamedTuple):
     """A registered assertion plus the recipe to recompute it.
 
-    A claim with a float `claimed` and a `tolerance` computes its value only;
-    evaluate derives the delta and the verdict.  Every other claim computes
-    (computed, delta, passed); passed is ignored for ASSUMED/AMBIGUOUS claims."""
+    A claim with a tolerance computes its value for a float `claimed` (delta
+    is value - claimed), else (computed, delta); evaluate passes it when
+    |delta| <= tolerance.  A claim without one computes (computed, delta,
+    passed); passed is ignored for ASSUMED/AMBIGUOUS claims."""
 
     id: str
     location: str
@@ -166,7 +167,7 @@ class ClaimReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Claim computations that return (computed, delta, passed).
+# Claim computations; see Claim for what each returns.
 # ---------------------------------------------------------------------------
 
 def _cl01():
@@ -185,10 +186,9 @@ def _cl06():
         "(4/3) log 2pi": ((4.0 / 3.0) * LN_2PI, 2.4505),
         "log 2pi + log(2)/3": (LN_2PI + math.log(2.0) / 3.0, 2.07),
     }
-    worst = max(abs(got - printed) for got, printed in parts.values())
     computed = "; ".join(f"{name} = {got:.6f} (printed {printed})"
                          for name, (got, printed) in parts.items())
-    return computed, worst, worst <= 2e-3
+    return computed, max(abs(got - printed) for got, printed in parts.values())
 
 
 def _cl07():
@@ -231,7 +231,7 @@ def _sweep(margin_of_g, label):
 
 
 def _cl08():
-    return _sweep(lambda g: 0.44 * g - bounds.e_of_g(g, "refined"), "0.44g - E(g)")
+    return _sweep(lambda g: 0.44 * g - bounds.e_of_g(g), "0.44g - E(g)")
 
 
 def _cl09():
@@ -240,7 +240,7 @@ def _cl09():
 
 
 def _cl11():
-    excesses = {g: bounds.assembled_bound(g, "exact", "c36") - (bounds.PAPER_KAPPA * g + 1.0)
+    excesses = {g: bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0)
                 for g in ASYMPTOTE_SAMPLES}
     # The bound's slope is the true kappa, 2.83e-9 below the printed one, so the
     # excess ~ log(g-1) + const - 2.83e-9 g peaks near g = 3.6e8 (at ~ +20) and
@@ -253,11 +253,9 @@ def _cl11():
 
 
 def _cl18():
-    worst = 0.0
-    for tau in (UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.0, 2.0)):
-        cmp = torus.compare_logdet(tau)
-        worst = max(worst, abs(cmp.difference))
-    return worst, worst, worst <= 1e-6
+    worst = max(abs(torus.compare_logdet(UpperHalfPoint(0.0, y)).difference)
+                for y in (1.0, 2.0))
+    return worst, worst
 
 
 def _cl19():
@@ -320,17 +318,17 @@ def builtin_registry() -> list[Claim]:
     for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items()):
         claims.append(Claim(
             f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}",
-            "equality", paper_val, 0.75, partial(bounds.assembled_bound, g, "exact", "c36")))
+            "equality", paper_val, 0.75, partial(bounds.assembled_bound, g)))
     claims += [
         Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
               "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580",
               None, _cl11),
         Claim("CL-12", "corollary (sec. 4)",
               r"\approx -3.6113717392987086-0.661685", "equality",
-              -4.2730567392987086, 1e-6, lambda: bounds.fq_gap_coefficients("as_stated")[1]),
+              -4.2730567392987086, 1e-6, lambda: bounds.fq_gap_coefficients()[1]),
         Claim("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
               "equality", 1.933721640489272, 1e-9,
-              lambda: bounds.fq_gap_coefficients("as_stated")[0]),
+              lambda: bounds.fq_gap_coefficients()[0]),
         # The printed bound evaluated at g = 1.
         Claim("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
               "equality", -2.334, 1e-3, lambda: 1.934 - 4.273),
@@ -364,14 +362,15 @@ def builtin_registry() -> list[Claim]:
 
 def evaluate(claim: Claim) -> ClaimRecord:
     """Recompute one claim; computation failures become ERRORED records.
-    A float claim with a tolerance passes when |computed - claimed| <= tolerance."""
+    A claim with a tolerance passes when |delta| <= tolerance."""
     try:
-        if isinstance(claim.claimed, float) and claim.tolerance is not None:
-            computed = claim.compute()
-            delta = computed - claim.claimed
-            passed = abs(delta) <= claim.tolerance
-        else:
+        if claim.tolerance is None:
             computed, delta, passed = claim.compute()
+        else:
+            value = claim.compute()
+            computed, delta = ((value, value - claim.claimed)
+                               if isinstance(claim.claimed, float) else value)
+            passed = abs(delta) <= claim.tolerance
     except Exception as exc:  # noqa: BLE001 - audit must not abort
         return ClaimRecord(claim.id, claim.location, claim.quote, claim.kind,
                            claim.claimed, f"error: {exc}", None, "ERRORED")

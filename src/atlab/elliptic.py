@@ -65,8 +65,7 @@ def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
     lhs <= rhs always (the q-product inequality behind the upper bound).  The
     series runs on tau as given, unreduced, so tau must be a scalar.
     """
-    if tau.is_array:
-        raise ValueError("qprod_bound takes a scalar tau: its series runs on the unreduced tau")
+    tau._refuse_array("qprod_bound")
     lhs = log_abs_qprod(tau.x, tau.y)
     qa = tau.q_abs
     return lhs, qa / (1.0 - qa)

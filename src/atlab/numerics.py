@@ -57,17 +57,22 @@ def libm(fn, x):
 
 class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     """A point tau = x + iy in the upper half-plane (y > 0), or an array of
-    them: x and y as equal-shape float arrays, checked element-wise."""
+    them: x and y as equal-shape real arrays, checked element-wise (a bool,
+    str or complex coordinate raises ValueError)."""
 
     __slots__ = ()
 
     def __new__(cls, x, y):
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
+                and bool not in (type(x), type(y)):
             finite = math.isfinite(x) and math.isfinite(y)
             positive, bounded = y > 0.0, y <= TAU_Y_MAX
-        else:
+        else:  # numpy input, and bool or str to refuse
             import numpy as np
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            x, y = np.asarray(x), np.asarray(y)
+            if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+                raise ValueError(f"tau must have real coordinates, got {x.dtype} and {y.dtype}")
+            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
             if x.shape != y.shape:
                 raise ValueError(f"tau needs x and y of one shape, got {x.shape} and {y.shape}")
             finite = np.isfinite(x).all() and np.isfinite(y).all()
@@ -83,6 +88,11 @@ class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     @property
     def is_array(self) -> bool:
         return not isinstance(self.y, (int, float))
+
+    def _refuse_array(self, routine: str) -> None:
+        """Raise ValueError when this is an array of points: routine takes one."""
+        if self.is_array:
+            raise ValueError(f"{routine} takes a scalar tau, got an array of shape {self.y.shape}")
 
     @property
     def q_abs(self) -> float:
@@ -115,6 +125,7 @@ def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, M
     x^2 + y^2 at a step is below the smallest normal double (tau too close to
     the real axis): the inversion would divide by zero or by a subnormal.
     """
+    tau._refuse_array("reduce_to_fundamental_domain")
     x, y, a, b, c, d = _reduce(tau.x, tau.y)
     return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
 

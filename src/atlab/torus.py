@@ -183,9 +183,10 @@ def _mellin_h(torus: UnitTorus, s: float, metric_scale: float) -> float:
     Q is enumerated once for both halves: Poisson nodes have u < POISSON_SWITCH,
     direct nodes u >= min(POISSON_SWITCH, 1/scale^2).  All else is _mellin_plan's.
 
-    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] raises ValueError before Q is
-    enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
+    An array tau, or y outside [ORACLE_Y_MIN, ORACLE_Y_MAX], raises ValueError before
+    Q is enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
     """
+    torus.tau._refuse_array("the spectral oracle")
     x, y = torus.tau.x, torus.tau.y
     if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
@@ -212,7 +213,7 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     Chowla-Selberg series; other s raise ValueError.  Above s = 3 zeta falls off like (4 pi^2 Q_min)^-s while the
     terms stay ~1/Gamma(s), so they cancel (near tau = i: 4e-12 relative at
     s = 4, 5e-7 at s = 10); beyond |s| ~ 11 the quadrature nodes overflow.
-    tau must lie in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
+    tau must be a scalar in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
     """
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
         raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
@@ -236,8 +237,8 @@ def logdet_oracle(torus: UnitTorus, metric_scale: float = 1.0) -> float:
     max(1, |closed form|), and for metric_scale in [1e-3, 32] (the scaling law
     within 1.5e-14 relative; 32 costs up to ~75 ms); ConvergenceError where
     ORACLE_REL_TOL is missed.  The lattice is taken at x mod 1 (_q_values), so x and
-    x - round(x) give the same bits; no S inversion enters.  Other y or scales,
-    non-finite ones included, raise ValueError before anything is enumerated:
+    x - round(x) give the same bits; no S inversion enters.  An array tau, other y
+    or scales, non-finite ones included, raise ValueError before anything is enumerated:
     the Q set grows like sqrt(max(y, 1/y)) and like metric_scale^2.
     """
     if not METRIC_SCALE_MIN <= metric_scale <= METRIC_SCALE_MAX:
@@ -269,7 +270,7 @@ class DetComparison(NamedTuple):
 
 
 def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
-    """Both routes at tau."""
+    """Both routes at a scalar tau."""
     closed = logdet_closed(tau)
     oracle = logdet_oracle(UnitTorus(tau))
     return DetComparison(tau, closed, oracle, oracle - closed)

@@ -124,7 +124,7 @@ def test_criterion_09_sweep_claims():
     t0 = time.perf_counter()
     ok = True
     for g in range(11, 3581):
-        e_ref = bounds.e_of_g(g, "refined")
+        e_ref = bounds.e_of_g(g)
         ok &= e_ref < 0.44 * g and 0.56 * g + e_ref <= g
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -141,7 +141,7 @@ def test_criterion_10_table_audit():
 
 
 def test_criterion_11_corollary_audit():
-    slope, _ = bounds.fq_gap_coefficients("as_stated")
+    slope, _ = bounds.fq_gap_coefficients()
     slope_ok = abs(slope - 1.933721640489272) <= 1e-9
     report_map = {rec.id: rec for rec in claims.run_all(
         only=["CL-12", "CL-13", "CL-14"]).records}

@@ -141,20 +141,18 @@ def test_kappa():
 
 
 def test_e_of_g():
-    assert abs(e_of_g(2, "refined") - EG_REFINED_2) < 1e-11
-    assert abs(e_of_g(3, "simple") - EG_SIMPLE_3) < 1e-11
-    assert abs(e_of_g(11, "refined") - EG_REFINED_11) < 1e-11
+    assert abs(e_of_g(2) - EG_REFINED_2) < 1e-11
+    assert abs(upper_bound_logdet(3).e_g_simple - EG_SIMPLE_3) < 1e-11
+    assert abs(e_of_g(11) - EG_REFINED_11) < 1e-11
     with pytest.raises(ValueError):
         e_of_g(1)
-    with pytest.raises(ValueError):
-        e_of_g(3, "bogus")
 
 
 def test_refined_variant_is_canonical_at_g11():
     # The simple variant first beats 0.44 g at g = 12, the refined at g = 11.
-    assert e_of_g(11, "refined") < 0.44 * 11
-    assert e_of_g(11, "simple") > 0.44 * 11
-    assert e_of_g(12, "simple") < 0.44 * 12
+    assert e_of_g(11) < 0.44 * 11
+    assert upper_bound_logdet(11).e_g_simple > 0.44 * 11
+    assert upper_bound_logdet(12).e_g_simple < 0.44 * 12
 
 
 def test_upper_bound_breakdown():
@@ -175,6 +173,17 @@ def test_upper_bound_breakdown():
         upper_bound_logdet(2, "bogus")
 
 
+def test_assembled_bound_checks_form_and_area_for_both_forms():
+    # Both forms run upper_bound_logdet's checks; simplified ignores only the
+    # area variant's value.
+    assert assembled_bound(5, "simplified", "e4pi") == upper_bound_logdet(5).upper_simplified
+    assert (assembled_bound(5, "exact", "e4pi")
+            == upper_bound_logdet(5, "exact", "e4pi").upper_exact)
+    for form, area in (("simplified", "bogus"), ("exact", "bogus"), ("bogus", "c36")):
+        with pytest.raises(ValueError):
+            assembled_bound(5, form, area)
+
+
 def test_upper_bound_asymptote():
     # upper_exact(g) = kappa g + K/6 + log 36 + log(g-1) + o(1)
     g = 10**6
@@ -187,7 +196,7 @@ def test_upper_bound_asymptote():
 
 def test_sweep_e_and_simplified_bound():
     for g in range(11, 3581):
-        e_ref = e_of_g(g, "refined")
+        e_ref = e_of_g(g)
         assert e_ref < 0.44 * g
         assert 0.56 * g + e_ref <= g
 
@@ -200,7 +209,7 @@ def test_genus0_det():
 
 
 def test_fq_gap_readings():
-    slope_a, const_a = fq_gap_coefficients("as_stated")
+    slope_a, const_a = fq_gap_coefficients()
     # The derivation reading follows the algebraic chain
     # -2 log 2pi - a(g)/6 - (g/3) log(2 pi^4): slope -kappa, constant below.
     slope_d, const_d = -kappa(), -2.0 * LN_2PI - k_const() / 6.0
@@ -208,15 +217,12 @@ def test_fq_gap_readings():
     assert abs(const_a - CONST_AS_STATED) < 1e-12
     assert abs(slope_a - 1.933722) <= 1e-5
     assert abs(slope_d + kappa()) <= 1e-12
-    # slope_A + kappa = -K/3 exactly at matching zeta precision; as_stated
-    # carries the printed 6-digit rounding of 4 zeta'(-1), hence the 4.3e-7 gap.
+    # slope_A + kappa = -K/3 exactly at matching zeta precision; the printed
+    # reading rounds 4 zeta'(-1) to 6 digits, hence the 4.3e-7 gap.
     assert abs((slope_a + kappa()) - (-k_const() / 3.0)) <= 5e-7
     # The printed constant and the derivation constant provably coincide.
     assert abs(const_a - const_d) <= 1e-9
     assert abs(slope_d + const_d - FQ_DERIVATION_G1) < 1e-11  # the derivation bound at g = 1
-    for reading in ("bogus", "derivation"):
-        with pytest.raises(ValueError, match="as_stated"):
-            fq_gap_coefficients(reading)
 
 
 def test_table_reference_rows():
@@ -366,7 +372,7 @@ PER_GENUS_TERMS = [
     (_field("log_area_bound", "e4pi"), 2),
     pytest.param(_field("log_area_bound"), 2, id="log_area_bound-2"),
     pytest.param(_field("a_g"), 2, id="a_g-2"),
-    (wilms_lower, 1), (lambda g: e_of_g(g, "simple"), 2), (e_of_g, 2),
+    (wilms_lower, 1), (_field("e_g_simple"), 2), (e_of_g, 2),
     (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
 ]
 

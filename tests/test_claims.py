@@ -185,7 +185,7 @@ def test_precision_threads_through(monkeypatch):
 
 
 @pytest.mark.parametrize("claim_id, margin", [
-    ("CL-08", lambda g: 0.44 * g - bounds.e_of_g(g, "refined")),
+    ("CL-08", lambda g: 0.44 * g - bounds.e_of_g(g)),
     ("CL-09", lambda g: g - bounds.upper_bound_logdet(g, "simplified").upper_simplified),
 ])
 def test_sweep_records_match_per_genus_minimum(claim_id, margin):
@@ -300,17 +300,22 @@ def test_asymptote_text_states_the_sign_change():
 
 
 def test_equality_claims_state_their_value_and_tolerance_once():
-    # A float equality claim's value and tolerance live in the registry only:
-    # its compute returns the value, and evaluate derives delta and verdict
-    # from claimed and tolerance.  Text-valued equality claims keep computing
-    # (computed, delta, passed) themselves.
+    # An equality claim's tolerance lives in the registry only, and so does a
+    # float claim's value: its compute returns the value, and evaluate derives
+    # delta and verdict from claimed and tolerance.  Text-valued equality
+    # claims compute (computed, delta); evaluate judges |delta| <= tolerance.
     checked = 0
     for claim in builtin_registry():
         if claim.kind != "equality":
             continue
         if not isinstance(claim.claimed, float):
             assert claim.id in ("CL-06", "CL-18"), claim.id
-            assert len(claim.compute()) == 3, claim.id
+            computed, delta = claim.compute()
+            rec = evaluate(claim)
+            assert (rec.computed, rec.delta, rec.status) == (computed, delta, "CONFIRMED")
+            # The verdict follows the registry's tolerance alone.
+            for tolerance, status in ((delta, "CONFIRMED"), (0.5 * delta, "DISCREPANT")):
+                assert evaluate(claim._replace(tolerance=tolerance)).status == status, claim.id
             continue
         assert type(claim.compute()) is float, claim.id
         rec = evaluate(claim)

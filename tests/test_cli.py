@@ -268,7 +268,7 @@ def _golden_commands():
     # exit 3: the oracle's rule cut to steps 1/8 and 1/16 misses its tolerance
     for method in ("oracle", "both"):
         yield ("torus.DE_LEVELS=2", "torus-det", "--tau", "0.3,1.7", "--method", method)
-    # exit 2: a --tau of valid syntax whose value is not a point tau
+    # exit 2: a well-formed --tau whose value is off the upper half-plane
     yield ("elliptic", "--tau=inf,1")
     yield ("elliptic", "--tau", "0,-1")
     yield ("torus-det", "--tau", "1e999,1", "--method", "closed")

@@ -66,6 +66,31 @@ def test_upper_half_point_validation():
     assert 0.0 < p.q_abs < 1.0
 
 
+def test_upper_half_point_takes_only_real_coordinates():
+    # numpy would parse "0.3" into a 0-d float array, and a bool is an int.
+    for x, y in (("0.3", 1.0), (0.3, "1.7"), (True, 1.0), (0.3, True), (np.True_, 1.0),
+                 (0.3 + 0j, 1.0), (np.array(["0.3"]), np.ones(1)),
+                 (np.zeros(2, dtype=bool), np.ones(2)), (None, 1.0), ([0.3, "x"], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="^tau must have real coordinates, got "):
+            UpperHalfPoint(x, y)
+    # Python ints, numpy scalars and int arrays stay accepted, as before.
+    assert UpperHalfPoint(0, 1) == (0, 1) and not UpperHalfPoint(np.float64(0.3), 1.7).is_array
+    arr = UpperHalfPoint(np.arange(2), np.array([1, 2], dtype=np.int32))
+    assert arr.x.dtype == arr.y.dtype == np.float64 and arr.y.tolist() == [1.0, 2.0]
+
+
+def test_scalar_only_routines_refuse_an_array_tau():
+    # reduce_to_fundamental_domain and qprod_bound run plain-float steps on one
+    # point; an array, even of one element, is refused before they start.
+    for shape in ((2,), (1,), ()):
+        tau = UpperHalfPoint(np.full(shape, 0.3), np.full(shape, 1.7))
+        for routine in (reduce_to_fundamental_domain, qprod_bound):
+            with pytest.raises(ValueError) as err:
+                routine(tau)
+            assert str(err.value) == (f"{routine.__name__} takes a scalar tau, "
+                                      f"got an array of shape {shape}")
+
+
 def test_y_is_refused_where_pi_y_overflows():
     # log|eta| carries -pi y / 12: finite at y0 = TAU_Y_MAX, inf one double up
     # (where the closed form printed -inf), so that y is refused.  The array

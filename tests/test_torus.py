@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -480,6 +481,23 @@ def test_oracle_refuses_taus_outside_its_domain(monkeypatch, x, y):
         logdet_oracle(t)
     with pytest.raises(ValueError, match="spectral oracle needs"):
         spectral_zeta(t, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1,), ()])
+def test_oracle_refuses_an_array_tau(monkeypatch, shape):
+    # The oracle sums over one lattice: an array tau, even of one element, is
+    # refused before Q is enumerated, by every entry point.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle started on an array tau")
+
+    monkeypatch.setattr(torus, "_q_values", forbidden)
+    tau = UpperHalfPoint(np.full(shape, 0.3), np.full(shape, 1.7))
+    message = ("^the spectral oracle takes a scalar tau, "
+               f"got an array of shape {re.escape(str(shape))}$")
+    for call in (lambda: logdet_oracle(UnitTorus(tau)),
+                 lambda: spectral_zeta(UnitTorus(tau), 0.0), lambda: compare_logdet(tau)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("x", (0.7, -2.5, 3.5, 33.3, 1000.3, 1e7 + 0.3, 2.0**52 + 1.0,
