@@ -28,8 +28,8 @@ Forensic notes baked into the expectations:
 * CL-13: the printed slope 1.933721640489272 is the symbolic slope evaluated
   with the printed rounding 4 zeta'(-1) ~= -0.661685 (reproduced to ~6e-16).
 * CL-17: spectral_zeta(tau, 0) is rgamma(0) (...) - rgamma(1), exactly -1.0
-  whenever H(0) is finite, since rgamma(0) = 0.  The claim is structural:
-  it certifies only that the quadrature of H(0) converges at tau = i.
+  whenever G(0) is finite, since rgamma(0) = 0.  The claim is structural:
+  it certifies only that the quadrature of G(0) converges at tau = i.
 * CL-19: the corollary statement prints 6/(pi y) where its own proof and the
   small-genus listing conclude 3/(pi y); the chain is CONFIRMED, the
   statement constant recorded separately as CL-19-statement.

@@ -62,7 +62,7 @@ def _cmd_bound(args, parser) -> int:
         parser.error("bound requires 2 <= --genus <= 2**53; "
                      "for genus 1 use `atlab elliptic`")
     bd = bounds.upper_bound_logdet(args.genus, args.form, args.area)
-    headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
+    headline = bounds.assembled_bound(args.genus, args.form, args.area)
     if args.json:
         import json
         payload = bd._asdict()
@@ -203,16 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p_bound = add_parser("bound", help="genus-g upper bound breakdown (g >= 2)")
+    def add_parser(name, handler, **kwargs):
+        # a handler reports usage errors through its own subcommand's parser
+        p = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
+        p.set_defaults(handler=partial(handler, parser=p))
+        return p
+
+    p_bound = add_parser("bound", _cmd_bound, help="genus-g upper bound breakdown (g >= 2)")
     p_bound.add_argument("--genus", type=int, required=True)
     p_bound.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact")
     p_bound.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
     p_bound.add_argument("--json", action="store_true")
 
-    p_ell = add_parser("elliptic", help="genus-1 Arakelov quantities at tau")
-    p_det = add_parser("torus-det", help="flat-torus log determinant")
+    p_ell = add_parser("elliptic", _cmd_elliptic, help="genus-1 Arakelov quantities at tau")
+    p_det = add_parser("torus-det", _cmd_torus_det, help="flat-torus log determinant")
     for p_tau in (p_ell, p_det):
         p_tau.add_argument("--tau", required=True, metavar="X,Y",
                            help="tau = x + iy as two decimals 'x,y' (y > 0); "
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--tol", type=float, default=1e-6,
                        help="with --method both, exit 1 if |difference| > tol")
 
-    p_table = add_parser("table", help="per-genus bound table")
+    p_table = add_parser("table", _cmd_table, help="per-genus bound table")
     p_table.add_argument("--from", dest="g_from", type=int, required=True)
     p_table.add_argument("--to", dest="g_to", type=int, required=True)
     p_table.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact",
@@ -234,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--csv", metavar="PATH")
     p_table.add_argument("--json", metavar="PATH")
 
-    p_claims = add_parser("verify-claims", help="recompute the claim registry")
+    p_claims = add_parser("verify-claims", _cmd_verify_claims,
+                          help="recompute the claim registry")
     p_claims.add_argument("--only", metavar="IDS",
                           help="comma-separated claim ids")
     p_claims.add_argument("--json", metavar="PATH")
@@ -244,20 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "bound": _cmd_bound,
-    "elliptic": _cmd_elliptic,
-    "torus-det": _cmd_torus_det,
-    "table": _cmd_table,
-    "verify-claims": _cmd_verify_claims,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # argparse exits; normalize to a return code
         return int(exc.code or 0)
     except ValueError as exc:  # domain error raised by the library

@@ -94,7 +94,11 @@ def test_criterion_07_modular_invariance():
         x = float(rng.uniform(-5.0, 5.0))
         y = float(rng.uniform(0.05, 50.0))
         logdet = torus.logdet_closed(UpperHalfPoint(x, y))
-        shift_exact &= torus.logdet_closed(UpperHalfPoint(x + 1.0, y)) == logdet
+        # T at x0 = (x + 1) - 1, for which x0 + 1 is a float: x + 1.0 itself may round.
+        shifted = x + 1.0
+        x0 = shifted - 1.0
+        shift_exact &= (torus.logdet_closed(UpperHalfPoint(shifted, y))
+                        == torus.logdet_closed(UpperHalfPoint(x0, y)))
         norm = x * x + y * y
         inv = torus.logdet_closed(UpperHalfPoint(-x / norm, y / norm))
         worst_inv = max(worst_inv, abs(inv - logdet))

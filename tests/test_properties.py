@@ -87,7 +87,7 @@ def test_oracle_equals_closed_form(point):
 @ORACLE_SETTINGS
 @given(_STRIP, _reals(0.5, 4.0))
 def test_oracle_obeys_the_scaling_law(point, gamma):
-    # log det(gamma^2 g) = log det(g) + 2 log gamma (worst seen: 3.4e-14).
+    # log det(gamma^2 g) = log det(g) + 2 log gamma (exact: gamma moves only t*).
     torus = UnitTorus(UpperHalfPoint(*point))
     base = logdet_oracle(torus)
     scaled = logdet_oracle(torus, metric_scale=gamma)
