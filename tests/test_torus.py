@@ -467,11 +467,26 @@ def test_scaled_logdet_algebra():
             scaled_logdet(0.0, gamma)
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-200,
+                                   5e-4, 64.0, 1e200])
 def test_oracle_refuses_metric_scales_outside_the_verified_range(scale):
-    # Every positive finite scale is verified: the scaling law is exact.
-    with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        logdet_oracle(UnitTorus(TAU_I), metric_scale=scale)
+    # Every positive finite scale is verified: the scaling law is exact, so
+    # 1e-200, 5e-4, 64 and 1e200 give it; only the rest is refused.
+    t = UnitTorus(TAU_I)
+    if 0.0 < scale < math.inf:
+        assert logdet_oracle(t, metric_scale=scale) == scaled_logdet(logdet_oracle(t), scale)
+    else:
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            logdet_oracle(t, metric_scale=scale)
+
+
+def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
+    # The scales 1e-3 and 32 bound no range now; they still give the law exactly.
+    for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
+        t = UnitTorus(tau)
+        base = logdet_oracle(t)
+        for g in (1e-3, 32.0):
+            assert logdet_oracle(t, metric_scale=g) == scaled_logdet(base, g), (tau, g)
 
 
 def test_oracle_metric_scale_is_the_exact_scaling_law():
@@ -480,7 +495,7 @@ def test_oracle_metric_scale_is_the_exact_scaling_law():
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
         t = UnitTorus(tau)
         base = logdet_oracle(t)
-        for g in (1e-200, 5e-4, 1e-3, 0.5, 2.0, 32.0, 64.0, 1e200):
+        for g in (1e-200, 5e-4, 0.5, 2.0, 64.0, 1e200):
             assert logdet_oracle(t, metric_scale=g) == scaled_logdet(base, g), (tau, g)
 
 
