@@ -255,6 +255,9 @@ def _golden_commands():
     yield ("bound", "--genus", "1")
     yield ("table", "--from", "5", "--to", "2")
     yield ("table", "--from", "2", "--to", "100002")
+    # the row cap, and the help text that documents the table's flags
+    yield ("table", "--from", "2", "--to", "100001", "--csv", "t.csv")
+    yield ("table", "--help")
     yield ("torus-det", "--tau=0.3,1e-5", "--method", "oracle")
     yield ("torus-det", "--tau", "0.3,1.7", "--tol", "0")
     yield ("verify-claims", "--only", "CL-99")
