@@ -16,26 +16,25 @@ with a(g) = -8g log 2pi + (1-g) K, K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2,
 and asymptotic slope kappa = log(2 pi^4)/3 - (4/3) log 2pi - K/6 ~= 0.5474277.
 Also the genus-0 determinant value, the Faltings-vs-Quillen gap corollary in
 its printed reading, and the small-genus reference table.  Every per-genus
-function takes a genus or a numpy array of genera; an array goes through the
-same expression and equals the scalar values element-wise.  The single terms
-are fields of upper_bound_logdet's breakdown, which checks the genus, form
-and area variant; e_of_g and assembled_bound return one of its fields.
+function takes one genus, a Python int or an integral float.  The single
+terms are fields of one breakdown, computed in _breakdown after
+upper_bound_logdet or table has checked the genus, form and area variant;
+e_of_g and assembled_bound return one of its fields.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache
 from typing import NamedTuple
 
-from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, libm, zeta_prime_minus1
+from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
 MAX_GENUS = 2**53  # float64 holds every genus up to here, and g - 1, exactly
-# At the limit (2-vCPU x86-64): bounds.table ~0.5 s, 112 MB peak RSS; `atlab table`
-# with --csv and --json ~2.9 s, 112 MB peak.  Memory grows linearly with rows.
+# At the limit (2-vCPU x86-64): bounds.table ~0.44 s, 75 MB peak RSS; `atlab table`
+# with --csv and --json ~3.4 s, 76 MB peak.  Memory grows linearly with rows.
 MAX_TABLE_ROWS = 100_000
 
 # Reference upper bounds listed for small genus in the audited source
@@ -58,40 +57,24 @@ PAPER_KAPPA = 0.5474277074  # printed slope digits
 PAPER_FOUR_ZETA_PRIME = -0.661685
 REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 
-# The two genus-dependent logs go through libm on arrays too (numerics.libm),
-# so a genus array gives exactly the scalar values.
 _E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
-_log = partial(libm, math.log)
+_HEAT_INTEGRAL = _E1_QUARTER / (4.0 * math.pi)
 _LN_4, _LN_36 = math.log(4.0), math.log(36.0)
 _AREA_HEAD = {"e4pi": 1.0 + math.log(4.0 * math.pi), "c36": _LN_36}
 
 
-def _genera(g, minimum: int):
-    """Check g is an integer in [minimum, 2**53]; return it as a float or a
-    float64 array (integral floats pass: the inner calls receive float64).
-    In float64, g * (g - 1) rounds once like the exact Python-int product;
-    int64 arithmetic would wrap silently from g = 2**32 on.  A plain int or
-    float is checked without loading numpy."""
-    arr = lo = hi = g
-    if type(g) not in (int, float):  # numpy input, and bool or str to refuse
-        import numpy as np
-        arr = np.asarray(g)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
-        if arr.ndim:
-            lo, hi = arr.min(initial=MAX_GENUS), arr.max(initial=minimum)
-    if lo != lo:  # min propagates nan, which passes both range comparisons
+def _genera(g, minimum: int) -> float:
+    """Check g is an int or float (not bool; numpy.float64 is a float) holding
+    an integer in [minimum, 2**53], where g * (g - 1) rounds once in float64
+    like the exact Python-int product; return it as a float."""
+    if not isinstance(g, (int, float)) or isinstance(g, bool):
+        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
+    if g != g:  # nan passes both range comparisons
         raise ValueError("genus must be finite, got nan")
-    if lo < minimum:
-        raise ValueError(f"genus must be >= {minimum}, got {lo}")
-    if hi > MAX_GENUS:
-        raise ValueError(f"genus must be <= 2**53, got {hi}")
-    if getattr(arr, "ndim", 0):
-        arr = arr.astype(float, copy=False)
-        fractional = arr[arr % 1.0 != 0.0]
-        if not fractional.size:
-            return arr
-        g = fractional[0]
+    if g < minimum:
+        raise ValueError(f"genus must be >= {minimum}, got {g}")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus must be <= 2**53, got {g}")
     if not float(g).is_integer():
         raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {float(g)!r}")
     return float(g)
@@ -99,7 +82,7 @@ def _genera(g, minimum: int):
 
 def heat_integral() -> float:
     """E1(1/4)/(4 pi), the majorized heat-kernel integral (~0.08310 <= 0.0832)."""
-    return _E1_QUARTER / (4.0 * math.pi)
+    return _HEAT_INTEGRAL
 
 
 @lru_cache(maxsize=1)
@@ -141,36 +124,46 @@ class BoundBreakdown(NamedTuple):
     upper_simplified: float
 
 
-def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -> BoundBreakdown:
-    """Assembled upper bound on log det(D_Ar) with the full term breakdown.
-
-    The one place each per-genus term is computed: the genus is checked once,
-    log(g-1) and log(1366(g-1)) are evaluated once each, and every field is
-    built from them.  `form` is only validated (both bounds are fields).  For
-    an array of genera, every per-genus field is an array.
-    """
-    gf = _genera(g, 2)
+def _check_options(form: str, area_variant: str) -> None:
     if form not in BOUND_FORMS:
         raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
     if area_variant not in AREA_VARIANTS:
         raise ValueError(f"variant must be one of {AREA_VARIANTS}, got {area_variant!r}")
-    log_g1 = _log(gf - 1.0)
-    log_n = _log(1366.0 * (gf - 1.0))
-    tail = 4.0 / (gf * (gf - 1.0)) * log_n
+
+
+def _breakdown(g, gf: float, area_variant: str) -> BoundBreakdown:
+    """The one place each per-genus term is computed, for a checked genus g
+    (gf = float(g)) and area variant: log(g-1) and log(1366(g-1)) are
+    evaluated once each, and every field is built from them."""
+    g1 = gf - 1.0
+    gg1 = gf * g1
+    inv_g1 = 1.0 / g1
+    log_g1 = math.log(g1)
+    log_n = math.log(1366.0 * g1)
+    tail = 4.0 / gg1 * log_n
     heat = (1.0 - 1.0 / gf) * _E1_QUARTER
     csel = -4.0 * log_n
     area = _AREA_HEAD[area_variant] + log_g1 + tail
-    a_g = -8.0 * gf * LN_2PI + (1.0 - gf) * k_const()
-    k6 = k_const() / 6.0
-    e_refined = 1.0 / (gf - 1.0) + log_g1 + tail + k6 + REFINED_E_CONSTANT
-    return BoundBreakdown(
-        g, heat_integral(), heat, csel,
-        heat - csel / (gf * (gf - 1.0)) + 1.0 / (gf - 1.0) - _LN_4,
-        1.0 + 4.0 * log_n / (gf * (gf - 1.0)),
-        area, area_variant, a_g, _wilms(gf),
+    k = k_const()
+    a_g = -8.0 * gf * LN_2PI + (1.0 - gf) * k
+    k6 = k / 6.0
+    e_refined = inv_g1 + log_g1 + tail + k6 + REFINED_E_CONSTANT
+    # tuple.__new__ skips the generated __new__, a Python call binding all 14
+    # fields once per table row (here and for TableRow below)
+    return tuple.__new__(BoundBreakdown, (
+        g, _HEAT_INTEGRAL, heat, csel, heat - csel / gg1 + inv_g1 - _LN_4,
+        1.0 + 4.0 * log_n / gg1, area, area_variant, a_g, _wilms(gf),
         _LN_36 + log_g1 + tail + k6, e_refined,
         LN_2PI4 / 3.0 * gf + a_g / 6.0 + area, 0.56 * gf + e_refined,
-    )
+    ))
+
+
+def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -> BoundBreakdown:
+    """Assembled upper bound on log det(D_Ar) with the full term breakdown;
+    `form` is only validated (both bounds are fields)."""
+    gf = _genera(g, 2)
+    _check_options(form, area_variant)
+    return _breakdown(g, gf, area_variant)
 
 
 def e_of_g(g):
@@ -216,6 +209,12 @@ def fq_gap_coefficients() -> tuple[float, float]:
     return slope, const
 
 
+# The annotation of a table row past the reference values, below genus 3580
+# and from 3580 on (the kappa regime).
+_ANNOTATIONS = ("listed regime: bounded above by g",
+                f"listed regime: bounded above by {PAPER_KAPPA}*g + 1")
+
+
 class TableRow(NamedTuple):
     """One genus row: the breakdown plus the reference column."""
 
@@ -229,24 +228,24 @@ def table(g_from: int, g_to: int, form: str = "exact",
           area_variant: str = "c36") -> list[TableRow]:
     """Rows for genus g_from..g_to; g in 2..10 carry the listed reference
     value and its delta, larger genera carry the listed regime annotations.
-    At most MAX_TABLE_ROWS rows; a longer window raises before allocating.
+    Each end is a genus as upper_bound_logdet takes it.  At most
+    MAX_TABLE_ROWS rows; a longer window raises before any row is built.
 
     `form` is only validated and changes no row: every row carries both
     upper_exact and upper_simplified.  It stays while the benchmark's
     genus_table workload passes it."""
-    if not 2 <= g_from <= g_to <= MAX_GENUS:
+    lo, hi = int(_genera(g_from, 2)), int(_genera(g_to, 2))
+    if lo > hi:
         raise ValueError("need 2 <= g_from <= g_to <= 2**53")
-    n = g_to - g_from + 1
-    if n > MAX_TABLE_ROWS:
-        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, got {n}")
-    import numpy as np
-    bd = upper_bound_logdet(np.arange(g_from, g_to + 1), form, area_variant)
-    # Rows below genus 11 carry the reference value, from 3580 on the kappa regime.
-    listed, linear = (min(max(at - g_from, 0), n) for at in (11, 3580))
-    papers = [PAPER_TABLE_VALUES[g] for g in range(g_from, g_from + listed)]
-    deltas = [u - p for u, p in zip(bd.upper_exact[:listed].tolist(), papers)]
-    annotations = ([""] * listed + ["listed regime: bounded above by g"] * (linear - listed)
-                   + [f"listed regime: bounded above by {PAPER_KAPPA}*g + 1"] * (n - linear))
-    columns = (c.tolist() if isinstance(c, np.ndarray) else repeat(c) for c in bd)
-    return list(map(TableRow, map(BoundBreakdown, *columns), papers + [None] * (n - listed),
-                    deltas + [None] * (n - listed), annotations))
+    if hi - lo >= MAX_TABLE_ROWS:
+        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, got {hi - lo + 1}")
+    _check_options(form, area_variant)
+    rows = []
+    for g in range(lo, hi + 1):
+        bd = _breakdown(g, float(g), area_variant)
+        paper = PAPER_TABLE_VALUES.get(g)
+        if paper is None:
+            rows.append(tuple.__new__(TableRow, (bd, None, None, _ANNOTATIONS[g >= 3580])))
+        else:
+            rows.append(tuple.__new__(TableRow, (bd, paper, bd.upper_exact - paper, "")))
+    return rows

@@ -495,8 +495,8 @@ def test_no_subcommand_loads_scipy():
 
 
 def test_bound_and_elliptic_load_no_numpy():
-    # bound, elliptic and the closed form compute on floats; the array paths
-    # (table, the oracle, the audit) still load numpy in the same interpreter.
+    # bound, elliptic, the closed form and table compute on floats; the array
+    # paths (the oracle, the audit) still load numpy in the same interpreter.
     script = (
         "import contextlib, io, sys\n"
         "from atlab.cli import main\n"
@@ -513,10 +513,10 @@ def test_bound_and_elliptic_load_no_numpy():
     done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 4 + ["True"] * 3
+    assert done.stdout.split() == ["False"] * 5 + ["True"] * 2
 
 
-def test_numpy_free_commands_import_only_what_they_use():
+def test_numpy_free_commands_import_only_what_they_use(tmp_path):
     # Start-up is most of a bound or elliptic call, so no module serves a
     # single call site it does not reach.  Each command runs in a fresh
     # interpreter, measured against what a bare one already holds (site may
@@ -530,9 +530,12 @@ def test_numpy_free_commands_import_only_what_they_use():
     bare = loaded("")
     never = {"dataclasses", "fractions", "decimal", "inspect", "numpy"}
     text_bound_never = {"json", "csv", "atlab._jsontext", "atlab.elliptic"}
+    window = ["table", "--from", "2", "--to", "12"]
     for argv in (["bound", "--genus", "77"], ["bound", "--genus", "77", "--json"],
                  ["elliptic", "--tau", "0.3,1.7", "--json"],
-                 ["torus-det", "--tau", "0.3,1.7", "--method", "closed"]):
+                 ["torus-det", "--tau", "0.3,1.7", "--method", "closed"],
+                 window, window + ["--csv", str(tmp_path / "t.csv")],
+                 window + ["--json", str(tmp_path / "t.json")]):
         added = loaded("import contextlib, io\nfrom atlab.cli import main\n"
                        "with contextlib.redirect_stdout(io.StringIO()):\n"
                        f"    assert main({argv!r}) == 0\n") - bare

@@ -16,6 +16,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from atlab import bounds, claims
@@ -68,10 +69,13 @@ def test_tau_array_equals_scalars(points):
 @given(st.lists(st.integers(2, bounds.MAX_GENUS) | st.integers(2, 10_000), min_size=1,
                 max_size=40))
 def test_genus_array_equals_scalars(genera):
-    got = bounds.upper_bound_logdet(np.array(genera, dtype=float))
-    for g, exact, simplified in zip(genera, got.upper_exact, got.upper_simplified):
-        want = bounds.upper_bound_logdet(g)
-        assert (exact, simplified) == (want.upper_exact, want.upper_simplified), g
+    # A genus array is refused; its float64 elements give the int bounds.
+    with pytest.raises(ValueError, match="genus must be an integer"):
+        bounds.upper_bound_logdet(np.array(genera, dtype=float))
+    for g, same in zip(genera, np.array(genera, dtype=float)):
+        got, want = bounds.upper_bound_logdet(same), bounds.upper_bound_logdet(g)
+        assert (got.upper_exact, got.upper_simplified) == (want.upper_exact,
+                                                             want.upper_simplified), g
 
 
 @ORACLE_SETTINGS
