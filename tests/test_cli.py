@@ -246,9 +246,17 @@ def _golden_commands():
     yield ("verify-claims", "--strict", "--json", "t.json")
     yield ("elliptic", "--tau", "0.3,1.7")
     yield ("elliptic", "--tau", "0.3,1.7", "--json")
-    for tau in ("0.3,1.7", "0.5,0.8660254037844386"):
+    for tau in ("0.3,1.7", "0.5,0.8660254037844386", "0,1"):
         for method in ("closed", "oracle", "both"):
             yield ("torus-det", "--tau", tau, "--method", method)
+    # the corners i and rho, y near the cusp, and the oracle's two y edges
+    yield ("elliptic", "--tau", "0,1")
+    yield ("elliptic", "--tau", "0.5,0.8660254037844386", "--json")
+    yield ("elliptic", "--tau", "0.3,9999", "--json")
+    yield ("torus-det", "--tau", "0.3,1e4", "--method", "both")
+    yield ("torus-det", "--tau", "0.5,1e-4", "--method", "both")
+    for command in ("bound", "elliptic", "torus-det", "verify-claims"):
+        yield (command, "--help")
     # exit 2: usage and domain errors, their stderr included
     yield ("elliptic", "--tau", "1_0,1")
     yield ("elliptic", "--tau", "0,1e308")
