@@ -29,7 +29,8 @@ Forensic notes baked into the expectations:
   with the printed rounding 4 zeta'(-1) ~= -0.661685 (reproduced to ~6e-16).
 * CL-17: spectral_zeta(tau, 0) is rgamma(0) (...) - rgamma(1), exactly -1.0
   whenever G(0) is finite, since rgamma(0) = 0.  The claim is structural:
-  it certifies only that the quadrature of G(0) converges at tau = i.
+  G(0) is a finite sum of exponential integrals, so it certifies only that
+  the oracle runs at tau = i.
 * CL-19: the corollary statement prints 6/(pi y) where its own proof and the
   small-genus listing conclude 3/(pi y); the chain is CONFIRMED, the
   statement constant recorded separately as CL-19-statement.
@@ -104,7 +105,7 @@ class ClaimRecord(NamedTuple):
 
 
 _SUMMARY_KEYS = tuple(status.lower() for status in STATUSES)
-_PRECISION_KEYS = ("rel_tol", "series_tail_tol", "em_cutoff", "em_order", "lattice_tail_tol")
+_PRECISION_KEYS = ("series_tail_tol", "em_cutoff", "em_order", "lattice_tail_tol")
 _REPORT_KEYS = ("precision", "claims", "summary", "warnings")
 _write_precision = object_writer(_PRECISION_KEYS, 1)
 _write_records = object_writer(ClaimRecord._fields, 2)
@@ -113,10 +114,8 @@ _write_report = object_writer(_REPORT_KEYS, 0)
 
 
 def _precision() -> tuple:
-    """The oracle's quadrature tolerance and the fixed truncations, in
-    _PRECISION_KEYS order (read at call time: tests vary the tolerance)."""
-    return (torus.ORACLE_REL_TOL, QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER,
-            torus.LATTICE_TAIL_TOL)
+    """The fixed truncations, in _PRECISION_KEYS order."""
+    return (QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER, torus.LATTICE_TAIL_TOL)
 
 
 class ClaimReport(NamedTuple):

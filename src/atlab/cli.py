@@ -5,10 +5,10 @@ Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
 3 numeric non-convergence; a closed output pipe ends the process quietly
 (SIGPIPE).  A --tau that is not two decimal literals is a usage error and
 prints the usage block; one whose value UpperHalfPoint refuses is a domain
-error and prints one `error:` line.  The spectral oracle (`torus-det --method
-oracle|both`, claims CL-17 and CL-18 of `verify-claims`) runs to the fixed
-quadrature tolerance torus.ORACLE_REL_TOL = 1e-12, the closed forms to fixed
-truncations.
+error and prints one `error:` line.  Exit 3 comes only from the eta kernel
+(its SL2(Z) reduction and q-product), through `elliptic` and `torus-det
+--method closed|both`; `verify-claims` records it as an ERRORED claim.  The
+spectral oracle is a finite lattice sum and cannot fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so each handler imports what only it uses.
@@ -106,7 +106,7 @@ def _cmd_torus_det(args, parser) -> int:
     tau = _parse_tau(args.tau, parser)
     if not args.tol > 0.0:
         parser.error(f"--tol must be positive, got {args.tol}")
-    if args.method == "closed":  # torus.logdet_closed, without loading torus and numpy
+    if args.method == "closed":  # torus.logdet_closed, without loading torus
         from .elliptic import d_ar_elliptic
         print(f"logdet_closed  {_fmt(d_ar_elliptic(tau))}")
         return 0

@@ -17,10 +17,11 @@ over (0, t*] onto [t*, inf) (Riemann's theta split, the one that proves the
 functional equation), and the spectral zeta function is continued as
 
     zeta(s) Gamma(s) = (4 pi)^-s [G(s) + 1/(s-1) - 1/s],
-    G(s) = int_1^inf (w^(s-1) + w^(-s)) theta(w) dw,
+    G(s) = int_1^inf (w^(s-1) + w^(-s)) theta(w) dw = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)],
 
-an integrand finite at w = 1 and exponentially small at infinity.  The
-regularized determinant is log det = -zeta'(0) = gamma_E + 1 - log(4 pi) - G(0).
+with E_p(z) = int_1^inf w^-p e^(-z w) dw integrating each lattice term in
+closed form (Crandall's 1998 expansion of the Epstein zeta function).
+The regularized determinant is log det = -zeta'(0) = gamma_E + 1 - log(4 pi) - G(0).
 The closed form log det = log(y |eta(tau)|^4) is the genus-1 invariant D_Ar
 (`elliptic.d_ar_elliptic`), computed from the eta kernel; it never enters the
 oracle path.
@@ -28,22 +29,21 @@ oracle path.
 
 from __future__ import annotations
 
-import functools
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
-import numpy as np
-
 from .elliptic import d_ar_elliptic
-from .numerics import EULER_GAMMA, ConvergenceError, UpperHalfPoint
+from .numerics import EULER_GAMMA, UpperHalfPoint
 
-DE_VMAX = 4.5  # exp-sinh nodes |v| <= DE_VMAX: w - 1 from ~1e-31 to ~1e30
-DE_LEVELS = 6  # trapezoid steps 1/8, 1/16, ..., 1/256
-ORACLE_REL_TOL = 1e-12  # the quadrature's target relative error, read per call
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 3.0  # spectral_zeta's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
-EXP_ZERO = -750.0  # numpy's exp is exactly +0.0 at and below -745.1332
 ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
+
+# E_p's continued-fraction depth on [_CF_EDGES[i], _CF_EDGES[i+1]) (the last one
+# open): every 0 <= p <= 11 within 4.7e-16 of mpmath on [1, 41.5], past z = log 1e18.
+_CF_EDGES = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0)
+_CF_DEPTHS = (119, 92, 80, 58, 51, 44, 39, 30, 25, 20, 18, 15, 13, 12, 11, 10)
 
 
 class UnitTorus(NamedTuple):
@@ -52,64 +52,79 @@ class UnitTorus(NamedTuple):
     tau: UpperHalfPoint
 
 
-def _q_values(torus: UnitTorus, qmax: float) -> np.ndarray:
-    """Sorted nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax:
-    the family every lattice sum of the oracle runs over, at x mod 1.
+def _q_values(torus: UnitTorus, qmax: float) -> list[float]:
+    """The nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax over
+    half the lattice, one (m, n) of each pair +-(m, n), in no set order: the
+    family every lattice sum of the oracle runs over, at x mod 1.
+    Q(-m,-n) = Q(m,n) bit for bit, so each sum over the lattice is twice
+    the sum over this list.
 
     Z + tau Z is the lattice of tau + k, so x is first shifted by round(x)
     (exact in doubles): any finite x gives the Q set of x - round(x), and n x
-    stays small.  Row n spans ceil(-nx - half) <= m <= floor(-nx + half),
-    half^2 = qmax y - (n y)^2, and all rows go in one (row, m) block: the
-    oracle's cut, qmax ~13.2, gives at most 727 cells over y in [1e-4, 1e4].
-    The row scalars stay Python floats: (n y) ** 2 goes through libm pow, which
-    differs from numpy's square in the last ulp (n = 397, y = 1e-4)."""
+    stays small.  Row n >= 0 spans ceil(-nx - half) <= m <= floor(-nx + half),
+    half^2 = qmax y - (n y)^2, and row 0 its m >= 1 only: the oracle's cut,
+    qmax ~13.2, gives at most 363 values over y in [1e-4, 1e4]."""
     x, y = torus.tau.x, torus.tau.y
     x -= round(x)
-    n_max = int(math.floor(math.sqrt(qmax / y)))
-    rows = []
-    for n in range(-n_max, n_max + 1):
+    q = []
+    for n in range(int(math.floor(math.sqrt(qmax / y))) + 1):
         nx, ny2 = n * x, (n * y) ** 2
         rad = qmax * y - ny2
         if rad >= 0.0:
             half = math.sqrt(rad)
-            rows.append((n, nx, ny2, math.ceil(-nx - half), math.floor(-nx + half)))
-    n, nx, ny2, lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*rows))
-    m = lo + np.arange((hi - lo).max() + 1.0)
-    q = ((m + nx) ** 2 + ny2) / y
-    return np.sort(q[(m <= hi) & (q <= qmax) & ((m != 0.0) | (n != 0.0))])
+            lo = math.ceil(-nx - half) if n else 1
+            q += [v for m in range(lo, math.floor(-nx + half) + 1)
+                  if (v := ((m + nx) ** 2 + ny2) / y) <= qmax]
+    return q
 
 
-def _de_nodes(levels: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """(h, w, dw) per level of the exp-sinh rule w = 1 + e^((pi/2) sinh v), |v| <= DE_VMAX:
-    trapezoid steps h in v halving from 1/8, each level holding its new nodes only."""
-    h, v, nodes = 0.125, np.arange(-DE_VMAX, DE_VMAX + 0.125, 0.125), []
-    for _ in range(levels):
-        e = np.exp(0.5 * math.pi * np.sinh(v))  # w - 1
-        nodes.append((h, 1.0 + e, 0.5 * math.pi * np.cosh(v) * e))
-        h *= 0.5
-        v = np.arange(h - DE_VMAX, DE_VMAX, 2.0 * h)
-    return nodes
+def _expint(p: float, z: float) -> float:
+    """E_p(z) = int_1^inf w^-p e^(-z w) dw, within 9e-16 relative of mpmath
+    for -10 <= p <= 11 and pi ORACLE_Y_MIN <= z <= 41.5.
 
+    p = 0 is e^-z / z; a negative p steps down from p + ceil(-p) by
+    E_q = (e^-z - q E_{q+1}) / z, a sum of positive terms.  For z >= 1 it is
+    e^-z / (z+p - 1 p/(z+p+2 - 2(p+1)/(z+p+4 - ...))) at the depth _CF_DEPTHS
+    gives z; for z < 1 the pole-free identity (split at w = 1/z)
 
-_DE_NODES = _de_nodes(DE_LEVELS)  # the full rule; DE_LEVELS, read per call, may cut it
+        E_p(z) = z^(p-1) E_p(1) + sum_k (-z)^k/k! phi(k+1-p),
+        phi(a) = (z^-a - 1)/a = expm1(a L)/a,  phi(0) = L = -log z,
 
-
-def _de_rule(level_sums, where: tuple) -> float:
-    """int_1^inf f(w) dw by the exp-sinh rule of _DE_NODES, steps 1/8 to 1/256
-    (DE_LEVELS, read per call); level_sums yields sum f(w) dw over each level's
-    new nodes, drawn only while needed.  Converged when two levels agree to
-    max(0.1 rel_tol, 10 rel_tol |I|), rel_tol = ORACLE_REL_TOL (read per call);
-    else raises, naming where = (s, x, y)."""
-    rel_tol, total = ORACLE_REL_TOL, 0.0
-    for level, (h, _, _), part in zip(range(DE_LEVELS), _DE_NODES, level_sums):
-        prev, total = total, 0.5 * total + h * part
-        target = max(0.1 * rel_tol, 10.0 * rel_tol * abs(total))
-        if level and abs(total - prev) <= target:
-            return total
-    raise ConvergenceError(
-        "G({:g}) at tau = {!r}+{!r}i: ".format(*where)
-        + f"double-exponential rule missed {target:.3g} (rel_tol {rel_tol:g}); "
-        f"last |I_h - I_2h| = {abs(total - prev):.3g}")
+    where the textbook Gamma(1-p) z^(p-1) - sum ... loses about eps/|p - n|
+    next to an integer n.  expm1 serves |a L| < 1 only: elsewhere the
+    rounding of a L would cost |a L| ulps that pow does not."""
+    if p == 0.0:
+        return math.exp(-z) / z
+    if p < 0.0:
+        k = math.ceil(-p)
+        q, e_z = p + k, math.exp(-z)
+        value = _expint(q, z)
+        for _ in range(k):
+            q -= 1.0
+            value = (e_z - q * value) / z
+        return value
+    if z < 1.0:
+        big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
+        while True:
+            a = k + 1.0 - p
+            if not a:
+                phi = big_l
+            elif abs(a * big_l) < 1.0:
+                phi = math.expm1(a * big_l) / a
+            else:
+                phi = (z ** -a - 1.0) / a
+            step = term * phi
+            total += step
+            if abs(step) <= 1e-17 * abs(total):
+                return z ** (p - 1.0) * _expint(p, 1.0) + total
+            k += 1
+            term *= -z / k
+    depth = _CF_DEPTHS[bisect_right(_CF_EDGES, z) - 1]
+    b, p1 = z + p - 2.0, p - 1.0  # b + 2k = z+p + 2(k-1), rounded once
+    t = b + 2.0 * depth + 2.0
+    for k in map(float, range(depth, 0, -1)):
+        t = b + (k + k) - k * (p1 + k) / t
+    return math.exp(-z) / t
 
 
 def _rgamma(s: float) -> float:
@@ -119,25 +134,13 @@ def _rgamma(s: float) -> float:
     return 1.0 / math.gamma(s)
 
 
-@functools.lru_cache(maxsize=8)
-def _mellin_plan(s: float) -> tuple:
-    """Per DE level, all of G(s) but the lattice sums: the weight
-    w^(s-1) + w^(-s), dw, and the exponent scale -pi w of the live nodes.
-    Nodes past w = EXP_ZERO / (-pi ORACLE_Y_MIN) (~2.4e6), about a sixth of
-    each level and a suffix of it, are dropped from the scales: there every
-    term e^(-pi Q w) is exactly +0.0, since Q >= min(y, 1/y) >= ORACLE_Y_MIN."""
-    w_max, plan = EXP_ZERO / (-math.pi * ORACLE_Y_MIN), []
-    for _, w, dw in _DE_NODES:
-        plan.append((w ** (s - 1.0) + w ** -s, dw, -math.pi * w[w <= w_max]))
-    return tuple(plan)
-
-
 def _mellin_g(torus: UnitTorus, s: float) -> float:
-    """G(s) = int_1^inf (w^(s-1) + w^(-s)) sum'_Q e^(-pi Q w) dw.
+    """G(s) = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)], rounded once (math.fsum)
+    over half the lattice and doubled.
 
-    For w >= 1 a term with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the
-    tail tolerance, so Q is enumerated once, up to that cut.  q is never empty:
-    Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
+    A term with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the tail
+    tolerance, so Q is enumerated once, up to that cut.  The Q set is never
+    empty: Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
 
     An array tau, or y outside [ORACLE_Y_MIN, ORACLE_Y_MAX], raises ValueError before
     Q is enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
@@ -147,15 +150,8 @@ def _mellin_g(torus: UnitTorus, s: float) -> float:
     if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
                          f"got tau = {x!r}+{y!r}i")
-    q = _q_values(torus, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
-
-    def level_sums():
-        for weight, dw, scale in _mellin_plan(s):
-            theta = np.zeros(weight.size)  # the dropped nodes' exact +0.0
-            theta[:scale.size] = np.exp(np.multiply.outer(scale, q)).sum(-1)
-            yield float((weight * theta * dw).sum())
-
-    return _de_rule(level_sums(), (s, x, y))
+    p, qs = 1.0 - s, _q_values(torus, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
+    return 2.0 * math.fsum(_expint(p, z) + _expint(s, z) for z in [math.pi * q for q in qs])
 
 
 def spectral_zeta(torus: UnitTorus, s: float) -> float:
@@ -166,8 +162,9 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     (the -1/s term folded into 1/Gamma(s+1), regular at s = 0, where
     rgamma(0) = 0 leaves exactly -1.0 whenever G(0) is finite).  Verified for
     -10 <= s <= 3, |s-1| >= 0.05, against the Chowla-Selberg series (within
-    1.1e-15 relative on an s grid at five taus with y >= 0.9); other s raise
-    ValueError.
+    1.3e-15 relative on an s grid of step 0.1 at five taus with y >= 0.9);
+    other s raise ValueError.  Over this range E_s and E_{1-s} keep to the
+    orders -10 <= p <= 11 that _expint is verified for.
     tau must be a scalar in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
     """
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
@@ -191,10 +188,10 @@ def logdet_oracle(torus: UnitTorus, metric_scale: float = 1.0) -> float:
     is the same e^(-pi Q w), so the result is exactly scaled_logdet(log det, g);
     a non-finite or non-positive g raises ValueError there.
     Verified for 1e-4 <= y <= 1e4 and any finite x within 1e-12
-    max(1, |closed form|); ConvergenceError where ORACLE_REL_TOL is missed.  The
-    lattice is taken at x mod 1 (_q_values), so x and x - round(x) give the same
-    bits; no S inversion enters.  An array tau or another y, non-finite ones
-    included, raise ValueError before anything is enumerated.
+    max(1, |closed form|).  The lattice is taken at x mod 1 (_q_values), so
+    x and x - round(x) give the same bits; no S inversion enters.  An array
+    tau or another y, non-finite ones included, raise ValueError before
+    anything is enumerated.
     """
     g0 = _mellin_g(torus, 0.0)
     return scaled_logdet(EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - g0, metric_scale)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from atlab import bounds, claims, torus
+from atlab import bounds, claims, numerics, torus
 from atlab.claims import (
     EXPECTED_DISCREPANT,
     builtin_registry,
@@ -130,6 +130,11 @@ def test_report_json_shape():
     report = run_all(only=["CL-05", "CL-12"])
     payload = json.loads(report.to_json())
     assert set(payload) == {"precision", "claims", "summary", "warnings"}
+    # the fixed truncations; the oracle is a finite sum and has no tolerance
+    assert payload["precision"] == {"series_tail_tol": numerics.QSERIES_TAIL_TOL,
+                                    "em_cutoff": numerics.EM_CUTOFF,
+                                    "em_order": numerics.EM_ORDER,
+                                    "lattice_tail_tol": torus.LATTICE_TAIL_TOL}
     assert set(payload["summary"]) == {
         "confirmed", "discrepant", "assumed", "ambiguous", "errored"}
     for rec in payload["claims"]:
@@ -177,10 +182,10 @@ def test_claims_and_records_are_tuples():
 
 
 def test_precision_threads_through(monkeypatch):
-    monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-10)
+    monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", 1e-10)
     report = run_all(only=["CL-17"])
     assert report.records[0].status == "CONFIRMED"
-    assert report.as_dict()["precision"]["rel_tol"] == 1e-10
+    assert report.as_dict()["precision"]["lattice_tail_tol"] == 1e-10
 
 
 @pytest.mark.parametrize("claim_id, margin", [

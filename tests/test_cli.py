@@ -15,7 +15,7 @@ import sys
 from unittest import mock
 
 import atlab
-from atlab import _jsontext, torus
+from atlab import _jsontext, numerics
 from atlab.cli import main
 
 
@@ -114,7 +114,7 @@ def test_torus_det_tolerance_exit(capsys):
     assert 0.0 < abs(float(out.split("difference")[1])) < 1e-6
 
 
-def test_torus_det_oracle_domain(capsys, monkeypatch):
+def test_torus_det_oracle_domain(capsys):
     # y = 1e-4 is the lower end of the oracle's documented domain.
     code, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "oracle")
     assert code == 0
@@ -122,8 +122,6 @@ def test_torus_det_oracle_domain(capsys, monkeypatch):
     _, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "closed")
     closed = float(out.split()[1])
     assert abs(oracle - closed) <= 1e-11 * abs(closed)  # both printed to 12 digits
-    monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-15)
-    assert run(capsys, "torus-det", "--tau", "0.3,1.7")[0] == 0
 
 
 def test_torus_det_refuses_taus_outside_the_oracle_domain(capsys):
@@ -276,9 +274,10 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0,1e-4", "--method", "closed")
     yield ("torus-det", "--tau", "1e308,1")
     yield ("bound", "--genus", "77")
-    # exit 3: the oracle's rule cut to its first level cannot meet its tolerance
-    for method in ("oracle", "both"):
-        yield ("torus.DE_LEVELS=1", "torus-det", "--tau", "0.3,1.7", "--method", method)
+    # exit 3: a q-product cut to its first term cannot meet its tail tolerance
+    yield ("numerics._QSERIES_MAX_TERMS=1", "elliptic", "--tau", "0.3,1.7")
+    for method in ("closed", "both"):
+        yield ("numerics._QSERIES_MAX_TERMS=1", "torus-det", "--tau", "0.3,1.7", "--method", method)
     # exit 2: a well-formed --tau whose value is off the upper half-plane
     yield ("elliptic", "--tau=inf,1")
     yield ("elliptic", "--tau", "0,-1")
@@ -287,15 +286,16 @@ def _golden_commands():
 
 def cli_digests(workdir: pathlib.Path) -> dict:
     """SHA-256 of stdout, stderr and each written file, per command line.
-    A leading "torus.DE_LEVELS=n" runs the line with torus.DE_LEVELS set to n."""
+    A leading "module.NAME=n" (numerics._QSERIES_MAX_TERMS=1) runs the line
+    with atlab.module.NAME set to the integer n."""
     digests = {}
     for argv in _golden_commands():
-        levels = argv[0].partition("torus.DE_LEVELS=")[2]
+        name, _, value = argv[0].partition("=")
+        patch = mock.patch(f"atlab.{name}", int(value)) if value else contextlib.nullcontext()
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                mock.patch.object(torus, "DE_LEVELS", int(levels or torus.DE_LEVELS)):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), patch:
             code = main([str(workdir / a) if a.startswith("t.") else a
-                         for a in argv[bool(levels):]])
+                         for a in argv[bool(value):]])
         entry = {"exit": code}
         for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
             entry[name] = hashlib.sha256(text.encode()).hexdigest()
@@ -313,8 +313,10 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # The verify-claims, elliptic and torus-det lines were frozen before the
     # E1 and zeta' kernels were cut to their used arguments; the report file's
     # digest was refrozen after, for its "precision" block alone.  The oracle's
-    # lines were refrozen for the self-dual Mellin split, and the four usage
-    # errors for printing their own subcommand's usage.
+    # lines were refrozen for the self-dual Mellin split and again for its exact
+    # sum of exponential integrals (with the report's precision block), the four
+    # usage errors for printing their own subcommand's usage, and the exit-3
+    # lines were re-keyed to the q-product once the oracle could not fail.
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden
@@ -443,13 +445,17 @@ def test_torus_det_nan_tol_is_a_usage_error(capsys):
 
 
 def test_non_convergence_exits_3(capsys, monkeypatch):
-    # One level has nothing to compare with, so the rule cannot converge.
-    monkeypatch.setattr(torus, "DE_LEVELS", 1)
-    for method in ("oracle", "both"):
-        code, out, err = run(capsys, "torus-det", "--tau", "0.3,1.7", "--method", method)
-        assert code == 3, method
+    # One term cannot bring the q-product's tail under its tolerance at y = 1.7.
+    # The oracle is a finite sum and never calls it, so it cannot exit 3.
+    monkeypatch.setattr(numerics, "_QSERIES_MAX_TERMS", 1)
+    for argv in (("elliptic", "--tau", "0.3,1.7"),
+                 ("torus-det", "--tau", "0.3,1.7", "--method", "closed"),
+                 ("torus-det", "--tau", "0.3,1.7", "--method", "both")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "double-exponential rule" in err
+        assert "q-product did not reach tail tolerance" in err
+    assert run(capsys, "torus-det", "--tau", "0.3,1.7", "--method", "oracle")[0] == 0
 
 
 def test_tau_underflowing_norm_exits_2(capsys):
@@ -503,8 +509,8 @@ def test_no_subcommand_loads_scipy():
 
 
 def test_bound_and_elliptic_load_no_numpy():
-    # bound, elliptic, the closed form and table compute on floats; the array
-    # paths (the oracle, the audit) still load numpy in the same interpreter.
+    # bound, elliptic, both torus-det routes and table compute on floats; the
+    # audit's array path (CL-19) still loads numpy in the same interpreter.
     script = (
         "import contextlib, io, sys\n"
         "from atlab.cli import main\n"
@@ -516,12 +522,13 @@ def test_bound_and_elliptic_load_no_numpy():
         "      run('elliptic', '--tau', '0.3,1.7', '--json'),\n"
         "      run('torus-det', '--tau', '0.3,1.7', '--method', 'closed'),\n"
         "      run('table', '--from', '2', '--to', '12'),\n"
+        "      run('torus-det', '--tau', '0.3,1.7', '--method', 'oracle'),\n"
         "      run('torus-det', '--tau', '0.3,1.7'), run('verify-claims', '--strict'))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 5 + ["True"] * 2
+    assert done.stdout.split() == ["False"] * 7 + ["True"]
 
 
 def test_numpy_free_commands_import_only_what_they_use(tmp_path):
@@ -542,6 +549,8 @@ def test_numpy_free_commands_import_only_what_they_use(tmp_path):
     for argv in (["bound", "--genus", "77"], ["bound", "--genus", "77", "--json"],
                  ["elliptic", "--tau", "0.3,1.7", "--json"],
                  ["torus-det", "--tau", "0.3,1.7", "--method", "closed"],
+                 ["torus-det", "--tau", "0.3,1.7", "--method", "oracle"],
+                 ["torus-det", "--tau", "0.3,1.7", "--method", "both"],
                  window, window + ["--csv", str(tmp_path / "t.csv")],
                  window + ["--json", str(tmp_path / "t.json")]):
         added = loaded("import contextlib, io\nfrom atlab.cli import main\n"

@@ -1,8 +1,9 @@
 """Flat-torus spectral engine: enumeration, heat trace, zeta continuation,
 and the determinant oracle against the closed form.
 
-The oracle path (heat trace + Mellin quadrature) and the closed form (eta
-kernel) share no code, so their agreement is a genuine dual-route check.
+The oracle path (heat trace, Mellin split, exponential integrals) and the
+closed form (eta kernel) share no code, so their agreement is a genuine
+dual-route check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from atlab import elliptic, numerics, torus
-from atlab.numerics import ConvergenceError, UpperHalfPoint
+from atlab.numerics import UpperHalfPoint
 from atlab.torus import (
     LATTICE_TAIL_TOL,
     DetComparison,
@@ -87,10 +88,16 @@ def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int) -> lis
     return sorted(lams)
 
 
+def lattice_q(t: UnitTorus, qmax: float) -> np.ndarray:
+    """Every nonzero Q <= qmax of the lattice, sorted, with multiplicity: the
+    oracle's half lattice taken twice, once for each of +-(m, n)."""
+    return np.sort(np.array(2 * _q_values(t, qmax)))
+
+
 def spectrum(tau: UpperHalfPoint, cutoff: float) -> np.ndarray:
     """The eigenvalues 4 pi^2 Q <= cutoff, with multiplicity, from the Q set
     the oracle's lattice sums run over."""
-    return FOUR_PI_SQ * _q_values(UnitTorus(tau), cutoff / FOUR_PI_SQ)
+    return FOUR_PI_SQ * lattice_q(UnitTorus(tau), cutoff / FOUR_PI_SQ)
 
 
 def lattice_sum(q: np.ndarray, scale: float) -> float:
@@ -110,12 +117,12 @@ def poisson_qmax(t: float) -> float:
 
 
 def direct_theta(t_torus: UnitTorus, t: float) -> float:
-    return 1.0 + lattice_sum(_q_values(t_torus, direct_qmax(t)), -FOUR_PI_SQ * t)
+    return 1.0 + lattice_sum(lattice_q(t_torus, direct_qmax(t)), -FOUR_PI_SQ * t)
 
 
 def poisson_theta(t_torus: UnitTorus, t: float) -> float:
     pole = 1.0 / (4.0 * math.pi * t)
-    return pole + lattice_sum(_q_values(t_torus, poisson_qmax(t)), -0.25 / t) * pole
+    return pole + lattice_sum(lattice_q(t_torus, poisson_qmax(t)), -0.25 / t) * pole
 
 
 def theta(t_torus: UnitTorus, t: float) -> float:
@@ -159,7 +166,7 @@ def test_weyl_counting():
 def test_heat_trace_large_t_two_term():
     # Theta(1) - 1 = 4 e^(-4 pi^2) ~= 2.85e-17, below double resolution next
     # to the kernel term, so observe the lattice sum itself.
-    rem = lattice_sum(_q_values(UnitTorus(TAU_I), direct_qmax(1.0)), -FOUR_PI_SQ)
+    rem = lattice_sum(lattice_q(UnitTorus(TAU_I), direct_qmax(1.0)), -FOUR_PI_SQ)
     assert abs(rem - 4.0 * math.exp(-4.0 * math.pi**2)) < 1e-25
     assert theta(UnitTorus(TAU_I), 1.0) == 1.0
 
@@ -212,6 +219,32 @@ def test_spectral_zeta_chowla_selberg_generic_tau():
         for s in (1.8, 2.0, 3.0):
             want = chowla_selberg_zeta(tau.x, tau.y, s)
             assert abs(spectral_zeta(UnitTorus(tau), s) - want) <= 1e-14, (tau, s)
+
+
+def test_spectral_zeta_chowla_selberg_next_to_integer_orders():
+    # s near 2 puts E_p at p = s and p = 1 - s next to an integer, and y >= 5
+    # gives terms with pi Q < 1, where the textbook series
+    # Gamma(1-p) z^(p-1) - sum ... loses about eps/|p - n|.
+    for s in (1.999, 2.001, 2.0 + 1e-7, 2.999):
+        for y in (5.0, 30.0, 300.0):
+            want = chowla_selberg_zeta(0.3, y, s)
+            got = spectral_zeta(UnitTorus(UpperHalfPoint(0.3, y)), s)
+            assert abs(got - want) <= 1e-14 * abs(want), (s, y)
+
+
+@pytest.mark.parametrize("p", (0.0, 1e-3, 0.5, 1.0 - 1e-8, 1.0 + 1e-8, 2.0 - 1e-3, 2.0 + 1e-3,
+                               3.0 - 1e-6, 11.0, -1e-8, -0.5, -1.0 - 1e-7, -2.5, -10.0))
+def test_expint_matches_mpmath(p):
+    # p spans -10 <= p <= 11, the orders s and 1 - s of spectral_zeta's range,
+    # next to integers among them; z spans the oracle's pi Q, from
+    # pi ORACLE_Y_MIN to past the cut, with each continued-fraction edge.
+    mpmath = pytest.importorskip("mpmath")
+    zs = [float(z) for z in np.geomspace(math.pi * torus.ORACLE_Y_MIN, 41.5, 61)]
+    zs += [math.nextafter(1.0, 0.0), *torus._CF_EDGES]
+    with mpmath.workdps(30):
+        for z in zs:
+            want = mpmath.expint(p, z)
+            assert abs(torus._expint(p, z) - want) <= 1.2e-15 * want, z
 
 
 def test_spectral_zeta_functional_equation():
@@ -310,20 +343,15 @@ def test_oracle_matches_closed_form_over_its_domain():
 
 
 def test_oracle_tight_tolerance_converges(monkeypatch):
-    for rel_tol in (1e-15, 1e-16):
-        monkeypatch.setattr(torus, "ORACLE_REL_TOL", rel_tol)
-        cmp = compare_logdet(UpperHalfPoint(0.3, 1.7))
+    # The lattice cut is read per call; tail tolerances far below the
+    # default take more Q terms and leave the result within an ulp.
+    tau = UpperHalfPoint(0.3, 1.7)
+    base = compare_logdet(tau)
+    for tail_tol in (1e-25, 1e-30):
+        monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", tail_tol)
+        cmp = compare_logdet(tau)
+        assert abs(cmp.logdet_oracle - base.logdet_oracle) <= 2.3e-16, tail_tol
         assert abs(cmp.difference) <= 1e-12
-
-
-def test_oracle_convergence_error_names_its_inputs(monkeypatch):
-    # One level has nothing to compare with, so the rule cannot converge.
-    monkeypatch.setattr(torus, "DE_LEVELS", 1)
-    with pytest.raises(ConvergenceError) as info:
-        logdet_oracle(UnitTorus(UpperHalfPoint(0.3, 1.7)), metric_scale=2.0)
-    message = str(info.value)
-    for part in ("G(0) at tau = 0.3+1.7i", "rel_tol 1e-12", "|I_h - I_2h| = "):
-        assert part in message, message
 
 
 def test_oracle_frozen_values():
@@ -339,84 +367,9 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
         m.setattr(numerics, "log_abs_eta", forbidden)
         m.setattr(elliptic, "log_abs_eta", forbidden)
         assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
-    monkeypatch.setattr(torus, "_de_rule", forbidden)
+    monkeypatch.setattr(torus, "_expint", forbidden)
     assert abs(logdet_closed(TAU_I) - LOGDET_I) < 1e-12
     assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
-
-
-def reference_mellin_g(t: UnitTorus, s: float) -> float:
-    """G(s) by a level-by-level composition of its own: nodes rebuilt on every
-    level, no plan cache, every node summed (none dropped), default rel_tol."""
-    q = torus._q_values(t, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
-    rel_tol, h, total = 1e-12, 0.125, 0.0
-    v = np.arange(-torus.DE_VMAX, torus.DE_VMAX + 0.125, 0.125)
-    for level in range(torus.DE_LEVELS):
-        e = np.exp(0.5 * math.pi * np.sinh(v))
-        w, dw = 1.0 + e, 0.5 * math.pi * np.cosh(v) * e
-        f = (w ** (s - 1.0) + w ** -s) * np.exp(np.multiply.outer(-math.pi * w, q)).sum(-1)
-        prev, total = total, 0.5 * total + h * float((f * dw).sum())
-        if level and abs(total - prev) <= max(0.1 * rel_tol, 10.0 * rel_tol * abs(total)):
-            return total
-        h *= 0.5
-        v = np.arange(h - torus.DE_VMAX, torus.DE_VMAX, 2.0 * h)
-    raise AssertionError(f"the reference missed rel_tol at {t}, s = {s}")
-
-
-def test_quadrature_plan_keeps_every_bit():
-    # The plan only hoists tau-independent arrays and skips the exponentials of
-    # nodes whose terms are all +0.0 (they still enter the level sums, as +0.0),
-    # so every float operation is the reference's, in its order.
-    # Both sides run on this numpy, whose exp may differ between CPUs in the
-    # last bit, so nothing here is frozen.
-    rng = np.random.default_rng(20260)
-    taus = [UpperHalfPoint(float(x), float(10.0 ** e))
-            for x, e in zip(rng.uniform(-3.0, 3.0, 200), rng.uniform(-4.0, 4.0, 200))]
-    taus += [UpperHalfPoint(x, y) for x in (-0.5, 0.0, 0.5, 2.5)
-             for y in (1e-4, 1.07e-4, 0.8660254037844386, 9.3e3, 1e4)]
-    for k, tau in enumerate(taus):
-        t = UnitTorus(tau)
-        base = (numerics.EULER_GAMMA + 1.0 - math.log(4.0 * math.pi)
-                - reference_mellin_g(t, 0.0))
-        scales = (1.0, 0.5, 2.0) if k % 10 == 0 else (1.0,)
-        for g in scales:
-            want = np.float64(scaled_logdet(base, g))
-            assert np.float64(logdet_oracle(t, metric_scale=g)).tobytes() == want.tobytes(), (tau, g)
-        if k % 20 == 0:
-            for s in (-10.0, -3.0, 0.5, 2.0, 3.0):
-                g = reference_mellin_g(t, s)
-                want = np.float64((4.0 * math.pi) ** -s * (
-                    torus._rgamma(s) * (g + 1.0 / (s - 1.0)) - torus._rgamma(s + 1.0)))
-                assert np.float64(spectral_zeta(t, s)).tobytes() == want.tobytes(), (tau, s)
-
-
-def test_exp_is_exactly_zero_at_and_below_exp_zero():
-    # The premise of dropping the far quadrature nodes: numpy's exp gives +0.0
-    # (not a subnormal, not -0.0) from EXP_ZERO down, on its scalar path and
-    # on its SIMD path for arrays.
-    args = (torus.EXP_ZERO, math.nextafter(torus.EXP_ZERO, -math.inf), -1e3, -1e300, -math.inf)
-    assert torus.EXP_ZERO <= -745.1332191019412
-    for a in args:
-        assert np.exp(np.float64(a)).tobytes() == np.float64(0.0).tobytes(), a
-        assert np.exp(np.full(67, a)).tobytes() == np.zeros(67).tobytes(), a
-    block = np.exp(np.linspace(torus.EXP_ZERO, -1e4, 1000))
-    assert block.tobytes() == np.zeros(1000).tobytes()
-
-
-def test_dropped_nodes_contribute_exactly_zero():
-    # Q >= min(y, 1/y) >= ORACLE_Y_MIN, so past w = EXP_ZERO / (-pi ORACLE_Y_MIN)
-    # every term e^(-pi Q w) is +0.0, even at the corners of the domain, where
-    # Q_min is smallest.  The plan keeps every other node.
-    w_max = torus.EXP_ZERO / (-math.pi * torus.ORACLE_Y_MIN)
-    qs = [_q_values(UnitTorus(UpperHalfPoint(x, y)), 14.0)
-          for x in (0.0, 0.5) for y in (torus.ORACLE_Y_MIN, torus.ORACLE_Y_MAX)]
-    assert min(q[0] for q in qs) >= torus.ORACLE_Y_MIN * (1.0 - 1e-15)
-    for (_, w, _), (weight, _, scale) in zip(torus._DE_NODES, torus._mellin_plan(-10.0)):
-        far = w[scale.size:]
-        assert scale.tobytes() == (-math.pi * w[:scale.size]).tobytes()
-        assert weight.size == w.size and np.all(np.isfinite(weight))
-        assert far.size and np.all(far > w_max) and np.all(w[:scale.size] <= w_max)
-        for q in qs:
-            assert not np.exp(np.multiply.outer(-math.pi * far, q)).any()
 
 
 @pytest.mark.parametrize("s", (-10.0, 0.0, 0.5, 3.0))
@@ -424,37 +377,23 @@ def test_dropped_nodes_contribute_exactly_zero():
 def test_poisson_scales_do_not_increase(s, scale):
     # At metric scale g (area A = g^2, eigenvalues / A) the self-dual point is
     # t* = A/(4 pi).  The direct terms at t = t* w and the Poisson terms of the
-    # folded half at t = t* / w have the same exponent scale -pi w, the plan's
-    # for every A; being negative and not increasing along a level, each row's
-    # largest term is the one at Q_min.
+    # folded half at t = t* / w have the same exponent scale -pi w for every A,
+    # negative and decreasing in w, and the Mellin measures t^(s-1) dt and
+    # t^(s-1) (t*/t) dt become t*^s w^(s-1) dw and t*^s w^-s dw.  So each
+    # lattice term gives t*^s [E_{1-s}(pi Q) + E_s(pi Q)], the terms of G(s),
+    # at every scale.
     area = scale * scale
     t_star = area / (4.0 * math.pi)
-    for (_, w, _), (_, _, plan_scale) in zip(torus._DE_NODES, torus._mellin_plan(s)):
-        w = w[:plan_scale.size]
-        direct = -FOUR_PI_SQ * (t_star * w) / area
-        poisson = -area / (4.0 * (t_star / w))
-        assert np.allclose(direct, plan_scale, rtol=4e-16, atol=0.0)
-        assert np.allclose(poisson, plan_scale, rtol=4e-16, atol=0.0)
-        assert np.all(np.diff(plan_scale) <= 0.0)
-        assert np.all(plan_scale < 0.0)
-
-
-def test_cached_plan_freezes_no_setting(monkeypatch):
-    t = UnitTorus(UpperHalfPoint(0.3, 1.7))
-    base = logdet_oracle(t)  # builds the node table and the s = 0 plan
-    hits = torus._mellin_plan.cache_info().hits
-    assert logdet_oracle(t) == base
-    assert torus._mellin_plan.cache_info().hits == hits + 1
-    with monkeypatch.context() as m:
-        m.setattr(torus, "DE_LEVELS", 1)
-        with pytest.raises(ConvergenceError, match=r"G\(0\) at tau"):
-            logdet_oracle(t)
-    with monkeypatch.context() as m:
-        m.setattr(torus, "ORACLE_REL_TOL", 1e-16)
-        assert abs(logdet_oracle(t) - base) <= 1e-12
-    for g in np.linspace(0.5, 4.0, 20):
-        assert logdet_oracle(t, metric_scale=float(g)) == scaled_logdet(base, g)
-    assert torus._mellin_plan.cache_info().currsize <= 8
+    w = np.geomspace(1.0, 1e6, 200)
+    direct = -FOUR_PI_SQ * (t_star * w) / area
+    poisson = -area / (4.0 * (t_star / w))
+    assert np.allclose(direct, -math.pi * w, rtol=4e-16, atol=0.0)
+    assert np.allclose(poisson, -math.pi * w, rtol=4e-16, atol=0.0)
+    assert np.all(np.diff(poisson) < 0.0) and np.all(poisson < 0.0)
+    direct_measure = (t_star * w) ** (s - 1.0) * t_star / t_star ** s
+    folded_measure = (t_star / w) ** (s - 1.0) * w * (t_star / w ** 2) / t_star ** s
+    assert np.allclose(direct_measure, w ** (s - 1.0), rtol=1e-13, atol=0.0)
+    assert np.allclose(folded_measure, w ** -s, rtol=1e-13, atol=0.0)
 
 
 def test_scaled_logdet_algebra():
@@ -555,15 +494,18 @@ def test_scaling_law_numeric_rerun():
 
 
 def test_precision_object_is_honored(monkeypatch):
-    # The oracle reads ORACLE_REL_TOL on each call; a loose one still lands close.
-    monkeypatch.setattr(torus, "ORACLE_REL_TOL", 1e-8)
-    assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-6
+    # The oracle reads LATTICE_TAIL_TOL on each call; a loose one moves the
+    # result and still lands close.
+    default = logdet_oracle(UnitTorus(TAU_I))
+    monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", 1e-8)
+    loose = logdet_oracle(UnitTorus(TAU_I))
+    assert loose != default and abs(loose - LOGDET_I) <= 1e-6
 
 
 @pytest.mark.parametrize("x", (-3.0, -0.5, 0.0, 0.3, 3.0))
 @pytest.mark.parametrize("y", (1e-4, 0.01, 0.8660254037844386, 1.0, 7.0, 1e4))
 def test_block_enumeration_equals_the_row_walk(x, y):
-    # The oracle's one-block Q set must equal, bit for bit, a brute-force walk
+    # The oracle's half-lattice Q set, taken twice, must equal bit for bit a brute-force walk
     # that keeps every point of generous windows: two rows past |n| <= sqrt(qmax/y),
     # and in each row the m within sqrt(qmax y) + 2 of -n x, with no per-row
     # ellipse limits.  The row scalars are Python floats, as in _q_values.
@@ -577,4 +519,4 @@ def test_block_enumeration_equals_the_row_walk(x, y):
             q = ((m + nx) ** 2 + ny2) / y
             rows.append(q[(q <= qmax) & ((m != 0.0) | (n != 0))])
         want = np.sort(np.concatenate(rows))
-        assert torus._q_values(t, qmax).tobytes() == want.tobytes(), qmax
+        assert lattice_q(t, qmax).tobytes() == want.tobytes(), qmax
