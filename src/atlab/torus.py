@@ -44,6 +44,10 @@ ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
 # open): every 0 <= p <= 11 within 4.7e-16 of mpmath on [1, 41.5], past z = log 1e18.
 _CF_EDGES = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0)
 _CF_DEPTHS = (119, 92, 80, 58, 51, 44, 39, 30, 25, 20, 18, 15, 13, 12, 11, 10)
+# The continued fraction's loop constants for each depth of _CF_DEPTHS, built from
+# one tuple of (k + k, k, k*k) for k = 119, ..., 1: k (p - 1 + k) is k*k exactly at p = 1.
+_CF_STEPS = tuple([(k + k, k, k * k) for k in map(float, range(_CF_DEPTHS[0], 0, -1))])
+_CF_STEPS = tuple([_CF_STEPS[-d:] for d in _CF_DEPTHS])
 
 
 class UnitTorus(NamedTuple):
@@ -79,8 +83,16 @@ def _q_values(torus: UnitTorus, qmax: float) -> list[float]:
 
 
 def _expint(p: float, z: float) -> float:
-    """E_p(z) = int_1^inf w^-p e^(-z w) dw, within 9e-16 relative of mpmath
-    for -10 <= p <= 11 and pi ORACLE_Y_MIN <= z <= 41.5.
+    """E_p(z) = int_1^inf w^-p e^(-z w) dw at one point: one exp, then
+    _expints (a table-driven continued fraction for z >= 1, the series and
+    one E_p(1) below)."""
+    return _expints(p, [z], [math.exp(-z)])[0]
+
+
+def _expints(p: float, zs: list[float], e_zs: list[float]) -> list[float]:
+    """E_p(z) = int_1^inf w^-p e^(-z w) dw for each z of zs, given e_zs = [e^-z],
+    within 9e-16 relative of mpmath for -10 <= p <= 11 and
+    pi ORACLE_Y_MIN <= z <= 41.5.
 
     p = 0 is e^-z / z; a negative p steps down from p + ceil(-p) by
     E_q = (e^-z - q E_{q+1}) / z, a sum of positive terms.  For z >= 1 it is
@@ -92,39 +104,57 @@ def _expint(p: float, z: float) -> float:
 
     where the textbook Gamma(1-p) z^(p-1) - sum ... loses about eps/|p - n|
     next to an integer n.  expm1 serves |a L| < 1 only: elsewhere the
-    rounding of a L would cost |a L| ulps that pow does not."""
+    rounding of a L would cost |a L| ulps that pow does not.
+
+    Per z this costs no exp of its own (the caller's e^-z serves both orders
+    of a lattice term and the step-down), and either the series or the
+    continued fraction, which reads its loop constants from _CF_STEPS (k*k in
+    place of k (p - 1 + k) at p = 1).  E_p(1) is evaluated once per call,
+    and only if some z < 1.  Each value has the bits it had when every term
+    computed its own exp, E_p(1) and loop constants."""
     if p == 0.0:
-        return math.exp(-z) / z
+        return [e_z / z for z, e_z in zip(zs, e_zs)]
     if p < 0.0:
         k = math.ceil(-p)
-        q, e_z = p + k, math.exp(-z)
-        value = _expint(q, z)
+        q = p + k
+        values = _expints(q, zs, e_zs)
         for _ in range(k):
             q -= 1.0
-            value = (e_z - q * value) / z
-        return value
-    if z < 1.0:
-        big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
-        while True:
-            a = k + 1.0 - p
-            if not a:
-                phi = big_l
-            elif abs(a * big_l) < 1.0:
-                phi = math.expm1(a * big_l) / a
-            else:
-                phi = (z ** -a - 1.0) / a
-            step = term * phi
-            total += step
-            if abs(step) <= 1e-17 * abs(total):
-                return z ** (p - 1.0) * _expint(p, 1.0) + total
-            k += 1
-            term *= -z / k
-    depth = _CF_DEPTHS[bisect_right(_CF_EDGES, z) - 1]
-    b, p1 = z + p - 2.0, p - 1.0  # b + 2k = z+p + 2(k-1), rounded once
-    t = b + 2.0 * depth + 2.0
-    for k in map(float, range(depth, 0, -1)):
-        t = b + (k + k) - k * (p1 + k) / t
-    return math.exp(-z) / t
+            values = [(e_z - q * value) / z for z, e_z, value in zip(zs, e_zs, values)]
+        return values
+    e_p1 = _expint(p, 1.0) if min(zs, default=1.0) < 1.0 else 0.0
+    p1 = p - 1.0
+    values = []
+    for z, e_z in zip(zs, e_zs):
+        if z < 1.0:
+            big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
+            while True:
+                a = k + 1.0 - p
+                if not a:
+                    phi = big_l
+                elif abs(a * big_l) < 1.0:
+                    phi = math.expm1(a * big_l) / a
+                else:
+                    phi = (z ** -a - 1.0) / a
+                step = term * phi
+                total += step
+                if abs(step) <= 1e-17 * abs(total):
+                    break
+                k += 1
+                term *= -z / k
+            values.append(z ** p1 * e_p1 + total)
+            continue
+        steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
+        b = z + p - 2.0  # b + 2k = z+p + 2(k-1), rounded once
+        t = b + 2.0 * len(steps) + 2.0
+        if p == 1.0:
+            for k2, _, kk in steps:
+                t = b + k2 - kk / t
+        else:
+            for k2, k, _ in steps:
+                t = b + k2 - k * (p1 + k) / t
+        values.append(e_z / t)
+    return values
 
 
 def _rgamma(s: float) -> float:
@@ -136,7 +166,10 @@ def _rgamma(s: float) -> float:
 
 def _mellin_g(torus: UnitTorus, s: float) -> float:
     """G(s) = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)], rounded once (math.fsum)
-    over half the lattice and doubled.
+    over half the lattice and doubled.  Each term costs one exp, e^(-pi Q),
+    which both orders share, and at each order either a table-driven
+    continued fraction (pi Q >= 1) or a series (pi Q < 1); E_p(1), which the
+    series needs, is evaluated once per order per call (_expints).
 
     A term with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the tail
     tolerance, so Q is enumerated once, up to that cut.  The Q set is never
@@ -150,8 +183,9 @@ def _mellin_g(torus: UnitTorus, s: float) -> float:
     if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
                          f"got tau = {x!r}+{y!r}i")
-    p, qs = 1.0 - s, _q_values(torus, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
-    return 2.0 * math.fsum(_expint(p, z) + _expint(s, z) for z in [math.pi * q for q in qs])
+    zs = [math.pi * q for q in _q_values(torus, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)]
+    e_zs = [math.exp(-z) for z in zs]
+    return 2.0 * math.fsum([a + b for a, b in zip(_expints(1.0 - s, zs, e_zs), _expints(s, zs, e_zs))])
 
 
 def spectral_zeta(torus: UnitTorus, s: float) -> float:

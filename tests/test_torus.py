@@ -8,8 +8,13 @@ dual-route check.
 
 from __future__ import annotations
 
+import ast
+import bisect
 import math
+import pathlib
+import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -247,6 +252,120 @@ def test_expint_matches_mpmath(p):
             assert abs(torus._expint(p, z) - want) <= 1.2e-15 * want, z
 
 
+# The oracle's kernel as it was before its per-term costs were cut: a fresh
+# exp, the continued fraction's constants rebuilt on every step, and E_p(1)
+# recomputed for every z < 1.  The current kernel must keep its bits.
+REFERENCE_CF_EDGES = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0,
+                      24.0, 32.0)
+REFERENCE_CF_DEPTHS = (119, 92, 80, 58, 51, 44, 39, 30, 25, 20, 18, 15, 13, 12, 11, 10)
+
+
+def reference_expint(p: float, z: float) -> float:
+    if p == 0.0:
+        return math.exp(-z) / z
+    if p < 0.0:
+        k = math.ceil(-p)
+        q, e_z = p + k, math.exp(-z)
+        value = reference_expint(q, z)
+        for _ in range(k):
+            q -= 1.0
+            value = (e_z - q * value) / z
+        return value
+    if z < 1.0:
+        big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
+        while True:
+            a = k + 1.0 - p
+            if not a:
+                phi = big_l
+            elif abs(a * big_l) < 1.0:
+                phi = math.expm1(a * big_l) / a
+            else:
+                phi = (z ** -a - 1.0) / a
+            step = term * phi
+            total += step
+            if abs(step) <= 1e-17 * abs(total):
+                return z ** (p - 1.0) * reference_expint(p, 1.0) + total
+            k += 1
+            term *= -z / k
+    depth = REFERENCE_CF_DEPTHS[bisect.bisect_right(REFERENCE_CF_EDGES, z) - 1]
+    b, p1 = z + p - 2.0, p - 1.0
+    t = b + 2.0 * depth + 2.0
+    for k in map(float, range(depth, 0, -1)):
+        t = b + (k + k) - k * (p1 + k) / t
+    return math.exp(-z) / t
+
+
+def reference_mellin_g(t: UnitTorus, s: float) -> float:
+    p, qs = 1.0 - s, _q_values(t, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
+    return 2.0 * math.fsum(reference_expint(p, z) + reference_expint(s, z)
+                           for z in [math.pi * q for q in qs])
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+def bit_taus() -> list[UnitTorus]:
+    # 200 seeded taus over the oracle's domain, its y edges and x = +-1/2.
+    rng = random.Random(20231)
+    taus = [UpperHalfPoint(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 4.0))
+            for _ in range(200)]
+    taus += [UpperHalfPoint(x, y) for x in (-0.5, 0.5) for y in (1e-4, 1.07e-4, 9.3e3, 1e4)]
+    return [UnitTorus(tau) for tau in taus]
+
+
+def test_oracle_keeps_the_bits_of_the_reference_kernel(monkeypatch):
+    taus = bit_taus()
+    got = bits(logdet_oracle(t) for t in taus)
+    monkeypatch.setattr(torus, "_mellin_g", reference_mellin_g)
+    assert got == bits(logdet_oracle(t) for t in taus)
+
+
+@pytest.mark.parametrize("s", (-10.0, -2.5, -1.0, -0.5, 0.5, 1.5, 2.0, 2.999, 3.0))
+def test_spectral_zeta_keeps_the_bits_of_the_reference_kernel(monkeypatch, s):
+    taus = bit_taus()
+    got = bits(spectral_zeta(t, s) for t in taus)
+    monkeypatch.setattr(torus, "_mellin_g", reference_mellin_g)
+    assert got == bits(spectral_zeta(t, s) for t in taus)
+
+
+@pytest.mark.parametrize("p", (0.0, 1e-3, 0.5, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 2.0, 2.5, 11.0,
+                               -1e-8, -0.5, -1.0, -2.5, -10.0))
+def test_expint_keeps_the_bits_of_the_reference_kernel(p):
+    # At the series' edge and at each continued-fraction edge, on both sides.
+    zs = [math.nextafter(1.0, 0.0)]
+    for edge in torus._CF_EDGES:
+        zs += [edge, math.nextafter(edge, 0.0)]
+    assert bits(torus._expint(p, z) for z in zs) == bits(reference_expint(p, z) for z in zs)
+
+
+def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
+    # 0.3 + 100i has five terms with pi Q < 1, each of which needs E_p(1) at
+    # both orders of G(s) (1 - s and s, or the order a negative one steps
+    # down from); one G(s) evaluates it once per order, and 0.3 + 1.7i,
+    # without such a term, not at all.  s = 1/2 takes both at order 1/2.
+    calls = []
+    expints = torus._expints
+
+    def counted(p, zs, e_zs):
+        calls.extend([p] * zs.count(1.0))
+        return expints(p, zs, e_zs)
+
+    monkeypatch.setattr(torus, "_expints", counted)
+    near, far = UnitTorus(UpperHalfPoint(0.3, 100.0)), UnitTorus(UpperHalfPoint(0.3, 1.7))
+    cut = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi
+    assert sum(math.pi * q < 1.0 for q in _q_values(near, cut)) == 5
+    assert not any(math.pi * q < 1.0 for q in _q_values(far, cut))
+    for t, s, orders in ((near, 0.0, [1.0]), (near, -2.5, [0.5, 3.5]), (near, 0.5, [0.5, 0.5]),
+                         (far, 0.0, []), (far, -2.5, [])):
+        calls.clear()
+        if s == 0.0:
+            logdet_oracle(t)
+        else:
+            spectral_zeta(t, s)
+        assert sorted(calls) == orders, (t, s)
+
+
 def test_spectral_zeta_functional_equation():
     # Lambda(s) = pi^-s Gamma(s) (4 pi^2)^s zeta_tau(s) = Lambda(1 - s) for the
     # unit-area lattice; this reaches s < 1, on both sides of s = 1/2.
@@ -359,15 +478,45 @@ def test_oracle_frozen_values():
     assert abs(logdet_oracle(UnitTorus(UpperHalfPoint(0.0, 2.0))) - LOGDET_2I) <= 1e-9
 
 
+def test_oracle_holds_no_cache_and_no_mutable_state():
+    # The oracle's loop constants are module tuples built at import, and what
+    # it hoists lives for one call: torus imports neither numpy nor functools
+    # (no lru_cache), and each private table is a tuple of numbers or tuples.
+    tree = ast.parse(pathlib.Path(torus.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert not {name.split(".")[0] for name in imported} & {"numpy", "functools"}
+
+    def frozen(value):
+        return isinstance(value, (int, float)) or (isinstance(value, tuple)
+                                                   and all(map(frozen, value)))
+
+    tables = {name: value for name, value in vars(torus).items()
+              if name.startswith("_") and not name.startswith("__") and not callable(value)}
+    assert set(tables) == {"_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS"}
+    assert all(map(frozen, tables.values()))
+
+
 def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("one determinant route called the other's kernel")
+
+    class Forbidden:
+        """Stands in for an oracle helper or table: calling, indexing,
+        iterating or sizing it fails."""
+
+        __call__ = __getitem__ = __iter__ = __len__ = forbidden
 
     with monkeypatch.context() as m:
         m.setattr(numerics, "log_abs_eta", forbidden)
         m.setattr(elliptic, "log_abs_eta", forbidden)
         assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
-    monkeypatch.setattr(torus, "_expint", forbidden)
+    private = {name for name in vars(torus) if name.startswith("_") and not name.startswith("__")}
+    assert {"_q_values", "_expint", "_expints", "_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS"} <= private
+    for name in private:
+        monkeypatch.setattr(torus, name, Forbidden())
     assert abs(logdet_closed(TAU_I) - LOGDET_I) < 1e-12
     assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
 
