@@ -34,6 +34,10 @@ Forensic notes baked into the expectations:
 * CL-19: the corollary statement prints 6/(pi y) where its own proof and the
   small-genus listing conclude 3/(pi y); the chain is CONFIRMED, the
   statement constant recorded separately as CL-19-statement.
+
+CL-19's one array call is numpy's only runtime user, so numpy is imported
+inside _cl19: `import atlab.claims`, and an audit whose selection leaves out
+CL-19 (`verify-claims --only CL-01,CL-17,CL-18`), start without it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from __future__ import annotations
 import math
 from functools import partial
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import bounds, elliptic, torus
 from ._jsontext import array_text, leaf_texts, object_writer
@@ -264,6 +266,7 @@ def _cl19():
     # sum log(1 + |q|^n) <= sum |q|^n = |q|/(1-|q|), and
     # 6/(e^(2 pi y) - 1) <= 3/(pi y) because e^u - 1 >= u.
     # The grid is built in Python floats (libm pow), then evaluated as arrays.
+    import numpy as np
     y = np.array([0.05 * (100.0 / 0.05) ** (i / 499.0) for i in range(500)])
     tau = UpperHalfPoint(np.full_like(y, 0.3), y)
     qa = tau.q_abs

@@ -172,6 +172,13 @@ def _cmd_verify_claims(args, parser) -> int:
         report = claims.run_all(only=only)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
+    if args.json:  # before the text report, so a write error leaves stdout empty
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            parser.error(f"cannot write {args.json}: {exc}")
     for rec in report.records:
         delta = "" if rec.delta is None else f"  delta={_fmt(rec.delta)}"
         print(f"{rec.id:18s} {rec.status:10s} [{rec.location}] "
@@ -180,13 +187,6 @@ def _cmd_verify_claims(args, parser) -> int:
         print(f"warning: {warning}")
     summary = report.summary
     print("summary: " + "  ".join(f"{k}={v}" for k, v in summary.items()))
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            parser.error(f"cannot write {args.json}: {exc}")
     if args.strict and not report.strict_ok():
         print("strict: non-allowlisted discrepancies present", file=sys.stderr)
         return 1

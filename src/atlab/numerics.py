@@ -227,6 +227,12 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     Working in log space keeps large y safe (e^(-pi y / 12) underflows for
     y of a few thousand).  An array tau gives an array of the same shape,
     equal element for element to the scalar values.
+
+    Accuracy: within 1e-13 max(1, |ref|) of 40-digit mpmath for
+    1e-3 <= y <= 1e4 (|x| <= 3).  Below that the float SL2(Z) reduction
+    follows the input's condition number and its error grows: log(y |eta|^4)
+    is off by up to 4.2e-13 relative at y = 1e-4 and 9.2e-9 at y = 1e-8 (worst
+    of 12 random x per y, against an exact reduction of the same doubles).
     """
     if not tau.is_array:
         x, y, *_ = _reduce(tau.x, tau.y)

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import pathlib
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -508,9 +509,22 @@ def test_no_subcommand_loads_scipy():
     assert done.stdout.split() == ["False"] * 5
 
 
+def test_importing_any_atlab_module_loads_no_numpy():
+    # numpy loads at the first array evaluation (CL-19's call, or an array
+    # tau), never at import; a fresh interpreter, since this one holds numpy.
+    modules = ["atlab." + info.name for info in pkgutil.iter_modules(atlab.__path__)]
+    assert sorted(modules) == ["atlab._jsontext", "atlab.bounds", "atlab.claims", "atlab.cli",
+                               "atlab.elliptic", "atlab.numerics", "atlab.torus"]
+    script = f"import sys\nimport {', '.join(modules)}\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_bound_and_elliptic_load_no_numpy():
-    # bound, elliptic, both torus-det routes and table compute on floats; the
-    # audit's array path (CL-19) still loads numpy in the same interpreter.
+    # bound, elliptic, both torus-det routes, table and an audit without CL-19
+    # compute on floats; CL-19's array call loads numpy in the same interpreter.
     script = (
         "import contextlib, io, sys\n"
         "from atlab.cli import main\n"
@@ -523,12 +537,14 @@ def test_bound_and_elliptic_load_no_numpy():
         "      run('torus-det', '--tau', '0.3,1.7', '--method', 'closed'),\n"
         "      run('table', '--from', '2', '--to', '12'),\n"
         "      run('torus-det', '--tau', '0.3,1.7', '--method', 'oracle'),\n"
-        "      run('torus-det', '--tau', '0.3,1.7'), run('verify-claims', '--strict'))\n"
+        "      run('torus-det', '--tau', '0.3,1.7'),\n"
+        "      run('verify-claims', '--only', 'CL-01,CL-17,CL-18'),\n"
+        "      run('verify-claims', '--strict'))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 7 + ["True"]
+    assert done.stdout.split() == ["False"] * 8 + ["True"]
 
 
 def test_numpy_free_commands_import_only_what_they_use(tmp_path):
@@ -552,7 +568,8 @@ def test_numpy_free_commands_import_only_what_they_use(tmp_path):
                  ["torus-det", "--tau", "0.3,1.7", "--method", "oracle"],
                  ["torus-det", "--tau", "0.3,1.7", "--method", "both"],
                  window, window + ["--csv", str(tmp_path / "t.csv")],
-                 window + ["--json", str(tmp_path / "t.json")]):
+                 window + ["--json", str(tmp_path / "t.json")],
+                 ["verify-claims", "--only", "CL-01,CL-17,CL-18"]):
         added = loaded("import contextlib, io\nfrom atlab.cli import main\n"
                        "with contextlib.redirect_stdout(io.StringIO()):\n"
                        f"    assert main({argv!r}) == 0\n") - bare

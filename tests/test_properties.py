@@ -1,7 +1,8 @@
 """Property tests (hypothesis): an array input gives exactly the scalar values,
 the determinant oracle meets the closed form and the metric scaling law, D_Ar
-is modular invariant, the q-product inequality holds, and the claims report's
-JSON writer gives json.dumps's indented text for any scalar leaves.
+is modular invariant, the q-product inequality holds, the claims report's
+JSON writer gives json.dumps's indented text for any scalar leaves, and any
+argv through cli.main ends with a documented exit code and clean streams.
 
 Taus are drawn over the fundamental domain, its edges (|x| = 1/2 and the arc
 |tau| = 1), the corners y ~ 1e-4 and y ~ 1e4, and the strip |x| <= 3 around
@@ -11,8 +12,11 @@ deterministic, and keep no example database.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from atlab import bounds, claims
+from atlab.cli import main
 from atlab.torus import UnitTorus, logdet_closed, logdet_oracle
 from atlab.elliptic import (
     arakelov_logdet,
@@ -140,3 +145,85 @@ def test_report_json_equals_indented_json_dumps(records, warnings):
     report = claims.ClaimReport(tuple(claims.ClaimRecord(*r) for r in records),
                                 tuple(warnings))
     assert report.to_json() == json.dumps(report.as_dict(), indent=2)
+
+
+# One --tau coordinate: decimal literals with signs and exponents, the
+# spellings _TAU_PART refuses (underscores, whitespace, hex, non-ASCII
+# digits), inf/nan, subnormals and the float range's ends, and any float's repr.
+_TAU_NUMBERS = (st.sampled_from(("0", "-0", "+1", ".5", "5.", "1.7", "-0.5", "1e-4", "1E+4",
+                                 "5e-324", "2.2250738585072014e-308", "1e-310", "1e308",
+                                 "1.7976931348623157e308", "1e309", "inf", "-Infinity", "nan",
+                                 "0x1p-3", "0x10", "1_0", " 1", "1 ", "\t1", "+-1", "1e", ".",
+                                 "", "\u0663", "\uff11"))
+                | st.floats().map(repr)
+                | st.builds("{}{}.{}e{}".format, st.sampled_from(("", "+", "-")),
+                            st.integers(0, 999), st.integers(0, 999), st.integers(-330, 330)))
+_TAUS = (st.builds("{!r},{!r}".format, _reals(-4.0, 4.0) | st.floats(allow_nan=False),
+                   _reals(5e-324, 2e4) | _log_uniform(1e-5, 2e4) | st.floats(min_value=0.0))
+         | st.builds("{},{}".format, _TAU_NUMBERS, _TAU_NUMBERS) | st.text(max_size=12))
+_GENERA = st.sampled_from(("1", "2", str(2**53), str(2**53 + 1), "0", "-1", "3.5", "1e3",
+                           "0x2", "2_0", " 2", "")) | st.integers(-10, 2**60).map(str)
+_UNWRITABLE = "/nonexistent-dir/out"
+_BOUND = st.builds(lambda g, form, json_: ["bound", "--genus", g, *form, *json_], _GENERA,
+                   st.sampled_from(([], ["--form", "simplified"], ["--area", "e4pi"],
+                                    ["--form", "bogus"])),
+                   st.sampled_from(([], ["--json"])))
+_ELLIPTIC = st.builds(lambda tau, json_: ["elliptic", "--tau=" + tau, *json_], _TAUS,
+                      st.sampled_from(([], ["--json"])))
+_TORUS_DET = st.builds(lambda tau, method, tol: ["torus-det", "--tau=" + tau, *method, *tol],
+                       _TAUS, st.sampled_from(([], ["--method", "closed"],
+                                               ["--method", "oracle"], ["--method", "x"])),
+                       st.sampled_from(([], ["--tol", "0"], ["--tol", "nan"], ["--tol", "1e-30"],
+                                        ["--tol", "inf"], ["--tol", "-1"])))
+# Windows just past the row cap (refused before any row is built), a few
+# rows at 2**53, and ends off the genus range; an unwritable file on top.
+_WINDOWS = (st.integers(2, 2**53).flatmap(
+                lambda a: st.tuples(st.just(a), st.integers(1, 10).map(lambda k: a + 100_000 + k)))
+            | st.integers(0, 3).map(lambda k: (2**53 - k, 2**53))
+            | st.tuples(st.integers(-2, 2**53 + 2), st.integers(-2, 2**53 + 2)).filter(
+                lambda w: w[0] > w[1] or w[0] < 2 or w[1] > 2**53))
+_TABLE = st.builds(lambda w, out: ["table", "--from", str(w[0]), "--to", str(w[1]), *out],
+                   _WINDOWS, st.sampled_from(([], ["--csv", _UNWRITABLE], ["--json", _UNWRITABLE],
+                                              ["--form", "bogus"])))
+_VERIFY = st.builds(lambda ids, flags: ["verify-claims", "--only", ",".join(ids), *flags],
+                    st.lists(st.sampled_from(("CL-01", "CL-05", "CL-12", "CL-17")), min_size=1,
+                             max_size=2)
+                    | st.lists(st.sampled_from(("CL-01", "CL-99", "", " ", "cl-01")), max_size=3),
+                    st.sampled_from(([], ["--strict"], ["--json", _UNWRITABLE])))
+_RAW = st.lists(st.sampled_from(("bound", "elliptic", "torus-det", "table", "verify-claims",
+                                 "--genus", "--tau", "--from", "--to", "--only", "--json",
+                                 "--help", "-h", "2", "0.3,1.7", "-0.3,1.7", "--")) | st.text(),
+                max_size=5)
+ARGVS = _BOUND | _ELLIPTIC | _TORUS_DET | _TABLE | _VERIFY | _RAW
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(ARGVS)
+@example(["verify-claims", "--only", "CL-01", "--json", _UNWRITABLE])  # printed its report first
+def test_any_argv_ends_with_a_documented_exit_code_and_clean_streams(argv):
+    # Exit 0 ok, 1 a failed tolerance or strict audit (its result on stdout,
+    # one verdict line on stderr), 2 a usage or domain error, 3 non-convergence;
+    # 2 and 3 print nothing on stdout and one error: line or one usage block.
+    # Nothing may escape main: in a process that would be a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    elif code == 1:
+        assert out and err.count("\n") == 1, (argv, err)
+    else:
+        assert out == "", (argv, out)
+        if err.startswith("usage: "):
+            # argparse's block: indented usage lines, then one error line (which
+            # may echo an argument holding a newline).
+            lines = err.split("\n")
+            found = [i for i, line in enumerate(lines)
+                     if re.match(r"atlab( [a-z-]+)?: error: ", line)]
+            assert len(found) == 1 and err.endswith("\n"), (argv, err)
+            assert all(line.startswith(" ") for line in lines[1:found[0]]), (argv, err)
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
