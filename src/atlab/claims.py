@@ -35,9 +35,12 @@ Forensic notes baked into the expectations:
   small-genus listing conclude 3/(pi y); the chain is CONFIRMED, the
   statement constant recorded separately as CL-19-statement.
 
-CL-19's one array call is numpy's only runtime user, so numpy is imported
-inside _cl19: `import atlab.claims`, and an audit whose selection leaves out
-CL-19 (`verify-claims --only CL-01,CL-17,CL-18`), start without it.
+CL-19 evaluates its fixed 500-point grid as arrays (_cl19_arrays, on
+numerics' private _log_abs_eta_array), with exactly the bits of the scalar
+q_abs, elliptic.arakelov_logdet and elliptic_upper_bound_log; it is numpy's
+only runtime user, so numpy is imported inside _cl19: `import atlab.claims`,
+and an audit whose selection leaves out CL-19 (`verify-claims --only
+CL-01,CL-17,CL-18`), start without it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .numerics import (
     LN_2PI4,
     QSERIES_TAIL_TOL,
     UpperHalfPoint,
+    _log_abs_eta_array,
     exp_integral_e1,
+    libm,
     zeta_prime_minus1,
 )
 
@@ -259,6 +264,17 @@ def _cl18():
     return worst, worst
 
 
+def _cl19_arrays(x, y):
+    """|q|, log det and the genus-1 bound at flat float arrays x, y, written op
+    for op as UpperHalfPoint.q_abs, elliptic.arakelov_logdet and
+    elliptic_upper_bound_log, so each element has the scalar bits."""
+    log_y = libm(math.log, y)
+    qa = libm(math.exp, -2.0 * math.pi * y)
+    logdet = LN_2PI + 2.0 * log_y + 6.0 * _log_abs_eta_array(x, y)
+    bound = LN_2PI + 2.0 * log_y - 0.5 * math.pi * y + 3.0 / (math.pi * y)
+    return qa, logdet, bound
+
+
 def _cl19():
     # Chain with 3/(pi y): 6 |q|/(1-|q|) = 6/(e^(2 pi y) - 1) <= 3/(pi y),
     # and the assembled bound dominates the Arakelov log det.  The chain holds
@@ -268,11 +284,9 @@ def _cl19():
     # The grid is built in Python floats (libm pow), then evaluated as arrays.
     import numpy as np
     y = np.array([0.05 * (100.0 / 0.05) ** (i / 499.0) for i in range(500)])
-    tau = UpperHalfPoint(np.full_like(y, 0.3), y)
-    qa = tau.q_abs
+    qa, logdet, bound = _cl19_arrays(np.full_like(y, 0.3), y)
     violations = int(np.count_nonzero(6.0 * qa / (1.0 - qa) > 3.0 / (math.pi * y)))
-    violations += int(np.count_nonzero(
-        elliptic.arakelov_logdet(tau) >= elliptic.elliptic_upper_bound_log(tau)))
+    violations += int(np.count_nonzero(logdet >= bound))
     computed = (f"{violations} violations over 500 y in [0.05, 100] "
                 f"(q-product chain and assembled genus-1 bound)")
     return computed, None, violations == 0

@@ -12,11 +12,10 @@ listing agree on; the alternative 6/(pi y) printed in the statement it derives
 from is tracked by the claims registry, not used here.  D_Ar is modular
 invariant; Area and log det individually are not.
 
-log_arakelov_area, arakelov_area, arakelov_logdet, d_ar_elliptic and
-elliptic_upper_bound_log take a tau of Python floats or of equal-shape float
-arrays (see UpperHalfPoint) through one expression; an array gives exactly the
-scalar values element-wise, and a scalar tau never loads numpy.  Every series
-runs to the fixed truncations of numerics.
+Every function takes one point tau and computes on Python floats; every
+series runs to the fixed truncations of numerics.  CL-19 (claims) evaluates
+arakelov_logdet and elliptic_upper_bound_log on its grid as array
+expressions written op for op like these.
 """
 
 from __future__ import annotations
@@ -24,48 +23,45 @@ from __future__ import annotations
 import math
 import sys
 
-from .numerics import LN_2PI, UpperHalfPoint, libm, log_abs_eta, log_abs_qprod
+from .numerics import LN_2PI, UpperHalfPoint, log_abs_eta, log_abs_qprod
 
 
 def log_arakelov_area(tau: UpperHalfPoint) -> float:
     """log Area_Ar = log 2pi + log y + 2 log|eta|, stable at large y."""
-    return LN_2PI + libm(math.log, tau.y) + 2.0 * log_abs_eta(tau)
+    return LN_2PI + math.log(tau.y) + 2.0 * log_abs_eta(tau)
 
 
 def arakelov_area(tau: UpperHalfPoint) -> float:
     """Area_Ar = 2 pi y |eta(tau)|^2; ValueError where it is below the smallest
-    normal double (reduced y above ~1370), which log_arakelov_area is not.
-    An array tau is refused if any element underflows, naming the smallest."""
+    normal double (reduced y above ~1370), which log_arakelov_area is not."""
     log_area = log_arakelov_area(tau)
-    low = log_area.min(initial=math.inf) if tau.is_array else log_area
-    if low < math.log(sys.float_info.min):
-        raise ValueError(f"arakelov_area underflows (log_arakelov_area {low:.6g})")
-    return libm(math.exp, log_area)
+    if log_area < math.log(sys.float_info.min):
+        raise ValueError(f"arakelov_area underflows (log_arakelov_area {log_area:.6g})")
+    return math.exp(log_area)
 
 
 def arakelov_logdet(tau: UpperHalfPoint) -> float:
     """log det under the Arakelov metric: log 2pi + 2 log y + 6 log|eta|."""
-    return LN_2PI + 2.0 * libm(math.log, tau.y) + 6.0 * log_abs_eta(tau)
+    return LN_2PI + 2.0 * math.log(tau.y) + 6.0 * log_abs_eta(tau)
 
 
 def d_ar_elliptic(tau: UpperHalfPoint) -> float:
     """D_Ar = log(det / Area) = log y + 4 log|eta|; scale and modular invariant."""
-    return libm(math.log, tau.y) + 4.0 * log_abs_eta(tau)
+    return math.log(tau.y) + 4.0 * log_abs_eta(tau)
 
 
 def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
     """log(2 pi y^2 e^(-pi y/2 + 3/(pi y))); depends on y only."""
     y = tau.y
-    return LN_2PI + 2.0 * libm(math.log, y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
+    return LN_2PI + 2.0 * math.log(y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
 
 
 def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
     """(lhs, rhs) with lhs = log|prod (1 - q^n)| and rhs = |q|/(1 - |q|).
 
     lhs <= rhs always (the q-product inequality behind the upper bound).  The
-    series runs on tau as given, unreduced, so tau must be a scalar.
+    series runs on tau as given, unreduced.
     """
-    tau._refuse_array("qprod_bound")
     lhs = log_abs_qprod(tau.x, tau.y)
     qa = tau.q_abs
     return lhs, qa / (1.0 - qa)

@@ -6,9 +6,10 @@ double precision:
 * log|eta(tau)|, eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau),
   evaluated after SL2(Z) reduction to the standard fundamental domain
   (|x| <= 1/2, |tau| >= 1), where |q| <= e^(-pi sqrt 3) ~= 0.00433 and a
-  handful of product terms reach any sensible tolerance.  tau may also be
-  an array of points: the same steps then run element-wise through numpy and
-  give exactly the scalar values (a Python-float tau never loads numpy).
+  handful of product terms reach any sensible tolerance.  tau is one point;
+  the private _log_abs_eta_array runs the same steps element-wise through
+  numpy for CL-19's fixed grid, numpy's one call site, and gives exactly the
+  scalar values.
 * The exponential integral E1(x) = int_x^inf e^(-u)/u du on 0 < x <= 1, by
   its alternating series (downstream needs only E1(1/4)).
 * The s-derivative zeta'(s) of the Riemann zeta function on -2 <= s <= 0
@@ -45,63 +46,38 @@ class ConvergenceError(RuntimeError):
 
 
 def libm(fn, x):
-    """fn, a function of the math module, at a float x or element-wise at a
-    float array x.  numpy's own SIMD log differs from libm's by one ulp at
-    rare arguments (on AVX-512 first at log(9170)), so array paths call libm
-    too and give exactly the scalar values.  A float x never loads numpy."""
-    if isinstance(x, (int, float)):
-        return fn(x)
+    """fn, a function of the math module, element-wise at a float array x.
+    numpy's own SIMD log differs from libm's by one ulp at rare arguments (on
+    AVX-512 first at log(9170)), so CL-19's arrays call libm too and give
+    exactly the scalar values."""
     import numpy as np
     return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
 
 class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
-    """A point tau = x + iy in the upper half-plane (y > 0), or an array of
-    them: x and y as equal-shape real arrays, checked element-wise (a bool,
-    str or complex coordinate raises ValueError)."""
+    """A point tau = x + iy in the upper half-plane (y > 0).  x and y must be
+    Python ints or floats (a numpy.float64 is a float); a bool, str, complex,
+    list, numpy integer or numpy array raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, x, y):
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
-                and bool not in (type(x), type(y)):
-            finite = math.isfinite(x) and math.isfinite(y)
-            positive, bounded = y > 0.0, y <= TAU_Y_MAX
-        else:  # numpy input, and bool or str to refuse
-            import numpy as np
-            x, y = np.asarray(x), np.asarray(y)
-            if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
-                raise ValueError(f"tau must have real coordinates, got {x.dtype} and {y.dtype}")
-            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
-            if x.shape != y.shape:
-                raise ValueError(f"tau needs x and y of one shape, got {x.shape} and {y.shape}")
-            finite = np.isfinite(x).all() and np.isfinite(y).all()
-            positive, bounded = (y > 0.0).all(), (y <= TAU_Y_MAX).all()
-        if not finite:
+        if not (isinstance(x, (int, float)) and isinstance(y, (int, float))) \
+                or bool in (type(x), type(y)):
+            raise ValueError(f"tau must have real coordinates, got "
+                             f"{type(x).__name__} and {type(y).__name__}")
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("tau must have finite coordinates")
-        if not positive:
+        if not y > 0.0:
             raise ValueError("tau must satisfy y > 0")
-        if not bounded:
+        if not y <= TAU_Y_MAX:
             raise ValueError(f"tau must satisfy y <= {TAU_Y_MAX!r} (pi y finite)")
         return super().__new__(cls, x, y)
 
     @property
-    def is_array(self) -> bool:
-        return not isinstance(self.y, (int, float))
-
-    def _refuse_array(self, routine: str) -> None:
-        """Raise ValueError when this is an array of points: routine takes one."""
-        if self.is_array:
-            raise ValueError(f"{routine} takes a scalar tau, got an array of shape {self.y.shape}")
-
-    @property
     def q_abs(self) -> float:
         """|q| = e^(-2 pi y), in [0, 1) (+0.0 once it underflows)."""
-        if not self.is_array:
-            return math.exp(-2.0 * math.pi * self.y)
-        import numpy as np
-        with np.errstate(over="ignore"):  # -inf past y ~ 2.86e307, as in float arithmetic
-            return libm(math.exp, -2.0 * math.pi * self.y)
+        return math.exp(-2.0 * math.pi * self.y)
 
 
 class ModularTransform(namedtuple("ModularTransform", "a b c d")):
@@ -125,7 +101,6 @@ def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, M
     x^2 + y^2 at a step is below the smallest normal double (tau too close to
     the real axis): the inversion would divide by zero or by a subnormal.
     """
-    tau._refuse_array("reduce_to_fundamental_domain")
     x, y, a, b, c, d = _reduce(tau.x, tau.y)
     return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
 
@@ -184,14 +159,15 @@ def log_abs_qprod(x: float, y: float) -> float:
     Truncated once the remaining tail is provably below QSERIES_TAIL_TOL, using
     |log|1 - q^n|| <= |q|^n / (1 - |q|) and the geometric tail bound.
     """
-    qa = math.exp(-2.0 * math.pi * y)
-    one_minus = -math.expm1(-2.0 * math.pi * y)  # 1 - |q|, accurate for small y
+    minus_2pi_y = -2.0 * math.pi * y
+    qa = math.exp(minus_2pi_y)
+    one_minus = -math.expm1(minus_2pi_y)  # 1 - |q|, accurate for small y
     total = 0.0
-    qn = 1.0
+    qn, om2 = 1.0, one_minus * one_minus
     for n in range(1, _QSERIES_MAX_TERMS + 1):
         qn *= qa
         total += 0.5 * math.log1p(qn * (qn - 2.0 * math.cos(2.0 * math.pi * n * x)))
-        if qn * qa / (one_minus * one_minus) < QSERIES_TAIL_TOL:
+        if qn * qa / om2 < QSERIES_TAIL_TOL:
             return total
     raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
 
@@ -225,8 +201,7 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     |eta(tau)| = |c tau + d|^(-1/2) |eta(tau')| for tau' = T(tau); the factor
     is applied as (y'/y)^(1/4), the same quantity via y' = y / |c tau + d|^2.
     Working in log space keeps large y safe (e^(-pi y / 12) underflows for
-    y of a few thousand).  An array tau gives an array of the same shape,
-    equal element for element to the scalar values.
+    y of a few thousand).
 
     Accuracy: within 1e-13 max(1, |ref|) of 40-digit mpmath for
     1e-3 <= y <= 1e4 (|x| <= 3).  Below that the float SL2(Z) reduction
@@ -234,20 +209,25 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     is off by up to 4.2e-13 relative at y = 1e-4 and 9.2e-9 at y = 1e-8 (worst
     of 12 random x per y, against an exact reduction of the same doubles).
     """
-    if not tau.is_array:
-        x, y, *_ = _reduce(tau.x, tau.y)
-        val = -math.pi * y / 12.0 + log_abs_qprod(x, y)
-        return val + 0.25 * (math.log(y) - math.log(tau.y))
+    x, y, *_ = _reduce(tau.x, tau.y)
+    val = -math.pi * y / 12.0 + log_abs_qprod(x, y)
+    return val + 0.25 * (math.log(y) - math.log(tau.y))
+
+
+def _log_abs_eta_array(x, y):
+    """log_abs_eta at each point of flat float arrays x, y, equal to the
+    scalar value bit for bit: CL-19's kernel, and numpy's one call site.
+    The points are not checked as UpperHalfPoint checks them; the caller
+    passes finite x and 0 < y <= TAU_Y_MAX."""
     import numpy as np
-    y0 = tau.y.ravel()
-    x, y = _reduce_array(tau.x.ravel(), y0)
-    val = -math.pi * y / 12.0 + _log_abs_qprod_array(x, y)
+    xr, yr = _reduce_array(x, y)
+    val = -math.pi * yr / 12.0 + _log_abs_qprod_array(xr, yr)
     # Where the reduction left y alone the correction is 0.25 * 0.0 = +0.0,
     # so only the elements it moved take their two logs.
-    moved = y != y0
-    correction = np.zeros_like(y)
-    correction[moved] = 0.25 * (libm(math.log, y[moved]) - libm(math.log, y0[moved]))
-    return (val + correction).reshape(tau.y.shape)
+    moved = yr != y
+    correction = np.zeros_like(yr)
+    correction[moved] = 0.25 * (libm(math.log, yr[moved]) - libm(math.log, y[moved]))
+    return val + correction
 
 
 def exp_integral_e1(x: float) -> float:

@@ -175,10 +175,9 @@ def _mellin_g(torus: UnitTorus, s: float) -> float:
     tolerance, so Q is enumerated once, up to that cut.  The Q set is never
     empty: Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
 
-    An array tau, or y outside [ORACLE_Y_MIN, ORACLE_Y_MAX], raises ValueError before
-    Q is enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
+    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] raises ValueError before Q is
+    enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
     """
-    torus.tau._refuse_array("the spectral oracle")
     x, y = torus.tau.x, torus.tau.y
     if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
@@ -201,7 +200,7 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     relative for 3 <= s <= 11 at x = 0, 0.3, 0.5 and y = 1e-4, 1e4, and within
     about the input's condition number in ulps wherever tau is ill conditioned,
     at every s: 1.6e-13 at s = 3 and 6.0e-13 at s = 11 at x = 0.4009, y = 8.0e-4.
-    tau must be a scalar in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
+    tau must be in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
     """
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
         raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
@@ -211,7 +210,7 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     return (4.0 * math.pi) ** -s * (_rgamma(s) * (g + 1.0 / (s - 1.0)) - _rgamma(s + 1.0))
 
 
-def logdet_oracle(torus: UnitTorus, metric_scale: float = 1.0) -> float:
+def logdet_oracle(torus: UnitTorus) -> float:
     """-zeta'(0) from the self-dual split, never touching the eta closed form.
 
     zeta(s) = (4 pi)^-s F(s) with F(s) = rgamma(s) (G(s) + 1/(s-1)) - rgamma(s+1),
@@ -219,18 +218,14 @@ def logdet_oracle(torus: UnitTorus, metric_scale: float = 1.0) -> float:
 
         log det = gamma_E + 1 - log(4 pi) - G(0).
 
-    metric_scale = g rescales the metric by g^2 (eigenvalues by 1/g^2, area
-    by g^2).  The self-dual point moves to t* = g^2/(4 pi), where the integrand
-    is the same e^(-pi Q w), so the result is exactly scaled_logdet(log det, g);
-    a non-finite or non-positive g raises ValueError there.
+    The torus has unit area; a metric scaled by g^2 has the log det
+    scaled_logdet(logdet_oracle(torus), g).
     Verified for 1e-4 <= y <= 1e4 and any finite x within 1e-12
     max(1, |closed form|).  The lattice is taken at x mod 1 (_q_values), so
-    x and x - round(x) give the same bits; no S inversion enters.  An array
-    tau or another y, non-finite ones included, raise ValueError before
-    anything is enumerated.
+    x and x - round(x) give the same bits; no S inversion enters.  Any other
+    y raises ValueError before anything is enumerated.
     """
-    g0 = _mellin_g(torus, 0.0)
-    return scaled_logdet(EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - g0, metric_scale)
+    return EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g(torus, 0.0)
 
 
 # log det = log(y |eta(tau)|^4) = D_Ar, the closed form (modular invariant).
@@ -254,8 +249,7 @@ class DetComparison(NamedTuple):
 
 
 def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
-    """Both routes at a scalar tau; an array tau is refused before either runs."""
-    tau._refuse_array("the spectral oracle")
+    """Both routes at tau."""
     closed = logdet_closed(tau)
     oracle = logdet_oracle(UnitTorus(tau))
     return DetComparison(tau, closed, oracle, oracle - closed)

