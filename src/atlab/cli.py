@@ -82,16 +82,14 @@ def _cmd_bound(args, parser) -> int:
 def _cmd_elliptic(args, parser) -> int:
     from . import elliptic
     tau = _parse_tau(args.tau, parser)
-    logdet = elliptic.arakelov_logdet(tau)
-    bound = elliptic.elliptic_upper_bound_log(tau)
     payload = {
         "tau": {"x": tau.x, "y": tau.y},
         "arakelov_area": elliptic.arakelov_area(tau),
         "log_arakelov_area": elliptic.log_arakelov_area(tau),
-        "arakelov_logdet": logdet,
+        "arakelov_logdet": elliptic.arakelov_logdet(tau),
         "d_ar": elliptic.d_ar_elliptic(tau),
-        "upper_bound_log": bound,
-        "bound_slack": bound - logdet,
+        "upper_bound_log": elliptic.elliptic_upper_bound_log(tau),
+        "bound_slack": elliptic.bound_slack(tau),
     }
     if args.json:
         import json

@@ -6,6 +6,7 @@ Closed forms, all through log|eta|:
     log det(D_Ar)  = log 2pi + 2 log y + 6 log|eta(tau)|
     D_Ar           = log det - log Area = log(y |eta(tau)|^4)
     upper bound    : log det(D_Ar) < log 2pi + 2 log y - pi y/2 + 3/(pi y)
+    bound slack    = bound - log det = 3/(pi y) - 6 log|prod (1 - q^n)|
 
 The bound constant is 3/(pi y), the value the proof chain and the small-genus
 listing agree on; the alternative 6/(pi y) printed in the statement it derives
@@ -13,9 +14,9 @@ from is tracked by the claims registry, not used here.  D_Ar is modular
 invariant; Area and log det individually are not.
 
 Every function takes one point tau and computes on Python floats; every
-series runs to the fixed truncations of numerics.  CL-19 (claims) evaluates
-arakelov_logdet and elliptic_upper_bound_log on its grid as array
-expressions written op for op like these.
+series runs to the fixed truncations of numerics.  The slack is positive for
+every tau, since log|prod (1 - q^n)| <= |q|/(1 - |q|) <= 1/(2 pi y); CL-19
+(claims) certifies the bound from that inequality.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
     """log(2 pi y^2 e^(-pi y/2 + 3/(pi y))); depends on y only."""
     y = tau.y
     return LN_2PI + 2.0 * math.log(y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
+
+
+def bound_slack(tau: UpperHalfPoint) -> float:
+    """elliptic_upper_bound_log - arakelov_logdet.  Where y >= 1, shifting x
+    by round(x) already reduces tau, so the slack is 3/(pi y) - 6 log|prod
+    (1 - q^n)| at tau, free of the cancellation between two values near
+    -pi y/2; elsewhere it is the plain difference."""
+    if tau.y >= 1.0:
+        return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau.x - round(tau.x), tau.y)
+    return elliptic_upper_bound_log(tau) - arakelov_logdet(tau)
 
 
 def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:

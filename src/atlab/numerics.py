@@ -6,10 +6,7 @@ double precision:
 * log|eta(tau)|, eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau),
   evaluated after SL2(Z) reduction to the standard fundamental domain
   (|x| <= 1/2, |tau| >= 1), where |q| <= e^(-pi sqrt 3) ~= 0.00433 and a
-  handful of product terms reach any sensible tolerance.  tau is one point;
-  the private _log_abs_eta_array runs the same steps element-wise through
-  numpy for CL-19's fixed grid, numpy's one call site, and gives exactly the
-  scalar values.
+  handful of product terms reach any sensible tolerance.  tau is one point.
 * The exponential integral E1(x) = int_x^inf e^(-u)/u du on 0 < x <= 1, by
   its alternating series (downstream needs only E1(1/4)).
 * The s-derivative zeta'(s) of the Riemann zeta function on -2 <= s <= 0
@@ -45,19 +42,11 @@ class ConvergenceError(RuntimeError):
     """A numeric routine failed to reach its requested tolerance."""
 
 
-def libm(fn, x):
-    """fn, a function of the math module, element-wise at a float array x.
-    numpy's own SIMD log differs from libm's by one ulp at rare arguments (on
-    AVX-512 first at log(9170)), so CL-19's arrays call libm too and give
-    exactly the scalar values."""
-    import numpy as np
-    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
-
-
 class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     """A point tau = x + iy in the upper half-plane (y > 0).  x and y must be
     Python ints or floats (a numpy.float64 is a float); a bool, str, complex,
-    list, numpy integer or numpy array raises ValueError."""
+    list, numpy integer or numpy array raises ValueError, as does an int too
+    large for a float."""
 
     __slots__ = ()
 
@@ -66,7 +55,7 @@ class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
                 or bool in (type(x), type(y)):
             raise ValueError(f"tau must have real coordinates, got "
                              f"{type(x).__name__} and {type(y).__name__}")
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (abs(x) <= sys.float_info.max and abs(y) <= sys.float_info.max):
             raise ValueError("tau must have finite coordinates")
         if not y > 0.0:
             raise ValueError("tau must satisfy y > 0")
@@ -118,38 +107,12 @@ def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
         norm = x * x + y * y
         if norm < 1.0 - REDUCTION_SLACK:
             if norm < sys.float_info.min:
-                raise _norm_underflow(x, y)
+                raise ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
+                                 "tau is too close to the real axis")
             x, y = -x / norm, y / norm
             a, b, c, d = -c, -d, a, b
         else:
             return x, y, a, b, c, d
-    raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
-
-
-def _norm_underflow(x: float, y: float) -> ValueError:
-    return ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
-                      "tau is too close to the real axis")
-
-
-def _reduce_array(x, y):
-    """The reduced (x, y) of reduce_to_fundamental_domain for flat arrays x, y,
-    by the same steps element-wise (np.round rounds half to even, like round).
-    A reduced element is a fixed point of a step: |x| <= 1/2 shifts by
-    round(x) = +-0, which can flip only the sign of a zero x (and cos(+-0) is
-    1), and it does not invert.  So every element takes steps until none does."""
-    import numpy as np
-    for _ in range(_REDUCTION_MAX_STEPS):
-        x = x - np.round(x)
-        with np.errstate(over="ignore"):  # inf past y ~ 1.34e154, as in float arithmetic
-            norm = x * x + y * y
-        invert = norm < 1.0 - REDUCTION_SLACK
-        if not invert.any():
-            return x, y
-        tiny = invert & (norm < sys.float_info.min)
-        if tiny.any():
-            i = tiny.argmax()
-            raise _norm_underflow(float(x[i]), float(y[i]))
-        x, y = np.where(invert, -x / norm, x), np.where(invert, y / norm, y)
     raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
 
 
@@ -172,28 +135,6 @@ def log_abs_qprod(x: float, y: float) -> float:
     raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
 
 
-def _log_abs_qprod_array(x, y):
-    """log_abs_qprod at flat arrays x, y.  Each element runs the scalar
-    loop's operations in its order and leaves at the term where the scalar
-    loop returns; terms are computed for the elements still running only."""
-    import numpy as np
-    with np.errstate(over="ignore"):  # -inf past y ~ 2.86e307, as in float arithmetic
-        minus_2pi_y = -2.0 * math.pi * y
-    qa = libm(math.exp, minus_2pi_y)
-    one_minus = -libm(math.expm1, minus_2pi_y)
-    total = np.zeros_like(y)
-    live = np.arange(y.size)
-    qn, om2 = np.ones_like(y), one_minus * one_minus
-    for n in range(1, _QSERIES_MAX_TERMS + 1):
-        qn = qn * qa
-        total[live] += 0.5 * libm(math.log1p, qn * (qn - 2.0 * libm(math.cos, 2.0 * math.pi * n * x)))
-        keep = ~(qn * qa / om2 < QSERIES_TAIL_TOL)
-        if not keep.any():
-            return total
-        live, x, qa, qn, om2 = live[keep], x[keep], qa[keep], qn[keep], om2[keep]
-    raise ConvergenceError("q-product did not reach tail tolerance (y too small)")
-
-
 def log_abs_eta(tau: UpperHalfPoint) -> float:
     """log|eta(tau)| = -pi y'/12 + sum_n log|1 - q'^n| at the reduced point,
     plus the transformation correction.
@@ -212,22 +153,6 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     x, y, *_ = _reduce(tau.x, tau.y)
     val = -math.pi * y / 12.0 + log_abs_qprod(x, y)
     return val + 0.25 * (math.log(y) - math.log(tau.y))
-
-
-def _log_abs_eta_array(x, y):
-    """log_abs_eta at each point of flat float arrays x, y, equal to the
-    scalar value bit for bit: CL-19's kernel, and numpy's one call site.
-    The points are not checked as UpperHalfPoint checks them; the caller
-    passes finite x and 0 < y <= TAU_Y_MAX."""
-    import numpy as np
-    xr, yr = _reduce_array(x, y)
-    val = -math.pi * yr / 12.0 + _log_abs_qprod_array(xr, yr)
-    # Where the reduction left y alone the correction is 0.25 * 0.0 = +0.0,
-    # so only the elements it moved take their two logs.
-    moved = yr != y
-    correction = np.zeros_like(yr)
-    correction[moved] = 0.25 * (libm(math.log, yr[moved]) - libm(math.log, y[moved]))
-    return val + correction
 
 
 def exp_integral_e1(x: float) -> float:

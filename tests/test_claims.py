@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from atlab import bounds, claims, numerics, torus
+from atlab import bounds, claims, elliptic, numerics, torus
 from atlab.claims import (
     EXPECTED_DISCREPANT,
     builtin_registry,
@@ -186,6 +186,16 @@ def test_precision_threads_through(monkeypatch):
     report = run_all(only=["CL-17"])
     assert report.records[0].status == "CONFIRMED"
     assert report.as_dict()["precision"]["lattice_tail_tol"] == 1e-10
+
+
+def test_cl19_is_not_confirmed_when_the_bound_lies_below_the_logdet(monkeypatch):
+    # The grid is certified from the proof; the eta-evaluated cross-check
+    # still sees an assembled bound that does not dominate the log det.
+    monkeypatch.setattr(elliptic, "elliptic_upper_bound_log",
+                        lambda tau: elliptic.arakelov_logdet(tau) - 1.0)
+    rec = run_all(only=["CL-19"]).records[0]
+    assert rec.status == "DISCREPANT"
+    assert rec.computed.startswith("3 violations over 500 y in [0.05, 100] ")
 
 
 @pytest.mark.parametrize("claim_id, margin", [

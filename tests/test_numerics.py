@@ -23,7 +23,6 @@ from atlab.numerics import (
     ModularTransform,
     UpperHalfPoint,
     exp_integral_e1,
-    libm,
     log_abs_eta,
     log_abs_qprod,
     reduce_to_fundamental_domain,
@@ -76,6 +75,10 @@ def test_upper_half_point_takes_only_real_coordinates():
                  (np.array(0.3), 1.7), (0.3, np.ones(())),
                  (np.int64(0), 1.0), (0.3, np.int64(2)), ([0.3], [1.7]), (0.3, [1.7])):
         with pytest.raises(ValueError, match="^tau must have real coordinates, got "):
+            UpperHalfPoint(x, y)
+    # A Python int too large for a float is refused like an infinite float.
+    for x, y in ((10**400, 1.0), (0.3, 10**400), (-10**400, 1.0)):
+        with pytest.raises(ValueError, match="^tau must have finite coordinates$"):
             UpperHalfPoint(x, y)
     # Python ints and floats stay accepted, and a numpy.float64 is a float.
     assert UpperHalfPoint(0, 1) == (0, 1) and UpperHalfPoint(np.float64(0.3), 1.7) == (0.3, 1.7)
@@ -206,28 +209,6 @@ def test_scalar_eta_equals_the_value_through_the_reduced_point():
         want = (-math.pi * red.y / 12.0 + log_abs_qprod(red.x, red.y)
                 + 0.25 * (math.log(red.y) - math.log(y)))
         assert log_abs_eta(tau).hex() == float(want).hex(), (x, y)
-
-
-def test_array_eta_takes_the_correction_logs_only_where_the_reduction_moved_y(monkeypatch):
-    # Where the reduction only shifts x (or does nothing), y' = y and the
-    # modular correction is 0.25 * 0.0: no log is taken for it.
-    evaluated = {}
-
-    def counting_libm(fn, x):
-        evaluated[fn] = evaluated.get(fn, 0) + np.size(x)
-        return libm(fn, x)
-    monkeypatch.setattr(numerics, "libm", counting_libm)
-    x = np.array([0.3, -2.2, 0.5, 7.25, -0.5, 0.0])
-    y = np.array([1.0, 1.5, 0.8660254037844386, 3.0, 1e4, 1.0])
-    got = numerics._log_abs_eta_array(x, y)
-    assert evaluated.get(math.log, 0) == 0 and evaluated[math.log1p] > 0
-    assert got.tolist() == [log_abs_eta(UpperHalfPoint(a, b)) for a, b in zip(x, y)]
-    # Two of these four are inverted: two logs each.
-    evaluated.clear()
-    x, y = np.array([0.3, 0.3, 0.1, 2.0]), np.array([0.5, 2.0, 0.01, 1.5])
-    got = numerics._log_abs_eta_array(x, y)
-    assert evaluated[math.log] == 4
-    assert got.tolist() == [log_abs_eta(UpperHalfPoint(a, b)) for a, b in zip(x, y)]
 
 
 def test_reduction_errors_keep_their_messages(monkeypatch):

@@ -1,8 +1,8 @@
-"""Property tests (hypothesis): CL-19's array kernel gives exactly the scalar
-values, the determinant oracle meets the closed form and the metric scaling
-law, D_Ar is modular invariant, the q-product inequality holds, the claims report's
-JSON writer gives json.dumps's indented text for any scalar leaves, and any
-argv through cli.main ends with a documented exit code and clean streams.
+"""Property tests (hypothesis): the determinant oracle meets the closed form
+and the metric scaling law, D_Ar is modular invariant, the q-product
+inequality holds, the claims report's JSON writer gives json.dumps's indented
+text for any scalar leaves, and any argv through cli.main ends with a
+documented exit code and clean streams.
 
 Taus are drawn over the fundamental domain, its edges (|x| = 1/2 and the arc
 |tau| = 1), the corners y ~ 1e-4 and y ~ 1e4, and the strip |x| <= 3 around
@@ -23,20 +23,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from atlab import bounds, claims, numerics
+from atlab import bounds, claims
 from atlab.cli import main
 from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, scaled_logdet, spectral_zeta
-from atlab.elliptic import arakelov_logdet, d_ar_elliptic, elliptic_upper_bound_log, qprod_bound
-from atlab.numerics import UpperHalfPoint, log_abs_eta
+from atlab.elliptic import d_ar_elliptic, qprod_bound
+from atlab.numerics import UpperHalfPoint
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 ORACLE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)  # each example runs the oracle
 CORNER_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)  # y ~ 1e-4 costs ~30 ms a call
-# Each array evaluation CL-19 makes, with the scalar function it mirrors.
-TAU_ARRAY_FUNCTIONS = ((numerics._log_abs_eta_array, log_abs_eta),
-                       (lambda x, y: claims._cl19_arrays(x, y)[0], lambda tau: tau.q_abs),
-                       (lambda x, y: claims._cl19_arrays(x, y)[1], arakelov_logdet),
-                       (lambda x, y: claims._cl19_arrays(x, y)[2], elliptic_upper_bound_log))
 
 
 def _reals(lo: float, hi: float):
@@ -54,16 +49,6 @@ _ARC = _reals(-0.5, 0.5).map(lambda x: (x, math.sqrt(1.0 - x * x)))
 _CORNERS = st.tuples(_reals(-3.0, 3.0), _log_uniform(1e-4, 2e-4) | _log_uniform(5e3, 1e4))
 _STRIP = st.tuples(_reals(-3.0, 3.0), _log_uniform(1e-4, 1e4))
 POINTS = _INTERIOR | _LINES | _ARC | _CORNERS | _STRIP
-TAUS = st.lists(POINTS, min_size=1, max_size=40)
-
-
-@PROPERTY_SETTINGS
-@given(TAUS)
-def test_tau_array_equals_scalars(points):
-    x, y = (np.array(column) for column in zip(*points))
-    for array_fn, fn in TAU_ARRAY_FUNCTIONS:
-        want = np.array([fn(UpperHalfPoint(a, b)) for a, b in points])
-        assert array_fn(x, y).tobytes() == want.tobytes(), fn
 
 
 @PROPERTY_SETTINGS
