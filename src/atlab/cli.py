@@ -4,11 +4,12 @@ Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
 3 numeric non-convergence; a closed output pipe ends the process quietly
 (SIGPIPE).  A --tau that is not two decimal literals is a usage error and
-prints the usage block; one whose value UpperHalfPoint refuses is a domain
-error and prints one `error:` line.  Exit 3 comes only from the eta kernel
-(its SL2(Z) reduction and q-product), through `elliptic` and `torus-det
---method closed|both`; `verify-claims` records it as an ERRORED claim.  The
-spectral oracle is a finite lattice sum and cannot fail to converge.
+prints the usage block; one whose value UpperHalfPoint refuses, or whose
+double's exactly reduced y' passes TAU_Y_MAX, is a domain error and prints
+one `error:` line.  Exit 3 is left to the q-product's term cap, which no
+reduced point (y >= sqrt(3)/2) reaches at its default, through `elliptic` and
+`torus-det --method closed|both`; `verify-claims` records it as an ERRORED
+claim.  The spectral oracle is a finite lattice sum and cannot fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so each handler imports what only it uses.

@@ -4,7 +4,7 @@ Everything downstream reduces to four ingredients computed here in plain
 double precision:
 
 * log|eta(tau)|, eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau),
-  evaluated after SL2(Z) reduction to the standard fundamental domain
+  evaluated after exact SL2(Z) reduction to the standard fundamental domain
   (|x| <= 1/2, |tau| >= 1), where |q| <= e^(-pi sqrt 3) ~= 0.00433 and a
   handful of product terms reach any sensible tolerance.  tau is one point.
 * The exponential integral E1(x) = int_x^inf e^(-u)/u du on 0 < x <= 1, by
@@ -30,9 +30,7 @@ EULER_GAMMA = 0.5772156649015328606
 LN_2PI = math.log(2.0 * math.pi)
 LN_2PI4 = math.log(2.0) + 4.0 * math.log(math.pi)  # log(2 * pi^4)
 
-_REDUCTION_MAX_STEPS = 64
 _QSERIES_MAX_TERMS = 200_000
-REDUCTION_SLACK = 1e-12  # invert only where |tau|^2 < 1 - REDUCTION_SLACK
 QSERIES_TAIL_TOL = 1e-16  # the q-product stops once its tail is below this
 EM_CUTOFF, EM_ORDER = 12, 12  # Euler-Maclaurin direct-sum length N and Bernoulli terms
 TAU_Y_MAX = sys.float_info.max / math.pi  # largest y with pi y (log|eta|'s -pi y/12) finite
@@ -81,39 +79,44 @@ class ModularTransform(namedtuple("ModularTransform", "a b c d")):
 
 
 def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, ModularTransform]:
-    """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1 - REDUCTION_SLACK by shifts and
-    inversions (REDUCTION_SLACK, a fixed constant).
-
-    Returns (tau', T) with tau' = T(tau).  The loop alternates x -> x - round(x)
-    and tau -> -1/tau; it provably terminates, but a hard cap guards against
-    floating-point cycling on the |tau| = 1 boundary.  Raises ValueError when
-    x^2 + y^2 at a step is below the smallest normal double (tau too close to
-    the real axis): the inversion would divide by zero or by a subnormal.
-    """
+    """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1, exactly: (tau', T) with
+    tau' = T(tau) for the doubles tau holds, x' and y' each correctly rounded.
+    Raises ValueError where y' is above TAU_Y_MAX (tau = 0 + 1e-310i, say)."""
     x, y, a, b, c, d = _reduce(tau.x, tau.y)
     return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
 
 
 def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
-    """The steps of reduce_to_fundamental_domain on plain floats: the reduced
-    (x', y') and the transform's (a, b, c, d), with no objects built."""
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(_REDUCTION_MAX_STEPS):
-        k = round(x)
-        if k:
-            x -= k
-            a -= k * c
-            b -= k * d
-        norm = x * x + y * y
-        if norm < 1.0 - REDUCTION_SLACK:
-            if norm < sys.float_info.min:
-                raise ValueError(f"|tau|^2 underflows at reduction step {x!r} + {y!r}i: "
-                                 "tau is too close to the real axis")
-            x, y = -x / norm, y / norm
-            a, b, c, d = -c, -d, a, b
-        else:
-            return x, y, a, b, c, d
-    raise ConvergenceError("fundamental-domain reduction did not settle in 64 steps")
+    """The reduced (x', y') and the transform's (a, b, c, d), with no objects
+    built, by Lagrange-Gauss reduction (Cohen, GTM 138, ch. 5).  With x = X/L,
+    y = Y/L, L a power of two, L^2 |u + tau v|^2 = A u^2 + 2h uv + C v^2 for
+    (A, h, C) = (L^2, XL, X^2 + Y^2), whose point is (h + i LY)/A.  S maps it
+    to (C, -h, A), T^k adds k to h/A; each S lowers the integer A, so the loop
+    ends, with |h| <= A/2 and A <= C."""
+    k = round(x)
+    x -= k  # exact in doubles
+    if y >= 1.0:  # already reduced
+        return x, y, 1, -k, 0, 1
+    X, L = x.as_integer_ratio()
+    Y, M = y.as_integer_ratio()
+    if L < M:
+        X, L = X * (M // L), M
+    else:
+        Y *= L // M
+    A, h, C = L * L, X * L, X * X + Y * Y
+    a, b, c, d = 1, -k, 0, 1
+    while A > C:  # S, then T^k with h/A in (-1/2, 1/2]
+        k = (C + h + h) // (C + C)
+        t = k * C - h
+        A, h, C = C, t, A + k * (t - h)
+        a, b, c, d = k * a - c, k * b - d, a, b
+    try:
+        y = L * Y / A
+    except OverflowError:  # y' above the largest double
+        y = math.inf
+    if y > TAU_Y_MAX:
+        raise ValueError(f"tau's reduced y' must be <= {TAU_Y_MAX!r}: tau is too near the real axis")
+    return h / A, y, a, b, c, d
 
 
 def log_abs_qprod(x: float, y: float) -> float:
@@ -137,20 +140,16 @@ def log_abs_qprod(x: float, y: float) -> float:
 
 def log_abs_eta(tau: UpperHalfPoint) -> float:
     """log|eta(tau)| = -pi y'/12 + sum_n log|1 - q'^n| at the reduced point,
-    plus the transformation correction.
+    plus the transformation correction: |eta(tau)| = |c tau + d|^(-1/2)
+    |eta(tau')| for tau' = T(tau), applied as (y'/y)^(1/4) since y' =
+    y / |c tau + d|^2.  Log space keeps large y safe (e^(-pi y / 12)
+    underflows for y of a few thousand).
 
-    |eta(tau)| = |c tau + d|^(-1/2) |eta(tau')| for tau' = T(tau); the factor
-    is applied as (y'/y)^(1/4), the same quantity via y' = y / |c tau + d|^2.
-    Working in log space keeps large y safe (e^(-pi y / 12) underflows for
-    y of a few thousand).
-
-    Accuracy: within 1e-13 max(1, |ref|) of 40-digit mpmath for
-    1e-3 <= y <= 1e4 (|x| <= 3).  Below that the float SL2(Z) reduction
-    follows the input's condition number and its error grows: log(y |eta|^4)
-    is off by up to 4.2e-13 relative at y = 1e-4 and 9.2e-9 at y = 1e-8 (worst
-    of 12 random x per y, against an exact reduction of the same doubles).
+    Accuracy, for every y > 0 (ValueError where y' passes TAU_Y_MAX): it and
+    D_Ar = log y + 4 log|eta| are within 1e-15 (|D_Ar| + |log y|) of 40-digit
+    mpmath at the exactly reduced point, the |log y| from log y's cancellation.
     """
-    x, y, *_ = _reduce(tau.x, tau.y)
+    x, y, _, _, _, _ = _reduce(tau.x, tau.y)
     val = -math.pi * y / 12.0 + log_abs_qprod(x, y)
     return val + 0.25 * (math.log(y) - math.log(tau.y))
 

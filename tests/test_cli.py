@@ -276,6 +276,12 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0,1e-4", "--method", "closed")
     yield ("torus-det", "--tau", "1e308,1")
     yield ("bound", "--genus", "77")
+    # the exact reduction near the real axis: a y' the float loop lost, a
+    # y' of 1e300, a y' past TAU_Y_MAX (exit 2) and an area underflow there
+    yield ("torus-det", "--tau", "0.1234567,1e-20", "--method", "closed")
+    yield ("torus-det", "--tau", "0,1e-300", "--method", "closed")
+    yield ("torus-det", "--tau", "0,5e-324", "--method", "closed")
+    yield ("elliptic", "--tau", "0,1e-300")
     # exit 3: a q-product cut to its first term cannot meet its tail tolerance
     yield ("numerics._QSERIES_MAX_TERMS=1", "elliptic", "--tau", "0.3,1.7")
     for method in ("closed", "both"):
@@ -318,9 +324,12 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # lines were refrozen for the self-dual Mellin split and again for its exact
     # sum of exponential integrals (with the report's precision block), the four
     # usage errors for printing their own subcommand's usage, the exit-3
-    # lines were re-keyed to the q-product once the oracle could not fail, and
+    # lines were re-keyed to the q-product once the oracle could not fail,
     # `elliptic --tau 0.3,1.7 --json` was refrozen for its bound_slack computed
-    # without cancellation (0.5616807399776218, the 60-digit value rounded).
+    # without cancellation (0.5616807399776218, the 60-digit value rounded), and
+    # three closed-form lines for the exact SL2(Z) reduction: near the cusp -1/2
+    # and at y = 1e-4 they moved to the mpmath value, and rho's double, just
+    # inside |tau| = 1, is now inverted (2 ulps off arakelov_logdet's ~0.2157).
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden
@@ -463,13 +472,20 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
 
 
 def test_tau_underflowing_norm_exits_2(capsys):
-    for tau in ("0,1e-300", "0.5,1e-300", "0,1e-310"):
+    # The exact reduction takes any y whose reduced y' is at most TAU_Y_MAX:
+    # at 1e-300 the closed form computes (elliptic's area underflows there);
+    # at 1e-310 and 5e-324, 1/y' is past it, a domain error from both commands.
+    assert run(capsys, "torus-det", "--tau", "0,1e-300", "--method", "closed")[0] == 0
+    assert run(capsys, "torus-det", "--tau", "0.5,1e-300", "--method", "closed")[0] == 0
+    for tau in ("0,1e-310", "0,5e-324", "0.5,5e-324"):
         for argv in (("elliptic", "--tau", tau),
                      ("torus-det", "--tau", tau, "--method", "closed")):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
-            assert out == "" and err.startswith("error: ") and "underflows" in err
-    assert run(capsys, "torus-det", "--tau", "0,1e-150", "--method", "closed")[0] == 0
+            assert out == "" and err.startswith("error: tau's reduced y' must be <= 5.72")
+            assert err.count("\n") == 1
+    code, out, err = run(capsys, "torus-det", "--tau", "0.1234567,1e-20", "--method", "closed")
+    assert (code, out) == (0, "logdet_closed  -13.3907512381\n")
 
 
 def test_elliptic_area_underflow_exits_2(capsys):
