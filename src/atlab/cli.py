@@ -1,15 +1,13 @@
 """Command-line frontend.
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
-Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error,
-3 numeric non-convergence; a closed output pipe ends the process quietly
-(SIGPIPE).  A --tau that is not two decimal literals is a usage error and
-prints the usage block; one whose value UpperHalfPoint refuses, or whose
-double's exactly reduced y' passes TAU_Y_MAX, is a domain error and prints
-one `error:` line.  Exit 3 is left to the q-product's term cap, which no
-reduced point (y >= sqrt(3)/2) reaches at its default, through `elliptic` and
-`torus-det --method closed|both`; `verify-claims` records it as an ERRORED
-claim.  The spectral oracle is a finite lattice sum and cannot fail to converge.
+Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error; a
+closed output pipe ends the process quietly (SIGPIPE).  A --tau that is not
+two decimal literals is a usage error and prints the usage block; one whose
+value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
+TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and
+prints one `error:` line.  Every series runs to a fixed truncation at the
+exactly reduced point, so no computation can fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so each handler imports what only it uses.
@@ -25,7 +23,7 @@ import sys
 from functools import partial
 
 from . import bounds
-from .numerics import ConvergenceError, UpperHalfPoint
+from .numerics import UpperHalfPoint
 
 # One coordinate of --tau: an ASCII decimal literal, or an inf/nan spelling
 # for UpperHalfPoint's finiteness check to name.  float() alone also takes
@@ -258,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # domain error raised by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entrypoint() -> None:

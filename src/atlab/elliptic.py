@@ -58,24 +58,23 @@ def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
 
 
 def bound_slack(tau: UpperHalfPoint) -> float:
-    """elliptic_upper_bound_log - arakelov_logdet.  Where y >= 1, shifting x
-    by round(x) already reduces tau, so the slack is 3/(pi y) - 6 log|prod
-    (1 - q^n)| at tau, free of the cancellation between two values near
-    -pi y/2; elsewhere it is the plain difference."""
+    """elliptic_upper_bound_log - arakelov_logdet.  Where y >= 1 it is
+    3/(pi y) - 6 log|prod (1 - q^n)| at tau, free of the cancellation between
+    two values near -pi y/2; elsewhere it is the plain difference."""
     if tau.y >= 1.0:
-        return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau.x - round(tau.x), tau.y)
+        return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau.x, tau.y)
     return elliptic_upper_bound_log(tau) - arakelov_logdet(tau)
 
 
 def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
     """(lhs, rhs) with lhs = log|prod (1 - q^n)| and rhs = |q|/(1 - |q|).
 
-    lhs <= rhs always (the q-product inequality behind the upper bound).  The
-    series runs on tau as given, unreduced.
+    lhs <= rhs always (the q-product inequality behind the upper bound).  Both
+    are defined at every tau: lhs through the exactly reduced point where
+    y < sqrt(3)/2, and 1 - |q| as -expm1(-2 pi y), accurate at small y.
     """
-    lhs = log_abs_qprod(tau.x, tau.y)
-    qa = tau.q_abs
-    return lhs, qa / (1.0 - qa)
+    minus_2pi_y = -2.0 * math.pi * tau.y
+    return log_abs_qprod(tau.x, tau.y), math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
 
 
 def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:

@@ -34,11 +34,11 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .elliptic import d_ar_elliptic
-from .numerics import EULER_GAMMA, UpperHalfPoint
+from .numerics import EULER_GAMMA, UpperHalfPoint, _reduce
 
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 11.0  # spectral_zeta's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
-ORACLE_Y_MIN, ORACLE_Y_MAX = 1e-4, 1e4  # the oracle's verified domain in y
+ORACLE_Y_MAX = 1e4  # the oracle's verified domain: reduced y' <= this
 
 # E_p's continued-fraction depth on [_CF_EDGES[i], _CF_EDGES[i+1]) (the last one
 # open): every 0 <= p <= 11 within 4.7e-16 of mpmath on [1, 41.5], past z = log 1e18.
@@ -56,20 +56,17 @@ class UnitTorus(NamedTuple):
     tau: UpperHalfPoint
 
 
-def _q_values(torus: UnitTorus, qmax: float) -> list[float]:
+def _q_values(x: float, y: float, qmax: float) -> list[float]:
     """The nonzero values of Q(m,n) = ((m + n x)^2 + (n y)^2)/y <= qmax over
-    half the lattice, one (m, n) of each pair +-(m, n), in no set order: the
-    family every lattice sum of the oracle runs over, at x mod 1.
+    half the lattice of x + iy, one (m, n) of each pair +-(m, n), in no set
+    order: the family every lattice sum of the oracle runs over.
     Q(-m,-n) = Q(m,n) bit for bit, so each sum over the lattice is twice
     the sum over this list.
 
-    Z + tau Z is the lattice of tau + k, so x is first shifted by round(x)
-    (exact in doubles): any finite x gives the Q set of x - round(x), and n x
-    stays small.  Row n >= 0 spans ceil(-nx - half) <= m <= floor(-nx + half),
-    half^2 = qmax y - (n y)^2, and row 0 its m >= 1 only: the oracle's cut,
-    qmax ~13.2, gives at most 363 values over y in [1e-4, 1e4]."""
-    x, y = torus.tau.x, torus.tau.y
-    x -= round(x)
+    Row n >= 0 spans ceil(-nx - half) <= m <= floor(-nx + half),
+    half^2 = qmax y - (n y)^2, and row 0 its m >= 1 only: at the oracle's
+    reduced point and cut (|x| <= 1/2, sqrt(3)/2 <= y <= 1e4, qmax ~13.2)
+    that is at most 4 rows and 363 values."""
     q = []
     for n in range(int(math.floor(math.sqrt(qmax / y))) + 1):
         nx, ny2 = n * x, (n * y) ** 2
@@ -92,7 +89,7 @@ def _expint(p: float, z: float) -> float:
 def _expints(p: float, zs: list[float], e_zs: list[float]) -> list[float]:
     """E_p(z) = int_1^inf w^-p e^(-z w) dw for each z of zs, given e_zs = [e^-z],
     within 9e-16 relative of mpmath for -10 <= p <= 11 and
-    pi ORACLE_Y_MIN <= z <= 41.5.
+    pi / ORACLE_Y_MAX <= z <= 41.5.
 
     p = 0 is e^-z / z; a negative p steps down from p + ceil(-p) by
     E_q = (e^-z - q E_{q+1}) / z, a sum of positive terms.  For z >= 1 it is
@@ -171,18 +168,22 @@ def _mellin_g(torus: UnitTorus, s: float) -> float:
     continued fraction (pi Q >= 1) or a series (pi Q < 1); E_p(1), which the
     series needs, is evaluated once per order per call (_expints).
 
-    A term with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the tail
-    tolerance, so Q is enumerated once, up to that cut.  The Q set is never
-    empty: Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
+    The lattice is taken at tau's exactly reduced point (x', y'): an exact
+    SL2(Z) image spans the same lattice up to rotation, so the Q family is
+    unchanged, and the shared reduction, being exact, cannot correlate this
+    route's error with the eta closed form's.  A term
+    with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the tail tolerance,
+    so Q is enumerated once, up to that cut.  The Q set is never empty:
+    Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
 
-    y outside [ORACLE_Y_MIN, ORACLE_Y_MAX] raises ValueError before Q is
-    enumerated: the Q set grows like sqrt(max(y, 1/y)).  Any finite x is fine.
+    y' above ORACLE_Y_MAX raises ValueError before Q is enumerated: the Q set
+    grows like sqrt(y').
     """
-    x, y = torus.tau.x, torus.tau.y
-    if not ORACLE_Y_MIN <= y <= ORACLE_Y_MAX:
-        raise ValueError(f"the spectral oracle needs {ORACLE_Y_MIN:g} <= y <= {ORACLE_Y_MAX:g}, "
-                         f"got tau = {x!r}+{y!r}i")
-    zs = [math.pi * q for q in _q_values(torus, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)]
+    x, y, _, _, _, _ = _reduce(torus.tau.x, torus.tau.y)
+    if not y <= ORACLE_Y_MAX:
+        raise ValueError(f"the spectral oracle needs the reduced y' <= {ORACLE_Y_MAX:g}, "
+                         f"got y' = {y!r} for tau = {torus.tau.x!r}+{torus.tau.y!r}i")
+    zs = [math.pi * q for q in _q_values(x, y, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)]
     e_zs = [math.exp(-z) for z in zs]
     return 2.0 * math.fsum([a + b for a, b in zip(_expints(1.0 - s, zs, e_zs), _expints(s, zs, e_zs))])
 
@@ -196,11 +197,11 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     rgamma(0) = 0 leaves exactly -1.0 whenever G(0) is finite).  Verified for
     -10 <= s <= 11, |s-1| >= 0.05, the orders -10 <= p <= 11 of E_s and
     E_{1-s} that _expint is verified for; other s raise ValueError.  Against
-    the Chowla-Selberg series at the exactly reduced tau it is within 2.7e-15
-    relative for 3 <= s <= 11 at x = 0, 0.3, 0.5 and y = 1e-4, 1e4, and within
-    about the input's condition number in ulps wherever tau is ill conditioned,
-    at every s: 1.6e-13 at s = 3 and 6.0e-13 at s = 11 at x = 0.4009, y = 8.0e-4.
-    tau must be in logdet_oracle's domain (any x, 1e-4 <= y <= 1e4), else ValueError.
+    the Chowla-Selberg series at the exactly reduced tau it is within 2.5e-15
+    relative at s = -9.3, -2.3, 0.3, 1.8, 3, 7.5 and 11, over x = 0, 0.3, 0.5
+    at y = 1e-4 and 1e4, the ill-conditioned 0.4009 + 8.0e-4i and 12 seeded
+    taus with y down to 1e-12.  tau must be in logdet_oracle's domain (reduced
+    y' <= ORACLE_Y_MAX), else ValueError.
     """
     if not ZETA_S_MIN <= s <= ZETA_S_MAX:
         raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
@@ -220,10 +221,10 @@ def logdet_oracle(torus: UnitTorus) -> float:
 
     The torus has unit area; a metric scaled by g^2 has the log det
     scaled_logdet(logdet_oracle(torus), g).
-    Verified for 1e-4 <= y <= 1e4 and any finite x within 1e-12
-    max(1, |closed form|).  The lattice is taken at x mod 1 (_q_values), so
-    x and x - round(x) give the same bits; no S inversion enters.  Any other
-    y raises ValueError before anything is enumerated.
+    Within 1e-12 max(1, |closed form|) wherever tau's exactly reduced y' is at
+    most ORACLE_Y_MAX (so for every y in [1e-4, 1e4]); the lattice is taken at
+    that point, so every exact SL2(Z) image of tau gives the same bits.  A
+    larger y' raises ValueError before anything is enumerated.
     """
     return EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g(torus, 0.0)
 

@@ -14,10 +14,9 @@ import pkgutil
 import signal
 import subprocess
 import sys
-from unittest import mock
 
 import atlab
-from atlab import _jsontext, numerics
+from atlab import _jsontext
 from atlab.cli import main
 
 
@@ -117,7 +116,7 @@ def test_torus_det_tolerance_exit(capsys):
 
 
 def test_torus_det_oracle_domain(capsys):
-    # y = 1e-4 is the lower end of the oracle's documented domain.
+    # 0 + 1e-4i reduces to 1e4 i, the top of the oracle's domain (reduced y' <= 1e4).
     code, out, _ = run(capsys, "torus-det", "--tau", "0,1e-4", "--method", "oracle")
     assert code == 0
     oracle = float(out.split()[1])
@@ -128,7 +127,8 @@ def test_torus_det_oracle_domain(capsys):
 
 def test_torus_det_refuses_taus_outside_the_oracle_domain(capsys):
     # Exit 2 with one error line: 1e300 used to hit numpy's array size limit,
-    # and a y past 1e4 to run the oracle unverified.  The closed form still runs.
+    # and a reduced y' past 1e4 (0 + 9e-5i reduces to 11111i) to run the oracle
+    # unverified.  The closed form still runs.
     for tau in ("0.3,1e300", "0,1e5", "0,9e-5"):
         for method in ("oracle", "both"):
             code, out, err = run(capsys, "torus-det", f"--tau={tau}", "--method", method)
@@ -249,7 +249,7 @@ def _golden_commands():
     for tau in ("0.3,1.7", "0.5,0.8660254037844386", "0,1"):
         for method in ("closed", "oracle", "both"):
             yield ("torus-det", "--tau", tau, "--method", method)
-    # the corners i and rho, y near the cusp, and the oracle's two y edges
+    # the corners i and rho, y near the cusp, and y = 1e4 and 1e-4
     yield ("elliptic", "--tau", "0,1")
     yield ("elliptic", "--tau", "0.5,0.8660254037844386", "--json")
     yield ("elliptic", "--tau", "0.3,9999", "--json")
@@ -266,7 +266,6 @@ def _golden_commands():
     # the row cap, and the help text that documents the table's flags
     yield ("table", "--from", "2", "--to", "100001", "--csv", "t.csv")
     yield ("table", "--help")
-    yield ("torus-det", "--tau=0.3,1e-5", "--method", "oracle")
     yield ("torus-det", "--tau", "0.3,1.7", "--tol", "0")
     yield ("verify-claims", "--only", "CL-99")
     # the area underflow, a point near the cusp, the oracle's lowest y in the
@@ -282,10 +281,8 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0,1e-300", "--method", "closed")
     yield ("torus-det", "--tau", "0,5e-324", "--method", "closed")
     yield ("elliptic", "--tau", "0,1e-300")
-    # exit 3: a q-product cut to its first term cannot meet its tail tolerance
-    yield ("numerics._QSERIES_MAX_TERMS=1", "elliptic", "--tau", "0.3,1.7")
-    for method in ("closed", "both"):
-        yield ("numerics._QSERIES_MAX_TERMS=1", "torus-det", "--tau", "0.3,1.7", "--method", method)
+    # the oracle below y = 1e-4, at a reduced y' of about 1000
+    yield ("torus-det", "--tau=0.3,1e-5", "--method", "oracle")
     # exit 2: a well-formed --tau whose value is off the upper half-plane
     yield ("elliptic", "--tau=inf,1")
     yield ("elliptic", "--tau", "0,-1")
@@ -293,17 +290,12 @@ def _golden_commands():
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
-    """SHA-256 of stdout, stderr and each written file, per command line.
-    A leading "module.NAME=n" (numerics._QSERIES_MAX_TERMS=1) runs the line
-    with atlab.module.NAME set to the integer n."""
+    """SHA-256 of stdout, stderr and each written file, per command line."""
     digests = {}
     for argv in _golden_commands():
-        name, _, value = argv[0].partition("=")
-        patch = mock.patch(f"atlab.{name}", int(value)) if value else contextlib.nullcontext()
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), patch:
-            code = main([str(workdir / a) if a.startswith("t.") else a
-                         for a in argv[bool(value):]])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(workdir / a) if a.startswith("t.") else a for a in argv])
         entry = {"exit": code}
         for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
             entry[name] = hashlib.sha256(text.encode()).hexdigest()
@@ -323,13 +315,14 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # digest was refrozen after, for its "precision" block alone.  The oracle's
     # lines were refrozen for the self-dual Mellin split and again for its exact
     # sum of exponential integrals (with the report's precision block), the four
-    # usage errors for printing their own subcommand's usage, the exit-3
-    # lines were re-keyed to the q-product once the oracle could not fail,
+    # usage errors for printing their own subcommand's usage,
     # `elliptic --tau 0.3,1.7 --json` was refrozen for its bound_slack computed
-    # without cancellation (0.5616807399776218, the 60-digit value rounded), and
+    # without cancellation (0.5616807399776218, the 60-digit value rounded),
     # three closed-form lines for the exact SL2(Z) reduction: near the cusp -1/2
     # and at y = 1e-4 they moved to the mpmath value, and rho's double, just
-    # inside |tau| = 1, is now inverted (2 ulps off arakelov_logdet's ~0.2157).
+    # inside |tau| = 1, is now inverted (2 ulps off arakelov_logdet's ~0.2157),
+    # and the oracle at 0.3 + 1e-5i, refused below y = 1e-4 until it ran at the
+    # exactly reduced point, now prints -1040.28979592 with exit 0.
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden
@@ -455,20 +448,6 @@ def test_genus_beyond_float64_range_is_a_usage_error(capsys):
 
 def test_torus_det_nan_tol_is_a_usage_error(capsys):
     assert run(capsys, "torus-det", "--tau", "0,1", "--tol", "nan")[0] == 2
-
-
-def test_non_convergence_exits_3(capsys, monkeypatch):
-    # One term cannot bring the q-product's tail under its tolerance at y = 1.7.
-    # The oracle is a finite sum and never calls it, so it cannot exit 3.
-    monkeypatch.setattr(numerics, "_QSERIES_MAX_TERMS", 1)
-    for argv in (("elliptic", "--tau", "0.3,1.7"),
-                 ("torus-det", "--tau", "0.3,1.7", "--method", "closed"),
-                 ("torus-det", "--tau", "0.3,1.7", "--method", "both")):
-        code, out, err = run(capsys, *argv)
-        assert code == 3, argv
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "q-product did not reach tail tolerance" in err
-    assert run(capsys, "torus-det", "--tau", "0.3,1.7", "--method", "oracle")[0] == 0
 
 
 def test_tau_underflowing_norm_exits_2(capsys):

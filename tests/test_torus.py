@@ -102,7 +102,7 @@ def brute_force_eigenvalues(tau: UpperHalfPoint, cutoff: float, box: int) -> lis
 def lattice_q(t: UnitTorus, qmax: float) -> np.ndarray:
     """Every nonzero Q <= qmax of the lattice, sorted, with multiplicity: the
     oracle's half lattice taken twice, once for each of +-(m, n)."""
-    return np.sort(np.array(2 * _q_values(t, qmax)))
+    return np.sort(np.array(2 * _q_values(t.tau.x, t.tau.y, qmax)))
 
 
 def spectrum(tau: UpperHalfPoint, cutoff: float) -> np.ndarray:
@@ -233,9 +233,9 @@ def test_spectral_zeta_chowla_selberg_generic_tau():
 
 
 def test_spectral_zeta_chowla_selberg_at_the_y_edges():
-    # Up to s = 11, the largest order _expint is verified for, at the ends of
-    # the oracle's domain, where Q runs from ~1e-4 to the cut and pi Q < 1 for
-    # hundreds of terms; x = 0, 0.3, 0.5 keep tau well conditioned.
+    # Up to s = 11, the largest order _expint is verified for, at y = 1e-4 and
+    # 1e4; at x = 0 both reduce to the end of the oracle's domain, y' = 1e4,
+    # where Q runs from ~1e-4 to the cut and pi Q < 1 for hundreds of terms.
     for x in (0.0, 0.3, 0.5):
         for y in (1e-4, 1e4):
             for s in (3.0, 4.5, 7.5, 11.0):
@@ -244,11 +244,11 @@ def test_spectral_zeta_chowla_selberg_at_the_y_edges():
                 assert abs(got - want) <= 1e-14 * abs(want), (x, y, s)
 
 
-def test_spectral_zeta_error_is_the_input_conditioning():
+def test_spectral_zeta_is_accurate_where_tau_is_ill_conditioned():
     # Near the real axis at a generic x, moving x or y by one ulp moves zeta by
     # thousands of ulps (the SL2(Z) reduction's condition number), at small
-    # and negative s as much as at large s; the oracle, which sums the
-    # unreduced lattice, stays within that.
+    # and negative s as much as at large s.  The oracle sums the lattice of
+    # the exactly reduced point, the double's own, so none of that enters.
     eps = 2.0 ** -53
     x, y = 0.4009004917506227, 0.0008047254144550108
     for s in (-9.3, 3.0, 11.0):
@@ -258,7 +258,7 @@ def test_spectral_zeta_error_is_the_input_conditioning():
         cond = moved / abs(want) / eps
         assert cond > 1000.0, (s, cond)
         got = spectral_zeta(UnitTorus(UpperHalfPoint(x, y)), s)
-        assert abs(got - want) <= (cond + 32.0) * eps * abs(want), (s, cond)
+        assert abs(got - want) <= 2.5e-15 * abs(want), (s, cond)
 
 
 def test_spectral_zeta_chowla_selberg_next_to_integer_orders():
@@ -277,9 +277,9 @@ def test_spectral_zeta_chowla_selberg_next_to_integer_orders():
 def test_expint_matches_mpmath(p):
     # p spans -10 <= p <= 11, the orders s and 1 - s of spectral_zeta's range,
     # next to integers among them; z spans the oracle's pi Q, from
-    # pi ORACLE_Y_MIN to past the cut, with each continued-fraction edge.
+    # pi / ORACLE_Y_MAX to past the cut, with each continued-fraction edge.
     mpmath = pytest.importorskip("mpmath")
-    zs = [float(z) for z in np.geomspace(math.pi * torus.ORACLE_Y_MIN, 41.5, 61)]
+    zs = [float(z) for z in np.geomspace(math.pi / torus.ORACLE_Y_MAX, 41.5, 61)]
     zs += [math.nextafter(1.0, 0.0), *torus._CF_EDGES]
     with mpmath.workdps(30):
         for z in zs:
@@ -331,7 +331,8 @@ def reference_expint(p: float, z: float) -> float:
 
 
 def reference_mellin_g(t: UnitTorus, s: float) -> float:
-    p, qs = 1.0 - s, _q_values(t, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
+    x, y, _, _, _, _ = numerics._reduce(t.tau.x, t.tau.y)  # the oracle's lattice point
+    p, qs = 1.0 - s, _q_values(x, y, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
     return 2.0 * math.fsum(reference_expint(p, z) + reference_expint(s, z)
                            for z in [math.pi * q for q in qs])
 
@@ -389,8 +390,8 @@ def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
     monkeypatch.setattr(torus, "_expints", counted)
     near, far = UnitTorus(UpperHalfPoint(0.3, 100.0)), UnitTorus(UpperHalfPoint(0.3, 1.7))
     cut = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi
-    assert sum(math.pi * q < 1.0 for q in _q_values(near, cut)) == 5
-    assert not any(math.pi * q < 1.0 for q in _q_values(far, cut))
+    assert sum(math.pi * q < 1.0 for q in _q_values(0.3, 100.0, cut)) == 5
+    assert not any(math.pi * q < 1.0 for q in _q_values(0.3, 1.7, cut))
     for t, s, orders in ((near, 0.0, [1.0]), (near, -2.5, [0.5, 3.5]), (near, 0.5, [0.5, 0.5]),
                          (far, 0.0, []), (far, -2.5, [])):
         calls.clear()
@@ -485,15 +486,67 @@ def test_torus_records_are_immutable_tuples():
 
 
 def test_oracle_matches_closed_form_over_its_domain():
-    # The domain logdet_oracle documents: y in [1e-4, 1e4] at any finite x.
-    # The large x need the shift to x mod 1: n x on the raw x rounds away
-    # accuracy (gaps to 1.9e-9 for |x| in [1e3, 1e5]) and overflows near 1e308.
+    # y in [1e-4, 1e4] at any finite x, all in the oracle's domain (reduced
+    # y' <= 1e4).  The large x need the exact shift by round(x) that starts
+    # the reduction: n x on the raw x rounds away accuracy (gaps to 1.9e-9 for
+    # |x| in [1e3, 1e5]) and overflows near 1e308.
     for x in (0.0, 0.2, 0.35, -0.5, 3.7, 33.3, 1000.3, 1e7 + 0.3, 2.0**52, 1e308, -1e300):
         for y in np.geomspace(1e-4, 1e4, 25):
             tau = UpperHalfPoint(x, float(y))
             closed = logdet_closed(tau)
             oracle = logdet_oracle(UnitTorus(tau))
             assert abs(oracle - closed) <= 1e-12 * max(1.0, abs(closed)), tau
+
+
+def test_routes_agree_down_to_y_1e_minus_30():
+    # Both routes run at the exactly reduced point, so the oracle checks the
+    # closed form near the real axis too; a tau is refused exactly where its
+    # reduced y' is above ORACLE_Y_MAX.
+    rng = random.Random(20261019)
+    for e in range(2, 31):
+        for _ in range(20):
+            tau = UpperHalfPoint(rng.uniform(-3.0, 3.0), 10.0 ** -e)
+            if numerics._reduce(tau.x, tau.y)[1] > torus.ORACLE_Y_MAX:
+                with pytest.raises(ValueError, match="spectral oracle needs"):
+                    compare_logdet(tau)
+                continue
+            cmp = compare_logdet(tau)
+            assert abs(cmp.difference) <= 1e-12 * max(1.0, abs(cmp.logdet_closed)), tau
+
+
+def test_each_route_is_invariant_on_exact_images():
+    # 2^k i is reduced, and j + 2^k i, j + 2^-k i = j - 1/(2^k i) and
+    # j - h + h i = j - 1/(2^k + 2^k i), h = 2^-(k+1) (|tau|^2 a power of two),
+    # are its images, exact in doubles.  The oracle gives the same bits at
+    # each; the closed form, whose log y and log|eta| terms move, stays within
+    # log_abs_eta's stated rounding, 1e-15 (|D_Ar| + |log y|).
+    for k in range(14):  # 2^13 <= ORACLE_Y_MAX
+        base = UpperHalfPoint(0.0, 2.0 ** k)
+        oracle, closed = logdet_oracle(UnitTorus(base)), logdet_closed(base)
+        h = 2.0 ** -(k + 1)
+        for j in (-3.0, -1.0, 0.0, 2.0):
+            for tau in (UpperHalfPoint(j, 2.0 ** k), UpperHalfPoint(j, 2.0 ** -k),
+                        UpperHalfPoint(j - h, h)):
+                assert logdet_oracle(UnitTorus(tau)) == oracle, (k, tau)
+                scale = abs(closed) + abs(math.log(tau.y))
+                assert abs(logdet_closed(tau) - closed) <= 1e-15 * scale, (k, tau)
+
+
+def test_oracle_near_the_real_axis_calls_no_eta_or_q_series(monkeypatch):
+    # 0.3 + 1e-5i reduces to y' ~ 1000; the oracle gets there by the exact
+    # reduction alone.
+    tau = UpperHalfPoint(0.3, 1e-5)
+    closed = logdet_closed(tau)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the closed form's kernel")
+
+    for module, name in ((numerics, "log_abs_eta"), (elliptic, "log_abs_eta"),
+                         (numerics, "log_abs_qprod"), (elliptic, "log_abs_qprod"),
+                         (numerics, "_qseries")):
+        monkeypatch.setattr(module, name, forbidden)
+    oracle = logdet_oracle(UnitTorus(tau))
+    assert abs(oracle - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
 def test_oracle_tight_tolerance_converges(monkeypatch):
@@ -630,10 +683,11 @@ def test_oracle_metric_scale_is_the_exact_scaling_law():
 
 
 @pytest.mark.parametrize("x, y", [(0.3, 1e300), (0.0, 1e5), (0.0, math.nextafter(1e4, math.inf)),
-                                  (0.5, math.nextafter(1e-4, 0.0)), (0.0, 1e-9)])
+                                  (0.5, 0.25 / math.nextafter(1e4, math.inf)), (0.0, 1e-9)])
 def test_oracle_refuses_taus_outside_its_domain(monkeypatch, x, y):
-    # Refused before Q is enumerated: the Q set grows like sqrt(max(y, 1/y))
-    # (at y = 1e300 past numpy's largest array).
+    # Refused before Q is enumerated: the Q set grows like sqrt(y') at the
+    # reduced point (at y = 1e300 past numpy's largest array).  0.5 + 0.25i/Y
+    # reduces to 0.5 + iY, Y one double above ORACLE_Y_MAX.
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle started on a refused tau")
 
