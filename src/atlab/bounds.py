@@ -19,7 +19,7 @@ its printed reading, and the small-genus reference table.  Every per-genus
 function takes one genus, a Python int or an integral float.  The single
 terms are fields of one breakdown, computed in _breakdown after
 upper_bound_logdet or table has checked the genus, form and area variant;
-e_of_g and assembled_bound return one of its fields.
+e_of_g returns one of its fields.
 """
 
 from __future__ import annotations
@@ -176,17 +176,6 @@ def e_of_g(g):
     + K/6, does only from g = 12 on.
     """
     return upper_bound_logdet(g).e_g_refined
-
-
-def assembled_bound(g, form: str = "exact", area_variant: str = "c36"):
-    """Assembled upper bound on log det(D_Ar), g >= 2.
-
-    exact:      (log(2 pi^4)/3) g + a(g)/6 + log Area(g, area_variant)
-    simplified: 0.56 g + E_refined(g)       (display-form constant 0.56;
-                area_variant is checked but not used)
-    """
-    bd = upper_bound_logdet(g, form, area_variant)
-    return bd.upper_exact if form == "exact" else bd.upper_simplified
 
 
 def genus0_det() -> float:

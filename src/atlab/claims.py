@@ -236,12 +236,12 @@ def _cl08():
 
 
 def _cl09():
-    return _sweep(lambda g: g - bounds.assembled_bound(g, "simplified"),
+    return _sweep(lambda g: g - bounds.upper_bound_logdet(g).upper_simplified,
                   "g - (0.56g + E(g))")
 
 
 def _cl11():
-    excesses = {g: bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0)
+    excesses = {g: bounds.upper_bound_logdet(g).upper_exact - (bounds.PAPER_KAPPA * g + 1.0)
                 for g in ASYMPTOTE_SAMPLES}
     # The bound's slope is the true kappa, 2.83e-9 below the printed one, so the
     # excess ~ log(g-1) + const - 2.83e-9 g peaks near g = 3.6e8 (at ~ +20) and
@@ -322,7 +322,8 @@ def builtin_registry() -> list[Claim]:
     for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items()):
         claims.append(Claim(
             f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}",
-            "equality", paper_val, 0.75, partial(bounds.assembled_bound, g)))
+            "equality", paper_val, 0.75,
+            lambda g=g: bounds.upper_bound_logdet(g).upper_exact))
     claims += [
         Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
               "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580",

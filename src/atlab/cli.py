@@ -61,7 +61,7 @@ def _cmd_bound(args, parser) -> int:
         parser.error("bound requires 2 <= --genus <= 2**53; "
                      "for genus 1 use `atlab elliptic`")
     bd = bounds.upper_bound_logdet(args.genus, args.form, args.area)
-    headline = bounds.assembled_bound(args.genus, args.form, args.area)
+    headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
     if args.json:
         import json
         payload = bd._asdict()

@@ -147,9 +147,10 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     y / |c tau + d|^2.  Log space keeps large y safe (e^(-pi y / 12)
     underflows for y of a few thousand).
 
-    Accuracy, for every y > 0 (ValueError where y' passes TAU_Y_MAX): it and
-    D_Ar = log y + 4 log|eta| are within 1e-15 (|D_Ar| + |log y|) of 40-digit
-    mpmath at the exactly reduced point, the |log y| from log y's cancellation.
+    Accuracy, for every y > 0 (ValueError where y' passes TAU_Y_MAX): within
+    1e-15 (|D_Ar| + |log y|) of 40-digit mpmath at the exactly reduced point,
+    with D_Ar = log y + 4 log|eta|; the |log y| is the correction's log y.
+    (elliptic.d_ar_elliptic computes D_Ar at the reduced point alone.)
     """
     x, y, _, _, _, _ = _reduce(tau.x, tau.y)
     val = -math.pi * y / 12.0 + _qseries(x, y)
@@ -195,10 +196,10 @@ def zeta_em_deriv(s: float) -> float:
 
     N = EM_CUTOFF and M = EM_ORDER.  The partial sums grow like N^(1-s), and
     a long direct sum costs ~N^(1-s) ulp of cancellation, hence the short N
-    and deep tail.  The Pochhammer derivative is the product-rule sum over
-    dropped factors, which stays exact when some factor s + i vanishes
-    (e.g. s = -1, 0).  Absolute error <= 1e-12 on -2 <= s <= 0; raises
-    ValueError outside that range.
+    and deep tail.  The Pochhammer symbol and its derivative are built factor
+    by factor with the product rule, d(p f) = dp f + p df, which stays exact
+    when some factor s + i vanishes (e.g. s = -1, 0).  Absolute error
+    <= 1e-12 on -2 <= s <= 0; raises ValueError outside that range.
     """
     if not -2.0 <= s <= 0.0:
         raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 0, got s = {s!r}")
@@ -212,17 +213,10 @@ def zeta_em_deriv(s: float) -> float:
     fact = 1.0
     for j in range(1, order + 1):
         fact *= (2 * j - 1) * (2 * j)
-        k = 2 * j - 1
-        poch = 1.0
-        for i in range(k):
+        poch, dpoch = 1.0, 0.0
+        for i in range(2 * j - 1):
+            dpoch = dpoch * (s + i) + poch
             poch *= s + i
-        dpoch = 0.0
-        for drop in range(k):
-            part = 1.0
-            for i in range(k):
-                if i != drop:
-                    part *= s + i
-            dpoch += part
         terms.append(
             bern[j - 1] / fact * (dpoch - poch * ln_n) * float(n_cut) ** (1.0 - s - 2 * j)
         )

@@ -23,8 +23,8 @@ with E_p(z) = int_1^inf w^-p e^(-z w) dw integrating each lattice term in
 closed form (Crandall's 1998 expansion of the Epstein zeta function).
 The regularized determinant is log det = -zeta'(0) = gamma_E + 1 - log(4 pi) - G(0).
 The closed form log det = log(y |eta(tau)|^4) is the genus-1 invariant D_Ar
-(`elliptic.d_ar_elliptic`), computed from the eta kernel; it never enters the
-oracle path.
+(`elliptic.d_ar_elliptic`), computed from the q-series at the exactly reduced
+point; it never enters the oracle path.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from atlab.bounds import (
     REFINED_E_CONSTANT,
     BoundBreakdown,
     TableRow,
-    assembled_bound,
     e_of_g,
     fq_gap_coefficients,
     genus0_det,
@@ -174,14 +173,16 @@ def test_upper_bound_breakdown():
 
 
 def test_assembled_bound_checks_form_and_area_for_both_forms():
-    # Both forms run upper_bound_logdet's checks; simplified ignores only the
-    # area variant's value.
-    assert assembled_bound(5, "simplified", "e4pi") == upper_bound_logdet(5).upper_simplified
-    assert (assembled_bound(5, "exact", "e4pi")
-            == upper_bound_logdet(5, "exact", "e4pi").upper_exact)
+    # The assembled bound's two forms are fields of one breakdown, built after
+    # upper_bound_logdet has checked both options; upper_simplified ignores
+    # only the area variant's value.
+    assert (upper_bound_logdet(5, "simplified", "e4pi").upper_simplified
+            == upper_bound_logdet(5).upper_simplified)
+    assert (upper_bound_logdet(5, "exact", "e4pi").upper_exact
+            != upper_bound_logdet(5).upper_exact)
     for form, area in (("simplified", "bogus"), ("exact", "bogus"), ("bogus", "c36")):
         with pytest.raises(ValueError):
-            assembled_bound(5, form, area)
+            upper_bound_logdet(5, form, area)
 
 
 def test_upper_bound_asymptote():
@@ -341,7 +342,7 @@ def test_pipeline_checks_the_genus_once_and_takes_two_logs(monkeypatch):
     monkeypatch.setattr(bounds, "_genera", counted("_genera", bounds._genera))
     monkeypatch.setattr(math, "log", counted("log", math.log))
     for call in (lambda: upper_bound_logdet(77), lambda: upper_bound_logdet(2**53, "simplified"),
-                 lambda: e_of_g(77), lambda: assembled_bound(39, "exact", "e4pi")):
+                 lambda: e_of_g(77), lambda: upper_bound_logdet(39, "exact", "e4pi")):
         calls.update(_genera=0, log=0)
         call()
         assert calls == {"_genera": 1, "log": 2}
@@ -382,7 +383,9 @@ PER_GENUS_TERMS = [
     pytest.param(_field("log_area_bound"), 2, id="log_area_bound-2"),
     pytest.param(_field("a_g"), 2, id="a_g-2"),
     (wilms_lower, 1), (_field("e_g_simple"), 2), (e_of_g, 2),
-    (assembled_bound, 2), (lambda g: assembled_bound(g, "simplified"), 2),
+    # the assembled bound's two forms, under the ids they had as a function
+    pytest.param(_field("upper_exact"), 2, id="assembled_bound-2"),
+    (_field("upper_simplified"), 2),
 ]
 
 

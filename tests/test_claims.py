@@ -301,14 +301,14 @@ def test_asymptote_text_states_the_sign_change():
     # the assembled bound at large genus: "no genus satisfies" is false.
     assert bounds.kappa() < bounds.PAPER_KAPPA
     g = 10**10
-    assert bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0) < 0.0
+    assert bounds.upper_bound_logdet(g).upper_exact - (bounds.PAPER_KAPPA * g + 1.0) < 0.0
     rec = evaluate(registry_by_id()["CL-11"])
     assert rec.status == "DISCREPANT"
     assert "no genus satisfies" not in rec.computed
     assert "turns negative" in rec.computed
     # Same numbers, in the same order, as before: the three excesses and the 1.
     numbers = re.findall(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?", rec.computed)
-    excess = {g: bounds.assembled_bound(g) - (bounds.PAPER_KAPPA * g + 1.0)
+    excess = {g: bounds.upper_bound_logdet(g).upper_exact - (bounds.PAPER_KAPPA * g + 1.0)
               for g in claims.ASYMPTOTE_SAMPLES}
     assert numbers == [x for g, e in excess.items() for x in (str(g), f"{e:+.4f}")] + ["1"]
 

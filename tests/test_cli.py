@@ -322,7 +322,10 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # and at y = 1e-4 they moved to the mpmath value, and rho's double, just
     # inside |tau| = 1, is now inverted (2 ulps off arakelov_logdet's ~0.2157),
     # and the oracle at 0.3 + 1e-5i, refused below y = 1e-4 until it ran at the
-    # exactly reduced point, now prints -1040.28979592 with exit 0.
+    # exactly reduced point, now prints -1040.28979592 with exit 0.  D_Ar at
+    # the reduced point alone moved the three `elliptic --json` d_ar or
+    # bound_slack values, two `torus-det --method both` differences and
+    # CL-18's difference in both verify-claims lines, each by an ulp or two.
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden

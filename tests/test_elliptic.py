@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,15 +233,29 @@ def test_cl19_certificate_is_the_evaluated_bound_slack(x):
         assert abs(bound - arakelov_logdet(tau) - identity) <= 1e-13 * max(1.0, abs(bound)), y
 
 
-def test_bound_slack_against_mpmath_at_large_y():
+def mp_log_abs_eta(mpmath, x: float, y: float):
+    """Oracle: log|eta(x + iy)| in mpmath, through the textbook
+    shift-and-invert reduction of the doubles x, y in exact rationals, as
+    |eta|^4 y is modular invariant."""
+    rx, ry = Fraction(x), Fraction(y)
+    while True:
+        rx -= round(rx)
+        norm = rx * rx + ry * ry
+        if norm >= 1:
+            break
+        rx, ry = -rx / norm, ry / norm
+    rx, ry = (mpmath.mpf(v.numerator) / v.denominator for v in (rx, ry))
+    return mpmath.log(abs(mpmath.eta(mpmath.mpc(rx, ry)))) + (mpmath.log(ry) - mpmath.log(y)) / 4
+
+
+def test_bound_slack_against_mpmath_at_small_and_large_y():
     # bound - log det is ~3/(pi y) beside two values near -pi y/2: the plain
-    # difference lost ~1e-10 relative at y = 1000.
+    # difference lost ~1e-10 relative at y = 1000.  Below y = 1 the same
+    # identity runs through the exactly reduced point.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
-        for x in (0.0, 0.3):
-            for y in (300.0, 1000.0, 1300.0):
-                tau = mpmath.mpc(x, y)
-                ref = (-mpmath.pi * y / 2 + 3 / (mpmath.pi * y)
-                       - 6 * mpmath.log(abs(mpmath.eta(tau))))
-                got = bound_slack(UpperHalfPoint(x, y))
-                assert abs(got - ref) <= 1e-15 * abs(ref), (x, y, got, ref)
+        for x, y in [(x, y) for x in (0.0, 0.3) for y in (300.0, 1000.0, 1300.0)] + [
+                (0.3, y) for y in (0.9, 0.5, 1e-3, 1e-10)]:
+            ref = (-mpmath.pi * y / 2 + 3 / (mpmath.pi * y) - 6 * mp_log_abs_eta(mpmath, x, y))
+            got = bound_slack(UpperHalfPoint(x, y))
+            assert abs(got - ref) <= 1e-15 * abs(ref), (x, y, got, ref)

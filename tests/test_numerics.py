@@ -257,11 +257,13 @@ def test_reduction_is_exact_down_to_the_smallest_subnormal_y():
             assert (wx, wy, *t) == ref, (x, y)
 
 
-# numerics.log_abs_eta's stated bound, as a multiple of |D_Ar| + |log y| (the
-# |log y| is log y's cancellation in D_Ar).  Over reduction_sample() and 9000
-# more taus of its kinds the largest errors were 3.7e-16 (D_Ar) and 8.3e-17
-# (log|eta|) times |D_Ar| + |log y|, 7.2e-14 of |D_Ar| alone at a dyadic cusp.
+# The stated bounds: D_Ar within ETA_ACCURACY |D_Ar| (it is computed at the
+# reduced point alone), log|eta(tau)| within ETA_ACCURACY (|D_Ar| + |log y|)
+# (its (log y' - log y)/4 term costs up to |log y| ulps).
 ETA_ACCURACY = 1e-15
+# A dyadic cusp with reduced y' near 1, where D_Ar as log y + 4 log|eta(tau)|
+# was 7.9e-14 relative off.
+DYADIC_CUSP = (1.940030512615981e-120, 3.646510088923436e-249)
 
 
 def test_d_ar_and_eta_are_accurate_at_the_exactly_reduced_point():
@@ -269,7 +271,7 @@ def test_d_ar_and_eta_are_accurate_at_the_exactly_reduced_point():
     # (modular invariant), log|eta(tau)| = log|eta(tau')| + (log y' - log y)/4.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for x, y in reduction_sample():
+        for x, y in reduction_sample() + [DYADIC_CUSP]:
             ref = exact_reduction(x, y)
             if ref[1] > TAU_Y_MAX:
                 continue
@@ -278,9 +280,9 @@ def test_d_ar_and_eta_are_accurate_at_the_exactly_reduced_point():
                        else -mpmath.pi * ry / 12)  # the product is below e^(-6000)
             d_ref = mpmath.log(ry) + 4 * log_eta
             eta_ref = log_eta + (mpmath.log(ry) - mpmath.log(y)) / 4
-            scale = ETA_ACCURACY * (abs(float(d_ref)) + abs(math.log(y)))
             tau = UpperHalfPoint(x, y)
-            assert abs(d_ar_elliptic(tau) - d_ref) <= scale, (x, y)
+            assert abs(d_ar_elliptic(tau) - d_ref) <= ETA_ACCURACY * abs(d_ref), (x, y)
+            scale = ETA_ACCURACY * (abs(float(d_ref)) + abs(math.log(y)))
             assert abs(log_abs_eta(tau) - eta_ref) <= scale, (x, y)
 
 

@@ -517,19 +517,20 @@ def test_routes_agree_down_to_y_1e_minus_30():
 def test_each_route_is_invariant_on_exact_images():
     # 2^k i is reduced, and j + 2^k i, j + 2^-k i = j - 1/(2^k i) and
     # j - h + h i = j - 1/(2^k + 2^k i), h = 2^-(k+1) (|tau|^2 a power of two),
-    # are its images, exact in doubles.  The oracle gives the same bits at
-    # each; the closed form, whose log y and log|eta| terms move, stays within
-    # log_abs_eta's stated rounding, 1e-15 (|D_Ar| + |log y|).
-    for k in range(14):  # 2^13 <= ORACLE_Y_MAX
+    # are its images, exact in doubles.  Both routes run at the exactly reduced
+    # point alone, so each gives the same bits at every image: the closed form
+    # for k < 40, the oracle within its domain.
+    for k in range(40):
         base = UpperHalfPoint(0.0, 2.0 ** k)
-        oracle, closed = logdet_oracle(UnitTorus(base)), logdet_closed(base)
+        closed = logdet_closed(base)
+        oracle = logdet_oracle(UnitTorus(base)) if 2.0 ** k <= torus.ORACLE_Y_MAX else None
         h = 2.0 ** -(k + 1)
         for j in (-3.0, -1.0, 0.0, 2.0):
             for tau in (UpperHalfPoint(j, 2.0 ** k), UpperHalfPoint(j, 2.0 ** -k),
                         UpperHalfPoint(j - h, h)):
-                assert logdet_oracle(UnitTorus(tau)) == oracle, (k, tau)
-                scale = abs(closed) + abs(math.log(tau.y))
-                assert abs(logdet_closed(tau) - closed) <= 1e-15 * scale, (k, tau)
+                assert logdet_closed(tau) == closed, (k, tau)
+                if oracle is not None:
+                    assert logdet_oracle(UnitTorus(tau)) == oracle, (k, tau)
 
 
 def test_oracle_near_the_real_axis_calls_no_eta_or_q_series(monkeypatch):
@@ -543,7 +544,7 @@ def test_oracle_near_the_real_axis_calls_no_eta_or_q_series(monkeypatch):
 
     for module, name in ((numerics, "log_abs_eta"), (elliptic, "log_abs_eta"),
                          (numerics, "log_abs_qprod"), (elliptic, "log_abs_qprod"),
-                         (numerics, "_qseries")):
+                         (numerics, "_qseries"), (elliptic, "_qseries")):
         monkeypatch.setattr(module, name, forbidden)
     oracle = logdet_oracle(UnitTorus(tau))
     assert abs(oracle - closed) <= 1e-12 * max(1.0, abs(closed))
@@ -598,8 +599,9 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
         __call__ = __getitem__ = __iter__ = __len__ = forbidden
 
     with monkeypatch.context() as m:
-        m.setattr(numerics, "log_abs_eta", forbidden)
-        m.setattr(elliptic, "log_abs_eta", forbidden)
+        for module in (numerics, elliptic):
+            m.setattr(module, "log_abs_eta", forbidden)
+            m.setattr(module, "_qseries", forbidden)
         assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
     private = {name for name in vars(torus) if name.startswith("_") and not name.startswith("__")}
     assert {"_q_values", "_expint", "_expints", "_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS"} <= private
