@@ -346,7 +346,7 @@ def builtin_registry() -> list[Claim]:
               partial(torus.spectral_zeta, torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0)),
         Claim("CL-18", "lemmas 6.4/6.5", r"\det(\Delta)=y|\eta(z)|^{4}",
               "equality", "spectral oracle = closed form at tau in {i, 2i}",
-              1e-6, _cl18),
+              torus.AGREEMENT_TOL, _cl18),
         Claim("CL-19", "corollary 6.6 proof",
               r"\le 2\log(y)-\frac{\pi y}{2}+\frac{3}{\pi y}", "sweep",
               "q-product chain with 3/(pi y) holds", None, _cl19),

@@ -1,13 +1,16 @@
 """Command-line frontend.
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
-Exit codes: 0 ok, 1 audit/tolerance failure, 2 usage or domain error; a
-closed output pipe ends the process quietly (SIGPIPE).  A --tau that is not
-two decimal literals is a usage error and prints the usage block; one whose
-value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
-TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and
-prints one `error:` line.  Every series runs to a fixed truncation at the
-exactly reduced point, so no computation can fail to converge.
+Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
+error; a closed output pipe ends the process quietly (SIGPIPE).  The routes of
+torus-det --method both disagree when |difference| > torus.AGREEMENT_TOL
+max(1, |logdet_closed|), the contract logdet_oracle states: it prints all
+three lines, then one FAIL line on stderr.  A --tau that is not two decimal
+literals is a usage error and prints the usage block; one whose value
+UpperHalfPoint refuses, or whose double's exactly reduced y' passes TAU_Y_MAX
+(or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and prints one
+`error:` line.  Every series runs to a fixed truncation at the exactly reduced
+point, so no computation can fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so each handler imports what only it uses.
@@ -101,8 +104,6 @@ def _cmd_elliptic(args, parser) -> int:
 
 def _cmd_torus_det(args, parser) -> int:
     tau = _parse_tau(args.tau, parser)
-    if not args.tol > 0.0:
-        parser.error(f"--tol must be positive, got {args.tol}")
     if args.method == "closed":  # torus.logdet_closed, without loading torus
         from .elliptic import d_ar_elliptic
         print(f"logdet_closed  {_fmt(d_ar_elliptic(tau))}")
@@ -116,8 +117,8 @@ def _cmd_torus_det(args, parser) -> int:
     print(f"logdet_closed  {_fmt(cmp.logdet_closed)}")
     print(f"logdet_oracle  {_fmt(cmp.logdet_oracle)}")
     print(f"difference     {_fmt(cmp.difference)}")
-    if abs(cmp.difference) > args.tol:
-        print(f"FAIL |difference| > {_fmt(args.tol)}", file=sys.stderr)
+    if abs(cmp.difference) > torus.AGREEMENT_TOL * max(1.0, abs(cmp.logdet_closed)):
+        print(f"FAIL |difference| > {torus.AGREEMENT_TOL:g} max(1, |closed|)", file=sys.stderr)
         return 1
     return 0
 
@@ -221,10 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "write --tau=X,Y when x is negative")
     p_ell.add_argument("--json", action="store_true")
 
-    p_det.add_argument("--method", choices=("closed", "oracle", "both"),
-                       default="both")
-    p_det.add_argument("--tol", type=float, default=1e-6,
-                       help="with --method both, exit 1 if |difference| > tol")
+    p_det.add_argument("--method", choices=("closed", "oracle", "both"), default="both",
+                       help="both exits 1 if |difference| > torus.AGREEMENT_TOL max(1, |closed|)")
 
     p_table = add_parser("table", _cmd_table, help="per-genus bound table")
     p_table.add_argument("--from", dest="g_from", type=int, required=True)

@@ -68,7 +68,7 @@ def bound_slack(tau: UpperHalfPoint) -> float:
     3/(pi y) - 6 log|prod (1 - q^n)| at every tau: free of the cancellation
     between two values near -pi y/2 at large y, and through the exactly
     reduced point below y = sqrt(3)/2 (log_abs_qprod)."""
-    return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau.x, tau.y)
+    return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau)
 
 
 def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
@@ -79,7 +79,7 @@ def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
     y < sqrt(3)/2, and 1 - |q| as -expm1(-2 pi y), accurate at small y.
     """
     minus_2pi_y = -2.0 * math.pi * tau.y
-    return log_abs_qprod(tau.x, tau.y), math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
+    return log_abs_qprod(tau), math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
 
 
 def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:

@@ -110,15 +110,15 @@ def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
     return h / A, y, a, b, c, d
 
 
-def log_abs_qprod(x: float, y: float) -> float:
-    """log|prod_{n>=1} (1 - q^n)| with q = e^(2 pi i (x + iy)), at any tau.
+def log_abs_qprod(tau: UpperHalfPoint) -> float:
+    """log|prod_{n>=1} (1 - q^n)| with q = e^(2 pi i tau), at any tau.
 
     Where y >= sqrt(3)/2 it is the series at x - round(x) (exact in doubles);
     below, log_abs_eta(tau) + pi y/12, which reduces tau exactly first.
     """
-    if y >= _SQRT3_2:
-        return _qseries(x - round(x), y)
-    return log_abs_eta(UpperHalfPoint(x, y)) + math.pi * y / 12.0
+    if tau.y >= _SQRT3_2:
+        return _qseries(tau.x - round(tau.x), tau.y)
+    return log_abs_eta(tau) + math.pi * tau.y / 12.0
 
 
 def _qseries(x: float, y: float) -> float:

@@ -39,6 +39,7 @@ from .numerics import EULER_GAMMA, UpperHalfPoint, _reduce
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 11.0  # spectral_zeta's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
 ORACLE_Y_MAX = 1e4  # the oracle's verified domain: reduced y' <= this
+AGREEMENT_TOL = 1e-12  # the routes agree: |oracle - closed| <= this max(1, |closed|)
 
 # E_p's continued-fraction depth on [_CF_EDGES[i], _CF_EDGES[i+1]) (the last one
 # open): every 0 <= p <= 11 within 4.7e-16 of mpmath on [1, 41.5], past z = log 1e18.
@@ -221,9 +222,9 @@ def logdet_oracle(torus: UnitTorus) -> float:
 
     The torus has unit area; a metric scaled by g^2 has the log det
     scaled_logdet(logdet_oracle(torus), g).
-    Within 1e-12 max(1, |closed form|) wherever tau's exactly reduced y' is at
-    most ORACLE_Y_MAX (so for every y in [1e-4, 1e4]); the lattice is taken at
-    that point, so every exact SL2(Z) image of tau gives the same bits.  A
+    Within AGREEMENT_TOL max(1, |closed form|) wherever tau's exactly reduced y'
+    is at most ORACLE_Y_MAX (so for every y in [1e-4, 1e4]); the lattice is
+    taken there, so every exact SL2(Z) image of tau gives the same bits.  A
     larger y' raises ValueError before anything is enumerated.
     """
     return EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g(torus, 0.0)

@@ -16,8 +16,9 @@ import subprocess
 import sys
 
 import atlab
-from atlab import _jsontext
+from atlab import _jsontext, torus
 from atlab.cli import main
+from atlab.numerics import UpperHalfPoint
 
 
 def run(capsys, *argv):
@@ -106,13 +107,20 @@ def test_torus_det_shift_invariance(capsys):
     assert out_a == out_b
 
 
-def test_torus_det_tolerance_exit(capsys):
-    # At tau = 1e308 + i the two routes differ by one ulp (-2.2e-16 on x86-64),
-    # more than --tol 1e-16.
-    code, out, err = run(capsys, "torus-det", "--tau", "1e308,1", "--tol", "1e-16")
-    assert code == 1
-    assert "FAIL" in err
-    assert 0.0 < abs(float(out.split("difference")[1])) < 1e-6
+def test_torus_det_tolerance_exit(capsys, monkeypatch):
+    # --method both exits 1 exactly when |difference| > torus.AGREEMENT_TOL
+    # max(1, |logdet_closed|).  At tau = 1e308 + i the two routes differ by one
+    # ulp (-2.2e-16 on x86-64): a constant just below that gap fails, one just
+    # above it passes, and each prints the three lines first.
+    cmp = torus.compare_logdet(UpperHalfPoint(1e308, 1.0))
+    edge = abs(cmp.difference) / max(1.0, abs(cmp.logdet_closed))
+    assert edge > 0.0
+    for factor, want in ((1.0 - 1e-9, 1), (1.0 + 1e-9, 0)):
+        monkeypatch.setattr(torus, "AGREEMENT_TOL", edge * factor)
+        code, out, err = run(capsys, "torus-det", "--tau", "1e308,1")
+        assert code == want and out.count("\n") == 3, factor
+        assert err == ("FAIL |difference| > %g max(1, |closed|)\n" % (edge * factor)
+                       if want else ""), factor
 
 
 def test_torus_det_oracle_domain(capsys):
@@ -266,7 +274,6 @@ def _golden_commands():
     # the row cap, and the help text that documents the table's flags
     yield ("table", "--from", "2", "--to", "100001", "--csv", "t.csv")
     yield ("table", "--help")
-    yield ("torus-det", "--tau", "0.3,1.7", "--tol", "0")
     yield ("verify-claims", "--only", "CL-99")
     # the area underflow, a point near the cusp, the oracle's lowest y in the
     # closed form, x far from 0, and a single bound with no other flag
@@ -326,6 +333,8 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # the reduced point alone moved the three `elliptic --json` d_ar or
     # bound_slack values, two `torus-det --method both` differences and
     # CL-18's difference in both verify-claims lines, each by an ulp or two.
+    # Removing torus-det --tol refroze `torus-det --help` and dropped the line
+    # that checked --tol 0.
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
     assert cli_digests(tmp_path) == golden
@@ -449,8 +458,16 @@ def test_genus_beyond_float64_range_is_a_usage_error(capsys):
                "--to", str(2**53 + 2))[0] == 2
 
 
-def test_torus_det_nan_tol_is_a_usage_error(capsys):
-    assert run(capsys, "torus-det", "--tau", "0,1", "--tol", "nan")[0] == 2
+def test_torus_det_takes_no_tol(capsys):
+    # The agreement --method both checks is torus.AGREEMENT_TOL, which no
+    # option sets: --tol is a usage error with every method and value.
+    for method in ("closed", "oracle", "both"):
+        for value in ("nan", "0", "1e-6"):
+            code, out, err = run(capsys, "torus-det", "--tau", "0,1", "--method", method,
+                                 "--tol", value)
+            assert (code, out) == (2, ""), (method, value)
+            assert "unrecognized arguments: --tol" in err, (method, value)
+    assert "--tol" not in run(capsys, "torus-det", "--help")[1]
 
 
 def test_tau_underflowing_norm_exits_2(capsys):

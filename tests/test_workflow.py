@@ -1,0 +1,44 @@
+"""The CI workflow parses, and its tier1 job keeps the steps that check atlab.
+
+A step name holding ': ' once left .github/workflows/test.yml unparseable,
+so no check in it ran; this reads the file the way the CI runner does.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = pathlib.Path(__file__).resolve().parent.parent / ".github" / "workflows" / "test.yml"
+
+
+def _tier1_runs() -> list[str]:
+    steps = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["steps"]
+    assert all(isinstance(step, dict) for step in steps)
+    return [step.get("run", "") for step in steps]
+
+
+def _index(runs: list[str], *fragments: str) -> int:
+    found = [i for i, run in enumerate(runs) if all(f in run for f in fragments)]
+    assert len(found) == 1, fragments
+    return found[0]
+
+
+def test_tier1_job_keeps_its_checks_in_order():
+    runs = _tier1_runs()
+    # Without numpy and scipy: the console scripts, then every subcommand in
+    # one interpreter; both before the test extra installs them.
+    smoke = _index(runs, "find_spec(m) for m in ('numpy', 'scipy')", "atlab torus-det",
+                   "atlab verify-claims --strict")
+    one_interpreter = _index(runs, "from atlab.cli import main", "set(sys.modules)")
+    extra = _index(runs, 'pip install -e ".[test]"')
+    assert smoke < one_interpreter < extra
+    tier1 = _index(runs, "python -m pytest -q --continue-on-collection-errors",
+                   "-W error::RuntimeWarning")
+    narrow = _index(runs, "COLUMNS=40", "pytest -q tests/test_cli.py")
+    bench = _index(runs, "for w in audit genus_table torus_sweep",
+                   "benchmarks/run.py --workload", "['correct'] is not True")
+    assert extra < tier1 and extra < narrow and extra < bench
