@@ -5,12 +5,13 @@ Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
 error; a closed output pipe ends the process quietly (SIGPIPE).  The routes of
 torus-det --method both disagree when |difference| > torus.AGREEMENT_TOL
 max(1, |logdet_closed|), the contract logdet_oracle states: it prints all
-three lines, then one FAIL line on stderr.  A --tau that is not two decimal
-literals is a usage error and prints the usage block; one whose value
-UpperHalfPoint refuses, or whose double's exactly reduced y' passes TAU_Y_MAX
-(or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and prints one
-`error:` line.  Every series runs to a fixed truncation at the exactly reduced
-point, so no computation can fail to converge.
+three lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
+usage error, an unrecognized argument included, prints that subcommand's
+usage block; a --tau that is not two decimal literals is one.  A --tau whose
+value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
+TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and
+prints one `error:` line.  Every series runs to a fixed truncation at the
+exactly reduced point, so no computation can fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so each handler imports what only it uses.
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parser(name, handler, **kwargs):
         # a handler reports usage errors through its own subcommand's parser
         p = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
-        p.set_defaults(handler=partial(handler, parser=p))
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p_bound = add_parser("bound", _cmd_bound, help="genus-g upper bound breakdown (g >= 2)")
@@ -248,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        args, extras = build_parser().parse_known_args(argv)
+        if extras:  # wherever they stood, through the chosen subcommand's parser
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args.handler(args, args.parser)
     except SystemExit as exc:  # argparse exits; normalize to a return code
         return int(exc.code or 0)
     except ValueError as exc:  # domain error raised by the library

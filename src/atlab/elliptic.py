@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .numerics import LN_2PI, UpperHalfPoint, _qseries, _reduce, log_abs_eta, log_abs_qprod
+from .numerics import LN_2PI, UpperHalfPoint, _qseries, _reduce, log_abs_eta
+
+_SQRT3_2 = math.sqrt(3.0) / 2.0  # the double just below sqrt(3)/2: every reduced y' is >= it
 
 
 def log_arakelov_area(tau: UpperHalfPoint) -> float:
@@ -66,20 +68,15 @@ def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
 def bound_slack(tau: UpperHalfPoint) -> float:
     """elliptic_upper_bound_log - arakelov_logdet, as the identity
     3/(pi y) - 6 log|prod (1 - q^n)| at every tau: free of the cancellation
-    between two values near -pi y/2 at large y, and through the exactly
-    reduced point below y = sqrt(3)/2 (log_abs_qprod)."""
-    return 3.0 / (math.pi * tau.y) - 6.0 * log_abs_qprod(tau)
-
-
-def qprod_bound(tau: UpperHalfPoint) -> tuple[float, float]:
-    """(lhs, rhs) with lhs = log|prod (1 - q^n)| and rhs = |q|/(1 - |q|).
-
-    lhs <= rhs always (the q-product inequality behind the upper bound).  Both
-    are defined at every tau: lhs through the exactly reduced point where
-    y < sqrt(3)/2, and 1 - |q| as -expm1(-2 pi y), accurate at small y.
-    """
-    minus_2pi_y = -2.0 * math.pi * tau.y
-    return log_abs_qprod(tau), math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
+    between two values near -pi y/2 at large y.  Where y >= sqrt(3)/2 the
+    q-product is the series at x - round(x) (exact in doubles); below, it is
+    log_abs_eta(tau) + pi y/12, through the exactly reduced point."""
+    y = tau.y
+    if y >= _SQRT3_2:
+        log_qprod = _qseries(tau.x - round(tau.x), y)
+    else:
+        log_qprod = log_abs_eta(tau) + math.pi * y / 12.0
+    return 3.0 / (math.pi * y) - 6.0 * log_qprod
 
 
 def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:

@@ -33,7 +33,6 @@ LN_2PI4 = math.log(2.0) + 4.0 * math.log(math.pi)  # log(2 * pi^4)
 QSERIES_TAIL_TOL = 1e-16  # the q-product stops once its tail is below this
 EM_CUTOFF, EM_ORDER = 12, 12  # Euler-Maclaurin direct-sum length N and Bernoulli terms
 TAU_Y_MAX = sys.float_info.max / math.pi  # largest y with pi y (log|eta|'s -pi y/12) finite
-_SQRT3_2 = math.sqrt(3.0) / 2.0  # the double just below sqrt(3)/2: every reduced y' is >= it
 
 
 class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
@@ -108,17 +107,6 @@ def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
     if y > TAU_Y_MAX:
         raise ValueError(f"tau's reduced y' must be <= {TAU_Y_MAX!r}: tau is too near the real axis")
     return h / A, y, a, b, c, d
-
-
-def log_abs_qprod(tau: UpperHalfPoint) -> float:
-    """log|prod_{n>=1} (1 - q^n)| with q = e^(2 pi i tau), at any tau.
-
-    Where y >= sqrt(3)/2 it is the series at x - round(x) (exact in doubles);
-    below, log_abs_eta(tau) + pi y/12, which reduces tau exactly first.
-    """
-    if tau.y >= _SQRT3_2:
-        return _qseries(tau.x - round(tau.x), tau.y)
-    return log_abs_eta(tau) + math.pi * tau.y / 12.0
 
 
 def _qseries(x: float, y: float) -> float:

@@ -220,8 +220,6 @@ def logdet_oracle(torus: UnitTorus) -> float:
 
         log det = gamma_E + 1 - log(4 pi) - G(0).
 
-    The torus has unit area; a metric scaled by g^2 has the log det
-    scaled_logdet(logdet_oracle(torus), g).
     Within AGREEMENT_TOL max(1, |closed form|) wherever tau's exactly reduced y'
     is at most ORACLE_Y_MAX (so for every y in [1e-4, 1e4]); the lattice is
     taken there, so every exact SL2(Z) image of tau gives the same bits.  A
@@ -234,17 +232,9 @@ def logdet_oracle(torus: UnitTorus) -> float:
 logdet_closed = d_ar_elliptic
 
 
-def scaled_logdet(base_logdet: float, gamma: float) -> float:
-    """Metric scaling law: log det(gamma^2 g) = 2 log gamma + log det(g)."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    return base_logdet + 2.0 * math.log(gamma)
-
-
 class DetComparison(NamedTuple):
     """Closed-form vs oracle log-determinant for one torus."""
 
-    tau: UpperHalfPoint
     logdet_closed: float
     logdet_oracle: float
     difference: float  # oracle - closed
@@ -254,4 +244,4 @@ def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
     """Both routes at tau."""
     closed = logdet_closed(tau)
     oracle = logdet_oracle(UnitTorus(tau))
-    return DetComparison(tau, closed, oracle, oracle - closed)
+    return DetComparison(closed, oracle, oracle - closed)

@@ -83,7 +83,7 @@ def test_criterion_06_scaling_law():
     base = torus.logdet_oracle(t)
     rerun = -(4.0 ** h * torus.spectral_zeta(t, h)
               - 4.0 ** -h * torus.spectral_zeta(t, -h)) / (2.0 * h)
-    diff = rerun - torus.scaled_logdet(base, 2.0)
+    diff = rerun - (base + 2.0 * math.log(2.0))
     ok = abs(diff) <= 1e-6
     assert report(6, ok, f"gamma=2 rerun vs 2 log 2 shift: delta = {diff:.2e} "
                          f"(tol 1e-6)")
@@ -120,8 +120,10 @@ def test_criterion_08_elliptic_bound_and_qprod():
         slack = elliptic.elliptic_upper_bound_log(tau) - elliptic.arakelov_logdet(tau)
         min_slack = min(min_slack, slack)
         bound_ok &= slack > 0.0
-        lhs, rhs = elliptic.qprod_bound(tau)
-        qprod_ok &= lhs <= rhs
+        # the q-product inequality, on the printed slack 3/(pi y) - 6 log|prod|
+        minus_2pi_y = -2.0 * math.pi * tau.y
+        rhs = math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
+        qprod_ok &= elliptic.bound_slack(tau) >= 3.0 / (math.pi * tau.y) - 6.0 * rhs
     ok = bound_ok and qprod_ok
     assert report(8, ok, f"1000 samples: bound strict (min slack {min_slack:.3e}), "
                          f"qprod lhs <= rhs = {qprod_ok}")

@@ -470,6 +470,22 @@ def test_torus_det_takes_no_tol(capsys):
     assert "--tol" not in run(capsys, "torus-det", "--help")[1]
 
 
+def test_unrecognized_arguments_are_reported_by_the_chosen_subcommand(capsys):
+    # Wherever an unknown argument stands, the usage block and the error line
+    # are the chosen subcommand's, as for every other usage error of it.
+    for argv in (["bound", "--genus", "2"], ["elliptic", "--tau", "0.3,1.7"],
+                 ["torus-det", "--tau", "0.3,1.7"], ["table", "--from", "2", "--to", "3"],
+                 ["verify-claims", "--only", "CL-01"]):
+        code, out, err = run(capsys, *argv, "--bogus", "1")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"usage: atlab {argv[0]} "), err
+        assert err.endswith(f"atlab {argv[0]}: error: unrecognized arguments: --bogus 1\n"), err
+    code, out, err = run(capsys, "--bogus", "bound", "--genus", "2")
+    assert (code, out) == (2, "")
+    assert err.count("usage: ") == 1 and err.startswith("usage: atlab bound ")
+    assert err.endswith("atlab bound: error: unrecognized arguments: --bogus\n")
+
+
 def test_tau_underflowing_norm_exits_2(capsys):
     # The exact reduction takes any y whose reduced y' is at most TAU_Y_MAX:
     # at 1e-300 the closed form computes (elliptic's area underflows there);

@@ -26,10 +26,9 @@ from atlab.elliptic import (
     elliptic_upper_bound_log,
     faltings_delta_elliptic,
     log_arakelov_area,
-    qprod_bound,
 )
 from atlab.numerics import LN_2PI, UpperHalfPoint
-from atlab.torus import logdet_closed, scaled_logdet
+from atlab.torus import logdet_closed
 
 TAU_I = UpperHalfPoint(0.0, 1.0)
 
@@ -42,6 +41,13 @@ QPROD_LHS_I = -0.0018726824497685461  # log prod(1 - e^(-2 pi n))
 QPROD_RHS_I = 0.0018709365986606441   # e^(-2 pi)/(1 - e^(-2 pi))
 FALT_DIRECT_I = -8.3748868453007323
 FALT_SHIFTED_I = -1.0233785796633504
+
+
+def qprod_rhs(y: float) -> float:
+    """|q|/(1 - |q|), the q-product inequality's right side, with 1 - |q| as
+    -expm1(-2 pi y), accurate at small y."""
+    minus_2pi_y = -2.0 * math.pi * y
+    return math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
 
 
 def test_area_at_i():
@@ -108,7 +114,7 @@ def test_d_ar_scale_invariance_algebra():
     tau = UpperHalfPoint(0.1, 2.2)
     gamma = 3.0
     logdet = logdet_closed(tau)
-    scaled_det = scaled_logdet(logdet, gamma)
+    scaled_det = logdet + 2.0 * math.log(gamma)  # log det(gamma^2 g)
     scaled_log_area = log_arakelov_area(tau) + 2.0 * math.log(gamma)
     d_ar_from_arak = arakelov_logdet(tau) - log_arakelov_area(tau)
     assert abs((scaled_det - (scaled_log_area - log_arakelov_area(tau)))
@@ -138,23 +144,25 @@ def test_upper_bound_depends_on_y_only():
 
 
 def test_qprod_bound_at_i():
-    lhs, rhs = qprod_bound(TAU_I)
-    assert abs(lhs - QPROD_LHS_I) < 1e-14
-    assert abs(rhs - QPROD_RHS_I) < 1e-14
-    assert lhs <= rhs
+    # bound_slack = 3/(pi y) - 6 log|prod (1 - q^n)|, and the q-product is at
+    # most its inequality's right side.
+    slack = bound_slack(TAU_I)
+    assert abs(slack - (3.0 / math.pi - 6.0 * QPROD_LHS_I)) < 1e-14
+    assert abs(qprod_rhs(1.0) - QPROD_RHS_I) < 1e-14
+    assert slack >= 3.0 / math.pi - 6.0 * qprod_rhs(1.0)
 
 
 def test_qprod_bound_vanishes_at_large_y():
-    lhs, rhs = qprod_bound(UpperHalfPoint(0.0, 60.0))
-    assert lhs <= 0.0 <= rhs
-    assert abs(lhs) < 1e-100 and rhs < 1e-100
+    # Both sides of the q-product inequality are below 1e-100 at y = 60, so
+    # the slack is 3/(pi y) to the bit.
+    assert qprod_rhs(60.0) < 1e-100
+    assert bound_slack(UpperHalfPoint(0.0, 60.0)) == 3.0 / (math.pi * 60.0)
 
 
 def test_qprod_chain_constant():
     # 6 rhs = 6/(e^(2 pi y) - 1) <= 3/(pi y) for all y (e^x - 1 >= x).
     for y in np.geomspace(0.05, 100.0, 200):
-        _, rhs = qprod_bound(UpperHalfPoint(0.25, float(y)))
-        assert 6.0 * rhs <= 3.0 / (math.pi * y) * (1.0 + 1e-15)
+        assert 6.0 * qprod_rhs(float(y)) <= 3.0 / (math.pi * y) * (1.0 + 1e-15)
 
 
 def test_bound_and_qprod_1000_samples():
@@ -162,8 +170,7 @@ def test_bound_and_qprod_1000_samples():
     for _ in range(1000):
         tau = UpperHalfPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 100.0))
         assert arakelov_logdet(tau) < elliptic_upper_bound_log(tau)
-        lhs, rhs = qprod_bound(tau)
-        assert lhs <= rhs
+        assert bound_slack(tau) >= 3.0 / (math.pi * tau.y) - 6.0 * qprod_rhs(tau.y)
 
 
 def test_faltings_delta_readings():

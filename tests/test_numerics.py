@@ -8,7 +8,6 @@ and adaptive quadrature that never call the kernel under test.
 from __future__ import annotations
 
 import math
-import sys
 import timeit
 from fractions import Fraction
 
@@ -16,16 +15,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from atlab import numerics
+from atlab import elliptic, numerics
 from atlab.bounds import k_const, kappa
-from atlab.elliptic import d_ar_elliptic, qprod_bound
+from atlab.elliptic import bound_slack, d_ar_elliptic
 from atlab.numerics import (
     TAU_Y_MAX,
     ModularTransform,
     UpperHalfPoint,
     exp_integral_e1,
     log_abs_eta,
-    log_abs_qprod,
     reduce_to_fundamental_domain,
     zeta_em_deriv,
     zeta_prime_minus1,
@@ -301,45 +299,49 @@ def test_scalar_eta_equals_the_value_through_the_reduced_point():
         tau = UpperHalfPoint(x, y)
         red, t = reduce_to_fundamental_domain(tau)
         assert numerics._reduce(x, y) == (red.x, red.y, t.a, t.b, t.c, t.d), (x, y)
-        want = (-math.pi * red.y / 12.0 + log_abs_qprod(red)
+        want = (-math.pi * red.y / 12.0 + numerics._qseries(red.x, red.y)
                 + 0.25 * (math.log(red.y) - math.log(y)))
         assert log_abs_eta(tau).hex() == float(want).hex(), (x, y)
 
 
 def test_qprod_and_its_bound_near_the_real_axis():
-    # Below y = sqrt(3)/2 the q-product is log|eta| + pi y/12 at the exactly
-    # reduced point, so it takes microseconds where the raw series would need
-    # ~1/y terms; rhs = |q|/(1 - |q|) keeps its digits through expm1.  The
-    # references: 40-digit mpmath at the exact reduced point, 1/expm1(2 pi y).
+    # Below y = sqrt(3)/2 bound_slack's q-product is log|eta| + pi y/12 at the
+    # exactly reduced point, so it takes microseconds where the raw series
+    # would need ~1/y terms, and it stays within the q-product inequality
+    # (rhs = |q|/(1 - |q|) through expm1).  The reference: 40-digit mpmath at
+    # the exact reduced point.
     mpmath = pytest.importorskip("mpmath")
     for x in (0.3, 0.1234567, 0.0, -2.5):
         for y in (1e-5, 1e-10, 1e-17):
             tau = UpperHalfPoint(x, y)
-            for call in (lambda: log_abs_qprod(tau), lambda: qprod_bound(tau)):
-                assert min(timeit.repeat(call, number=1, repeat=5)) < 1e-3, (x, y)
-            lhs, rhs = qprod_bound(tau)
-            assert lhs == log_abs_qprod(tau) <= rhs, (x, y)
+            assert min(timeit.repeat(lambda: bound_slack(tau), number=1, repeat=5)) < 1e-3, (x, y)
+            slack = bound_slack(tau)
+            minus_2pi_y = -2.0 * math.pi * y
+            rhs = math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
+            assert slack >= 3.0 / (math.pi * y) - 6.0 * rhs, (x, y)
             ref = exact_reduction(x, y)
             with mpmath.workdps(40):
                 rx, ry = (mpmath.mpf(v.numerator) / v.denominator for v in ref[:2])
                 log_eta = (mpmath.log(abs(mpmath.eta(mpmath.mpc(rx, ry)))) if ry < 1e3
                            else -mpmath.pi * ry / 12)  # the product is below e^(-6000)
                 lhs_ref = log_eta + (mpmath.log(ry) - mpmath.log(y)) / 4 + mpmath.pi * y / 12
-                rhs_ref = 1 / mpmath.expm1(2 * mpmath.pi * y)
-                assert abs(lhs - lhs_ref) <= 1e-15 * abs(lhs_ref), (x, y)
-                assert abs(rhs - rhs_ref) <= 4 * sys.float_info.epsilon * rhs_ref, (x, y)
+                slack_ref = 3 / (mpmath.pi * y) - 6 * lhs_ref
+                assert abs(slack - slack_ref) <= 1e-15 * abs(slack_ref), (x, y)
 
 
 def test_qprod_takes_the_series_from_sqrt3_over_2_and_eta_below():
-    # Where y >= sqrt(3)/2 the series runs at x - round(x); one double lower
-    # it is log|eta| + pi y/12, and the two agree across the switch.
-    y0 = math.sqrt(3.0) / 2.0
+    # Where y >= sqrt(3)/2 bound_slack's q-product is the series at
+    # x - round(x); one double lower it is log|eta| + pi y/12, and the two
+    # agree across the switch.
+    y0 = elliptic._SQRT3_2
+    assert y0 == math.sqrt(3.0) / 2.0
+    below = math.nextafter(y0, 0.0)
     for x in (0.0, 0.3, 0.5, 2.75):
-        assert log_abs_qprod(UpperHalfPoint(x, y0)) == numerics._qseries(x - round(x), y0)
-        below = math.nextafter(y0, 0.0)
+        via_series = numerics._qseries(x - round(x), y0)
+        assert bound_slack(UpperHalfPoint(x, y0)) == 3.0 / (math.pi * y0) - 6.0 * via_series
         via_eta = log_abs_eta(UpperHalfPoint(x, below)) + math.pi * below / 12.0
-        assert log_abs_qprod(UpperHalfPoint(x, below)) == via_eta
-        assert abs(via_eta - log_abs_qprod(UpperHalfPoint(x, y0))) <= 1e-15, x
+        assert bound_slack(UpperHalfPoint(x, below)) == 3.0 / (math.pi * below) - 6.0 * via_eta
+        assert abs(via_eta - via_series) <= 1e-15, x
 
 
 def test_log_abs_eta_vs_raw_series_1000_samples():

@@ -25,8 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from atlab import bounds, claims
 from atlab.cli import main
-from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, scaled_logdet, spectral_zeta
-from atlab.elliptic import d_ar_elliptic, qprod_bound
+from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, spectral_zeta
+from atlab.elliptic import bound_slack, d_ar_elliptic
 from atlab.numerics import UpperHalfPoint
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -78,11 +78,12 @@ def test_oracle_equals_closed_form(point):
 def test_oracle_obeys_the_scaling_law(point, gamma):
     # Scaling the metric by gamma^2 scales each eigenvalue by 1/gamma^2, so
     # zeta_gamma(s) = gamma^(2s) zeta(s) and log det(gamma^2 g) = log det(g)
-    # - 2 log(gamma) zeta(0): the law with the oracle's own zeta(0) = -1.
+    # - 2 log(gamma) zeta(0): with the oracle's own zeta(0) = -1, exactly
+    # log det + 2 log(gamma).
     torus = UnitTorus(UpperHalfPoint(*point))
     base = logdet_oracle(torus)
     law = base - 2.0 * math.log(gamma) * spectral_zeta(torus, 0.0)
-    assert scaled_logdet(base, gamma) == law
+    assert base + 2.0 * math.log(gamma) == law
 
 
 @PROPERTY_SETTINGS
@@ -110,8 +111,13 @@ def test_d_ar_is_modular_invariant(point):
 @given(st.tuples(_reals(-3.0, 3.0), _log_uniform(1e-30, 1e4)))
 @example((0.5, 1e-4))  # the tight x = 1/2 at the cusp corner
 def test_qprod_lhs_stays_below_rhs(point):
-    lhs, rhs = qprod_bound(UpperHalfPoint(*point))
-    assert lhs <= rhs
+    # The q-product inequality log|prod (1 - q^n)| <= |q|/(1 - |q|), read on
+    # the printed slack 3/(pi y) - 6 log|prod|: rounding is monotone, so this
+    # holds exactly wherever the q-product is at most rhs.
+    y = point[1]
+    minus_2pi_y = -2.0 * math.pi * y
+    rhs = math.exp(minus_2pi_y) / -math.expm1(minus_2pi_y)
+    assert bound_slack(UpperHalfPoint(*point)) >= 3.0 / (math.pi * y) - 6.0 * rhs
 
 
 LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -170,7 +176,8 @@ _VERIFY = st.builds(lambda ids, flags: ["verify-claims", "--only", ",".join(ids)
                              max_size=2)
                     | st.lists(st.sampled_from(("CL-01", "CL-99", "", " ", "cl-01")), max_size=3),
                     st.sampled_from(([], ["--strict"], ["--json", _UNWRITABLE])))
-_RAW = st.lists(st.sampled_from(("bound", "elliptic", "torus-det", "table", "verify-claims",
+SUBCOMMANDS = ("bound", "elliptic", "torus-det", "table", "verify-claims")
+_RAW = st.lists(st.sampled_from((*SUBCOMMANDS,
                                  "--genus", "--tau", "--from", "--to", "--only", "--json",
                                  "--help", "-h", "2", "0.3,1.7", "-0.3,1.7", "--")) | st.text(),
                 max_size=5)
@@ -180,6 +187,7 @@ ARGVS = _BOUND | _ELLIPTIC | _TORUS_DET | _TABLE | _VERIFY | _RAW
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(ARGVS)
 @example(["verify-claims", "--only", "CL-01", "--json", _UNWRITABLE])  # printed its report first
+@example(["bound", "--genus", "2", "--bogus"])  # an unknown argument after a complete command
 def test_any_argv_ends_with_a_documented_exit_code_and_clean_streams(argv):
     # Exit 0 ok, 1 a route disagreement or strict audit (its result on stdout,
     # one verdict line on stderr), 2 a usage or domain error, which prints
@@ -205,5 +213,14 @@ def test_any_argv_ends_with_a_documented_exit_code_and_clean_streams(argv):
                      if re.match(r"atlab( [a-z-]+)?: error: ", line)]
             assert len(found) == 1 and err.endswith("\n"), (argv, err)
             assert all(line.startswith(" ") for line in lines[1:found[0]]), (argv, err)
+            # Once a subcommand is chosen (the first name in argv, unless the
+            # top-level parser fails on its own arguments first), the block
+            # is that subcommand's, whatever argument it reports.
+            chosen = next((a for a in argv if a in SUBCOMMANDS), None)
+            if lines[0].startswith("usage: atlab [-h] "):
+                assert re.match(r"atlab: error: (argument |the following arguments "
+                                r"are required: command)", lines[found[0]]), (argv, err)
+            else:
+                assert lines[0].startswith(f"usage: atlab {chosen} "), (argv, err)
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

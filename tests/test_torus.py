@@ -28,7 +28,6 @@ from atlab.torus import (
     compare_logdet,
     logdet_closed,
     logdet_oracle,
-    scaled_logdet,
     spectral_zeta,
 )
 
@@ -476,8 +475,8 @@ def test_oracle_matches_closed_form():
 
 def test_torus_records_are_immutable_tuples():
     cmp = compare_logdet(TAU_I)
-    assert cmp == (TAU_I, cmp.logdet_closed, cmp.logdet_oracle, cmp.difference)
-    assert list(cmp._asdict()) == ["tau", "logdet_closed", "logdet_oracle", "difference"]
+    assert cmp == (cmp.logdet_closed, cmp.logdet_oracle, cmp.difference)
+    assert list(cmp._asdict()) == ["logdet_closed", "logdet_oracle", "difference"]
     t_torus = UnitTorus(TAU_I)
     assert repr(t_torus) == "UnitTorus(tau=UpperHalfPoint(x=0.0, y=1.0))"
     for obj, field in ((t_torus, "tau"), (cmp, "difference")):
@@ -543,7 +542,6 @@ def test_oracle_near_the_real_axis_calls_no_eta_or_q_series(monkeypatch):
         raise AssertionError("the oracle called the closed form's kernel")
 
     for module, name in ((numerics, "log_abs_eta"), (elliptic, "log_abs_eta"),
-                         (numerics, "log_abs_qprod"), (elliptic, "log_abs_qprod"),
                          (numerics, "_qseries"), (elliptic, "_qseries")):
         monkeypatch.setattr(module, name, forbidden)
     oracle = logdet_oracle(UnitTorus(tau))
@@ -635,16 +633,6 @@ def test_poisson_scales_do_not_increase(s, scale):
     assert np.allclose(folded_measure, w ** -s, rtol=1e-13, atol=0.0)
 
 
-def test_scaled_logdet_algebra():
-    assert scaled_logdet(-1.5, 1.0) == -1.5
-    assert abs(scaled_logdet(-1.054692, math.e) - 0.945308) < 1e-12
-    with pytest.raises(ValueError):
-        scaled_logdet(0.0, 0.0)
-    for gamma in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="gamma"):
-            scaled_logdet(0.0, gamma)
-
-
 def _scaling_law(t: UnitTorus, g: float) -> float:
     """log det at the metric scaled by g^2, from the oracle's own spectrum:
     each eigenvalue scales by 1/g^2, so zeta_g(s) = g^(2s) zeta(s) and
@@ -652,36 +640,23 @@ def _scaling_law(t: UnitTorus, g: float) -> float:
     return logdet_oracle(t) - 2.0 * math.log(g) * spectral_zeta(t, 0.0)
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-200,
-                                   5e-4, 64.0, 1e200])
-def test_oracle_refuses_metric_scales_outside_the_verified_range(scale):
-    # The oracle's log det at a metric scale is scaled_logdet of it.  Every
-    # positive finite scale is verified: the oracle's zeta(0) is exactly -1,
-    # so 1e-200, 5e-4, 64 and 1e200 give the law exactly; only the rest is refused.
-    t = UnitTorus(TAU_I)
-    if 0.0 < scale < math.inf:
-        assert scaled_logdet(logdet_oracle(t), scale) == _scaling_law(t, scale)
-    else:
-        with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            scaled_logdet(logdet_oracle(t), scale)
-
-
 def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
-    # The scales 1e-3 and 32 bound no range now; they still give the law exactly.
+    # The scales 1e-3 and 32 bound no range; they give the law exactly.
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
         t = UnitTorus(tau)
         for g in (1e-3, 32.0):
-            assert scaled_logdet(logdet_oracle(t), g) == _scaling_law(t, g), (tau, g)
+            assert logdet_oracle(t) + 2.0 * math.log(g) == _scaling_law(t, g), (tau, g)
 
 
 def test_oracle_metric_scale_is_the_exact_scaling_law():
     # A metric scale adds exactly 2 log(scale) to the oracle's log det,
-    # however small or large.
+    # however small or large: the oracle's zeta(0) is exactly -1.
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
         t = UnitTorus(tau)
         base = logdet_oracle(t)
+        assert spectral_zeta(t, 0.0) == -1.0, tau
         for g in (1e-200, 5e-4, 0.5, 2.0, 64.0, 1e200):
-            assert scaled_logdet(base, g) == _scaling_law(t, g), (tau, g)
+            assert base + 2.0 * math.log(g) == _scaling_law(t, g), (tau, g)
 
 
 @pytest.mark.parametrize("x, y", [(0.3, 1e300), (0.0, 1e5), (0.0, math.nextafter(1e4, math.inf)),
@@ -719,7 +694,7 @@ def test_scaling_law_numeric_rerun():
     torus, gamma, h = UnitTorus(TAU_I), 2.0, 1e-4
     rerun = -(gamma ** (2.0 * h) * spectral_zeta(torus, h)
               - gamma ** (-2.0 * h) * spectral_zeta(torus, -h)) / (2.0 * h)
-    assert abs(rerun - scaled_logdet(logdet_oracle(torus), gamma)) <= 1e-6
+    assert abs(rerun - (logdet_oracle(torus) + 2.0 * math.log(gamma))) <= 1e-6
 
 
 def test_precision_object_is_honored(monkeypatch):
