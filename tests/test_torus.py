@@ -640,6 +640,14 @@ def _scaling_law(t: UnitTorus, g: float) -> float:
     return logdet_oracle(t) - 2.0 * math.log(g) * spectral_zeta(t, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 5e-4, 64.0, 1e200])
+def test_oracle_refuses_metric_scales_outside_the_verified_range(scale):
+    # No positive finite scale lies outside the verified range: the oracle's
+    # zeta(0) is exactly -1, so 1e-200, 5e-4, 64 and 1e200 give the law exactly.
+    t = UnitTorus(TAU_I)
+    assert logdet_oracle(t) + 2.0 * math.log(scale) == _scaling_law(t, scale)
+
+
 def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
     # The scales 1e-3 and 32 bound no range; they give the law exactly.
     for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
