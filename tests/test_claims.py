@@ -198,13 +198,16 @@ def test_cl19_is_not_confirmed_when_the_bound_lies_below_the_logdet(monkeypatch)
     assert rec.computed.startswith("3 violations over 500 y in [0.05, 100] ")
 
 
+SWEEP_G_RANGE = range(11, 3581)  # the genera CL-08 and CL-09 print
+
+
 @pytest.mark.parametrize("claim_id, margin", [
     ("CL-08", lambda g: 0.44 * g - bounds.e_of_g(g)),
     ("CL-09", lambda g: g - bounds.upper_bound_logdet(g, "simplified").upper_simplified),
 ])
 def test_sweep_records_match_per_genus_minimum(claim_id, margin):
     # Independent oracle: the margin genus by genus through the scalar API.
-    worst_g = min(claims.SWEEP_G_RANGE, key=margin)
+    worst_g = min(SWEEP_G_RANGE, key=margin)
     rec = evaluate(registry_by_id()[claim_id])
     assert rec.status == "CONFIRMED"
     assert type(rec.delta) is float and rec.delta == margin(worst_g)
@@ -212,16 +215,9 @@ def test_sweep_records_match_per_genus_minimum(claim_id, margin):
     assert rec.computed.endswith(f"= {rec.delta:.6f} at g = {worst_g}")
 
 
-def test_sweep_counts_violations():
-    computed, worst, passed = claims._sweep(lambda g: g - 20.0, "g - 20")
-    assert computed == ("10 violations over g in [11, 3580]; min margin "
-                        "g - 20 = -9.000000 at g = 11")
-    assert worst == -9.0 and not passed
-
-
 def full_sweep(margin_of_g, label):
-    """The sweep the bisection replaced: the margin at every genus of the range."""
-    genera = claims.SWEEP_G_RANGE
+    """The certificate's reference: the margin at every genus of the printed range."""
+    genera = SWEEP_G_RANGE
     margins = [margin_of_g(g) for g in genera]
     worst = min(margins)
     computed = (f"{sum(m <= 0.0 for m in margins)} violations over g in "
@@ -249,22 +245,18 @@ def counted(margin_of_g, calls):
     return margin
 
 
-MAX_SWEEP_CALLS = 1 + math.ceil(math.log2(len(claims.SWEEP_G_RANGE) + 1))
-
-
 def test_sweep_certificate_gives_the_array_sweep_record(monkeypatch):
     for claim_id, (margin, label) in sweep_margins(monkeypatch).items():
         calls = []
         got = claims._sweep(counted(margin, calls), label)
         assert got == full_sweep(margin, label), claim_id
         assert got == registry_by_id()[claim_id].compute()
-        assert 0 < len(calls) <= MAX_SWEEP_CALLS
-        assert all(type(g) is int for g in calls)
+        assert calls == [11] and type(calls[0]) is int
 
 
 def test_sweep_margins_increase(monkeypatch):
-    # The bisection's precondition, in floats: strictly increasing on
-    # [4, 3580] (the lemma's range) and on log-spaced genera up to 2**53.
+    # The proof's conclusion, in floats: strictly increasing on [4, 3580]
+    # (the lemma's range) and on log-spaced genera up to 2**53.
     spaced = sorted({round(4.0 * (bounds.MAX_GENUS / 4.0) ** (i / 399)) for i in range(400)})
     assert spaced[-1] == bounds.MAX_GENUS
     for claim_id, (margin, _) in sweep_margins(monkeypatch).items():
@@ -276,14 +268,42 @@ def test_sweep_margins_increase(monkeypatch):
 @pytest.mark.parametrize("offset, violations", [
     (10.5, 0), (11, 1), (20, 10), (3580, 3570), (4000, 3570)])
 def test_sweep_bisection_counts_like_brute_force(offset, violations):
-    assert sum(g - offset <= 0 for g in claims.SWEEP_G_RANGE) == violations
+    # The certificate's verdict is the brute-force "no violations", from the
+    # margin at g = 11 alone; a failing premise is named, not searched.
+    assert sum(g - offset <= 0 for g in SWEEP_G_RANGE) == violations
     calls = []
-    computed, worst, passed = claims._sweep(counted(lambda g: g - offset, calls), "m")
-    assert computed == (f"{violations} violations over g in [11, 3580]; min margin "
-                        f"m = {11 - offset:.6f} at g = 11")
-    assert worst == 11 - offset and passed == (violations == 0)
-    assert (computed, worst, passed) == full_sweep(lambda g: g - offset, "m")
-    assert len(calls) <= MAX_SWEEP_CALLS
+    computed, worst, passed = claims._sweep(counted(lambda g: g - offset, calls), "g - m")
+    assert passed == (violations == 0) == full_sweep(lambda g: g - offset, "g - m")[2]
+    assert worst == 11 - offset and calls == [11]
+    if passed:
+        assert computed == "0 violations over g in [11, 3580]; min margin g - m = 0.500000 at g = 11"
+    else:
+        assert computed == ("proof premise failed (log 1366 > 7 and margin(11) > 0): "
+                            f"margin(11) = g - m = {11 - offset:.6f}")
+
+
+def test_sweep_claims_are_discrepant_when_margin_11_is_not_positive(monkeypatch):
+    e_of_g = bounds.e_of_g
+    monkeypatch.setattr(bounds, "e_of_g", lambda g: e_of_g(g) + 0.44 * 11)
+    report = run_all(only=["CL-08"])
+    rec = report.records[0]
+    assert rec.status == "DISCREPANT" and rec.delta <= 0.0
+    assert rec.computed.startswith("proof premise failed")
+    assert "margin(11) = 0.44g - E(g) = " in rec.computed
+    assert not report.strict_ok()
+
+
+@pytest.mark.parametrize("scale, status", [
+    (1.0 + 1e-11, "DISCREPANT"), (1.0 + 1e-13, "CONFIRMED")])
+def test_cl18_judges_the_routes_relative_gap(monkeypatch, scale, status):
+    # The closed form scaled at 2i alone (|log det| = 1.40 there): the gap
+    # relative to max(1, |closed|) is scale - 1, against torus.AGREEMENT_TOL.
+    closed = torus.logdet_closed
+    monkeypatch.setattr(torus, "logdet_closed",
+                        lambda tau: closed(tau) * (scale if tau.y == 2.0 else 1.0))
+    rec = run_all(only=["CL-18"]).records[0]
+    assert rec.status == status
+    assert rec.delta == pytest.approx(scale - 1.0, rel=0.01)
 
 
 def test_asymptote_excesses_match_scalar_bounds():
