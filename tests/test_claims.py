@@ -215,6 +215,15 @@ def test_sweep_records_match_per_genus_minimum(claim_id, margin):
     assert rec.computed.endswith(f"= {rec.delta:.6f} at g = {worst_g}")
 
 
+def test_sweep_counts_violations():
+    # A margin that fails on part of the range is caught at g = 11, where the
+    # proof puts the minimum, and reported as the failed premise.
+    computed, worst, passed = claims._sweep(lambda g: g - 20.0, "g - 20")
+    assert computed == ("proof premise failed (log 1366 > 7 and margin(11) > 0): "
+                        "margin(11) = g - 20 = -9.000000")
+    assert worst == -9.0 and not passed
+
+
 def full_sweep(margin_of_g, label):
     """The certificate's reference: the margin at every genus of the printed range."""
     genera = SWEEP_G_RANGE
