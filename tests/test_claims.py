@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import types
 
 import pytest
 
@@ -98,15 +99,27 @@ def test_run_all_deterministic_serialization():
     assert a == b
 
 
-def test_confirmed_allowlisted_rows_warn():
+def test_allowlist_is_exactly_the_discrepant_claims(monkeypatch):
     report = run_all()
-    warned = {w.split(":")[0] for w in report.warnings}
-    confirmed_allowlisted = {
-        rec.id for rec in report.records
-        if rec.id in EXPECTED_DISCREPANT and rec.status == "CONFIRMED"
-    }
-    assert warned == confirmed_allowlisted
-    assert {f"CL-10-g{g}" for g in range(2, 11)} <= warned
+    assert {rec.id for rec in report.records
+            if rec.status == "DISCREPANT"} == set(EXPECTED_DISCREPANT)
+    assert report.warnings == ()
+    # A small-genus row pushed past its 0.75 tolerance is not allowlisted.
+    monkeypatch.setitem(bounds.PAPER_TABLE_VALUES, 5, bounds.PAPER_TABLE_VALUES[5] + 2.0)
+    report = run_all(only=["CL-10-g5"])
+    assert report.records[0].status == "DISCREPANT"
+    assert not report.strict_ok()
+
+
+def allowlisting(monkeypatch, claim_id):
+    """Add claim_id to the strict-mode allowlist for the test's duration."""
+    monkeypatch.setattr(claims, "EXPECTED_DISCREPANT", (*EXPECTED_DISCREPANT, claim_id))
+
+
+def test_confirmed_allowlisted_rows_warn(monkeypatch):
+    allowlisting(monkeypatch, "CL-05")
+    assert run_all().warnings == (
+        "CL-05: listed in the expected-discrepant allowlist but CONFIRMED",)
 
 
 def test_run_subset_and_unknown_id():
@@ -159,7 +172,8 @@ def hand_built_report(leaves, warnings):
     return claims.ClaimReport(tuple(records), tuple(warnings))
 
 
-def test_report_json_is_the_indented_json_dumps_text():
+def test_report_json_is_the_indented_json_dumps_text(monkeypatch):
+    allowlisting(monkeypatch, "CL-10-g2")
     reports = [run_all(), run_all(only=["CL-05", "CL-12"]), run_all(only=["CL-10-g2"]),
                claims.ClaimReport((), ()),
                hand_built_report(ODD_LEAVES, [w for w in ODD_LEAVES if isinstance(w, str)]),
@@ -196,6 +210,24 @@ def test_cl19_is_not_confirmed_when_the_bound_lies_below_the_logdet(monkeypatch)
     rec = run_all(only=["CL-19"]).records[0]
     assert rec.status == "DISCREPANT"
     assert rec.computed.startswith("3 violations over 500 y in [0.05, 100] ")
+
+
+@pytest.mark.parametrize("allowance, status", [(0.148, "CONFIRMED"), (0.150, "DISCREPANT")])
+def test_cl19_premise_is_its_least_relative_margin(monkeypatch, allowance, status):
+    # The proof's premise is judged at y = 0.05, where the relative margin
+    # 1 - 6|q|/((1-|q|) 3/(pi y)) is least on the grid (0.14887): a rounding
+    # allowance of 16 eps just above it fails the premise, one just below not.
+    float_info = types.SimpleNamespace(epsilon=allowance / 16.0)
+    monkeypatch.setattr(claims, "sys", types.SimpleNamespace(float_info=float_info))
+    report = run_all(only=["CL-19"])
+    rec = report.records[0]
+    assert rec.status == status and rec.delta is None
+    assert report.strict_ok() == (status == "CONFIRMED")
+    if status == "CONFIRMED":
+        assert rec.computed.startswith("0 violations over 500 y in [0.05, 100] ")
+    else:
+        assert rec.computed == ("proof premise failed (3/(pi y) - 6|q|/(1-|q|) > "
+                                "16 eps 3/(pi y) at y = 0.05): relative margin = 0.148868")
 
 
 SWEEP_G_RANGE = range(11, 3581)  # the genera CL-08 and CL-09 print

@@ -228,6 +228,21 @@ def raw_log_abs_qprod(x: float, y: float) -> float:
     return total
 
 
+def test_cl19_premise_holds_on_the_grid_and_is_least_at_its_start():
+    # The audit checks 3/(pi y) - 6|q|/(1-|q|) > 16 eps 3/(pi y) at y = 0.05
+    # alone; in floats it holds at every grid y, and its relative value, which
+    # the proof shows rises with y, is least at y = 0.05.
+    relative = []
+    for y in CL19_GRID:
+        qa = math.exp(-2.0 * math.pi * y)
+        target = 3.0 / (math.pi * y)
+        margin = target - 6.0 * qa / (1.0 - qa)
+        assert margin > 16.0 * sys.float_info.epsilon * target, y
+        relative.append(margin / target)
+    assert CL19_GRID[0] == 0.05 and relative == sorted(relative)
+    assert relative[0] == pytest.approx(0.14887, abs=1e-5)
+
+
 @pytest.mark.parametrize("x", [0.0, 0.3, -0.5, 2.75])
 def test_cl19_certificate_is_the_evaluated_bound_slack(x):
     # CL-19 certifies bound - log det = 3/(pi y) - 6 log|prod (1 - q^n)|
