@@ -25,10 +25,9 @@ e_of_g returns one of its fields.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
-from .numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
+from .numerics import LN_2PI, LN_2PI4, ZETA_PRIME_MINUS1, exp_integral_e1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
@@ -57,8 +56,22 @@ PAPER_KAPPA = 0.5474277074  # printed slope digits
 PAPER_FOUR_ZETA_PRIME = -0.661685
 REFINED_E_CONSTANT = 2.1890125  # printed constant of the refined E(g)
 
-_E1_QUARTER = exp_integral_e1(0.25)  # input-free, so evaluated once
-_HEAT_INTEGRAL = _E1_QUARTER / (4.0 * math.pi)
+# The input-free values, each evaluated once, here.
+E1_QUARTER = exp_integral_e1(0.25)
+HEAT_INTEGRAL = E1_QUARTER / (4.0 * math.pi)  # the majorized heat integral, ~0.08310 <= 0.0832
+# K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2 ~= -7.4434493
+K_CONST = -24.0 * ZETA_PRIME_MINUS1 + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
+# The exact asymptotic slope log(2 pi^4)/3 - (4/3) log 2pi - K/6 ~= 0.54742770
+KAPPA = LN_2PI4 / 3.0 - (4.0 / 3.0) * LN_2PI - K_CONST / 6.0
+# The genus-0 determinant exp(-4 zeta'(-1) + 7/6 - (4/3) log 2) ~= 2.46984
+GENUS0_DET = math.exp(-4.0 * ZETA_PRIME_MINUS1 + 7.0 / 6.0 - (4.0 / 3.0) * math.log(2.0))
+# The printed Faltings-vs-Quillen gap bound h_F - h_Q >= FQ_GAP_SLOPE g + FQ_GAP_CONSTANT:
+# the printed symbolic slope with the printed 4 zeta'(-1) (which yields the published
+# 16 digits), and the printed symbolic constant C at full precision.
+FQ_GAP_SLOPE = ((4.0 / 3.0) * LN_2PI - LN_2PI4 / 3.0 + PAPER_FOUR_ZETA_PRIME
+                - 1.0 / 6.0 + LN_2PI + math.log(2.0) / 3.0)
+FQ_GAP_CONSTANT = -LN_2PI + 4.0 * ZETA_PRIME_MINUS1 - 1.0 / 6.0 + math.log(2.0) / 3.0
+
 _LN_4, _LN_36 = math.log(4.0), math.log(36.0)
 _AREA_HEAD = {"e4pi": 1.0 + math.log(4.0 * math.pi), "c36": _LN_36}
 
@@ -80,17 +93,6 @@ def _genera(g, minimum: int) -> float:
     return float(g)
 
 
-def heat_integral() -> float:
-    """E1(1/4)/(4 pi), the majorized heat-kernel integral (~0.08310 <= 0.0832)."""
-    return _HEAT_INTEGRAL
-
-
-@lru_cache(maxsize=1)
-def k_const() -> float:
-    """K = -24 zeta'(-1) + 1 - 6 log 2pi - 2 log 2 (~ -7.4434493)."""
-    return -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
-
-
 def _wilms(g):
     return -2.0 * g * LN_2PI4
 
@@ -98,11 +100,6 @@ def _wilms(g):
 def wilms_lower(g):
     """Lower bound -2 g log(2 pi^4) on the delta invariant, g >= 1."""
     return _wilms(_genera(g, 1))
-
-
-def kappa() -> float:
-    """Exact asymptotic slope log(2 pi^4)/3 - (4/3) log 2pi - K/6 (~0.54742770)."""
-    return LN_2PI4 / 3.0 - (4.0 / 3.0) * LN_2PI - k_const() / 6.0
 
 
 class BoundBreakdown(NamedTuple):
@@ -141,17 +138,16 @@ def _breakdown(g, gf: float, area_variant: str) -> BoundBreakdown:
     log_g1 = math.log(g1)
     log_n = math.log(1366.0 * g1)
     tail = 4.0 / gg1 * log_n
-    heat = (1.0 - 1.0 / gf) * _E1_QUARTER
+    heat = (1.0 - 1.0 / gf) * E1_QUARTER
     csel = -4.0 * log_n
     area = _AREA_HEAD[area_variant] + log_g1 + tail
-    k = k_const()
-    a_g = -8.0 * gf * LN_2PI + (1.0 - gf) * k
-    k6 = k / 6.0
+    a_g = -8.0 * gf * LN_2PI + (1.0 - gf) * K_CONST
+    k6 = K_CONST / 6.0
     e_refined = inv_g1 + log_g1 + tail + k6 + REFINED_E_CONSTANT
     # tuple.__new__ skips the generated __new__, a Python call binding all 14
     # fields once per table row (here and for TableRow below)
     return tuple.__new__(BoundBreakdown, (
-        g, _HEAT_INTEGRAL, heat, csel, heat - csel / gg1 + inv_g1 - _LN_4,
+        g, HEAT_INTEGRAL, heat, csel, heat - csel / gg1 + inv_g1 - _LN_4,
         1.0 + 4.0 * log_n / gg1, area, area_variant, a_g, _wilms(gf),
         _LN_36 + log_g1 + tail + k6, e_refined,
         LN_2PI4 / 3.0 * gf + a_g / 6.0 + area, 0.56 * gf + e_refined,
@@ -176,26 +172,6 @@ def e_of_g(g):
     + K/6, does only from g = 12 on.
     """
     return upper_bound_logdet(g).e_g_refined
-
-
-def genus0_det() -> float:
-    """The genus-0 determinant exp(-4 zeta'(-1) + 7/6 - (4/3) log 2) ~= 2.46984."""
-    return math.exp(-4.0 * zeta_prime_minus1() + 7.0 / 6.0 - (4.0 / 3.0) * math.log(2.0))
-
-
-def fq_gap_coefficients() -> tuple[float, float]:
-    """(slope, constant) of the Faltings-vs-Quillen gap lower bound
-    h_F - h_Q >= slope * g + constant, as the corollary prints it.
-
-    The slope is the printed symbolic sum evaluated with the printed rounding
-    of 4 zeta'(-1) (that rounding is what yields the published 16-digit
-    slope); the constant is the printed symbolic constant C at full precision.
-    """
-    slope = ((4.0 / 3.0) * LN_2PI - LN_2PI4 / 3.0 + PAPER_FOUR_ZETA_PRIME
-             - 1.0 / 6.0 + LN_2PI + math.log(2.0) / 3.0)
-    const = (-LN_2PI + 4.0 * zeta_prime_minus1() - 1.0 / 6.0
-             + math.log(2.0) / 3.0)
-    return slope, const
 
 
 # The annotation of a table row past the reference values, below genus 3580

@@ -3,9 +3,10 @@
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
 error; a closed output pipe ends the process quietly (SIGPIPE).  The routes of
-torus-det --method both disagree when |difference| > torus.AGREEMENT_TOL
-max(1, |logdet_closed|), the contract logdet_oracle states: it prints all
-three lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
+torus-det --method both disagree when their relative gap |difference| /
+max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the contract logdet_oracle
+states (DetComparison.relative_gap, as CL-18 reads it): it prints all three
+lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
 usage error, an unrecognized argument included, prints that subcommand's
 usage block; a --tau that is not two decimal literals is one.  A --tau whose
 value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
@@ -118,7 +119,7 @@ def _cmd_torus_det(args, parser) -> int:
     print(f"logdet_closed  {_fmt(cmp.logdet_closed)}")
     print(f"logdet_oracle  {_fmt(cmp.logdet_oracle)}")
     print(f"difference     {_fmt(cmp.difference)}")
-    if abs(cmp.difference) > torus.AGREEMENT_TOL * max(1.0, abs(cmp.logdet_closed)):
+    if cmp.relative_gap > torus.AGREEMENT_TOL:
         print(f"FAIL |difference| > {torus.AGREEMENT_TOL:g} max(1, |closed|)", file=sys.stderr)
         return 1
     return 0

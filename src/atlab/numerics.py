@@ -15,8 +15,7 @@ double precision:
 * Assorted exact constants.
 
 All functions are pure and deterministic, and run to the fixed truncations
-set by the module constants below; there is no global mutable state beyond
-internal caches of immutable values.
+set by the module constants below; there is no global mutable state.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import lru_cache
 
 EULER_GAMMA = 0.5772156649015328606
 LN_2PI = math.log(2.0 * math.pi)
@@ -163,7 +161,6 @@ def exp_integral_e1(x: float) -> float:
     return -EULER_GAMMA - math.log(x) + total
 
 
-@lru_cache(maxsize=8)
 def _even_bernoulli(count: int) -> tuple[float, ...]:
     """(B_2, B_4, ..., B_{2*count}) as floats, from the exact recurrence on the
     integers B_m * (2 count + 1)! (by von Staudt-Clausen, B_m's denominator has
@@ -174,6 +171,9 @@ def _even_bernoulli(count: int) -> tuple[float, ...]:
     for m in range(1, n_max + 1):
         num.append(-sum(math.comb(m + 1, j) * num[j] for j in range(m)) // (m + 1))
     return tuple(num[2 * j] / scale for j in range(1, count + 1))
+
+
+_EVEN_BERNOULLI = _even_bernoulli(EM_ORDER)  # input-free, so evaluated once
 
 
 def zeta_em_deriv(s: float) -> float:
@@ -192,7 +192,6 @@ def zeta_em_deriv(s: float) -> float:
     if not -2.0 <= s <= 0.0:
         raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 0, got s = {s!r}")
     n_cut, order = EM_CUTOFF, EM_ORDER
-    bern = _even_bernoulli(order)
     ln_n = math.log(n_cut)
     terms = [-math.log(n) * float(n) ** (-s) for n in range(2, n_cut + 1)]
     terms.append(-ln_n * float(n_cut) ** (1.0 - s) / (s - 1.0))
@@ -206,12 +205,9 @@ def zeta_em_deriv(s: float) -> float:
             dpoch = dpoch * (s + i) + poch
             poch *= s + i
         terms.append(
-            bern[j - 1] / fact * (dpoch - poch * ln_n) * float(n_cut) ** (1.0 - s - 2 * j)
+            _EVEN_BERNOULLI[j - 1] / fact * (dpoch - poch * ln_n) * float(n_cut) ** (1.0 - s - 2 * j)
         )
     return math.fsum(terms)
 
 
-@lru_cache(maxsize=1)
-def zeta_prime_minus1() -> float:
-    """zeta'(-1), cached (~-0.1654211437004509)."""
-    return zeta_em_deriv(-1.0)
+ZETA_PRIME_MINUS1 = zeta_em_deriv(-1.0)  # zeta'(-1) ~= -0.1654211437

@@ -39,7 +39,7 @@ from .numerics import EULER_GAMMA, UpperHalfPoint, _reduce
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 11.0  # spectral_zeta's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
 ORACLE_Y_MAX = 1e4  # the oracle's verified domain: reduced y' <= this
-AGREEMENT_TOL = 1e-12  # the routes agree: |oracle - closed| <= this max(1, |closed|)
+AGREEMENT_TOL = 1e-12  # the routes agree: |oracle - closed| / max(1, |closed|) <= this
 
 # E_p's continued-fraction depth on [_CF_EDGES[i], _CF_EDGES[i+1]) (the last one
 # open): every 0 <= p <= 11 within 4.7e-16 of mpmath on [1, 41.5], past z = log 1e18.
@@ -238,6 +238,11 @@ class DetComparison(NamedTuple):
     logdet_closed: float
     logdet_oracle: float
     difference: float  # oracle - closed
+
+    @property
+    def relative_gap(self) -> float:
+        """|difference| / max(1, |logdet_closed|); at most AGREEMENT_TOL when the routes agree."""
+        return abs(self.difference) / max(1.0, abs(self.logdet_closed))
 
 
 def compare_logdet(tau: UpperHalfPoint) -> DetComparison:

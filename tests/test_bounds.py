@@ -20,16 +20,11 @@ from atlab.bounds import (
     BoundBreakdown,
     TableRow,
     e_of_g,
-    fq_gap_coefficients,
-    genus0_det,
-    heat_integral,
-    k_const,
-    kappa,
     table,
     upper_bound_logdet,
     wilms_lower,
 )
-from atlab.numerics import LN_2PI, LN_2PI4, exp_integral_e1, zeta_prime_minus1
+from atlab.numerics import LN_2PI, LN_2PI4, ZETA_PRIME_MINUS1, exp_integral_e1
 
 K_CONST = -7.4434493107651412
 KAPPA = 0.54742770456757823
@@ -61,7 +56,7 @@ TABLE_DELTAS = {
 
 
 def test_heat_integral_bracket():
-    v = heat_integral()
+    v = bounds.HEAT_INTEGRAL
     assert 0.0830 <= v <= 0.0832
     assert abs(v - 0.0831013716283738) < 1e-12
 
@@ -70,7 +65,7 @@ def test_heat_term():
     assert abs(upper_bound_logdet(2).heat_term - HEAT_TERM_2) < 1e-12
     assert abs(upper_bound_logdet(10**9).heat_term - 1.0442826344437382) < 1e-8  # factor -> 1
     assert abs(upper_bound_logdet(3).heat_term / (4.0 * math.pi * (1 - 1 / 3))
-               - heat_integral()) < 1e-15
+               - bounds.HEAT_INTEGRAL) < 1e-15
     with pytest.raises(ValueError):
         upper_bound_logdet(1)
 
@@ -118,9 +113,9 @@ def test_log_area_e4pi_below_c36_sweep():
 
 
 def test_k_const_and_a_of_g():
-    assert abs(k_const() - K_CONST) < 1e-12
+    assert abs(bounds.K_CONST - K_CONST) < 1e-12
     # a(g) = -8 g log 2pi + (1 - g) K at g = 1, a genus the pipeline refuses
-    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * k_const()
+    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * bounds.K_CONST
     assert abs(a_1 - A_1) < 1e-12
     assert abs(upper_bound_logdet(2).a_g - A_2) < 1e-12
 
@@ -134,9 +129,9 @@ def test_wilms_lower():
 
 
 def test_kappa():
-    assert abs(kappa() - KAPPA) < 1e-12
-    assert abs(kappa() - PAPER_KAPPA) <= 1e-8
-    assert 0.0 < kappa() < 0.56
+    assert abs(bounds.KAPPA - KAPPA) < 1e-12
+    assert abs(bounds.KAPPA - PAPER_KAPPA) <= 1e-8
+    assert 0.0 < bounds.KAPPA < 0.56
 
 
 def test_e_of_g():
@@ -189,8 +184,8 @@ def test_upper_bound_asymptote():
     # upper_exact(g) = kappa g + K/6 + log 36 + log(g-1) + o(1)
     g = 10**6
     bd = upper_bound_logdet(g)
-    assert abs(bd.upper_exact / g - kappa()) <= 1e-4
-    residual = bd.upper_exact - kappa() * g - k_const() / 6.0 - math.log(36.0) \
+    assert abs(bd.upper_exact / g - bounds.KAPPA) <= 1e-4
+    residual = bd.upper_exact - bounds.KAPPA * g - bounds.K_CONST / 6.0 - math.log(36.0) \
         - math.log(g - 1.0)
     assert abs(residual) < 1e-4
 
@@ -202,25 +197,35 @@ def test_sweep_e_and_simplified_bound():
         assert 0.56 * g + e_ref <= g
 
 
+def test_input_free_constants_keep_their_bits():
+    # Each is evaluated once, at import, by the expression the zero-argument
+    # function it replaced returned.
+    assert repr(bounds.E1_QUARTER) == "1.0442826344437381"
+    assert repr(bounds.HEAT_INTEGRAL) == "0.08310137162837385"
+    assert repr(bounds.GENUS0_DET) == "2.4698440246273785"
+    assert repr(bounds.FQ_GAP_SLOPE) == "1.933721640489272"
+    assert repr(bounds.FQ_GAP_CONSTANT) == "-2.435179247691124"
+
+
 def test_genus0_det():
-    assert abs(genus0_det() - GENUS0) < 1e-11
-    assert abs(genus0_det() - 2.46984) <= 1e-4
-    assert abs(math.log(genus0_det()) - 0.90415500072187664) < 1e-11
-    assert genus0_det() > 0.0
+    assert abs(bounds.GENUS0_DET - GENUS0) < 1e-11
+    assert abs(bounds.GENUS0_DET - 2.46984) <= 1e-4
+    assert abs(math.log(bounds.GENUS0_DET) - 0.90415500072187664) < 1e-11
+    assert bounds.GENUS0_DET > 0.0
 
 
 def test_fq_gap_readings():
-    slope_a, const_a = fq_gap_coefficients()
+    slope_a, const_a = bounds.FQ_GAP_SLOPE, bounds.FQ_GAP_CONSTANT
     # The derivation reading follows the algebraic chain
     # -2 log 2pi - a(g)/6 - (g/3) log(2 pi^4): slope -kappa, constant below.
-    slope_d, const_d = -kappa(), -2.0 * LN_2PI - k_const() / 6.0
+    slope_d, const_d = -bounds.KAPPA, -2.0 * LN_2PI - bounds.K_CONST / 6.0
     assert abs(slope_a - SLOPE_AS_STATED) < 1e-12
     assert abs(const_a - CONST_AS_STATED) < 1e-12
     assert abs(slope_a - 1.933722) <= 1e-5
-    assert abs(slope_d + kappa()) <= 1e-12
+    assert abs(slope_d + bounds.KAPPA) <= 1e-12
     # slope_A + kappa = -K/3 exactly at matching zeta precision; the printed
     # reading rounds 4 zeta'(-1) to 6 digits, hence the 4.3e-7 gap.
-    assert abs((slope_a + kappa()) - (-k_const() / 3.0)) <= 5e-7
+    assert abs((slope_a + bounds.KAPPA) - (-bounds.K_CONST / 3.0)) <= 5e-7
     # The printed constant and the derivation constant provably coincide.
     assert abs(const_a - const_d) <= 1e-9
     assert abs(slope_d + const_d - FQ_DERIVATION_G1) < 1e-11  # the derivation bound at g = 1
@@ -277,7 +282,7 @@ def _python_int_breakdown(g: int, area: str) -> dict:
     """Every BoundBreakdown field from the documented formulas, evaluated
     with Python ints and math.log term by term."""
     e1 = exp_integral_e1(0.25)
-    k = -24.0 * zeta_prime_minus1() + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
+    k = -24.0 * ZETA_PRIME_MINUS1 + 1.0 - 6.0 * LN_2PI - 2.0 * math.log(2.0)
     log_n = math.log(1366.0 * (g - 1))
     tail = 4.0 / (g * (g - 1)) * log_n
     heat = (1.0 - 1.0 / g) * e1
@@ -330,7 +335,6 @@ def test_pipeline_checks_the_genus_once_and_takes_two_logs(monkeypatch):
     # log(g-1) and log(1366(g-1)) are each evaluated once per genus, and every
     # field is built from them; the genus is checked once per call, and a
     # table checks its window's two ends once, not each row.
-    k_const()  # cached before counting: its own log is not per genus
     calls = {"_genera": 0, "log": 0}
 
     def counted(name, inner):

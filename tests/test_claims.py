@@ -360,7 +360,7 @@ def test_asymptote_excesses_match_scalar_bounds():
 def test_asymptote_text_states_the_sign_change():
     # The printed slope lies above the true kappa, so the printed line overtakes
     # the assembled bound at large genus: "no genus satisfies" is false.
-    assert bounds.kappa() < bounds.PAPER_KAPPA
+    assert bounds.KAPPA < bounds.PAPER_KAPPA
     g = 10**10
     assert bounds.upper_bound_logdet(g).upper_exact - (bounds.PAPER_KAPPA * g + 1.0) < 0.0
     rec = evaluate(registry_by_id()["CL-11"])

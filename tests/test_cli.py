@@ -8,12 +8,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import pkgutil
 import signal
 import subprocess
 import sys
+
+import pytest
 
 import atlab
 from atlab import _jsontext, torus
@@ -121,6 +124,19 @@ def test_torus_det_tolerance_exit(capsys, monkeypatch):
         assert code == want and out.count("\n") == 3, factor
         assert err == ("FAIL |difference| > %g max(1, |closed|)\n" % (edge * factor)
                        if want else ""), factor
+
+
+@pytest.mark.parametrize("tau", [(-0.05514581127414642, 0.6378553829473124), (1e308, 1.0)])
+def test_torus_det_exit_judges_the_relative_gap_as_cl18_does(capsys, monkeypatch, tau):
+    # --method both and CL-18 read one rule, DetComparison.relative_gap <=
+    # AGREEMENT_TOL.  At the first tau, |difference| > gap max(1, |closed|)
+    # holds in floats although the gap itself equals the constant.
+    gap = torus.compare_logdet(UpperHalfPoint(*tau)).relative_gap
+    assert gap > 0.0
+    for tol, want in ((gap, 0), (math.nextafter(gap, 0.0), 1)):
+        monkeypatch.setattr(torus, "AGREEMENT_TOL", tol)
+        code, out, _ = run(capsys, "torus-det", f"--tau={tau[0]!r},{tau[1]!r}")
+        assert (code, out.count("\n")) == (want, 3), tol
 
 
 def test_torus_det_oracle_domain(capsys):

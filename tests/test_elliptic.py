@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import atlab
-from atlab.bounds import k_const, wilms_lower
+from atlab.bounds import K_CONST, wilms_lower
 from atlab.elliptic import (
     arakelov_area,
     arakelov_logdet,
@@ -185,7 +185,7 @@ def test_faltings_delta_readings():
 def test_faltings_delta_is_wentworth_at_g1():
     # elliptic writes a(1) as -8 log 2pi itself; the bounds formula
     # a(g) = -8 g log 2pi + (1 - g) K at g = 1 must give the same bits at every tau.
-    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * k_const()
+    a_1 = -8.0 * 1.0 * LN_2PI + (1.0 - 1.0) * K_CONST
     rng = np.random.default_rng(20261018)
     xs, ys = rng.uniform(-3.0, 3.0, 1200), 10.0 ** rng.uniform(-4.0, 4.0, 1200)
     for tau in [TAU_I] + [UpperHalfPoint(float(x), float(y)) for x, y in zip(xs, ys)]:

@@ -7,7 +7,9 @@ and adaptive quadrature that never call the kernel under test.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import timeit
 from fractions import Fraction
 
@@ -15,18 +17,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import atlab
 from atlab import elliptic, numerics
-from atlab.bounds import k_const, kappa
+from atlab.bounds import K_CONST, KAPPA
 from atlab.elliptic import bound_slack, d_ar_elliptic
 from atlab.numerics import (
     TAU_Y_MAX,
+    ZETA_PRIME_MINUS1,
     ModularTransform,
     UpperHalfPoint,
     exp_integral_e1,
     log_abs_eta,
     reduce_to_fundamental_domain,
     zeta_em_deriv,
-    zeta_prime_minus1,
 )
 
 # Gamma(1/4)/(2 pi^(3/4)) and the 2^(3/8) relation, 30-digit evaluation.
@@ -443,9 +446,9 @@ def test_zeta_deriv_values():
 
 
 def test_zeta_em_and_constants_against_mpmath():
-    assert abs(zeta_prime_minus1() - ZETA_PRIME_M1) <= 1e-12
-    assert zeta_prime_minus1() < 0.0
-    assert abs(4.0 * zeta_prime_minus1() - (-0.661685)) <= 1e-5
+    assert abs(ZETA_PRIME_MINUS1 - ZETA_PRIME_M1) <= 1e-12
+    assert ZETA_PRIME_MINUS1 < 0.0
+    assert abs(4.0 * ZETA_PRIME_MINUS1 - (-0.661685)) <= 1e-5
     # The documented 1e-12 over the whole domain, at steps of 0.05 (worst
     # seen: 4.9e-13).
     mpmath = pytest.importorskip("mpmath")
@@ -458,8 +461,8 @@ def test_zeta_em_and_constants_against_mpmath():
                  - 6 * mpmath.log(2 * mpmath.pi) - 2 * mpmath.log(2))
         kappa_ref = (mpmath.log(2 * mpmath.pi ** 4) / 3
                      - mpmath.log(2 * mpmath.pi) * 4 / 3 - k_ref / 6)
-    assert abs(k_const() - float(k_ref)) <= 1e-12
-    assert abs(kappa() - float(kappa_ref)) <= 1e-13
+    assert abs(K_CONST - float(k_ref)) <= 1e-12
+    assert abs(KAPPA - float(kappa_ref)) <= 1e-13
 
 
 def test_even_bernoulli_numbers_are_the_exact_recurrences_floats():
@@ -473,9 +476,21 @@ def test_even_bernoulli_numbers_are_the_exact_recurrences_floats():
 
 
 def test_zeta_prime_and_the_constants_built_on_it_keep_their_bits():
-    assert repr(zeta_prime_minus1()) == "-0.16542114370044012"
-    assert repr(k_const()) == "-7.4434493107654"
-    assert repr(kappa()) == "0.5474277045676217"
+    assert repr(ZETA_PRIME_MINUS1) == "-0.16542114370044012"
+    assert repr(K_CONST) == "-7.4434493107654"
+    assert repr(KAPPA) == "0.5474277045676217"
+
+
+def test_no_module_holds_a_cache():
+    # Every input-free value is a module constant evaluated once, at import,
+    # so no atlab function memoizes.
+    cached = set()
+    for info in pkgutil.iter_modules(atlab.__path__):
+        module = importlib.import_module(f"atlab.{info.name}")
+        cached |= {f"{value.__module__}.{value.__qualname__}"
+                   for value in vars(module).values()
+                   if callable(value) and hasattr(value, "cache_info")}
+    assert not cached
 
 
 def test_zeta_pole_guard():

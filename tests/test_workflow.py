@@ -32,7 +32,9 @@ def test_tier1_job_keeps_its_checks_in_order():
     # Without numpy and scipy: the console scripts, then every subcommand in
     # one interpreter; both before the test extra installs them.
     smoke = _index(runs, "find_spec(m) for m in ('numpy', 'scipy')", "atlab torus-det",
-                   "atlab verify-claims --strict", "grep -c '^warning:'")
+                   "atlab verify-claims --strict", "grep -c '^warning:'",
+                   "PYTHONHASHSEED=$seed atlab verify-claims --strict --json",
+                   "PYTHONHASHSEED=$seed atlab table --from 2 --to 40")
     one_interpreter = _index(runs, "from atlab.cli import main", "set(sys.modules)")
     extra = _index(runs, 'pip install -e ".[test]"')
     assert smoke < one_interpreter < extra
