@@ -141,23 +141,14 @@ class ClaimReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        """json.dumps(self.as_dict(), indent=2), byte for byte: every scalar
-        leaf is encoded in one C-encoder call and joined under fixed key
-        lines (see _jsontext)."""
-        leaves = list(_precision())
-        for rec in self.records:
-            leaves += rec
-        leaves += self.summary.values()
-        leaves += self.warnings
-        texts = leaf_texts(leaves)
-        p = len(_PRECISION_KEYS)
-        r = p + len(ClaimRecord._fields) * len(self.records)
-        s = r + len(_SUMMARY_KEYS)
+        """json.dumps(self.as_dict(), indent=2), byte for byte: each section's
+        scalar leaves are encoded in one C-encoder call and joined under fixed
+        key lines (see _jsontext)."""
         return _write_report([
-            *_write_precision(texts[:p]),
-            array_text(_write_records(texts[p:r]), 1),
-            *_write_summary(texts[r:s]),
-            array_text(texts[s:], 1),
+            *_write_precision(leaf_texts(_precision())),
+            array_text(_write_records(leaf_texts([v for rec in self.records for v in rec])), 1),
+            *_write_summary(leaf_texts(list(self.summary.values()))),
+            array_text(leaf_texts(self.warnings), 1),
         ])[0]
 
 
@@ -363,14 +354,9 @@ def evaluate(claim: Claim) -> ClaimRecord:
                                if isinstance(claim.claimed, float) else value)
             passed = abs(delta) <= claim.tolerance
     except Exception as exc:  # noqa: BLE001 - audit must not abort
-        return ClaimRecord(claim.id, claim.location, claim.quote, claim.kind,
-                           claim.claimed, f"error: {exc}", None, "ERRORED")
-    if claim.status_override is not None:
-        status = claim.status_override
-    else:
-        status = "CONFIRMED" if passed else "DISCREPANT"
-    return ClaimRecord(claim.id, claim.location, claim.quote, claim.kind,
-                       claim.claimed, computed, delta, status)
+        return ClaimRecord(*claim[:5], f"error: {exc}", None, "ERRORED")
+    status = claim.status_override or ("CONFIRMED" if passed else "DISCREPANT")
+    return ClaimRecord(*claim[:5], computed, delta, status)
 
 
 def run_all(only: list[str] | None = None) -> ClaimReport:

@@ -108,6 +108,11 @@ def test_torus_det_shift_invariance(capsys):
     _, out_a, _ = run(capsys, "torus-det", "--tau", "1,1", "--method", "closed")
     _, out_b, _ = run(capsys, "torus-det", "--tau", "0,1", "--method", "closed")
     assert out_a == out_b
+    # D_Ar is computed at the exactly reduced point alone: 1024i and its image
+    # i/1024 give the same bits.
+    d_ar = [json.loads(run(capsys, "elliptic", "--tau", tau, "--json")[1])["d_ar"]
+            for tau in ("0,1024", "0,0.0009765625")]
+    assert d_ar[0].hex() == d_ar[1].hex()
 
 
 def test_torus_det_tolerance_exit(capsys, monkeypatch):
@@ -249,6 +254,11 @@ def test_table_csv_and_json_both_written(tmp_path, capsys):
         assert run(capsys, "table", "--from", "2", "--to", "3",
                    flag, str(alone / path.name)) == (0, "", "")
         assert path.read_bytes() == (alone / path.name).read_bytes()
+    # --form changes no row.
+    for form in ("exact", "simplified"):
+        assert run(capsys, "table", "--from", "2", "--to", "40", "--form", form,
+                   "--csv", str(tmp_path / f"{form}.csv")) == (0, "", "")
+    assert (tmp_path / "exact.csv").read_bytes() == (tmp_path / "simplified.csv").read_bytes()
 
 
 def _golden_commands():
@@ -521,6 +531,9 @@ def test_tau_underflowing_norm_exits_2(capsys):
             assert err.count("\n") == 1
     code, out, err = run(capsys, "torus-det", "--tau", "0.1234567,1e-20", "--method", "closed")
     assert (code, out) == (0, "logdet_closed  -13.3907512381\n")
+    # Both routes run at the exactly reduced point.
+    code, out, err = run(capsys, "torus-det", "--tau", "0.1234567,1e-20", "--method", "both")
+    assert (code, out.count("\n"), err) == (0, 3, "")
 
 
 def test_elliptic_area_underflow_exits_2(capsys):
@@ -545,27 +558,11 @@ def child_env() -> dict:
     return env
 
 
-def test_no_subcommand_loads_scipy():
-    # A fresh interpreter, since this test process may have loaded scipy.
-    script = (
-        "import contextlib, io, sys\n"
-        "from atlab.cli import main\n"
-        "for argv in (['bound', '--genus', '5'], ['table', '--from', '2', '--to', '12'],\n"
-        "             ['elliptic', '--tau', '0,1', '--json'], ['torus-det', '--tau', '0,1'],\n"
-        "             ['verify-claims', '--strict']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "    print('scipy' in sys.modules)\n"
-    )
-    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 5
-
-
 def test_no_atlab_function_imports_numpy():
     # atlab has no runtime dependency: no module or function imports numpy,
     # in any form.
+    assert sorted(info.name for info in pkgutil.iter_modules(atlab.__path__)) == [
+        "_jsontext", "bounds", "claims", "cli", "elliptic", "numerics", "torus"]
     importers = set()
     for path in pathlib.Path(atlab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -574,43 +571,6 @@ def test_no_atlab_function_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(f"{path.stem}:{node.lineno}")
     assert not importers
-
-
-def test_importing_any_atlab_module_loads_no_numpy():
-    # A fresh interpreter, since this one holds numpy.
-    modules = ["atlab." + info.name for info in pkgutil.iter_modules(atlab.__path__)]
-    assert sorted(modules) == ["atlab._jsontext", "atlab.bounds", "atlab.claims", "atlab.cli",
-                               "atlab.elliptic", "atlab.numerics", "atlab.torus"]
-    script = f"import sys\nimport {', '.join(modules)}\nprint('numpy' in sys.modules)\n"
-    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
-
-
-def test_bound_and_elliptic_load_no_numpy():
-    # bound, elliptic, both torus-det routes, table and the full audit compute
-    # on floats, so no command loads numpy.
-    script = (
-        "import contextlib, io, sys\n"
-        "from atlab.cli import main\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(list(argv)) == 0, argv\n"
-        "    return 'numpy' in sys.modules\n"
-        "print(run('bound', '--genus', '77'), run('bound', '--genus', '77', '--json'),\n"
-        "      run('elliptic', '--tau', '0.3,1.7', '--json'),\n"
-        "      run('torus-det', '--tau', '0.3,1.7', '--method', 'closed'),\n"
-        "      run('table', '--from', '2', '--to', '12'),\n"
-        "      run('torus-det', '--tau', '0.3,1.7', '--method', 'oracle'),\n"
-        "      run('torus-det', '--tau', '0.3,1.7'),\n"
-        "      run('verify-claims', '--only', 'CL-01,CL-17,CL-18'),\n"
-        "      run('verify-claims', '--strict'))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"] * 9
 
 
 def test_numpy_free_commands_import_only_what_they_use(tmp_path):
@@ -625,9 +585,10 @@ def test_numpy_free_commands_import_only_what_they_use(tmp_path):
         return set(done.stdout.split())
 
     bare = loaded("")
-    never = {"dataclasses", "fractions", "decimal", "inspect", "numpy"}
+    never = {"dataclasses", "fractions", "decimal", "inspect", "numpy", "scipy"}
     text_bound_never = {"json", "csv", "atlab._jsontext", "atlab.elliptic"}
     window = ["table", "--from", "2", "--to", "12"]
+    seen = set()
     for argv in (["bound", "--genus", "77"], ["bound", "--genus", "77", "--json"],
                  ["elliptic", "--tau", "0.3,1.7", "--json"],
                  ["torus-det", "--tau", "0.3,1.7", "--method", "closed"],
@@ -643,6 +604,9 @@ def test_numpy_free_commands_import_only_what_they_use(tmp_path):
         assert not added & never, (argv, added & never)
         if argv == ["bound", "--genus", "77"]:
             assert not added & text_bound_never, added & text_bound_never
+        seen |= added
+    # Between them the commands import every atlab module.
+    assert {"atlab." + info.name for info in pkgutil.iter_modules(atlab.__path__)} <= seen
 
 
 def test_closed_pipe_ends_quietly():
