@@ -229,8 +229,10 @@ def _cl11():
 
 
 def _cl18():
-    # The routes' agreement contract, as torus-det --method both judges it.
-    worst = max(torus.compare_logdet(UpperHalfPoint(0.0, y)).relative_gap for y in (1.0, 2.0))
+    # torus-det --method both's agreement rule, over the two public routes.
+    taus = [UpperHalfPoint(0.0, y) for y in (1.0, 2.0)]
+    pairs = [(torus.logdet_closed(t), torus.logdet_oracle(torus.UnitTorus(t))) for t in taus]
+    worst = max(torus.DetComparison(c, o, o - c).relative_gap for c, o in pairs)
     return worst, worst
 
 

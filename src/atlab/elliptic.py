@@ -55,7 +55,11 @@ def d_ar_elliptic(tau: UpperHalfPoint) -> float:
     so it is evaluated at the exactly reduced point tau' alone, as
     log y' - pi y'/3 + 4 log|prod (1 - q'^n)|: every exact image of tau gives
     the same bits, within 1e-15 |D_Ar| of 40-digit mpmath at tau'."""
-    x, y, _, _, _, _ = _reduce(tau.x, tau.y)
+    return _d_ar_at(*_reduce(tau.x, tau.y)[:2])
+
+
+def _d_ar_at(x: float, y: float) -> float:
+    """D_Ar at a reduced point (x, y): log y - pi y/3 + 4 log|prod (1 - q^n)|."""
     return math.log(y) - math.pi * y / 3.0 + 4.0 * _qseries(x, y)
 
 

@@ -33,7 +33,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .elliptic import d_ar_elliptic
+from .elliptic import _d_ar_at, d_ar_elliptic
 from .numerics import EULER_GAMMA, UpperHalfPoint, _reduce
 
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 11.0  # spectral_zeta's verified range
@@ -81,78 +81,61 @@ def _q_values(x: float, y: float, qmax: float) -> list[float]:
 
 
 def _expint(p: float, z: float) -> float:
-    """E_p(z) = int_1^inf w^-p e^(-z w) dw at one point: one exp, then
-    _expints (a table-driven continued fraction for z >= 1, the series and
-    one E_p(1) below)."""
-    return _expints(p, [z], [math.exp(-z)])[0]
+    """E_p(z) at one point: _e_p with its own exp and, for z < 1, E_q(1)."""
+    return _e_p(p, z, math.exp(-z), _expint(p + math.ceil(max(-p, 0.0)), 1.0) if z < 1.0 else 0.0)
 
 
-def _expints(p: float, zs: list[float], e_zs: list[float]) -> list[float]:
-    """E_p(z) = int_1^inf w^-p e^(-z w) dw for each z of zs, given e_zs = [e^-z],
-    within 9e-16 relative of mpmath for -10 <= p <= 11 and
-    pi / ORACLE_Y_MAX <= z <= 41.5.
+def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
+    """E_p(z) = int_1^inf w^-p e^(-z w) dw from e_z = e^-z and, read if z < 1,
+    e_q1 = E_q(1), q = p + ceil(-p) if p < 0 else p: within 1.2e-15 relative
+    of mpmath for -10 <= p <= 11 and pi / ORACLE_Y_MAX <= z <= 41.5.
 
-    p = 0 is e^-z / z; a negative p steps down from p + ceil(-p) by
+    p = 0 is e^-z / z; a negative p steps down from q by
     E_q = (e^-z - q E_{q+1}) / z, a sum of positive terms.  For z >= 1 it is
     e^-z / (z+p - 1 p/(z+p+2 - 2(p+1)/(z+p+4 - ...))) at the depth _CF_DEPTHS
-    gives z; for z < 1 the pole-free identity (split at w = 1/z)
+    gives z (loop constants from _CF_STEPS); for z < 1 the pole-free identity
 
         E_p(z) = z^(p-1) E_p(1) + sum_k (-z)^k/k! phi(k+1-p),
         phi(a) = (z^-a - 1)/a = expm1(a L)/a,  phi(0) = L = -log z,
 
     where the textbook Gamma(1-p) z^(p-1) - sum ... loses about eps/|p - n|
     next to an integer n.  expm1 serves |a L| < 1 only: elsewhere the
-    rounding of a L would cost |a L| ulps that pow does not.
-
-    Per z this costs no exp of its own (the caller's e^-z serves both orders
-    of a lattice term and the step-down), and either the series or the
-    continued fraction, which reads its loop constants from _CF_STEPS (k*k in
-    place of k (p - 1 + k) at p = 1).  E_p(1) is evaluated once per call,
-    and only if some z < 1.  Each value has the bits it had when every term
-    computed its own exp, E_p(1) and loop constants."""
-    if p == 0.0:
-        return [e_z / z for z, e_z in zip(zs, e_zs)]
-    if p < 0.0:
+    rounding of a L would cost |a L| ulps that pow does not."""
+    if p <= 0.0:
+        if p == 0.0:
+            return e_z / z
         k = math.ceil(-p)
         q = p + k
-        values = _expints(q, zs, e_zs)
+        value = _e_p(q, z, e_z, e_q1)
         for _ in range(k):
             q -= 1.0
-            values = [(e_z - q * value) / z for z, e_z, value in zip(zs, e_zs, values)]
-        return values
-    e_p1 = _expint(p, 1.0) if min(zs, default=1.0) < 1.0 else 0.0
-    p1 = p - 1.0
-    values = []
-    for z, e_z in zip(zs, e_zs):
-        if z < 1.0:
-            big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
-            while True:
-                a = k + 1.0 - p
-                if not a:
-                    phi = big_l
-                elif abs(a * big_l) < 1.0:
-                    phi = math.expm1(a * big_l) / a
-                else:
-                    phi = (z ** -a - 1.0) / a
-                step = term * phi
-                total += step
-                if abs(step) <= 1e-17 * abs(total):
-                    break
-                k += 1
-                term *= -z / k
-            values.append(z ** p1 * e_p1 + total)
-            continue
-        steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
-        b = z + p - 2.0  # b + 2k = z+p + 2(k-1), rounded once
-        t = b + 2.0 * len(steps) + 2.0
-        if p == 1.0:
-            for k2, _, kk in steps:
-                t = b + k2 - kk / t
-        else:
-            for k2, k, _ in steps:
-                t = b + k2 - k * (p1 + k) / t
-        values.append(e_z / t)
-    return values
+            value = (e_z - q * value) / z
+        return value
+    if z < 1.0:
+        big_l, total, term, k = -math.log(z), 0.0, 1.0, 0
+        while True:
+            a = k + 1.0 - p
+            if not a:
+                phi = big_l
+            elif abs(a * big_l) < 1.0:
+                phi = math.expm1(a * big_l) / a
+            else:
+                phi = (z ** -a - 1.0) / a
+            step = term * phi
+            total += step
+            if abs(step) <= 1e-17 * abs(total):
+                return z ** (p - 1.0) * e_q1 + total
+            k += 1
+            term *= -z / k
+    steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
+    b, p1 = z + p - 2.0, p - 1.0  # b + 2k = z+p + 2(k-1), rounded once
+    t = b + 2.0 * len(steps) + 2.0
+    for k2, k, _ in steps:
+        t = b + k2 - k * (p1 + k) / t
+    return e_z / t
+
+
+_E1_OF_1 = _expint(1.0, 1.0)  # E_1(1): input-free, read by every series term of G(0)
 
 
 def _rgamma(s: float) -> float:
@@ -163,30 +146,50 @@ def _rgamma(s: float) -> float:
 
 
 def _mellin_g(torus: UnitTorus, s: float) -> float:
-    """G(s) = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)], rounded once (math.fsum)
-    over half the lattice and doubled.  Each term costs one exp, e^(-pi Q),
-    which both orders share, and at each order either a table-driven
-    continued fraction (pi Q >= 1) or a series (pi Q < 1); E_p(1), which the
-    series needs, is evaluated once per order per call (_expints).
-
-    The lattice is taken at tau's exactly reduced point (x', y'): an exact
-    SL2(Z) image spans the same lattice up to rotation, so the Q family is
-    unchanged, and the shared reduction, being exact, cannot correlate this
-    route's error with the eta closed form's.  A term
-    with Q > log(1/LATTICE_TAIL_TOL)/pi (~13.2) is below the tail tolerance,
-    so Q is enumerated once, up to that cut.  The Q set is never empty:
-    Q_min <= 2/sqrt(3) (the Hermite constant of a unit-area lattice).
-
-    y' above ORACLE_Y_MAX raises ValueError before Q is enumerated: the Q set
-    grows like sqrt(y').
-    """
+    """G(s) at tau's exactly reduced point (x', y'), by _mellin_g_at."""
     x, y, _, _, _, _ = _reduce(torus.tau.x, torus.tau.y)
+    return _mellin_g_at(x, y, s, torus.tau)
+
+
+def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
+    """G(s) = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)] at (x, y), the exactly reduced
+    point of tau, rounded once (math.fsum) over half the lattice and doubled.
+    An exact SL2(Z) image spans the same lattice, so the Q family is tau's,
+    and the reduction, being exact, cannot correlate this route's error with
+    the eta closed form's.  Q is enumerated once, up to the cut
+    log(1/LATTICE_TAIL_TOL)/pi (~13.2) past which a term is below the tail
+    tolerance; Q_min <= 2/sqrt(3) (the Hermite constant), so it is never empty.
+
+    One pass over the terms: each takes one exp, shared by both orders, and at
+    each order a continued fraction (pi Q >= 1) or the series.  At s = 0 the
+    orders are 1 and 0: the fraction reads k*k for k (p - 1 + k), E_0(z) is
+    e^-z / z and the series reads _E1_OF_1; at other s, each order's E_q(1)
+    is evaluated once per call.  Each term has the bits of _expint alone.
+    y' above ORACLE_Y_MAX raises ValueError naming tau before Q is enumerated.
+    """
     if not y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs the reduced y' <= {ORACLE_Y_MAX:g}, "
-                         f"got y' = {y!r} for tau = {torus.tau.x!r}+{torus.tau.y!r}i")
+                         f"got y' = {y!r} for tau = {tau.x!r}+{tau.y!r}i")
     zs = [math.pi * q for q in _q_values(x, y, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)]
-    e_zs = [math.exp(-z) for z in zs]
-    return 2.0 * math.fsum([a + b for a, b in zip(_expints(1.0 - s, zs, e_zs), _expints(s, zs, e_zs))])
+    if s:
+        p = 1.0 - s
+        e_p1, e_s1 = [_expint(o + math.ceil(max(-o, 0.0)), 1.0) for o in (p, s)]
+        return 2.0 * math.fsum([_e_p(p, z, e_z, e_p1) + _e_p(s, z, e_z, e_s1)
+                                for z in zs for e_z in [math.exp(-z)]])
+    terms = []
+    for z in zs:
+        e_z = math.exp(-z)
+        if z < 1.0:
+            e_1 = _e_p(1.0, z, e_z, _E1_OF_1)
+        else:
+            steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
+            b = z + 1.0 - 2.0
+            t = b + 2.0 * len(steps) + 2.0
+            for k2, _, kk in steps:
+                t = b + k2 - kk / t
+            e_1 = e_z / t
+        terms.append(e_1 + e_z / z)
+    return 2.0 * math.fsum(terms)
 
 
 def spectral_zeta(torus: UnitTorus, s: float) -> float:
@@ -246,7 +249,8 @@ class DetComparison(NamedTuple):
 
 
 def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
-    """Both routes at tau."""
-    closed = logdet_closed(tau)
-    oracle = logdet_oracle(UnitTorus(tau))
+    """Both routes at tau's exactly reduced point (x', y'), reduced once."""
+    x, y, _, _, _, _ = _reduce(tau.x, tau.y)
+    closed = _d_ar_at(x, y)
+    oracle = EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g_at(x, y, 0.0, tau)
     return DetComparison(closed, oracle, oracle - closed)

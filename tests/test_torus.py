@@ -272,14 +272,16 @@ def test_spectral_zeta_chowla_selberg_next_to_integer_orders():
 
 
 @pytest.mark.parametrize("p", (0.0, 1e-3, 0.5, 1.0 - 1e-8, 1.0 + 1e-8, 2.0 - 1e-3, 2.0 + 1e-3,
-                               3.0 - 1e-6, 11.0, -1e-8, -0.5, -1.0 - 1e-7, -2.5, -10.0))
+                               3.0 - 1e-6, 11.0, -1e-8, -0.5, -1.0 - 1e-7, -2.5, -9.7, -10.0))
 def test_expint_matches_mpmath(p):
     # p spans -10 <= p <= 11, the orders s and 1 - s of spectral_zeta's range,
     # next to integers among them; z spans the oracle's pi Q, from
     # pi / ORACLE_Y_MAX to past the cut, with each continued-fraction edge.
+    # At p = -9.7, z = 0.20926797804851613 the error is 9.85e-16 (the largest
+    # found), so the documented bound is 1.2e-15.
     mpmath = pytest.importorskip("mpmath")
     zs = [float(z) for z in np.geomspace(math.pi / torus.ORACLE_Y_MAX, 41.5, 61)]
-    zs += [math.nextafter(1.0, 0.0), *torus._CF_EDGES]
+    zs += [math.nextafter(1.0, 0.0), *torus._CF_EDGES, 0.20926797804851613]
     with mpmath.workdps(30):
         for z in zs:
             want = mpmath.expint(p, z)
@@ -375,30 +377,69 @@ def test_expint_keeps_the_bits_of_the_reference_kernel(p):
 
 
 def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
-    # 0.3 + 100i has five terms with pi Q < 1, each of which needs E_p(1) at
+    # 0.3 + 100i has five terms with pi Q < 1, each of which needs E_q(1) at
     # both orders of G(s) (1 - s and s, or the order a negative one steps
-    # down from); one G(s) evaluates it once per order, and 0.3 + 1.7i,
-    # without such a term, not at all.  s = 1/2 takes both at order 1/2.
+    # down from).  logdet_oracle reads E_1(1) from the module constant and
+    # evaluates none; spectral_zeta evaluates it once per order and call,
+    # with or without such a term.  s = 1/2 takes both at order 1/2.
     calls = []
-    expints = torus._expints
+    expint = torus._expint
 
-    def counted(p, zs, e_zs):
-        calls.extend([p] * zs.count(1.0))
-        return expints(p, zs, e_zs)
+    def counted(p, z):
+        if z == 1.0:
+            calls.append(p)
+        return expint(p, z)
 
-    monkeypatch.setattr(torus, "_expints", counted)
+    monkeypatch.setattr(torus, "_expint", counted)
     near, far = UnitTorus(UpperHalfPoint(0.3, 100.0)), UnitTorus(UpperHalfPoint(0.3, 1.7))
     cut = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi
     assert sum(math.pi * q < 1.0 for q in _q_values(0.3, 100.0, cut)) == 5
     assert not any(math.pi * q < 1.0 for q in _q_values(0.3, 1.7, cut))
-    for t, s, orders in ((near, 0.0, [1.0]), (near, -2.5, [0.5, 3.5]), (near, 0.5, [0.5, 0.5]),
-                         (far, 0.0, []), (far, -2.5, [])):
+    for t, s, orders in ((near, 0.0, []), (near, -2.5, [0.5, 3.5]), (near, 0.5, [0.5, 0.5]),
+                         (far, 0.0, []), (far, -2.5, [0.5, 3.5])):
         calls.clear()
         if s == 0.0:
             logdet_oracle(t)
         else:
             spectral_zeta(t, s)
         assert sorted(calls) == orders, (t, s)
+
+
+def test_e1_of_1_is_the_kernel_value():
+    # The module constant G(0)'s series reads is the value the kernel gave
+    # when it evaluated E_1(1) on each call.
+    assert bits([torus._E1_OF_1]) == bits([reference_expint(1.0, 1.0)])
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = mpmath.e1(1)
+        assert abs(torus._E1_OF_1 - want) <= 1.2e-15 * want
+
+
+def test_compare_logdet_is_both_public_routes_to_the_bit():
+    # compare_logdet reduces tau once for both routes; no bit moves.  256
+    # taus drawn as the benchmark's pool is (x in [-3, 3], log10 y in
+    # [-2, 2]), its four corners, and 0.4 + 0.95i, reduced with y' < 1.
+    rng = random.Random(36)
+    taus = [UpperHalfPoint(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 2.0))
+            for _ in range(256)]
+    taus += [UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.5, 0.8660254037844386),
+             UpperHalfPoint(0.0, 0.01), UpperHalfPoint(0.0, 100.0), UpperHalfPoint(0.4, 0.95)]
+    assert math.sqrt(3.0) / 2.0 <= numerics._reduce(0.4, 0.95)[1] < 1.0
+    for tau in taus:
+        closed, oracle = elliptic.d_ar_elliptic(tau), logdet_oracle(UnitTorus(tau))
+        assert bits(compare_logdet(tau)) == bits((closed, oracle, oracle - closed)), tau
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 1e5), (0.5, 0.25 / math.nextafter(1e4, math.inf))])
+def test_compare_logdet_refuses_what_logdet_oracle_refuses(x, y):
+    # The refusal names the caller's tau, not its reduced point.
+    tau = UpperHalfPoint(x, y)
+    with pytest.raises(ValueError, match="spectral oracle needs") as oracle:
+        logdet_oracle(UnitTorus(tau))
+    with pytest.raises(ValueError) as both:
+        compare_logdet(tau)
+    assert str(both.value) == str(oracle.value)
+    assert str(both.value).endswith(f"for tau = {x!r}+{y!r}i")
 
 
 def test_spectral_zeta_functional_equation():
@@ -566,9 +607,10 @@ def test_oracle_frozen_values():
 
 
 def test_oracle_holds_no_cache_and_no_mutable_state():
-    # The oracle's loop constants are module tuples built at import, and what
-    # it hoists lives for one call: torus imports neither numpy nor functools
-    # (no lru_cache), and each private table is a tuple of numbers or tuples.
+    # The oracle's loop constants are module tuples and E_1(1) a float, built
+    # at import, and what else it hoists lives for one call: torus imports
+    # neither numpy nor functools (no lru_cache), and each private table is a
+    # number or a tuple of numbers or tuples.
     tree = ast.parse(pathlib.Path(torus.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
@@ -582,7 +624,7 @@ def test_oracle_holds_no_cache_and_no_mutable_state():
 
     tables = {name: value for name, value in vars(torus).items()
               if name.startswith("_") and not name.startswith("__") and not callable(value)}
-    assert set(tables) == {"_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS"}
+    assert set(tables) == {"_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS", "_E1_OF_1"}
     assert all(map(frozen, tables.values()))
 
 
@@ -602,7 +644,8 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
             m.setattr(module, "_qseries", forbidden)
         assert abs(logdet_oracle(UnitTorus(TAU_I)) - LOGDET_I) <= 1e-9
     private = {name for name in vars(torus) if name.startswith("_") and not name.startswith("__")}
-    assert {"_q_values", "_expint", "_expints", "_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS"} <= private
+    assert {"_q_values", "_expint", "_e_p", "_mellin_g_at", "_E1_OF_1", "_CF_EDGES", "_CF_DEPTHS",
+            "_CF_STEPS"} <= private
     for name in private:
         monkeypatch.setattr(torus, name, Forbidden())
     assert abs(logdet_closed(TAU_I) - LOGDET_I) < 1e-12
