@@ -102,16 +102,12 @@ class ClaimRecord(NamedTuple):
 
 _SUMMARY_KEYS = tuple(status.lower() for status in STATUSES)
 _PRECISION_KEYS = ("series_tail_tol", "em_cutoff", "em_order", "lattice_tail_tol")
+_PRECISION = (QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER, torus.LATTICE_TAIL_TOL)  # fixed truncations
 _REPORT_KEYS = ("precision", "claims", "summary", "warnings")
 _write_precision = object_writer(_PRECISION_KEYS, 1)
 _write_records = object_writer(ClaimRecord._fields, 2)
 _write_summary = object_writer(_SUMMARY_KEYS, 1)
 _write_report = object_writer(_REPORT_KEYS, 0)
-
-
-def _precision() -> tuple:
-    """The fixed truncations, in _PRECISION_KEYS order."""
-    return (QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER, torus.LATTICE_TAIL_TOL)
 
 
 class ClaimReport(NamedTuple):
@@ -134,7 +130,7 @@ class ClaimReport(NamedTuple):
 
     def as_dict(self) -> dict:
         return {
-            "precision": dict(zip(_PRECISION_KEYS, _precision())),
+            "precision": dict(zip(_PRECISION_KEYS, _PRECISION)),
             "claims": [rec._asdict() for rec in self.records],
             "summary": self.summary,
             "warnings": list(self.warnings),
@@ -145,7 +141,7 @@ class ClaimReport(NamedTuple):
         scalar leaves are encoded in one C-encoder call and joined under fixed
         key lines (see _jsontext)."""
         return _write_report([
-            *_write_precision(leaf_texts(_precision())),
+            *_write_precision(leaf_texts(_PRECISION)),
             array_text(_write_records(leaf_texts([v for rec in self.records for v in rec])), 1),
             *_write_summary(leaf_texts(list(self.summary.values()))),
             array_text(leaf_texts(self.warnings), 1),
@@ -229,10 +225,8 @@ def _cl11():
 
 
 def _cl18():
-    # torus-det --method both's agreement rule, over the two public routes.
-    taus = [UpperHalfPoint(0.0, y) for y in (1.0, 2.0)]
-    pairs = [(torus.logdet_closed(t), torus.logdet_oracle(torus.UnitTorus(t))) for t in taus]
-    worst = max(torus.DetComparison(c, o, o - c).relative_gap for c, o in pairs)
+    # torus-det --method both's comparison and agreement rule.
+    worst = max(torus.compare_logdet(UpperHalfPoint(0.0, y)).relative_gap for y in (1.0, 2.0))
     return worst, worst
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
-error; a closed output pipe ends the process quietly (SIGPIPE).  The routes of
+error, or a failed write to standard output (one `error:` line); a closed
+output pipe ends the process quietly (SIGPIPE).  The routes of
 torus-det --method both disagree when their relative gap |difference| /
 max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the contract logdet_oracle
 states (DetComparison.relative_gap, as CL-18 reads it): it prints all three
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import operator
+import os
 import re
 import signal
 import sys
@@ -253,11 +255,17 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = build_parser().parse_known_args(argv)
         if extras:  # wherever they stood, through the chosen subcommand's parser
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        return args.handler(args, args.parser)
+        code = args.handler(args, args.parser)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # argparse exits; normalize to a return code
         return int(exc.code or 0)
     except ValueError as exc:  # domain error raised by the library
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout refused a write (a full disk, /dev/full)
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit has nothing to fail on
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
 
 

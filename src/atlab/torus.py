@@ -136,6 +136,8 @@ def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
 
 
 _E1_OF_1 = _expint(1.0, 1.0)  # E_1(1): input-free, read by every series term of G(0)
+_Q_CUT = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi  # lattice terms past this Q are below it
+_LOGDET_HEAD = EULER_GAMMA + 1.0 - math.log(4.0 * math.pi)  # log det = _LOGDET_HEAD - G(0)
 
 
 def _rgamma(s: float) -> float:
@@ -156,9 +158,8 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
     point of tau, rounded once (math.fsum) over half the lattice and doubled.
     An exact SL2(Z) image spans the same lattice, so the Q family is tau's,
     and the reduction, being exact, cannot correlate this route's error with
-    the eta closed form's.  Q is enumerated once, up to the cut
-    log(1/LATTICE_TAIL_TOL)/pi (~13.2) past which a term is below the tail
-    tolerance; Q_min <= 2/sqrt(3) (the Hermite constant), so it is never empty.
+    the eta closed form's.  Q is enumerated once, up to the cut _Q_CUT (~13.2);
+    Q_min <= 2/sqrt(3) (the Hermite constant), so it is never empty.
 
     One pass over the terms: each takes one exp, shared by both orders, and at
     each order a continued fraction (pi Q >= 1) or the series.  At s = 0 the
@@ -170,7 +171,7 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
     if not y <= ORACLE_Y_MAX:
         raise ValueError(f"the spectral oracle needs the reduced y' <= {ORACLE_Y_MAX:g}, "
                          f"got y' = {y!r} for tau = {tau.x!r}+{tau.y!r}i")
-    zs = [math.pi * q for q in _q_values(x, y, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)]
+    zs = [math.pi * q for q in _q_values(x, y, _Q_CUT)]
     if s:
         p = 1.0 - s
         e_p1, e_s1 = [_expint(o + math.ceil(max(-o, 0.0)), 1.0) for o in (p, s)]
@@ -228,7 +229,7 @@ def logdet_oracle(torus: UnitTorus) -> float:
     taken there, so every exact SL2(Z) image of tau gives the same bits.  A
     larger y' raises ValueError before anything is enumerated.
     """
-    return EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g(torus, 0.0)
+    return _LOGDET_HEAD - _mellin_g(torus, 0.0)
 
 
 # log det = log(y |eta(tau)|^4) = D_Ar, the closed form (modular invariant).
@@ -252,5 +253,5 @@ def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
     """Both routes at tau's exactly reduced point (x', y'), reduced once."""
     x, y, _, _, _, _ = _reduce(tau.x, tau.y)
     closed = _d_ar_at(x, y)
-    oracle = EULER_GAMMA + 1.0 - math.log(4.0 * math.pi) - _mellin_g_at(x, y, 0.0, tau)
+    oracle = _LOGDET_HEAD - _mellin_g_at(x, y, 0.0, tau)
     return DetComparison(closed, oracle, oracle - closed)

@@ -195,13 +195,6 @@ def test_claims_and_records_are_tuples():
     assert report == (report.records, report.warnings)
 
 
-def test_precision_threads_through(monkeypatch):
-    monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", 1e-10)
-    report = run_all(only=["CL-17"])
-    assert report.records[0].status == "CONFIRMED"
-    assert report.as_dict()["precision"]["lattice_tail_tol"] == 1e-10
-
-
 def test_cl19_is_not_confirmed_when_the_bound_lies_below_the_logdet(monkeypatch):
     # The grid is certified from the proof; the eta-evaluated cross-check
     # still sees an assembled bound that does not dominate the log det.
@@ -337,14 +330,24 @@ def test_sweep_claims_are_discrepant_when_margin_11_is_not_positive(monkeypatch)
 @pytest.mark.parametrize("scale, status", [
     (1.0 + 1e-11, "DISCREPANT"), (1.0 + 1e-13, "CONFIRMED")])
 def test_cl18_judges_the_routes_relative_gap(monkeypatch, scale, status):
-    # The closed form scaled at 2i alone (|log det| = 1.40 there): the gap
-    # relative to max(1, |closed|) is scale - 1, against torus.AGREEMENT_TOL.
-    closed = torus.logdet_closed
-    monkeypatch.setattr(torus, "logdet_closed",
-                        lambda tau: closed(tau) * (scale if tau.y == 2.0 else 1.0))
+    # The closed form scaled at 2i alone (|log det| = 1.40 there), where
+    # compare_logdet reads it: the gap relative to max(1, |closed|) is
+    # scale - 1, against torus.AGREEMENT_TOL.
+    d_ar_at = torus._d_ar_at
+    monkeypatch.setattr(torus, "_d_ar_at",
+                        lambda x, y: d_ar_at(x, y) * (scale if y == 2.0 else 1.0))
     rec = run_all(only=["CL-18"]).records[0]
     assert rec.status == status
     assert rec.delta == pytest.approx(scale - 1.0, rel=0.01)
+
+
+def test_cl18_is_the_comparisons_worst_relative_gap_to_the_bit():
+    # CL-18 reads torus-det --method both's comparison at i and 2i.
+    rec = run_all(only=["CL-18"]).records[0]
+    worst = max(torus.compare_logdet(numerics.UpperHalfPoint(0.0, 1.0)).relative_gap,
+                torus.compare_logdet(numerics.UpperHalfPoint(0.0, 2.0)).relative_gap)
+    assert rec.computed.hex() == worst.hex()
+    assert rec.status == "CONFIRMED"
 
 
 def test_asymptote_excesses_match_scalar_bounds():

@@ -621,3 +621,17 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
     if hasattr(signal, "SIGPIPE"):
         assert proc.returncode == -signal.SIGPIPE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", (["bound", "--genus", "2"],
+                                  ["table", "--from", "2", "--to", "3000"]))
+def test_failed_stdout_write_exits_2_with_one_error_line(argv):
+    # A write to a full device fails at main's flush for short output and
+    # inside print for ~0.5 MB of rows; either way one error line, no traceback.
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write standard output: ")
+    assert done.stderr.count("\n") == 1

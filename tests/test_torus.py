@@ -590,12 +590,12 @@ def test_oracle_near_the_real_axis_calls_no_eta_or_q_series(monkeypatch):
 
 
 def test_oracle_tight_tolerance_converges(monkeypatch):
-    # The lattice cut is read per call; tail tolerances far below the
-    # default take more Q terms and leave the result within an ulp.
+    # The lattice cut is fixed at import; cuts for tail tolerances far below
+    # the default take more Q terms and leave the result within an ulp.
     tau = UpperHalfPoint(0.3, 1.7)
     base = compare_logdet(tau)
     for tail_tol in (1e-25, 1e-30):
-        monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", tail_tol)
+        monkeypatch.setattr(torus, "_Q_CUT", math.log(1.0 / tail_tol) / math.pi)
         cmp = compare_logdet(tau)
         assert abs(cmp.logdet_oracle - base.logdet_oracle) <= 2.3e-16, tail_tol
         assert abs(cmp.difference) <= 1e-12
@@ -607,10 +607,10 @@ def test_oracle_frozen_values():
 
 
 def test_oracle_holds_no_cache_and_no_mutable_state():
-    # The oracle's loop constants are module tuples and E_1(1) a float, built
-    # at import, and what else it hoists lives for one call: torus imports
-    # neither numpy nor functools (no lru_cache), and each private table is a
-    # number or a tuple of numbers or tuples.
+    # The oracle's loop constants are module tuples and E_1(1), the Q cut and
+    # the log det head floats, built at import, and what else it hoists lives
+    # for one call: torus imports neither numpy nor functools (no lru_cache),
+    # and each private table is a number or a tuple of numbers or tuples.
     tree = ast.parse(pathlib.Path(torus.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
@@ -624,7 +624,8 @@ def test_oracle_holds_no_cache_and_no_mutable_state():
 
     tables = {name: value for name, value in vars(torus).items()
               if name.startswith("_") and not name.startswith("__") and not callable(value)}
-    assert set(tables) == {"_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS", "_E1_OF_1"}
+    assert set(tables) == {"_CF_EDGES", "_CF_DEPTHS", "_CF_STEPS", "_E1_OF_1", "_Q_CUT",
+                           "_LOGDET_HEAD"}
     assert all(map(frozen, tables.values()))
 
 
@@ -749,10 +750,10 @@ def test_scaling_law_numeric_rerun():
 
 
 def test_precision_object_is_honored(monkeypatch):
-    # The oracle reads LATTICE_TAIL_TOL on each call; a loose one moves the
-    # result and still lands close.
+    # The oracle reads the Q cut built from LATTICE_TAIL_TOL; the cut of a
+    # loose tolerance moves the result and still lands close.
     default = logdet_oracle(UnitTorus(TAU_I))
-    monkeypatch.setattr(torus, "LATTICE_TAIL_TOL", 1e-8)
+    monkeypatch.setattr(torus, "_Q_CUT", math.log(1.0 / 1e-8) / math.pi)
     loose = logdet_oracle(UnitTorus(TAU_I))
     assert loose != default and abs(loose - LOGDET_I) <= 1e-6
 
