@@ -34,16 +34,16 @@ def leaf_texts(leaves: list) -> list[str]:
 def object_writer(keys, depth: int):
     """A function from the texts of consecutive objects' values, object after
     object and in `keys` order, to the list of their texts as json.dumps(obj,
-    indent=2) writes them nested `depth` levels deep.  `keys` must not be
+    indent=2) writes them nested `depth` levels deep, each object one
+    `template % values` (the keys' own % doubled).  `keys` must not be
     empty; a value's text is used as given, so it may be a nested text."""
     pad = "  " * (depth + 1)
-    lines = (pad + json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {}"
-             for key in keys)
-    template = "{{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}}"
+    lines = (pad + json.dumps(key).replace("%", "%%") + ": %s" for key in keys)
+    template = "{\n" + ",\n".join(lines) + "\n" + "  " * depth + "}"
     width = len(keys)
 
     def write(texts: list[str]) -> list[str]:
-        return list(map(template.format, *(texts[k::width] for k in range(width))))
+        return list(map(template.__mod__, zip(*(texts[k::width] for k in range(width)))))
     return write
 
 

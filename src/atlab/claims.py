@@ -104,7 +104,7 @@ _SUMMARY_KEYS = tuple(status.lower() for status in STATUSES)
 _PRECISION_KEYS = ("series_tail_tol", "em_cutoff", "em_order", "lattice_tail_tol")
 _PRECISION = (QSERIES_TAIL_TOL, EM_CUTOFF, EM_ORDER, torus.LATTICE_TAIL_TOL)  # fixed truncations
 _REPORT_KEYS = ("precision", "claims", "summary", "warnings")
-_write_precision = object_writer(_PRECISION_KEYS, 1)
+_PRECISION_TEXT = object_writer(_PRECISION_KEYS, 1)(leaf_texts(_PRECISION))[0]  # input-free
 _write_records = object_writer(ClaimRecord._fields, 2)
 _write_summary = object_writer(_SUMMARY_KEYS, 1)
 _write_report = object_writer(_REPORT_KEYS, 0)
@@ -141,7 +141,7 @@ class ClaimReport(NamedTuple):
         scalar leaves are encoded in one C-encoder call and joined under fixed
         key lines (see _jsontext)."""
         return _write_report([
-            *_write_precision(leaf_texts(_PRECISION)),
+            _PRECISION_TEXT,
             array_text(_write_records(leaf_texts([v for rec in self.records for v in rec])), 1),
             *_write_summary(leaf_texts(list(self.summary.values()))),
             array_text(leaf_texts(self.warnings), 1),

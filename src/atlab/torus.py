@@ -166,6 +166,12 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
     orders are 1 and 0: the fraction reads k*k for k (p - 1 + k), E_0(z) is
     e^-z / z and the series reads _E1_OF_1; at other s, each order's E_q(1)
     is evaluated once per call.  Each term has the bits of _expint alone.
+    At s = 0 the terms are taken in ascending z: a z equal to the one before
+    appends that term again, with no exp and no fraction (a square or
+    hexagonal lattice repeats most of its Q values, e.g. 22 terms hold 8
+    distinct at tau = i), and the fraction's depth is looked up only when z
+    passes its bin's upper edge.  The bits cannot move: equal z gives an
+    equal term, and fsum is exactly rounded, so the terms' order is free.
     y' above ORACLE_Y_MAX raises ValueError naming tau before Q is enumerated.
     """
     if not y <= ORACLE_Y_MAX:
@@ -177,19 +183,25 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
         e_p1, e_s1 = [_expint(o + math.ceil(max(-o, 0.0)), 1.0) for o in (p, s)]
         return 2.0 * math.fsum([_e_p(p, z, e_z, e_p1) + _e_p(s, z, e_z, e_s1)
                                 for z in zs for e_z in [math.exp(-z)]])
-    terms = []
+    zs.sort()
+    terms, last, edge = [], 0.0, 1.0
     for z in zs:
-        e_z = math.exp(-z)
-        if z < 1.0:
-            e_1 = _e_p(1.0, z, e_z, _E1_OF_1)
-        else:
-            steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
-            b = z + 1.0 - 2.0
-            t = b + 2.0 * len(steps) + 2.0
-            for k2, _, kk in steps:
-                t = b + k2 - kk / t
-            e_1 = e_z / t
-        terms.append(e_1 + e_z / z)
+        if z != last:
+            last, e_z = z, math.exp(-z)
+            if z < 1.0:
+                e_1 = _e_p(1.0, z, e_z, _E1_OF_1)
+            else:
+                if z >= edge:
+                    i = bisect_right(_CF_EDGES, z)
+                    steps = _CF_STEPS[i - 1]
+                    edge = _CF_EDGES[i] if i < len(_CF_EDGES) else math.inf
+                b = z + 1.0 - 2.0
+                t = b + 2.0 * len(steps) + 2.0
+                for k2, _, kk in steps:
+                    t = b + k2 - kk / t
+                e_1 = e_z / t
+            term = e_1 + e_z / z
+        terms.append(term)
     return 2.0 * math.fsum(terms)
 
 

@@ -243,6 +243,20 @@ def test_table_json_writer_is_json_dump_across_blocks(monkeypatch):
         assert got.getvalue() == want.getvalue(), count
 
 
+def test_object_writer_is_json_dumps_whatever_the_keys_and_values_hold():
+    # Each object is one %-format of a template built from the keys, so a %
+    # or a brace in a key, or a % or a brace in a value's text, must come out
+    # as written.  Nested `depth` levels deep, json.dumps(indent=2) indents
+    # every line after the first by two spaces a level.
+    values = ["%s", "%%", "{}", "%(x)s {0}", 1.5, None, "\u00e9%"]
+    for keys in (("pct%", "{open", "close}", "quo\"te", "k\u00e9y%s"), ("%",), ("{}",)):
+        objs = [dict(zip(keys, values[i:] + values[:i])) for i in range(3)]
+        texts = [json.dumps(v) for obj in objs for v in obj.values()]
+        for depth in (0, 1, 2):
+            want = [json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth) for obj in objs]
+            assert _jsontext.object_writer(keys, depth)(texts) == want, (keys, depth)
+
+
 def test_table_csv_and_json_both_written(tmp_path, capsys):
     csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
     code, out, err = run(capsys, "table", "--from", "2", "--to", "3",

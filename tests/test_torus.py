@@ -376,6 +376,47 @@ def test_expint_keeps_the_bits_of_the_reference_kernel(p):
     assert bits(torus._expint(p, z) for z in zs) == bits(reference_expint(p, z) for z in zs)
 
 
+# Lattices whose Q values repeat: square (i, 2^k i), hexagonal (rho) and
+# x = +-1/2, where the oracle reuses the term of a repeated z.
+SYMMETRIC_TAUS = ([UpperHalfPoint(0.0, 2.0 ** k) for k in range(14)]
+                  + [UpperHalfPoint(x, y) for x, y in ((0.5, 0.8660254037844386), (0.5, 0.9),
+                                                       (-0.5, 3.0))])
+
+
+def test_oracle_keeps_the_bits_of_the_reference_kernel_where_q_repeats(monkeypatch):
+    taus = [UnitTorus(tau) for tau in SYMMETRIC_TAUS]
+    got = [bits([logdet_oracle(t), spectral_zeta(t, 0.0)]) + bits(compare_logdet(t.tau))
+           for t in taus]
+    monkeypatch.setattr(torus, "_mellin_g", reference_mellin_g)
+    want = []
+    for t in taus:
+        closed, oracle = elliptic.d_ar_elliptic(t.tau), logdet_oracle(t)
+        want.append(bits([oracle, spectral_zeta(t, 0.0), closed, oracle, oracle - closed]))
+    assert got == want
+
+
+def test_oracle_evaluates_each_distinct_lattice_term_once(monkeypatch):
+    # 22 terms hold 8 distinct z at i and 18 hold 6 at rho; a generic tau
+    # repeats none of its 19.  Each distinct z takes one exp.
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def exp(x):
+            calls.append(x)
+            return math.exp(x)
+
+    monkeypatch.setattr(torus, "math", CountingMath())
+    for tau, count in ((UpperHalfPoint(0.0, 1.0), 8), (UpperHalfPoint(0.5, 0.8660254037844386), 6),
+                       (UpperHalfPoint(0.3, 1.7), 19)):
+        calls.clear()
+        logdet_oracle(UnitTorus(tau))
+        assert len(calls) == count, tau
+
+
 def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
     # 0.3 + 100i has five terms with pi Q < 1, each of which needs E_q(1) at
     # both orders of G(s) (1 - s and s, or the order a negative one steps
