@@ -2,8 +2,9 @@
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
-error, or a failed write to standard output (one `error:` line); a closed
-output pipe ends the process quietly (SIGPIPE).  The routes of
+error, or a failed write to standard output or a --csv/--json file (one
+`error:` line naming it, nothing on stdout for a file); a closed output pipe
+ends the process quietly (SIGPIPE).  The routes of
 torus-det --method both disagree when their relative gap |difference| /
 max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the contract logdet_oracle
 states (DetComparison.relative_gap, as CL-18 reads it): it prints all three
@@ -143,7 +144,7 @@ def _cmd_table(args, parser) -> int:
                 writer.writerow(TABLE_COLUMNS)
                 writer.writerows([_fmt(v) for v in rec] for rec in _table_records(rows))
         except OSError as exc:
-            parser.error(f"cannot write {args.csv}: {exc}")
+            raise OSError(exc.errno, exc.strerror, args.csv) from None
     if args.json:
         from ._jsontext import dump_object_array
         try:
@@ -151,7 +152,7 @@ def _cmd_table(args, parser) -> int:
                 dump_object_array(fh, TABLE_COLUMNS, _table_records(rows))
                 fh.write("\n")
         except OSError as exc:
-            parser.error(f"cannot write {args.json}: {exc}")
+            raise OSError(exc.errno, exc.strerror, args.json) from None
     if args.csv or args.json:
         return 0
     print("  ".join(f"{c:>16s}" for c in TABLE_COLUMNS))
@@ -180,7 +181,7 @@ def _cmd_verify_claims(args, parser) -> int:
                 fh.write(report.to_json())
                 fh.write("\n")
         except OSError as exc:
-            parser.error(f"cannot write {args.json}: {exc}")
+            raise OSError(exc.errno, exc.strerror, args.json) from None
     for rec in report.records:
         delta = "" if rec.delta is None else f"  delta={_fmt(rec.delta)}"
         print(f"{rec.id:18s} {rec.status:10s} [{rec.location}] "
@@ -263,9 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # domain error raised by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # stdout refused a write (a full disk, /dev/full)
-        sys.stdout = open(os.devnull, "w")  # so the flush at exit has nothing to fail on
-        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a write failed (a full disk, /dev/full); a file write names its path
+        if exc.filename is None:  # stdout: so the flush at exit has nothing to fail on
+            sys.stdout = open(os.devnull, "w")
+        print(f"error: cannot write {exc.filename or 'standard output'}: {exc.strerror}",
+              file=sys.stderr)
         return 2
 
 

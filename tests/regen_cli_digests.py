@@ -16,9 +16,7 @@ import json
 import pathlib
 import tempfile
 
-from test_cli import cli_digests  # this script's directory is first on sys.path
-
-GOLDEN = pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json"
+from test_cli import GOLDEN, cli_digests  # this script's directory is first on sys.path
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import atlab
-from atlab import _jsontext, torus
+from atlab import _jsontext, bounds, torus
 from atlab.cli import main
 from atlab.numerics import UpperHalfPoint
 
@@ -322,6 +322,9 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0,1e-4", "--method", "closed")
     yield ("torus-det", "--tau", "1e308,1")
     yield ("bound", "--genus", "77")
+    yield ("bound", "--genus", "77", "--json")
+    # both files from one call
+    yield ("table", "--from", "2", "--to", "40", "--csv", "t.csv", "--json", "t.json")
     # the exact reduction near the real axis: a y' the float loop lost, a
     # y' of 1e300, a y' past TAU_Y_MAX (exit 2) and an area underflow there
     yield ("torus-det", "--tau", "0.1234567,1e-20", "--method", "closed")
@@ -334,6 +337,9 @@ def _golden_commands():
     yield ("elliptic", "--tau=inf,1")
     yield ("elliptic", "--tau", "0,-1")
     yield ("torus-det", "--tau", "1e999,1", "--method", "closed")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json"
 
 
 def cli_digests(workdir: pathlib.Path) -> dict:
@@ -355,40 +361,48 @@ def cli_digests(workdir: pathlib.Path) -> dict:
 
 
 def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
-    # Frozen before the genus pipeline computed its two logs once; windows
-    # cross the 10/11 and 3579/3580 annotation changes and end at 2**53.
-    # The verify-claims, elliptic and torus-det lines were frozen before the
-    # E1 and zeta' kernels were cut to their used arguments; the report file's
-    # digest was refrozen after, for its "precision" block alone.  The oracle's
-    # lines were refrozen for the self-dual Mellin split and again for its exact
-    # sum of exponential integrals (with the report's precision block), the four
-    # usage errors for printing their own subcommand's usage,
-    # `elliptic --tau 0.3,1.7 --json` was refrozen for its bound_slack computed
-    # without cancellation (0.5616807399776218, the 60-digit value rounded),
-    # three closed-form lines for the exact SL2(Z) reduction: near the cusp -1/2
-    # and at y = 1e-4 they moved to the mpmath value, and rho's double, just
-    # inside |tau| = 1, is now inverted (2 ulps off arakelov_logdet's ~0.2157),
-    # and the oracle at 0.3 + 1e-5i, refused below y = 1e-4 until it ran at the
-    # exactly reduced point, now prints -1040.28979592 with exit 0.  D_Ar at
-    # the reduced point alone moved the three `elliptic --json` d_ar or
-    # bound_slack values, two `torus-det --method both` differences and
-    # CL-18's difference in both verify-claims lines, each by an ulp or two.
-    # Removing torus-det --tol refroze `torus-det --help` and dropped the line
-    # that checked --tol 0.  CL-18 judging the routes' gap relative to
-    # max(1, |closed|), as torus-det --method both does, refroze both
-    # verify-claims lines (6.66e-16 became 4.75e-16).  Cutting the allowlist to
-    # the four DISCREPANT claims refroze both verify-claims lines again: their
-    # nine CL-10 warnings are gone.
-    golden = json.loads(
-        (pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json").read_text())
-    assert cli_digests(tmp_path) == golden
+    # The table windows cross the 10/11 and 3579/3580 annotation changes and
+    # end at 2**53.  CHANGES.md records why each entry was refrozen.
+    assert cli_digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+def test_golden_corpus_spans_every_subcommand_mode_and_exit_2():
+    # The corpus is the one check of CLI bytes (CI runs it under two hash
+    # seeds), so no subcommand, option value, output mode or exit-2 path may
+    # drop out of it unnoticed.
+    exits = {line: entry["exit"] for line, entry in json.loads(GOLDEN.read_text()).items()}
+    corpus = [(argv, exits[" ".join(argv)]) for argv in _golden_commands()]
+
+    def spans(command, *words, code=0):
+        return any(argv[0] == command and exit_code == code and set(words) <= set(argv)
+                   for argv, exit_code in corpus)
+
+    commands = ("bound", "elliptic", "torus-det", "table", "verify-claims")
+    assert {argv[0] for argv, _ in corpus} == set(commands)
+    for command in commands:
+        assert any(argv[0] == command and code == 0
+                   and not {"--json", "--csv", "--help"} & set(argv)
+                   for argv, code in corpus), command  # text output
+        assert spans(command, code=2), command
+    for command in ("bound", "elliptic", "table", "verify-claims"):
+        assert spans(command, "--json"), command
+    assert spans("table", "--csv")
+    for method in ("closed", "oracle", "both"):
+        assert spans("torus-det", "--method", method), method
+    for area in bounds.AREA_VARIANTS:
+        assert spans("bound", "--area", area) or spans("table", "--area", area), area
+    assert spans("bound", "--form", "simplified")
+    assert spans("verify-claims", "--only") and spans("verify-claims", "--strict")
 
 
 def test_table_unwritable_path(capsys):
-    code, _, err = run(capsys, "table", "--from", "2", "--to", "3",
-                       "--csv", "/nonexistent-dir/out.csv")
-    assert code == 2
-    assert "cannot write" in err
+    # Not a usage error: one error line that names the path once, no usage block.
+    code, out, err = run(capsys, "table", "--from", "2", "--to", "3",
+                         "--csv", "/nonexistent-dir/out.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /nonexistent-dir/out.csv: ")
+    assert err.count("\n") == 1 and err.count("/nonexistent-dir/out.csv") == 1
+    assert "usage:" not in err
 
 
 def test_table_bad_range(capsys):
@@ -649,3 +663,14 @@ def test_failed_stdout_write_exits_2_with_one_error_line(argv):
     assert done.returncode == 2
     assert done.stderr.startswith("error: cannot write standard output: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", (["table", "--from", "2", "--to", "3", "--json", "/dev/full"],
+                                  ["verify-claims", "--json", "/dev/full"]))
+def test_failed_file_write_exits_2_with_one_error_line(capsys, argv):
+    # A full disk is not a usage error: the file write fails like a stdout
+    # write, naming the file, and the text report never reaches stdout.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1

@@ -30,12 +30,12 @@ def _index(runs: list[str], *fragments: str) -> int:
 def test_tier1_job_keeps_its_checks_in_order():
     runs = _tier1_runs()
     # Without numpy and scipy, before the test extra installs them: the console
-    # script, the numpy-free test files at a narrow terminal and the hash-seed
-    # check across processes.
+    # script, and the numpy-free test files at a narrow terminal under two hash
+    # seeds.
     smoke = _index(runs, "find_spec(m) for m in ('numpy', 'scipy')", "atlab bound",
-                   "COLUMNS=40 python -m pytest -q tests/test_cli.py tests/test_claims.py",
-                   "PYTHONHASHSEED=$seed atlab verify-claims --strict --json",
-                   "PYTHONHASHSEED=$seed atlab table --from 2 --to 40")
+                   "atlab torus-det", "for seed in 1 2",
+                   "PYTHONHASHSEED=$seed COLUMNS=40 python -m pytest -q "
+                   "tests/test_cli.py tests/test_claims.py")
     extra = _index(runs, 'pip install -e ".[test]"')
     assert smoke < extra
     tier1 = _index(runs, "python -m pytest -q --continue-on-collection-errors",
