@@ -4,8 +4,8 @@ Every printed numeric claim gets one record carrying its location (section /
 lemma / table of the source document), the verbatim numeric fragment, the
 recomputed value, a signed delta where meaningful, and a status:
 
-    CONFIRMED   |delta| within the claim's tolerance, or the stated
-                predicate holds over the full sweep
+    CONFIRMED   the claim's own test passes: |delta| within the printed
+                digits' tolerance, or the stated predicate holds
     DISCREPANT  recomputation contradicts the printed value
     ASSUMED     externally cited input the artifact cannot verify
     AMBIGUOUS   the claim admits readings the source does not resolve
@@ -72,18 +72,17 @@ ASYMPTOTE_SAMPLES = (3580, 10_000, 100_000)
 class Claim(NamedTuple):
     """A registered assertion plus the recipe to recompute it.
 
-    A claim with a tolerance computes its value for a float `claimed` (delta
-    is value - claimed), else (computed, delta); evaluate passes it when
-    |delta| <= tolerance.  A claim without one computes (computed, delta,
-    passed); passed is ignored for ASSUMED/AMBIGUOUS claims."""
+    compute returns (computed, delta, passed): the recomputed value or text,
+    a signed delta or None, and the claim's own verdict, which evaluate maps
+    to CONFIRMED / DISCREPANT unless status_override is set.  A float
+    equality claim is built by _equality, which holds its tolerance."""
 
     id: str
     location: str
     quote: str
     kind: str  # equality | inequality | sweep | ambiguous
     claimed: float | str
-    tolerance: float | None
-    compute: Callable[[], float | tuple]
+    compute: Callable[[], tuple]
     status_override: str | None = None  # ASSUMED / AMBIGUOUS claims
 
 
@@ -149,8 +148,18 @@ class ClaimReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Claim computations; see Claim for what each returns.
+# Claim computations; each returns (computed, delta, passed), see Claim.
 # ---------------------------------------------------------------------------
+
+def _equality(id, location, quote, claimed, tolerance, value_of):
+    """A float equality claim: value_of() against the printed `claimed`,
+    passing when |delta| <= tolerance."""
+    def compute():
+        value = value_of()
+        delta = value - claimed
+        return value, delta, abs(delta) <= tolerance
+    return Claim(id, location, quote, "equality", claimed, compute)
+
 
 def _cl01():
     val = bounds.HEAT_INTEGRAL
@@ -170,7 +179,8 @@ def _cl06():
     }
     computed = "; ".join(f"{name} = {got:.6f} (printed {printed})"
                          for name, (got, printed) in parts.items())
-    return computed, max(abs(got - printed) for got, printed in parts.values())
+    worst = max(abs(got - printed) for got, printed in parts.values())
+    return computed, worst, worst <= 2e-3
 
 
 def _cl07():
@@ -227,7 +237,7 @@ def _cl11():
 def _cl18():
     # torus-det --method both's comparison and agreement rule.
     worst = max(torus.compare_logdet(UpperHalfPoint(0.0, y)).relative_gap for y in (1.0, 2.0))
-    return worst, worst
+    return worst, worst, worst <= torus.AGREEMENT_TOL
 
 
 def _cl19():
@@ -274,81 +284,68 @@ def builtin_registry() -> list[Claim]:
     matching the number of printed digits."""
     claims = [
         Claim("CL-01", "sec. 4", r"\le 0.0832<0.1", "inequality",
-              "E1(1/4)/(4 pi) <= 0.0832 < 0.1", None, _cl01),
-        Claim("CL-02", "sec. 4", "0.0832", "equality", 0.0832, 2e-4, lambda: bounds.HEAT_INTEGRAL),
+              "E1(1/4)/(4 pi) <= 0.0832 < 0.1", _cl01),
+        _equality("CL-02", "sec. 4", "0.0832", 0.0832, 2e-4, lambda: bounds.HEAT_INTEGRAL),
         # Large-g limit of the constant term: heat term - log 4 -> E1(1/4) - log 4.
-        Claim("CL-03", "sec. 4", r"\frac{1}{g-1}-0.33", "equality",
-              -0.33, 0.02, lambda: bounds.E1_QUARTER - math.log(4.0)),
+        _equality("CL-03", "sec. 4", r"\frac{1}{g-1}-0.33",
+                  -0.33, 0.02, lambda: bounds.E1_QUARTER - math.log(4.0)),
         Claim("CL-04", "sec. 4", r"e*4\pi(g-1)* (1366(g-1))^{..} < 36 (g-1)(..)",
-              "inequality", "4 pi e < 36", None, _cl04),
-        Claim("CL-05", "sec. 5", "0.5474277074g+1", "equality",
-              0.5474277074, 1e-8, lambda: bounds.KAPPA),
+              "inequality", "4 pi e < 36", _cl04),
+        _equality("CL-05", "sec. 5", "0.5474277074g+1",
+                  0.5474277074, 1e-8, lambda: bounds.KAPPA),
         Claim("CL-06", "sec. 4", r"\approx 1.7573-2.4505+2.07-\frac{1}{6}+4\zeta'(-1)",
-              "equality", "partial constants 1.7573 / 2.4505 / 2.07", 2e-3, _cl06),
+              "equality", "partial constants 1.7573 / 2.4505 / 2.07", _cl06),
         Claim("CL-07", "sec. 4", "< 1.21-0.67=0.56<1", "inequality",
-              "kappa < 0.56 < 1", None, _cl07),
+              "kappa < 0.56 < 1", _cl07),
         Claim("CL-08", "sec. 4", "for $g>10$, we have $E(g)<0.44g$", "sweep",
-              "E_refined(g) < 0.44 g for 11 <= g <= 3580", None, _cl08),
+              "E_refined(g) < 0.44 g for 11 <= g <= 3580", _cl08),
         Claim("CL-09", "sec. 5", "Bounded above by $g$", "sweep",
-              "0.56 g + E_refined(g) <= g for 11 <= g <= 3580", None, _cl09),
+              "0.56 g + E_refined(g) <= g for 11 <= g <= 3580", _cl09),
     ]
     for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items()):
-        claims.append(Claim(
-            f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}",
-            "equality", paper_val, 0.75,
+        claims.append(_equality(
+            f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}", paper_val, 0.75,
             lambda g=g: bounds.upper_bound_logdet(g).upper_exact))
     claims += [
         Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
-              "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580",
-              None, _cl11),
-        Claim("CL-12", "corollary (sec. 4)",
-              r"\approx -3.6113717392987086-0.661685", "equality",
-              -4.2730567392987086, 1e-6, lambda: bounds.FQ_GAP_CONSTANT),
-        Claim("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
-              "equality", 1.933721640489272, 1e-9,
-              lambda: bounds.FQ_GAP_SLOPE),
+              "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580", _cl11),
+        _equality("CL-12", "corollary (sec. 4)", r"\approx -3.6113717392987086-0.661685",
+                  -4.2730567392987086, 1e-6, lambda: bounds.FQ_GAP_CONSTANT),
+        _equality("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
+                  1.933721640489272, 1e-9, lambda: bounds.FQ_GAP_SLOPE),
         # The printed bound evaluated at g = 1.
-        Claim("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
-              "equality", -2.334, 1e-3, lambda: 1.934 - 4.273),
-        Claim("CL-15", "sec. 5", r"\approx 2.46984", "equality",
-              2.46984, 1e-4, lambda: bounds.GENUS0_DET),
-        Claim("CL-16", "corollary (sec. 4)", "-0.661685", "equality",
-              -0.661685, 1e-5, lambda: 4.0 * ZETA_PRIME_MINUS1),
-        Claim("CL-17", "lemma 6.5 proof", "note $Z(0)=-1$", "equality",
-              -1.0, 1e-6,
-              partial(torus.spectral_zeta, torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0)),
+        _equality("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
+                  -2.334, 1e-3, lambda: 1.934 - 4.273),
+        _equality("CL-15", "sec. 5", r"\approx 2.46984",
+                  2.46984, 1e-4, lambda: bounds.GENUS0_DET),
+        _equality("CL-16", "corollary (sec. 4)", "-0.661685",
+                  -0.661685, 1e-5, lambda: 4.0 * ZETA_PRIME_MINUS1),
+        _equality("CL-17", "lemma 6.5 proof", "note $Z(0)=-1$", -1.0, 1e-6,
+                  partial(torus.spectral_zeta, torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0)),
         Claim("CL-18", "lemmas 6.4/6.5", r"\det(\Delta)=y|\eta(z)|^{4}",
-              "equality", "spectral oracle = closed form at tau in {i, 2i}",
-              torus.AGREEMENT_TOL, _cl18),
+              "equality", "spectral oracle = closed form at tau in {i, 2i}", _cl18),
         Claim("CL-19", "corollary 6.6 proof",
               r"\le 2\log(y)-\frac{\pi y}{2}+\frac{3}{\pi y}", "sweep",
-              "q-product chain with 3/(pi y) holds", None, _cl19),
+              "q-product chain with 3/(pi y) holds", _cl19),
         # Statement numerator 6 vs the proof / listing numerator 3.
-        Claim("CL-19-statement", "corollary 6.6 statement", r"\frac{6}{\pi y}",
-              "equality", 6.0, 1e-12, lambda: 3.0),
+        _equality("CL-19-statement", "corollary 6.6 statement", r"\frac{6}{\pi y}",
+                  6.0, 1e-12, lambda: 3.0),
         Claim("CL-20", "sec. 2", r"\delta_{Fal}(X)>-2g\log(2\pi^4)", "ambiguous",
               "delta(i) > -2 log(2 pi^4) under the g = 1 torsion relation",
-              None, _cl20, status_override="AMBIGUOUS"),
+              _cl20, status_override="AMBIGUOUS"),
         Claim("CL-21", "sec. 2",
               r"c_\text{sel}\ge -4\log(1366(g-1))", "ambiguous",
               "external inputs: c_sel lower bound, delta lower bound, "
-              "metric-comparison corollary", None, _cl21,
+              "metric-comparison corollary", _cl21,
               status_override="ASSUMED"),
     ]
     return claims
 
 
 def evaluate(claim: Claim) -> ClaimRecord:
-    """Recompute one claim; computation failures become ERRORED records.
-    A claim with a tolerance passes when |delta| <= tolerance."""
+    """Recompute one claim; computation failures become ERRORED records."""
     try:
-        if claim.tolerance is None:
-            computed, delta, passed = claim.compute()
-        else:
-            value = claim.compute()
-            computed, delta = ((value, value - claim.claimed)
-                               if isinstance(claim.claimed, float) else value)
-            passed = abs(delta) <= claim.tolerance
+        computed, delta, passed = claim.compute()
     except Exception as exc:  # noqa: BLE001 - audit must not abort
         return ClaimRecord(*claim[:5], f"error: {exc}", None, "ERRORED")
     status = claim.status_override or ("CONFIRMED" if passed else "DISCREPANT")

@@ -63,10 +63,7 @@ def test_evaluate_assumed_inputs_claim():
 
 def test_evaluate_errored_is_contained():
     claim = registry_by_id()["CL-01"]
-    broken = type(claim)(claim.id, claim.location, claim.quote, claim.kind,
-                         claim.claimed, claim.tolerance,
-                         lambda: 1 / 0)
-    rec = evaluate(broken)
+    rec = evaluate(claim._replace(compute=lambda: 1 / 0))
     assert rec.status == "ERRORED"
     assert "error" in rec.computed
 
@@ -279,7 +276,7 @@ def counted(margin_of_g, calls):
     return margin
 
 
-def test_sweep_certificate_gives_the_array_sweep_record(monkeypatch):
+def test_sweep_certificate_gives_the_full_sweep_record(monkeypatch):
     for claim_id, (margin, label) in sweep_margins(monkeypatch).items():
         calls = []
         got = claims._sweep(counted(margin, calls), label)
@@ -301,7 +298,7 @@ def test_sweep_margins_increase(monkeypatch):
 
 @pytest.mark.parametrize("offset, violations", [
     (10.5, 0), (11, 1), (20, 10), (3580, 3570), (4000, 3570)])
-def test_sweep_bisection_counts_like_brute_force(offset, violations):
+def test_sweep_premise_verdict_matches_brute_force(offset, violations):
     # The certificate's verdict is the brute-force "no violations", from the
     # margin at g = 11 alone; a failing premise is named, not searched.
     assert sum(g - offset <= 0 for g in SWEEP_G_RANGE) == violations
@@ -377,27 +374,33 @@ def test_asymptote_text_states_the_sign_change():
     assert numbers == [x for g, e in excess.items() for x in (str(g), f"{e:+.4f}")] + ["1"]
 
 
-def test_equality_claims_state_their_value_and_tolerance_once():
-    # An equality claim's tolerance lives in the registry only, and so does a
-    # float claim's value: its compute returns the value, and evaluate derives
-    # delta and verdict from claimed and tolerance.  Text-valued equality
-    # claims compute (computed, delta); evaluate judges |delta| <= tolerance.
+def test_equality_claims_state_their_value_and_tolerance_once(monkeypatch):
+    # Every compute returns (computed, delta, passed).  A float claim's value
+    # and tolerance live in its _equality line only: delta is computed -
+    # claimed, and the verdict is |delta| <= tolerance, inclusive at the edge.
+    registry = builtin_registry()
+    assert len(registry) == 30
     checked = 0
-    for claim in builtin_registry():
-        if claim.kind != "equality":
-            continue
+    for claim in registry:
+        result = claim.compute()
+        assert type(result) is tuple and len(result) == 3, claim.id
         if not isinstance(claim.claimed, float):
-            assert claim.id in ("CL-06", "CL-18"), claim.id
-            computed, delta = claim.compute()
-            rec = evaluate(claim)
-            assert (rec.computed, rec.delta, rec.status) == (computed, delta, "CONFIRMED")
-            # The verdict follows the registry's tolerance alone.
-            for tolerance, status in ((delta, "CONFIRMED"), (0.5 * delta, "DISCREPANT")):
-                assert evaluate(claim._replace(tolerance=tolerance)).status == status, claim.id
             continue
-        assert type(claim.compute()) is float, claim.id
         rec = evaluate(claim)
+        assert (rec.computed, rec.delta) == result[:2], claim.id
         assert rec.delta == rec.computed - claim.claimed, claim.id
-        assert (rec.status == "CONFIRMED") == (abs(rec.delta) <= claim.tolerance), claim.id
+        edge = abs(rec.delta)
+        for tolerance, status in ((edge, "CONFIRMED"),
+                                  (math.nextafter(edge, 0.0), "DISCREPANT")):
+            if edge == 0.0 and status == "DISCREPANT":
+                continue  # CL-13 and CL-17 are exact: no tolerance lies below 0
+            rebuilt = claims._equality(claim.id, claim.location, claim.quote,
+                                       claim.claimed, tolerance, lambda: rec.computed)
+            assert evaluate(rebuilt).status == status, claim.id
         checked += 1
     assert checked == 19
+    # CL-18 judges its own gap against torus.AGREEMENT_TOL, read when it runs.
+    gap = evaluate(registry_by_id()["CL-18"]).delta
+    for tolerance, status in ((gap, "CONFIRMED"), (math.nextafter(gap, 0.0), "DISCREPANT")):
+        monkeypatch.setattr(torus, "AGREEMENT_TOL", tolerance)
+        assert evaluate(registry_by_id()["CL-18"]).status == status

@@ -57,6 +57,13 @@ def test_area_at_i():
 
 def test_area_shift_invariance():
     assert arakelov_area(UpperHalfPoint(0.3, 1.2)) == arakelov_area(UpperHalfPoint(1.3, 1.2))
+    # To the bit at large |x|, where x keeps few fraction bits and any shift
+    # other than the exact x - round(x) rounds; y on both sides of sqrt(3)/2.
+    for f in (log_arakelov_area, arakelov_logdet, d_ar_elliptic, bound_slack):
+        for x in (2.0**50 + 0.25, 12345.3, -2.0**51 - 0.5):
+            for y in (0.5, 0.9, 1.3, 300.0):
+                assert (f(UpperHalfPoint(x, y)).hex()
+                        == f(UpperHalfPoint(x - round(x), y)).hex()), (f.__name__, x, y)
 
 
 def test_area_decays_at_large_y():

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import ast
 import bisect
+import csv
+import gzip
+import hashlib
 import math
 import pathlib
 import random
@@ -469,6 +472,26 @@ def test_compare_logdet_is_both_public_routes_to_the_bit():
     for tau in taus:
         closed, oracle = elliptic.d_ar_elliptic(tau), logdet_oracle(UnitTorus(tau))
         assert bits(compare_logdet(tau)) == bits((closed, oracle, oracle - closed)), tau
+
+
+POOL_CSV = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "torus.csv.gz"
+# SHA-256 of compare_logdet's three doubles over the frozen pool, then the corners.
+POOL_COMPARISON_SHA256 = "72d2578e69f640846f08ebeec3ea1792f39789804009ba989f5db05110ed304f"
+
+
+def test_compare_logdet_keeps_its_bits_over_the_frozen_pool():
+    # Every bit both routes give at the benchmark's 8196 frozen taus, then at
+    # i, 2i, rho, 0.5 + i and the y edges.  A change that moves a bit on
+    # purpose replaces the digest with the one the failure prints.
+    with gzip.open(POOL_CSV, "rt", newline="") as f:
+        taus = [UpperHalfPoint(float(row["x"]), float(row["y"])) for row in csv.DictReader(f)]
+    assert len(taus) == 8196
+    taus += [UpperHalfPoint(x, y) for x, y in ((0.0, 1.0), (0.0, 2.0), (0.5, 0.8660254037844386),
+                                               (0.5, 1.0), (0.0, 1e-4), (0.3, 1e4))]
+    digest = hashlib.sha256()
+    for tau in taus:
+        digest.update(struct.pack("<3d", *compare_logdet(tau)))
+    assert digest.hexdigest() == POOL_COMPARISON_SHA256, f"new digest {digest.hexdigest()}"
 
 
 @pytest.mark.parametrize("x, y", [(0.0, 1e5), (0.5, 0.25 / math.nextafter(1e4, math.inf))])
