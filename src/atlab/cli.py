@@ -17,7 +17,9 @@ prints one `error:` line.  Every series runs to a fixed truncation at the
 exactly reduced point, so no computation can fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
-Start-up is most of a `bound` call, so each handler imports what only it uses.
+Start-up is most of a `bound` call, so main builds only the parser of the
+subcommand argv[0] names (the full parser for any other argv), and each
+subcommand imports what only it uses: only bound and table load atlab.bounds.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ import signal
 import sys
 from functools import partial
 
-from . import bounds
 from .numerics import UpperHalfPoint
 
 # One coordinate of --tau: an ASCII decimal literal, or an inf/nan spelling
 # for UpperHalfPoint's finiteness check to name.  float() alone also takes
-# 1_0 and non-ASCII digits.
-_TAU_PART = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-                       r"|inf(?:inity)?|nan)", re.IGNORECASE)
+# 1_0 and non-ASCII digits.  Compiled on first use (re caches it): only
+# elliptic and torus-det read a tau.
+_TAU_PART = (r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+             r"|inf(?:inity)?|nan)")
 
 # argparse wraps help and usage text to the terminal width (COLUMNS, or the
 # tty's); 78 is what it uses with neither, so the text never depends on them.
@@ -58,13 +60,14 @@ def _fmt(value) -> str:
 
 
 def _parse_tau(text: str, parser: argparse.ArgumentParser) -> UpperHalfPoint:
-    parts = text.split(",")
-    if len(parts) != 2 or not all(map(_TAU_PART.fullmatch, parts)):
+    if not re.fullmatch(f"{_TAU_PART},{_TAU_PART}", text, re.IGNORECASE):
         parser.error(f"--tau must be 'x,y' with two decimal literals, got {text!r}")
-    return UpperHalfPoint(float(parts[0]), float(parts[1]))
+    x, y = text.split(",")
+    return UpperHalfPoint(float(x), float(y))
 
 
 def _cmd_bound(args, parser) -> int:
+    from . import bounds
     if not 2 <= args.genus <= bounds.MAX_GENUS:
         parser.error("bound requires 2 <= --genus <= 2**53; "
                      "for genus 1 use `atlab elliptic`")
@@ -135,8 +138,9 @@ def _table_records(rows):
 
 
 def _cmd_table(args, parser) -> int:
+    from . import bounds
     rows = bounds.table(args.g_from, args.g_to, args.form, args.area)
-    if args.csv:
+    if args.csv is not None:  # an empty PATH fails to open, like any unwritable one
         import csv
         try:
             with open(args.csv, "w", newline="") as fh:
@@ -145,7 +149,7 @@ def _cmd_table(args, parser) -> int:
                 writer.writerows([_fmt(v) for v in rec] for rec in _table_records(rows))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, args.csv) from None
-    if args.json:
+    if args.json is not None:
         from ._jsontext import dump_object_array
         try:
             with open(args.json, "w") as fh:
@@ -153,7 +157,7 @@ def _cmd_table(args, parser) -> int:
                 fh.write("\n")
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, args.json) from None
-    if args.csv or args.json:
+    if args.csv is not None or args.json is not None:
         return 0
     print("  ".join(f"{c:>16s}" for c in TABLE_COLUMNS))
     for rec, row in zip(_table_records(rows), rows):
@@ -175,7 +179,7 @@ def _cmd_verify_claims(args, parser) -> int:
         report = claims.run_all(only=only)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
-    if args.json:  # before the text report, so a write error leaves stdout empty
+    if args.json is not None:  # before the text report, so a write error leaves stdout empty
         try:
             with open(args.json, "w") as fh:
                 fh.write(report.to_json())
@@ -196,7 +200,10 @@ def _cmd_verify_claims(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The atlab parser.  When `command` names a subcommand, the parser holds
+    that subcommand alone, and parses an argv that starts with it exactly as
+    the full parser does; for None or any other word, it holds all five."""
     parser = argparse.ArgumentParser(
         prog="atlab",
         description=(
@@ -207,53 +214,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, handler, **kwargs):
-        # a handler reports usage errors through its own subcommand's parser
-        p = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
-        p.set_defaults(handler=handler, parser=p)
-        return p
+    def add_tau(p):
+        p.add_argument("--tau", required=True, metavar="X,Y",
+                       help="tau = x + iy as two decimals 'x,y' (y > 0); "
+                            "write --tau=X,Y when x is negative")
 
-    p_bound = add_parser("bound", _cmd_bound, help="genus-g upper bound breakdown (g >= 2)")
-    p_bound.add_argument("--genus", type=int, required=True)
-    p_bound.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact")
-    p_bound.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
-    p_bound.add_argument("--json", action="store_true")
+    def add_bound(p):
+        from . import bounds
+        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact")
+        p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
+        p.add_argument("--json", action="store_true")
 
-    p_ell = add_parser("elliptic", _cmd_elliptic, help="genus-1 Arakelov quantities at tau")
-    p_det = add_parser("torus-det", _cmd_torus_det, help="flat-torus log determinant")
-    for p_tau in (p_ell, p_det):
-        p_tau.add_argument("--tau", required=True, metavar="X,Y",
-                           help="tau = x + iy as two decimals 'x,y' (y > 0); "
-                                "write --tau=X,Y when x is negative")
-    p_ell.add_argument("--json", action="store_true")
+    def add_elliptic(p):
+        add_tau(p)
+        p.add_argument("--json", action="store_true")
 
-    p_det.add_argument("--method", choices=("closed", "oracle", "both"), default="both",
+    def add_torus_det(p):
+        add_tau(p)
+        p.add_argument("--method", choices=("closed", "oracle", "both"), default="both",
                        help="both exits 1 if |difference| > torus.AGREEMENT_TOL max(1, |closed|)")
 
-    p_table = add_parser("table", _cmd_table, help="per-genus bound table")
-    p_table.add_argument("--from", dest="g_from", type=int, required=True)
-    p_table.add_argument("--to", dest="g_to", type=int, required=True)
-    p_table.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact",
-                         help="changes nothing: every row carries both bounds (kept while "
-                              "the benchmark's genus_table workload passes it)")
-    p_table.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
-    p_table.add_argument("--csv", metavar="PATH")
-    p_table.add_argument("--json", metavar="PATH")
+    def add_table(p):
+        from . import bounds
+        p.add_argument("--from", dest="g_from", type=int, required=True)
+        p.add_argument("--to", dest="g_to", type=int, required=True)
+        p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact",
+                       help="changes nothing: every row carries both bounds (kept while "
+                            "the benchmark's genus_table workload passes it)")
+        p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
+        p.add_argument("--csv", metavar="PATH")
+        p.add_argument("--json", metavar="PATH")
 
-    p_claims = add_parser("verify-claims", _cmd_verify_claims,
-                          help="recompute the claim registry")
-    p_claims.add_argument("--only", metavar="IDS",
-                          help="comma-separated claim ids")
-    p_claims.add_argument("--json", metavar="PATH")
-    p_claims.add_argument("--strict", action="store_true",
-                          help="exit 1 on non-allowlisted discrepancies")
+    def add_verify_claims(p):
+        p.add_argument("--only", metavar="IDS", help="comma-separated claim ids")
+        p.add_argument("--json", metavar="PATH")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 1 on non-allowlisted discrepancies")
 
+    commands = (
+        ("bound", _cmd_bound, add_bound, "genus-g upper bound breakdown (g >= 2)"),
+        ("elliptic", _cmd_elliptic, add_elliptic, "genus-1 Arakelov quantities at tau"),
+        ("torus-det", _cmd_torus_det, add_torus_det, "flat-torus log determinant"),
+        ("table", _cmd_table, add_table, "per-genus bound table"),
+        ("verify-claims", _cmd_verify_claims, add_verify_claims, "recompute the claim registry"),
+    )
+    chosen = [c for c in commands if c[0] == command] or commands
+    for name, handler, add_arguments, help_text in chosen:
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+        # a handler reports usage errors through its own subcommand's parser
+        p.set_defaults(handler=handler, parser=p)
+        add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args, extras = build_parser().parse_known_args(argv)
+        args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
         if extras:  # wherever they stood, through the chosen subcommand's parser
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
         code = args.handler(args, args.parser)
@@ -267,8 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a write failed (a full disk, /dev/full); a file write names its path
         if exc.filename is None:  # stdout: so the flush at exit has nothing to fail on
             sys.stdout = open(os.devnull, "w")
-        print(f"error: cannot write {exc.filename or 'standard output'}: {exc.strerror}",
-              file=sys.stderr)
+            name = "standard output"
+        else:
+            name = exc.filename or "''"  # an empty --csv/--json PATH
+        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -305,6 +305,14 @@ def _golden_commands():
     yield ("torus-det", "--tau", "0.5,1e-4", "--method", "both")
     for command in ("bound", "elliptic", "torus-det", "verify-claims"):
         yield (command, "--help")
+    # the full parser, built when argv does not start with a subcommand: no
+    # argument, its help, help before a command, an unknown command, and an
+    # option before the command
+    yield ()
+    yield ("--help",)
+    yield ("-h", "torus-det")
+    yield ("bogus",)
+    yield ("--tau=0,1", "torus-det")
     # exit 2: usage and domain errors, their stderr included
     yield ("elliptic", "--tau", "1_0,1")
     yield ("elliptic", "--tau", "0,1e308")
@@ -337,6 +345,9 @@ def _golden_commands():
     yield ("elliptic", "--tau=inf,1")
     yield ("elliptic", "--tau", "0,-1")
     yield ("torus-det", "--tau", "1e999,1", "--method", "closed")
+    # exit 2: an empty output PATH fails to open, like any unwritable one
+    yield ("table", "--from", "2", "--to", "3", "--csv", "")
+    yield ("verify-claims", "--only", "CL-01", "--json", "")
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_cli_sha256.json"
@@ -366,19 +377,41 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     assert cli_digests(tmp_path) == json.loads(GOLDEN.read_text())
 
 
+def test_child_processes_print_the_frozen_bytes():
+    # main(None) reads sys.argv, which the in-process corpus never reaches:
+    # the full parser's lines and the torus_sweep benchmark's two commands.
+    golden = json.loads(GOLDEN.read_text())
+    for argv in (("--help",), ("bogus",), ("torus-det", "--tau", "0.3,1.7", "--method", "both"),
+                 ("elliptic", "--tau", "0.3,1.7", "--json")):
+        done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
+                              capture_output=True, timeout=120)
+        entry = {"exit": done.returncode, "stdout": hashlib.sha256(done.stdout).hexdigest(),
+                 "stderr": hashlib.sha256(done.stderr).hexdigest()}
+        assert entry == golden[" ".join(argv)], argv
+
+
 def test_golden_corpus_spans_every_subcommand_mode_and_exit_2():
     # The corpus is the one check of CLI bytes (CI runs it under two hash
     # seeds), so no subcommand, option value, output mode or exit-2 path may
     # drop out of it unnoticed.
     exits = {line: entry["exit"] for line, entry in json.loads(GOLDEN.read_text()).items()}
-    corpus = [(argv, exits[" ".join(argv)]) for argv in _golden_commands()]
+    commands = ("bound", "elliptic", "torus-det", "table", "verify-claims")
+    corpus, full = [], {}  # lines led by a subcommand; the rest, by the full parser
+    for argv in _golden_commands():
+        if argv[:1] and argv[0] in commands:
+            corpus.append((argv, exits[" ".join(argv)]))
+        else:
+            full[argv] = exits[" ".join(argv)]
 
     def spans(command, *words, code=0):
         return any(argv[0] == command and exit_code == code and set(words) <= set(argv)
                    for argv, exit_code in corpus)
 
-    commands = ("bound", "elliptic", "torus-det", "table", "verify-claims")
     assert {argv[0] for argv, _ in corpus} == set(commands)
+    # no argument, the top-level help, an unknown command, an option first
+    assert full[()] == 2 and full[("--help",)] == 0
+    assert any(code == 2 and not argv[0].startswith("-") for argv, code in full.items() if argv)
+    assert any(argv[0].startswith("-") and set(argv) & set(commands) for argv in full if argv)
     for command in commands:
         assert any(argv[0] == command and code == 0
                    and not {"--json", "--csv", "--help"} & set(argv)
@@ -632,6 +665,11 @@ def test_numpy_free_commands_import_only_what_they_use(tmp_path):
         assert not added & never, (argv, added & never)
         if argv == ["bound", "--genus", "77"]:
             assert not added & text_bound_never, added & text_bound_never
+        # the parser holds only the subcommand argv starts with
+        if argv[0] in ("elliptic", "torus-det"):
+            assert "atlab.bounds" not in added, argv
+        if argv[0] in ("bound", "table"):
+            assert not added & {"atlab.torus", "atlab.claims"}, (argv, added)
         seen |= added
     # Between them the commands import every atlab module.
     assert {"atlab." + info.name for info in pkgutil.iter_modules(atlab.__path__)} <= seen

@@ -2,7 +2,8 @@
 and the metric scaling law, D_Ar is modular invariant, the q-product
 inequality holds, the claims report's JSON writer gives json.dumps's indented
 text for any scalar leaves, and any argv through cli.main ends with a
-documented exit code and clean streams.
+documented exit code and clean streams, the same whether main builds the one
+subcommand's parser or the full one.
 
 Taus are drawn over the fundamental domain, its edges (|x| = 1/2 and the arc
 |tau| = 1), the corners y ~ 1e-4 and y ~ 1e4, and the strip |x| <= 3 around
@@ -18,12 +19,13 @@ import json
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from atlab import bounds, claims
+from atlab import bounds, claims, cli
 from atlab.cli import main
 from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, spectral_zeta
 from atlab.elliptic import bound_slack, d_ar_elliptic
@@ -224,3 +226,24 @@ def test_any_argv_ends_with_a_documented_exit_code_and_clean_streams(argv):
                 assert lines[0].startswith(f"usage: atlab {chosen} "), (argv, err)
         else:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(ARGVS)
+@example(["-h", "torus-det"])  # help before the command: the full parser's
+@example(["bound", "-h"])
+@example(["torus-det", "--tau=0,1", "--h"])  # a prefix of the top-level --help
+def test_the_one_subcommand_parser_equals_the_full_parser(argv):
+    # main builds a parser holding only the subcommand argv starts with; the
+    # full parser must give the same exit code and the same bytes on both
+    # streams.
+    runs = []
+    build_parser = cli.build_parser
+    for build in (build_parser, lambda _command: build_parser()):  # the lookup, then a miss
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "build_parser", build), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1], argv
+
