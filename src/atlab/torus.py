@@ -81,14 +81,13 @@ def _q_values(x: float, y: float, qmax: float) -> list[float]:
 
 
 def _expint(p: float, z: float) -> float:
-    """E_p(z) at one point: _e_p with its own exp and, for z < 1, E_q(1)."""
-    return _e_p(p, z, math.exp(-z), _expint(p + math.ceil(max(-p, 0.0)), 1.0) if z < 1.0 else 0.0)
+    """E_p(z) at one point: _e_p with its own exp."""
+    return _e_p(p, z, math.exp(-z))
 
 
-def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
-    """E_p(z) = int_1^inf w^-p e^(-z w) dw from e_z = e^-z and, read if z < 1,
-    e_q1 = E_q(1), q = p + ceil(-p) if p < 0 else p: within 1.2e-15 relative
-    of mpmath for -10 <= p <= 11 and pi / ORACLE_Y_MAX <= z <= 41.5.
+def _e_p(p: float, z: float, e_z: float) -> float:
+    """E_p(z) = int_1^inf w^-p e^(-z w) dw from e_z = e^-z: within 1.2e-15
+    relative of mpmath for -10 <= p <= 11 and pi / ORACLE_Y_MAX <= z <= 41.5.
 
     p = 0 is e^-z / z; a negative p steps down from q by
     E_q = (e^-z - q E_{q+1}) / z, a sum of positive terms.  For z >= 1 it is
@@ -100,13 +99,15 @@ def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
 
     where the textbook Gamma(1-p) z^(p-1) - sum ... loses about eps/|p - n|
     next to an integer n.  expm1 serves |a L| < 1 only: elsewhere the
-    rounding of a L would cost |a L| ulps that pow does not."""
+    rounding of a L would cost |a L| ulps that pow does not.  E_p(1) is the
+    fraction's value: _E1_OF_1 at p = 1, the order of every term of G(0),
+    and _expint(p, 1.0) at any other p, evaluated where the series reads it."""
     if p <= 0.0:
         if p == 0.0:
             return e_z / z
         k = math.ceil(-p)
         q = p + k
-        value = _e_p(q, z, e_z, e_q1)
+        value = _e_p(q, z, e_z)
         for _ in range(k):
             q -= 1.0
             value = (e_z - q * value) / z
@@ -124,7 +125,7 @@ def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
             step = term * phi
             total += step
             if abs(step) <= 1e-17 * abs(total):
-                return z ** (p - 1.0) * e_q1 + total
+                return z ** (p - 1.0) * (_E1_OF_1 if p == 1.0 else _expint(p, 1.0)) + total
             k += 1
             term *= -z / k
     steps = _CF_STEPS[bisect_right(_CF_EDGES, z) - 1]
@@ -135,16 +136,21 @@ def _e_p(p: float, z: float, e_z: float, e_q1: float) -> float:
     return e_z / t
 
 
-_E1_OF_1 = _expint(1.0, 1.0)  # E_1(1): input-free, read by every series term of G(0)
+_E1_OF_1 = _expint(1.0, 1.0)  # E_1(1), the fraction at z = 1: _e_p's series reads it at p = 1
 _Q_CUT = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi  # lattice terms past this Q are below it
 _LOGDET_HEAD = EULER_GAMMA + 1.0 - math.log(4.0 * math.pi)  # log det = _LOGDET_HEAD - G(0)
 
 
 def _rgamma(s: float) -> float:
-    """1/Gamma(s), zero at the poles s = 0, -1, -2, ..."""
+    """1/Gamma(s), zero at the poles s = 0, -1, -2, ..., and s itself where
+    Gamma(s) overflows (0 < |s| < ~5.6e-309): the double nearest
+    1/Gamma(s) = s (1 + gamma_E s + ...)."""
     if s <= 0.0 and s == round(s):
         return 0.0
-    return 1.0 / math.gamma(s)
+    try:
+        return 1.0 / math.gamma(s)
+    except OverflowError:
+        return s
 
 
 def _mellin_g(torus: UnitTorus, s: float) -> float:
@@ -161,13 +167,13 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
     the eta closed form's.  Q is enumerated once, up to the cut _Q_CUT (~13.2);
     Q_min <= 2/sqrt(3) (the Hermite constant), so it is never empty.
 
-    One pass over the terms: each takes one exp, shared by both orders, and at
-    each order a continued fraction (pi Q >= 1) or the series.  At s = 0 the
-    orders are 1 and 0: the fraction reads k*k for k (p - 1 + k), E_0(z) is
-    e^-z / z and the series reads _E1_OF_1; at other s, each order's E_q(1)
-    is evaluated once per call.  Each term has the bits of _expint alone.
-    At s = 0 the terms are taken in ascending z: a z equal to the one before
-    appends that term again, with no exp and no fraction (a square or
+    At s != 0 each term is _expint at both orders, so a term with pi Q < 1
+    evaluates the E_q(1) its series reads, and a call without one none.  At
+    s = 0 the orders are 1 and 0 and each term takes one exp for both: the
+    continued fraction (pi Q >= 1) reads k*k for k (p - 1 + k), E_0(z) is
+    e^-z / z and the series reads _E1_OF_1, so each term has the bits of
+    _expint alone.  The terms are taken in ascending z: a z equal to the one
+    before appends that term again, with no exp and no fraction (a square or
     hexagonal lattice repeats most of its Q values, e.g. 22 terms hold 8
     distinct at tau = i), and the fraction's depth is looked up only when z
     passes its bin's upper edge.  The bits cannot move: equal z gives an
@@ -179,17 +185,14 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
                          f"got y' = {y!r} for tau = {tau.x!r}+{tau.y!r}i")
     zs = [math.pi * q for q in _q_values(x, y, _Q_CUT)]
     if s:
-        p = 1.0 - s
-        e_p1, e_s1 = [_expint(o + math.ceil(max(-o, 0.0)), 1.0) for o in (p, s)]
-        return 2.0 * math.fsum([_e_p(p, z, e_z, e_p1) + _e_p(s, z, e_z, e_s1)
-                                for z in zs for e_z in [math.exp(-z)]])
+        return 2.0 * math.fsum([_expint(1.0 - s, z) + _expint(s, z) for z in zs])
     zs.sort()
     terms, last, edge = [], 0.0, 1.0
     for z in zs:
         if z != last:
             last, e_z = z, math.exp(-z)
             if z < 1.0:
-                e_1 = _e_p(1.0, z, e_z, _E1_OF_1)
+                e_1 = _e_p(1.0, z, e_z)
             else:
                 if z >= edge:
                     i = bisect_right(_CF_EDGES, z)

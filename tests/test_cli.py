@@ -373,8 +373,15 @@ def cli_digests(workdir: pathlib.Path) -> dict:
 
 def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
     # The table windows cross the 10/11 and 3579/3580 annotation changes and
-    # end at 2**53.  CHANGES.md records why each entry was refrozen.
-    assert cli_digests(tmp_path) == json.loads(GOLDEN.read_text())
+    # end at 2**53.  CHANGES.md records why each entry was refrozen.  The
+    # file is the exact text tests/regen_cli_digests.py writes, and that
+    # script's import of this module still resolves (tests/ is first on
+    # sys.path under pytest, as it is when the script runs).
+    import regen_cli_digests
+    assert regen_cli_digests.GOLDEN == GOLDEN
+    digests = cli_digests(tmp_path)
+    assert digests == json.loads(GOLDEN.read_text())
+    assert GOLDEN.read_text() == json.dumps(digests, indent=2) + "\n"
 
 
 def test_child_processes_print_the_frozen_bytes():
@@ -476,6 +483,25 @@ def test_verify_claims_unknown_id(capsys):
 
 def test_verify_claims_strict_passes_with_shipped_allowlist(capsys):
     assert run(capsys, "verify-claims", "--strict")[0] == 0
+
+
+def test_verify_claims_strict_fails_and_warns_on_a_stale_allowlist(monkeypatch, tmp_path, capsys):
+    # CL-11 (DISCREPANT) drops out of the allowlist and CL-01 (CONFIRMED) goes
+    # in: --strict exits 1 after the full report, which warns about CL-01, and
+    # the --json file is still written.
+    from atlab import claims
+    monkeypatch.setattr(claims, "EXPECTED_DISCREPANT",
+                        ("CL-01", "CL-12", "CL-14", "CL-19-statement"))
+    path = tmp_path / "report.json"
+    for argv in (("verify-claims", "--strict"),
+                 ("verify-claims", "--strict", "--json", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out.endswith(
+            "warning: CL-01: listed in the expected-discrepant allowlist but CONFIRMED\n"
+            "summary: confirmed=24  discrepant=4  assumed=1  ambiguous=1  errored=0\n")
+        assert err == "strict: non-allowlisted discrepancies present\n"
+    assert json.loads(path.read_text())["summary"]["discrepant"] == 4
 
 
 def test_verify_claims_json_roundtrip(tmp_path, capsys):

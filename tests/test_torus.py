@@ -223,6 +223,14 @@ def test_spectral_zeta_at_zero_all_samples():
         assert spectral_zeta(UnitTorus(tau), 0.0) == -1.0
 
 
+def test_spectral_zeta_next_to_zero_where_gamma_overflows():
+    # math.gamma(s) overflows for 0 < |s| < ~5.6e-309; there 1/Gamma(s) rounds
+    # to s itself, and zeta(s) to the -1.0 it is at s = 0.
+    for tau in (TAU_I, UpperHalfPoint(0.3, 100.0), UpperHalfPoint(0.3, 1e-4)):
+        for s in (5e-324, -5e-324, 1e-310, -5.5e-309):
+            assert spectral_zeta(UnitTorus(tau), s) == -1.0, (tau, s)
+
+
 def test_spectral_zeta_square_lattice_s2():
     assert abs(spectral_zeta(UnitTorus(TAU_I), 2.0) - ZETA2_SQUARE_LATTICE) <= 1e-12
 
@@ -361,7 +369,10 @@ def test_oracle_keeps_the_bits_of_the_reference_kernel(monkeypatch):
     assert got == bits(logdet_oracle(t) for t in taus)
 
 
-@pytest.mark.parametrize("s", (-10.0, -2.5, -1.0, -0.5, 0.5, 1.5, 2.0, 2.999, 3.0))
+# At s = 1e-300 the order 1 - s rounds to 1.0, and at s = -1e-300 the step-down
+# lands on q = 1.0, so the series reads _E1_OF_1 away from s = 0.
+@pytest.mark.parametrize("s", (-10.0, -2.5, -1.0, -0.5, -1e-300, 1e-300, 0.5, 1.5, 2.0, 2.999,
+                               3.0))
 def test_spectral_zeta_keeps_the_bits_of_the_reference_kernel(monkeypatch, s):
     taus = bit_taus()
     got = bits(spectral_zeta(t, s) for t in taus)
@@ -420,12 +431,12 @@ def test_oracle_evaluates_each_distinct_lattice_term_once(monkeypatch):
         assert len(calls) == count, tau
 
 
-def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
-    # 0.3 + 100i has five terms with pi Q < 1, each of which needs E_q(1) at
-    # both orders of G(s) (1 - s and s, or the order a negative one steps
-    # down from).  logdet_oracle reads E_1(1) from the module constant and
-    # evaluates none; spectral_zeta evaluates it once per order and call,
-    # with or without such a term.  s = 1/2 takes both at order 1/2.
+def test_mellin_g_evaluates_e_p_of_1_only_where_a_term_reads_it(monkeypatch):
+    # E_q(1) is read by the series, at the terms with pi Q < 1: 0.3 + 100i has
+    # five, 0.3 + 1.7i none.  G(0) reads E_1(1) from the module constant, so
+    # logdet_oracle and compare_logdet evaluate none; at other s each such
+    # term evaluates it once per order (1 - s and s, or the order a negative
+    # one steps down from), and a lattice without one evaluates none.
     calls = []
     expint = torus._expint
 
@@ -435,18 +446,19 @@ def test_mellin_g_evaluates_each_e_p_of_1_once(monkeypatch):
         return expint(p, z)
 
     monkeypatch.setattr(torus, "_expint", counted)
-    near, far = UnitTorus(UpperHalfPoint(0.3, 100.0)), UnitTorus(UpperHalfPoint(0.3, 1.7))
+    near, far = UpperHalfPoint(0.3, 100.0), UpperHalfPoint(0.3, 1.7)
     cut = math.log(1.0 / LATTICE_TAIL_TOL) / math.pi
     assert sum(math.pi * q < 1.0 for q in _q_values(0.3, 100.0, cut)) == 5
     assert not any(math.pi * q < 1.0 for q in _q_values(0.3, 1.7, cut))
-    for t, s, orders in ((near, 0.0, []), (near, -2.5, [0.5, 3.5]), (near, 0.5, [0.5, 0.5]),
-                         (far, 0.0, []), (far, -2.5, [0.5, 3.5])):
+    for tau in (near, far):
+        logdet_oracle(UnitTorus(tau))
+        compare_logdet(tau)
+    assert calls == []
+    for tau, s, orders in ((far, -2.5, []), (far, 0.5, []),
+                           (near, -2.5, [0.5] * 5 + [3.5] * 5), (near, 0.5, [0.5] * 10)):
         calls.clear()
-        if s == 0.0:
-            logdet_oracle(t)
-        else:
-            spectral_zeta(t, s)
-        assert sorted(calls) == orders, (t, s)
+        spectral_zeta(UnitTorus(tau), s)
+        assert sorted(calls) == orders, (tau, s)
 
 
 def test_e1_of_1_is_the_kernel_value():
