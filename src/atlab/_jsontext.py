@@ -14,8 +14,6 @@ without, and a number, true, false or null holds none; so splitting the
 text at U+001F gives back each leaf's own text, whatever the strings hold.
 """
 
-from __future__ import annotations
-
 import json
 from itertools import chain, islice
 

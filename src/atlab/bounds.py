@@ -22,8 +22,6 @@ upper_bound_logdet or table has checked the genus, form and area variant;
 e_of_g returns one of its fields.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -40,8 +40,6 @@ Forensic notes baked into the expectations:
   cross-check, at y = 0.05, 1, 100.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import partial

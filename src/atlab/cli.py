@@ -22,8 +22,6 @@ subcommand argv[0] names (the full parser for any other argv), and each
 subcommand imports what only it uses: only bound and table load atlab.bounds.
 """
 
-from __future__ import annotations
-
 import argparse
 import operator
 import os
@@ -57,6 +55,16 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def _write_file(path: str, write, newline: str | None = None) -> None:
+    """Run write(fh) on PATH opened for text.  An OSError from the open, a write
+    or the close is re-raised as OSError(errno, strerror, PATH): main's exit 2."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _parse_tau(text: str, parser: argparse.ArgumentParser) -> UpperHalfPoint:
@@ -141,22 +149,18 @@ def _cmd_table(args, parser) -> int:
     from . import bounds
     rows = bounds.table(args.g_from, args.g_to, args.form, args.area)
     if args.csv is not None:  # an empty PATH fails to open, like any unwritable one
-        import csv
-        try:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TABLE_COLUMNS)
-                writer.writerows([_fmt(v) for v in rec] for rec in _table_records(rows))
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, args.csv) from None
+        def write_csv(fh):
+            import csv
+            writer = csv.writer(fh)
+            writer.writerow(TABLE_COLUMNS)
+            writer.writerows([_fmt(v) for v in rec] for rec in _table_records(rows))
+        _write_file(args.csv, write_csv, newline="")
     if args.json is not None:
-        from ._jsontext import dump_object_array
-        try:
-            with open(args.json, "w") as fh:
-                dump_object_array(fh, TABLE_COLUMNS, _table_records(rows))
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, args.json) from None
+        def write_json(fh):
+            from ._jsontext import dump_object_array
+            dump_object_array(fh, TABLE_COLUMNS, _table_records(rows))
+            fh.write("\n")
+        _write_file(args.json, write_json)
     if args.csv is not None or args.json is not None:
         return 0
     print("  ".join(f"{c:>16s}" for c in TABLE_COLUMNS))
@@ -180,12 +184,7 @@ def _cmd_verify_claims(args, parser) -> int:
     except KeyError as exc:
         parser.error(str(exc.args[0]))
     if args.json is not None:  # before the text report, so a write error leaves stdout empty
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, args.json) from None
+        _write_file(args.json, lambda fh: fh.write(report.to_json() + "\n"))
     for rec in report.records:
         delta = "" if rec.delta is None else f"  delta={_fmt(rec.delta)}"
         print(f"{rec.id:18s} {rec.status:10s} [{rec.location}] "
@@ -219,11 +218,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="tau = x + iy as two decimals 'x,y' (y > 0); "
                             "write --tau=X,Y when x is negative")
 
-    def add_bound(p):
+    def add_form_area(p, form_help=None):  # only bound and table load atlab.bounds
         from . import bounds
-        p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact")
+        p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact", help=form_help)
         p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
+
+    def add_bound(p):
+        p.add_argument("--genus", type=int, required=True)
+        add_form_area(p)
         p.add_argument("--json", action="store_true")
 
     def add_elliptic(p):
@@ -236,13 +238,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="both exits 1 if |difference| > torus.AGREEMENT_TOL max(1, |closed|)")
 
     def add_table(p):
-        from . import bounds
         p.add_argument("--from", dest="g_from", type=int, required=True)
         p.add_argument("--to", dest="g_to", type=int, required=True)
-        p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact",
-                       help="changes nothing: every row carries both bounds (kept while "
-                            "the benchmark's genus_table workload passes it)")
-        p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
+        add_form_area(p, "changes nothing: every row carries both bounds (kept while "
+                         "the benchmark's genus_table workload passes it)")
         p.add_argument("--csv", metavar="PATH")
         p.add_argument("--json", metavar="PATH")
 

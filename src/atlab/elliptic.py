@@ -21,14 +21,20 @@ every tau, since log|prod (1 - q^n)| <= |q|/(1 - |q|) <= 1/(2 pi y); CL-19
 (claims) certifies the bound from that inequality.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
 from .numerics import LN_2PI, UpperHalfPoint, _qseries, _reduce, log_abs_eta
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0  # the double just below sqrt(3)/2: every reduced y' is >= it
+
+
+def _finite(value: float, routine: str, tau: UpperHalfPoint) -> float:
+    """value, or ValueError naming routine and tau where it overflowed to inf."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{routine} overflows at tau = {tau.x!r} + {tau.y!r}i "
+                         f"(above the largest double {sys.float_info.max!r})")
+    return value
 
 
 def log_arakelov_area(tau: UpperHalfPoint) -> float:
@@ -64,9 +70,11 @@ def _d_ar_at(x: float, y: float) -> float:
 
 
 def elliptic_upper_bound_log(tau: UpperHalfPoint) -> float:
-    """log(2 pi y^2 e^(-pi y/2 + 3/(pi y))); depends on y only."""
+    """log(2 pi y^2 e^(-pi y/2 + 3/(pi y))); depends on y only.  ValueError
+    below y ~ 5.3e-309, where 3/(pi y) overflows."""
     y = tau.y
-    return LN_2PI + 2.0 * math.log(y) - 0.5 * math.pi * y + 3.0 / (math.pi * y)
+    return _finite(LN_2PI + 2.0 * math.log(y) - 0.5 * math.pi * y + 3.0 / (math.pi * y),
+                   "elliptic_upper_bound_log", tau)
 
 
 def bound_slack(tau: UpperHalfPoint) -> float:
@@ -74,13 +82,14 @@ def bound_slack(tau: UpperHalfPoint) -> float:
     3/(pi y) - 6 log|prod (1 - q^n)| at every tau: free of the cancellation
     between two values near -pi y/2 at large y.  Where y >= sqrt(3)/2 the
     q-product is the series at x - round(x) (exact in doubles); below, it is
-    log_abs_eta(tau) + pi y/12, through the exactly reduced point."""
+    log_abs_eta(tau) + pi y/12, through the exactly reduced point.  ValueError
+    where the sum overflows: below y ~ 5.3e-309, or at a cusp (0.5 + 5.4e-309i)."""
     y = tau.y
     if y >= _SQRT3_2:
         log_qprod = _qseries(tau.x - round(tau.x), y)
     else:
         log_qprod = log_abs_eta(tau) + math.pi * y / 12.0
-    return 3.0 / (math.pi * y) - 6.0 * log_qprod
+    return _finite(3.0 / (math.pi * y) - 6.0 * log_qprod, "bound_slack", tau)
 
 
 def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> float:
@@ -92,10 +101,11 @@ def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> flo
     delta vs delta' offset).  The two readings differ by a constant the
     source leaves ambiguous at g = 1, so both are exposed as data and the
     claims registry records the comparison instead of adjudicating.
+    ValueError where -6 D_Ar overflows: reduced y' above ~2.86e307.
     """
     if reading not in ("direct", "shifted"):
         raise ValueError("reading must be 'direct' or 'shifted'")
     value = -6.0 * d_ar_elliptic(tau) + (-8.0 * LN_2PI)
     if reading == "shifted":
         value += 4.0 * LN_2PI
-    return value
+    return _finite(value, "faltings_delta_elliptic", tau)

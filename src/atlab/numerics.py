@@ -18,8 +18,6 @@ All functions are pure and deterministic, and run to the fixed truncations
 set by the module constants below; there is no global mutable state.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

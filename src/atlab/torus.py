@@ -27,8 +27,6 @@ The closed form log det = log(y |eta(tau)|^4) is the genus-1 invariant D_Ar
 point; it never enters the oracle path.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from typing import NamedTuple

@@ -730,7 +730,8 @@ def test_failed_stdout_write_exits_2_with_one_error_line(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", (["table", "--from", "2", "--to", "3", "--json", "/dev/full"],
+@pytest.mark.parametrize("argv", (["table", "--from", "2", "--to", "3", "--csv", "/dev/full"],
+                                  ["table", "--from", "2", "--to", "3", "--json", "/dev/full"],
                                   ["verify-claims", "--json", "/dev/full"]))
 def test_failed_file_write_exits_2_with_one_error_line(capsys, argv):
     # A full disk is not a usage error: the file write fails like a stdout

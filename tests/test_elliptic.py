@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from atlab.elliptic import (
     faltings_delta_elliptic,
     log_arakelov_area,
 )
-from atlab.numerics import LN_2PI, UpperHalfPoint
+from atlab.numerics import LN_2PI, TAU_Y_MAX, UpperHalfPoint, log_abs_eta
 from atlab.torus import logdet_closed
 
 TAU_I = UpperHalfPoint(0.0, 1.0)
@@ -83,6 +84,45 @@ def test_area_raises_where_it_underflows():
     for y in (1400.0, 2000.0, 4000.0):
         with pytest.raises(ValueError, match="underflows"):
             arakelov_area(UpperHalfPoint(0.3, y))
+
+
+# Corners of the domain: the underflow and overflow edges of y, a cusp at
+# x = 0.5, a point near one, and |x| far from the strip.
+CORNER_XS = (0.0, 0.5, 0.123456789, -0.4972609819432181, -3.0, 1e308)
+CORNER_YS = (5e-324, 1e-320, 5.3e-309, 5.4e-309, 1e-300, 1e-20, 1e-4, 0.5, 1.0, 1e4,
+             1e300, 2.8e307, 2.9e307, TAU_Y_MAX)
+GENUS1_FUNCTIONS = (
+    arakelov_area, log_arakelov_area, arakelov_logdet, d_ar_elliptic,
+    elliptic_upper_bound_log, bound_slack, faltings_delta_elliptic,
+    partial(faltings_delta_elliptic, reading="shifted"), log_abs_eta,
+)
+
+
+@pytest.mark.parametrize("x", CORNER_XS)
+def test_genus1_functions_return_a_finite_float_or_raise_on_the_corner_grid(x):
+    for y in CORNER_YS:
+        tau = UpperHalfPoint(x, y)
+        for fn in GENUS1_FUNCTIONS:
+            try:
+                value = fn(tau)
+            except ValueError:
+                continue
+            assert isinstance(value, float) and math.isfinite(value), (fn, tau, value)
+
+
+@pytest.mark.parametrize("fn, x, y, y_finite", (
+    (elliptic_upper_bound_log, 0.123456789, 5.3e-309, 5.4e-309),  # 3/(pi y)
+    (bound_slack, 0.123456789, 5.3e-309, 5.4e-309),
+    (bound_slack, 0.5, 5.4e-309, 1e-300),  # the q-product term at the cusp
+    (faltings_delta_elliptic, 0.0, 2.9e307, 2.8e307),  # -6 D_Ar
+))
+def test_overflow_raises_naming_routine_tau_and_the_largest_double(fn, x, y, y_finite):
+    assert math.isfinite(fn(UpperHalfPoint(x, y_finite)))
+    with pytest.raises(ValueError) as info:
+        fn(UpperHalfPoint(x, y))
+    message = str(info.value)
+    for part in (fn.__name__, repr(x), repr(y), repr(sys.float_info.max)):
+        assert part in message
 
 
 def test_arakelov_logdet_at_i():
