@@ -25,7 +25,7 @@ e_of_g returns one of its fields.
 import math
 from typing import NamedTuple
 
-from .numerics import LN_2PI, LN_2PI4, ZETA_PRIME_MINUS1, exp_integral_e1
+from .numerics import LN_2PI, LN_2PI4, ZETA_PRIME_MINUS1, _domain_error, exp_integral_e1
 
 AREA_VARIANTS = ("e4pi", "c36")
 BOUND_FORMS = ("exact", "simplified")
@@ -74,20 +74,13 @@ _LN_4, _LN_36 = math.log(4.0), math.log(36.0)
 _AREA_HEAD = {"e4pi": 1.0 + math.log(4.0 * math.pi), "c36": _LN_36}
 
 
-def _genera(g, minimum: int) -> float:
-    """Check g is an int or float (not bool; numpy.float64 is a float) holding
-    an integer in [minimum, 2**53], where g * (g - 1) rounds once in float64
-    like the exact Python-int product; return it as a float."""
-    if not isinstance(g, (int, float)) or isinstance(g, bool):
-        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {g!r}")
-    if g != g:  # nan passes both range comparisons
-        raise ValueError("genus must be finite, got nan")
-    if g < minimum:
-        raise ValueError(f"genus must be >= {minimum}, got {g}")
-    if g > MAX_GENUS:
-        raise ValueError(f"genus must be <= 2**53, got {g}")
-    if not float(g).is_integer():
-        raise ValueError(f"genus must be an integer in [{minimum}, 2**53], got {float(g)!r}")
+def _genera(g, minimum: int, routine: str, name: str = "g") -> float:
+    """g as a float if it is an int or float (not bool; numpy.float64 is a float)
+    holding an integer in [minimum, 2**53], where g * (g - 1) rounds once in float64
+    like the exact Python-int product; else routine's domain error naming g `name`."""
+    if not (isinstance(g, (int, float)) and not isinstance(g, bool)  # NaN fails the range, and
+            and minimum <= g <= MAX_GENUS and float(g).is_integer()):  # ints past it skip float()
+        raise _domain_error(routine, f"an integer genus in [{minimum}, 2**53]", **{name: g})
     return float(g)
 
 
@@ -97,7 +90,7 @@ def _wilms(g):
 
 def wilms_lower(g):
     """Lower bound -2 g log(2 pi^4) on the delta invariant, g >= 1."""
-    return _wilms(_genera(g, 1))
+    return _wilms(_genera(g, 1, "wilms_lower"))
 
 
 class BoundBreakdown(NamedTuple):
@@ -119,11 +112,10 @@ class BoundBreakdown(NamedTuple):
     upper_simplified: float
 
 
-def _check_options(form: str, area_variant: str) -> None:
-    if form not in BOUND_FORMS:
-        raise ValueError(f"form must be one of {BOUND_FORMS}, got {form!r}")
-    if area_variant not in AREA_VARIANTS:
-        raise ValueError(f"variant must be one of {AREA_VARIANTS}, got {area_variant!r}")
+def _check_options(form: str, area_variant: str, routine: str) -> None:
+    if form not in BOUND_FORMS or area_variant not in AREA_VARIANTS:
+        raise _domain_error(routine, f"form in {BOUND_FORMS} and area_variant in {AREA_VARIANTS}",
+                            form=form, area_variant=area_variant)
 
 
 def _breakdown(g, gf: float, area_variant: str) -> BoundBreakdown:
@@ -155,8 +147,8 @@ def _breakdown(g, gf: float, area_variant: str) -> BoundBreakdown:
 def upper_bound_logdet(g: int, form: str = "exact", area_variant: str = "c36") -> BoundBreakdown:
     """Assembled upper bound on log det(D_Ar) with the full term breakdown;
     `form` is only validated (both bounds are fields)."""
-    gf = _genera(g, 2)
-    _check_options(form, area_variant)
+    gf = _genera(g, 2, "upper_bound_logdet")
+    _check_options(form, area_variant, "upper_bound_logdet")
     return _breakdown(g, gf, area_variant)
 
 
@@ -197,12 +189,11 @@ def table(g_from: int, g_to: int, form: str = "exact",
     `form` is only validated and changes no row: every row carries both
     upper_exact and upper_simplified.  It stays while the benchmark's
     genus_table workload passes it."""
-    lo, hi = int(_genera(g_from, 2)), int(_genera(g_to, 2))
-    if lo > hi:
-        raise ValueError("need 2 <= g_from <= g_to <= 2**53")
-    if hi - lo >= MAX_TABLE_ROWS:
-        raise ValueError(f"a table has at most {MAX_TABLE_ROWS} rows, got {hi - lo + 1}")
-    _check_options(form, area_variant)
+    lo, hi = int(_genera(g_from, 2, "table", "g_from")), int(_genera(g_to, 2, "table", "g_to"))
+    if not 0 <= hi - lo < MAX_TABLE_ROWS:
+        raise _domain_error("table", f"g_from <= g_to < g_from + {MAX_TABLE_ROWS} "
+                            f"(at most {MAX_TABLE_ROWS} rows)", g_from=g_from, g_to=g_to)
+    _check_options(form, area_variant, "table")
     rows = []
     for g in range(lo, hi + 1):
         bd = _breakdown(g, float(g), area_variant)

@@ -55,6 +55,7 @@ from .numerics import (
     QSERIES_TAIL_TOL,
     ZETA_PRIME_MINUS1,
     UpperHalfPoint,
+    _domain_error,
 )
 
 STATUSES = ("CONFIRMED", "DISCREPANT", "ASSUMED", "AMBIGUOUS", "ERRORED")
@@ -357,7 +358,7 @@ def run_all(only: list[str] | None = None) -> ClaimReport:
     Raises KeyError for unknown ids in `only`, ValueError for an empty `only`.
     """
     if only is not None and not only:
-        raise ValueError("only names no claim id")
+        raise _domain_error("run_all", "at least one claim id", only=only)
     registry = builtin_registry()
     if only is not None:
         known = {c.id for c in registry}

@@ -12,9 +12,9 @@ lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
 usage error, an unrecognized argument included, prints that subcommand's
 usage block; a --tau that is not two decimal literals is one.  A --tau whose
 value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
-TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error and
-prints one `error:` line.  Every series runs to a fixed truncation at the
-exactly reduced point, so no computation can fail to converge.
+TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error:
+one `error: ROUTINE(NAME=VALUE, ...): needs LIMIT` line.  Every series runs
+to a fixed truncation at the exactly reduced point: none can fail to converge.
 All output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so main builds only the parser of the

@@ -24,16 +24,15 @@ every tau, since log|prod (1 - q^n)| <= |q|/(1 - |q|) <= 1/(2 pi y); CL-19
 import math
 import sys
 
-from .numerics import LN_2PI, UpperHalfPoint, _qseries, _reduce, log_abs_eta
+from .numerics import LN_2PI, UpperHalfPoint, _domain_error, _qseries, _reduce, log_abs_eta
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0  # the double just below sqrt(3)/2: every reduced y' is >= it
 
 
 def _finite(value: float, routine: str, tau: UpperHalfPoint) -> float:
-    """value, or ValueError naming routine and tau where it overflowed to inf."""
+    """value, or the domain error of routine at tau where it overflowed to inf."""
     if value > sys.float_info.max:
-        raise ValueError(f"{routine} overflows at tau = {tau.x!r} + {tau.y!r}i "
-                         f"(above the largest double {sys.float_info.max!r})")
+        raise _domain_error(routine, f"a result <= {sys.float_info.max!r}", tau=tau)
     return value
 
 
@@ -47,7 +46,7 @@ def arakelov_area(tau: UpperHalfPoint) -> float:
     normal double (reduced y above ~1370), which log_arakelov_area is not."""
     log_area = log_arakelov_area(tau)
     if log_area < math.log(sys.float_info.min):
-        raise ValueError(f"arakelov_area underflows (log_arakelov_area {log_area:.6g})")
+        raise _domain_error("arakelov_area", "log Area_Ar >= log(sys.float_info.min)", tau=tau)
     return math.exp(log_area)
 
 
@@ -61,7 +60,7 @@ def d_ar_elliptic(tau: UpperHalfPoint) -> float:
     so it is evaluated at the exactly reduced point tau' alone, as
     log y' - pi y'/3 + 4 log|prod (1 - q'^n)|: every exact image of tau gives
     the same bits, within 1e-15 |D_Ar| of 40-digit mpmath at tau'."""
-    return _d_ar_at(*_reduce(tau.x, tau.y)[:2])
+    return _d_ar_at(*_reduce(tau.x, tau.y, "d_ar_elliptic")[:2])
 
 
 def _d_ar_at(x: float, y: float) -> float:
@@ -104,7 +103,7 @@ def faltings_delta_elliptic(tau: UpperHalfPoint, reading: str = "direct") -> flo
     ValueError where -6 D_Ar overflows: reduced y' above ~2.86e307.
     """
     if reading not in ("direct", "shifted"):
-        raise ValueError("reading must be 'direct' or 'shifted'")
+        raise _domain_error("faltings_delta_elliptic", "'direct' or 'shifted'", reading=reading)
     value = -6.0 * d_ar_elliptic(tau) + (-8.0 * LN_2PI)
     if reading == "shifted":
         value += 4.0 * LN_2PI

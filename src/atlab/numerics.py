@@ -31,6 +31,18 @@ EM_CUTOFF, EM_ORDER = 12, 12  # Euler-Maclaurin direct-sum length N and Bernoull
 TAU_Y_MAX = sys.float_info.max / math.pi  # largest y with pi y (log|eta|'s -pi y/12) finite
 
 
+def _domain_error(routine: str, limit: str, **inputs) -> ValueError:
+    """Every domain error, a ValueError "routine(name=value, ...): needs limit":
+    each input by repr, or where repr refuses (past 4300 digits) by type and bit length."""
+    shown = []
+    for name, value in inputs.items():
+        try:
+            shown.append(f"{name}={value!r}")
+        except ValueError:
+            shown.append(f"{name}=<{type(value).__name__} of {value.bit_length()} bits>")
+    return ValueError(f"{routine}({', '.join(shown)}): needs {limit}")
+
+
 class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     """A point tau = x + iy in the upper half-plane (y > 0).  x and y must be
     Python ints or floats (a numpy.float64 is a float); a bool, str, complex,
@@ -42,14 +54,9 @@ class UpperHalfPoint(namedtuple("UpperHalfPoint", "x y")):
     def __new__(cls, x, y):
         if not (isinstance(x, (int, float)) and isinstance(y, (int, float))) \
                 or bool in (type(x), type(y)):
-            raise ValueError(f"tau must have real coordinates, got "
-                             f"{type(x).__name__} and {type(y).__name__}")
-        if not (abs(x) <= sys.float_info.max and abs(y) <= sys.float_info.max):
-            raise ValueError("tau must have finite coordinates")
-        if not y > 0.0:
-            raise ValueError("tau must satisfy y > 0")
-        if not y <= TAU_Y_MAX:
-            raise ValueError(f"tau must satisfy y <= {TAU_Y_MAX!r} (pi y finite)")
+            raise _domain_error("UpperHalfPoint", "int or float coordinates, not bool", x=x, y=y)
+        if not (abs(x) <= sys.float_info.max and 0.0 < y <= TAU_Y_MAX):  # TAU_Y_MAX: pi y finite
+            raise _domain_error("UpperHalfPoint", f"finite x and 0 < y <= {TAU_Y_MAX!r}", x=x, y=y)
         return super().__new__(cls, x, y)
 
 
@@ -60,7 +67,7 @@ class ModularTransform(namedtuple("ModularTransform", "a b c d")):
 
     def __new__(cls, a, b, c, d):
         if a * d - b * c != 1:
-            raise ValueError("transform must be unimodular (ad - bc = 1)")
+            raise _domain_error("ModularTransform", "ad - bc = 1", a=a, b=b, c=c, d=d)
         return super().__new__(cls, a, b, c, d)
 
 
@@ -68,22 +75,22 @@ def reduce_to_fundamental_domain(tau: UpperHalfPoint) -> tuple[UpperHalfPoint, M
     """Reduce tau to |x| <= 1/2, x^2 + y^2 >= 1, exactly: (tau', T) with
     tau' = T(tau) for the doubles tau holds, x' and y' each correctly rounded.
     Raises ValueError where y' is above TAU_Y_MAX (tau = 0 + 1e-310i, say)."""
-    x, y, a, b, c, d = _reduce(tau.x, tau.y)
+    x, y, a, b, c, d = _reduce(tau.x, tau.y, "reduce_to_fundamental_domain")
     return UpperHalfPoint(x, y), ModularTransform(a, b, c, d)
 
 
-def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
+def _reduce(x: float, y: float, routine: str) -> tuple[float, float, int, int, int, int]:
     """The reduced (x', y') and the transform's (a, b, c, d), with no objects
     built, by Lagrange-Gauss reduction (Cohen, GTM 138, ch. 5).  With x = X/L,
     y = Y/L, L a power of two, L^2 |u + tau v|^2 = A u^2 + 2h uv + C v^2 for
     (A, h, C) = (L^2, XL, X^2 + Y^2), whose point is (h + i LY)/A.  S maps it
     to (C, -h, A), T^k adds k to h/A; each S lowers the integer A, so the loop
-    ends, with |h| <= A/2 and A <= C."""
+    ends, with |h| <= A/2 and A <= C; a y' past TAU_Y_MAX is routine's domain error."""
     k = round(x)
-    x -= k  # exact in doubles
+    u = x - k  # exact in doubles
     if y >= 1.0:  # already reduced
-        return x, y, 1, -k, 0, 1
-    X, L = x.as_integer_ratio()
+        return u, y, 1, -k, 0, 1
+    X, L = u.as_integer_ratio()
     Y, M = y.as_integer_ratio()
     if L < M:
         X, L = X * (M // L), M
@@ -97,12 +104,12 @@ def _reduce(x: float, y: float) -> tuple[float, float, int, int, int, int]:
         A, h, C = C, t, A + k * (t - h)
         a, b, c, d = k * a - c, k * b - d, a, b
     try:
-        y = L * Y / A
+        v = L * Y / A
     except OverflowError:  # y' above the largest double
-        y = math.inf
-    if y > TAU_Y_MAX:
-        raise ValueError(f"tau's reduced y' must be <= {TAU_Y_MAX!r}: tau is too near the real axis")
-    return h / A, y, a, b, c, d
+        v = math.inf
+    if v > TAU_Y_MAX:
+        raise _domain_error(routine, f"a reduced y' <= {TAU_Y_MAX!r}", tau=UpperHalfPoint(x, y))
+    return h / A, v, a, b, c, d
 
 
 def _qseries(x: float, y: float) -> float:
@@ -136,7 +143,7 @@ def log_abs_eta(tau: UpperHalfPoint) -> float:
     with D_Ar = log y + 4 log|eta|; the |log y| is the correction's log y.
     (elliptic.d_ar_elliptic computes D_Ar at the reduced point alone.)
     """
-    x, y, _, _, _, _ = _reduce(tau.x, tau.y)
+    x, y, _, _, _, _ = _reduce(tau.x, tau.y, "log_abs_eta")
     val = -math.pi * y / 12.0 + _qseries(x, y)
     return val + 0.25 * (math.log(y) - math.log(tau.y))
 
@@ -149,7 +156,7 @@ def exp_integral_e1(x: float) -> float:
     Raises ValueError for any other x (NaN and inf included).
     """
     if not 0.0 < x <= 1.0:
-        raise ValueError(f"exp_integral_e1 requires 0 < x <= 1, got x = {x!r}")
+        raise _domain_error("exp_integral_e1", "0 < x <= 1", x=x)
     total = term = x
     k = 1
     while abs(term) > 1e-18 * abs(total):
@@ -188,7 +195,7 @@ def zeta_em_deriv(s: float) -> float:
     <= 1e-12 on -2 <= s <= 0; raises ValueError outside that range.
     """
     if not -2.0 <= s <= 0.0:
-        raise ValueError(f"zeta_em_deriv is accurate only on -2 <= s <= 0, got s = {s!r}")
+        raise _domain_error("zeta_em_deriv", "-2 <= s <= 0 (where it is accurate)", s=s)
     n_cut, order = EM_CUTOFF, EM_ORDER
     ln_n = math.log(n_cut)
     terms = [-math.log(n) * float(n) ** (-s) for n in range(2, n_cut + 1)]

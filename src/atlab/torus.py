@@ -32,7 +32,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .elliptic import _d_ar_at, d_ar_elliptic
-from .numerics import EULER_GAMMA, UpperHalfPoint, _reduce
+from .numerics import EULER_GAMMA, UpperHalfPoint, _domain_error, _reduce
 
 ZETA_S_MIN, ZETA_S_MAX = -10.0, 11.0  # spectral_zeta's verified range
 LATTICE_TAIL_TOL = 1e-18  # lattice heat sums drop terms below this
@@ -151,13 +151,13 @@ def _rgamma(s: float) -> float:
         return s
 
 
-def _mellin_g(torus: UnitTorus, s: float) -> float:
+def _mellin_g(torus: UnitTorus, s: float, routine: str) -> float:
     """G(s) at tau's exactly reduced point (x', y'), by _mellin_g_at."""
-    x, y, _, _, _, _ = _reduce(torus.tau.x, torus.tau.y)
-    return _mellin_g_at(x, y, s, torus.tau)
+    x, y, _, _, _, _ = _reduce(torus.tau.x, torus.tau.y, routine)
+    return _mellin_g_at(x, y, s, torus.tau, routine)
 
 
-def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
+def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint, routine: str) -> float:
     """G(s) = sum'_Q [E_{1-s}(pi Q) + E_s(pi Q)] at (x, y), the exactly reduced
     point of tau, rounded once (math.fsum) over half the lattice and doubled.
     An exact SL2(Z) image spans the same lattice, so the Q family is tau's,
@@ -176,11 +176,10 @@ def _mellin_g_at(x: float, y: float, s: float, tau: UpperHalfPoint) -> float:
     distinct at tau = i), and the fraction's depth is looked up only when z
     passes its bin's upper edge.  The bits cannot move: equal z gives an
     equal term, and fsum is exactly rounded, so the terms' order is free.
-    y' above ORACLE_Y_MAX raises ValueError naming tau before Q is enumerated.
+    y' above ORACLE_Y_MAX is routine's domain error at tau, before Q is enumerated.
     """
     if not y <= ORACLE_Y_MAX:
-        raise ValueError(f"the spectral oracle needs the reduced y' <= {ORACLE_Y_MAX:g}, "
-                         f"got y' = {y!r} for tau = {tau.x!r}+{tau.y!r}i")
+        raise _domain_error(routine, f"a reduced y' <= {ORACLE_Y_MAX:g}", tau=tau)
     zs = [math.pi * q for q in _q_values(x, y, _Q_CUT)]
     if s:
         return 2.0 * math.fsum([_expint(1.0 - s, z) + _expint(s, z) for z in zs])
@@ -221,11 +220,10 @@ def spectral_zeta(torus: UnitTorus, s: float) -> float:
     taus with y down to 1e-12.  tau must be in logdet_oracle's domain (reduced
     y' <= ORACLE_Y_MAX), else ValueError.
     """
-    if not ZETA_S_MIN <= s <= ZETA_S_MAX:
-        raise ValueError(f"spectral_zeta needs {ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g}, got {s!r}")
-    if abs(s - 1.0) < 0.05:
-        raise ValueError("spectral_zeta has a simple pole at s = 1; need |s-1| >= 0.05")
-    g = _mellin_g(torus, s)
+    if not (ZETA_S_MIN <= s <= ZETA_S_MAX and abs(s - 1.0) >= 0.05):  # 1 is a simple pole
+        raise _domain_error("spectral_zeta", f"{ZETA_S_MIN:g} <= s <= {ZETA_S_MAX:g} and "
+                            "|s - 1| >= 0.05", s=s)
+    g = _mellin_g(torus, s, "spectral_zeta")
     return (4.0 * math.pi) ** -s * (_rgamma(s) * (g + 1.0 / (s - 1.0)) - _rgamma(s + 1.0))
 
 
@@ -242,7 +240,7 @@ def logdet_oracle(torus: UnitTorus) -> float:
     taken there, so every exact SL2(Z) image of tau gives the same bits.  A
     larger y' raises ValueError before anything is enumerated.
     """
-    return _LOGDET_HEAD - _mellin_g(torus, 0.0)
+    return _LOGDET_HEAD - _mellin_g(torus, 0.0, "logdet_oracle")
 
 
 # log det = log(y |eta(tau)|^4) = D_Ar, the closed form (modular invariant).
@@ -264,7 +262,7 @@ class DetComparison(NamedTuple):
 
 def compare_logdet(tau: UpperHalfPoint) -> DetComparison:
     """Both routes at tau's exactly reduced point (x', y'), reduced once."""
-    x, y, _, _, _, _ = _reduce(tau.x, tau.y)
+    x, y, _, _, _, _ = _reduce(tau.x, tau.y, "compare_logdet")
     closed = _d_ar_at(x, y)
-    oracle = _LOGDET_HEAD - _mellin_g_at(x, y, 0.0, tau)
+    oracle = _LOGDET_HEAD - _mellin_g_at(x, y, 0.0, tau, "compare_logdet")
     return DetComparison(closed, oracle, oracle - closed)

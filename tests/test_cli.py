@@ -21,7 +21,7 @@ import pytest
 import atlab
 from atlab import _jsontext, bounds, torus
 from atlab.cli import main
-from atlab.numerics import UpperHalfPoint
+from atlab.numerics import TAU_Y_MAX, UpperHalfPoint
 
 
 def run(capsys, *argv):
@@ -162,8 +162,10 @@ def test_torus_det_refuses_taus_outside_the_oracle_domain(capsys):
         for method in ("oracle", "both"):
             code, out, err = run(capsys, "torus-det", f"--tau={tau}", "--method", method)
             assert code == 2, (tau, method)
-            assert out == "" and err.count("\n") == 1, (tau, method)
-            assert err.startswith("error: the spectral oracle needs"), (tau, method)
+            routine = "logdet_oracle" if method == "oracle" else "compare_logdet"
+            point = UpperHalfPoint(*map(float, tau.split(",")))
+            assert out == "" and err == (f"error: {routine}(tau={point!r}): "
+                                         "needs a reduced y' <= 10000\n"), (tau, method)
         assert run(capsys, "torus-det", f"--tau={tau}", "--method", "closed")[0] == 0, tau
     done = subprocess.run([sys.executable, "-m", "atlab.cli", "torus-det", "--tau", "0,1e5"],
                           env=child_env(), capture_output=True, text=True, timeout=120)
@@ -189,7 +191,8 @@ def test_y_past_pi_y_overflow_exits_2(capsys):
                  ("torus-det", "--tau", "0.3,1e308"), ("elliptic", "--tau", "0.3,1e308")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert err.startswith("error: tau must satisfy y <= ") and err.count("\n") == 1, argv
+        assert err == (f"error: UpperHalfPoint(x=0.3, y=1e+308): needs finite x and "
+                       f"0 < y <= {TAU_Y_MAX!r}\n"), argv
 
 
 def test_table_csv(tmp_path, capsys):
@@ -386,10 +389,11 @@ def test_table_and_bound_bytes_match_the_frozen_digests(tmp_path):
 
 def test_child_processes_print_the_frozen_bytes():
     # main(None) reads sys.argv, which the in-process corpus never reaches:
-    # the full parser's lines and the torus_sweep benchmark's two commands.
+    # the full parser's lines, the torus_sweep benchmark's two commands and a
+    # domain error's one error: line.
     golden = json.loads(GOLDEN.read_text())
     for argv in (("--help",), ("bogus",), ("torus-det", "--tau", "0.3,1.7", "--method", "both"),
-                 ("elliptic", "--tau", "0.3,1.7", "--json")):
+                 ("elliptic", "--tau", "0.3,1.7", "--json"), ("elliptic", "--tau", "0,2000")):
         done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
                               capture_output=True, timeout=120)
         entry = {"exit": done.returncode, "stdout": hashlib.sha256(done.stdout).hexdigest(),
@@ -610,12 +614,13 @@ def test_tau_underflowing_norm_exits_2(capsys):
     assert run(capsys, "torus-det", "--tau", "0,1e-300", "--method", "closed")[0] == 0
     assert run(capsys, "torus-det", "--tau", "0.5,1e-300", "--method", "closed")[0] == 0
     for tau in ("0,1e-310", "0,5e-324", "0.5,5e-324"):
-        for argv in (("elliptic", "--tau", tau),
-                     ("torus-det", "--tau", tau, "--method", "closed")):
+        point = UpperHalfPoint(*map(float, tau.split(",")))
+        for argv, routine in ((("elliptic", "--tau", tau), "log_abs_eta"),
+                              (("torus-det", "--tau", tau, "--method", "closed"), "d_ar_elliptic")):
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
-            assert out == "" and err.startswith("error: tau's reduced y' must be <= 5.72")
-            assert err.count("\n") == 1
+            assert out == "" and err == (f"error: {routine}(tau={point!r}): "
+                                         f"needs a reduced y' <= {TAU_Y_MAX!r}\n")
     code, out, err = run(capsys, "torus-det", "--tau", "0.1234567,1e-20", "--method", "closed")
     assert (code, out) == (0, "logdet_closed  -13.3907512381\n")
     # Both routes run at the exactly reduced point.
@@ -628,7 +633,9 @@ def test_elliptic_area_underflow_exits_2(capsys):
     for tau in ("0,2000", "0,1e-150"):
         code, out, err = run(capsys, "elliptic", "--tau", tau, "--json")
         assert code == 2
-        assert out == "" and err.startswith("error: arakelov_area underflows")
+        point = UpperHalfPoint(*map(float, tau.split(",")))
+        assert out == "" and err == (f"error: arakelov_area(tau={point!r}): "
+                                     "needs log Area_Ar >= log(sys.float_info.min)\n")
     assert run(capsys, "elliptic", "--tau", "0,1000", "--json")[0] == 0
 
 

@@ -16,6 +16,7 @@ import hashlib
 import math
 import pathlib
 import random
+import re
 import struct
 
 import numpy as np
@@ -342,8 +343,8 @@ def reference_expint(p: float, z: float) -> float:
     return math.exp(-z) / t
 
 
-def reference_mellin_g(t: UnitTorus, s: float) -> float:
-    x, y, _, _, _, _ = numerics._reduce(t.tau.x, t.tau.y)  # the oracle's lattice point
+def reference_mellin_g(t: UnitTorus, s: float, routine: str) -> float:
+    x, y, _, _, _, _ = numerics._reduce(t.tau.x, t.tau.y, routine)  # the oracle's lattice point
     p, qs = 1.0 - s, _q_values(x, y, math.log(1.0 / LATTICE_TAIL_TOL) / math.pi)
     return 2.0 * math.fsum(reference_expint(p, z) + reference_expint(s, z)
                            for z in [math.pi * q for q in qs])
@@ -480,7 +481,7 @@ def test_compare_logdet_is_both_public_routes_to_the_bit():
             for _ in range(256)]
     taus += [UpperHalfPoint(0.0, 1.0), UpperHalfPoint(0.5, 0.8660254037844386),
              UpperHalfPoint(0.0, 0.01), UpperHalfPoint(0.0, 100.0), UpperHalfPoint(0.4, 0.95)]
-    assert math.sqrt(3.0) / 2.0 <= numerics._reduce(0.4, 0.95)[1] < 1.0
+    assert math.sqrt(3.0) / 2.0 <= numerics._reduce(0.4, 0.95, "test")[1] < 1.0
     for tau in taus:
         closed, oracle = elliptic.d_ar_elliptic(tau), logdet_oracle(UnitTorus(tau))
         assert bits(compare_logdet(tau)) == bits((closed, oracle, oracle - closed)), tau
@@ -510,12 +511,13 @@ def test_compare_logdet_keeps_its_bits_over_the_frozen_pool():
 def test_compare_logdet_refuses_what_logdet_oracle_refuses(x, y):
     # The refusal names the caller's tau, not its reduced point.
     tau = UpperHalfPoint(x, y)
-    with pytest.raises(ValueError, match="spectral oracle needs") as oracle:
+    limit = "needs a reduced y' <= 10000"
+    with pytest.raises(ValueError) as oracle:
         logdet_oracle(UnitTorus(tau))
     with pytest.raises(ValueError) as both:
         compare_logdet(tau)
-    assert str(both.value) == str(oracle.value)
-    assert str(both.value).endswith(f"for tau = {x!r}+{y!r}i")
+    assert str(oracle.value) == f"logdet_oracle(tau={tau!r}): {limit}"
+    assert str(both.value) == f"compare_logdet(tau={tau!r}): {limit}"
 
 
 def test_spectral_zeta_functional_equation():
@@ -622,8 +624,9 @@ def test_routes_agree_down_to_y_1e_minus_30():
     for e in range(2, 31):
         for _ in range(20):
             tau = UpperHalfPoint(rng.uniform(-3.0, 3.0), 10.0 ** -e)
-            if numerics._reduce(tau.x, tau.y)[1] > torus.ORACLE_Y_MAX:
-                with pytest.raises(ValueError, match="spectral oracle needs"):
+            if numerics._reduce(tau.x, tau.y, "test")[1] > torus.ORACLE_Y_MAX:
+                message = f"compare_logdet(tau={tau!r}): needs a reduced y' <= 10000"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     compare_logdet(tau)
                 continue
             cmp = compare_logdet(tau)
@@ -798,9 +801,10 @@ def test_oracle_refuses_taus_outside_its_domain(monkeypatch, x, y):
 
     monkeypatch.setattr(torus, "_q_values", forbidden)
     t = UnitTorus(UpperHalfPoint(x, y))
-    with pytest.raises(ValueError, match="spectral oracle needs"):
+    rest = re.escape(f"(tau={t.tau!r}): needs a reduced y' <= 10000")
+    with pytest.raises(ValueError, match=f"^logdet_oracle{rest}$"):
         logdet_oracle(t)
-    with pytest.raises(ValueError, match="spectral oracle needs"):
+    with pytest.raises(ValueError, match=f"^spectral_zeta{rest}$"):
         spectral_zeta(t, 0.0)
 
 
