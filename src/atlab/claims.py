@@ -42,7 +42,6 @@ Forensic notes baked into the expectations:
 
 import math
 import sys
-from functools import partial
 from typing import Callable, NamedTuple
 
 from . import bounds, elliptic, torus
@@ -256,7 +255,7 @@ def _cl19():
                 f"y = 0.05): relative margin = {margin / target:.6f}", None, False)
     # The assembled bound against eta itself, as a cross-check.
     violations = sum(elliptic.arakelov_logdet(tau) >= elliptic.elliptic_upper_bound_log(tau)
-                     for tau in map(partial(UpperHalfPoint, 0.3), (0.05, 1.0, 100.0)))
+                     for tau in (UpperHalfPoint(0.3, y) for y in (0.05, 1.0, 100.0)))
     computed = (f"{violations} violations over 500 y in [0.05, 100] "
                 f"(q-product chain and assembled genus-1 bound)")
     return computed, None, violations == 0
@@ -274,71 +273,67 @@ def _cl20():
     return computed, None, None
 
 
-def _cl21():
-    return None, None, None
+# The claim registry in id order, tolerances matching the printed digits: built
+# once, at import, as each compute looks its functions up when it runs.
+_REGISTRY = (
+    Claim("CL-01", "sec. 4", r"\le 0.0832<0.1", "inequality",
+          "E1(1/4)/(4 pi) <= 0.0832 < 0.1", _cl01),
+    _equality("CL-02", "sec. 4", "0.0832", 0.0832, 2e-4, lambda: bounds.HEAT_INTEGRAL),
+    # Large-g limit of the constant term: heat term - log 4 -> E1(1/4) - log 4.
+    _equality("CL-03", "sec. 4", r"\frac{1}{g-1}-0.33",
+              -0.33, 0.02, lambda: bounds.E1_QUARTER - math.log(4.0)),
+    Claim("CL-04", "sec. 4", r"e*4\pi(g-1)* (1366(g-1))^{..} < 36 (g-1)(..)",
+          "inequality", "4 pi e < 36", _cl04),
+    _equality("CL-05", "sec. 5", "0.5474277074g+1",
+              0.5474277074, 1e-8, lambda: bounds.KAPPA),
+    Claim("CL-06", "sec. 4", r"\approx 1.7573-2.4505+2.07-\frac{1}{6}+4\zeta'(-1)",
+          "equality", "partial constants 1.7573 / 2.4505 / 2.07", _cl06),
+    Claim("CL-07", "sec. 4", "< 1.21-0.67=0.56<1", "inequality",
+          "kappa < 0.56 < 1", _cl07),
+    Claim("CL-08", "sec. 4", "for $g>10$, we have $E(g)<0.44g$", "sweep",
+          "E_refined(g) < 0.44 g for 11 <= g <= 3580", _cl08),
+    Claim("CL-09", "sec. 5", "Bounded above by $g$", "sweep",
+          "0.56 g + E_refined(g) <= g for 11 <= g <= 3580", _cl09),
+    *(_equality(f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}", paper_val, 0.75,
+                lambda g=g: bounds.upper_bound_logdet(g).upper_exact)
+      for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items())),
+    Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
+          "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580", _cl11),
+    _equality("CL-12", "corollary (sec. 4)", r"\approx -3.6113717392987086-0.661685",
+              -4.2730567392987086, 1e-6, lambda: bounds.FQ_GAP_CONSTANT),
+    _equality("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
+              1.933721640489272, 1e-9, lambda: bounds.FQ_GAP_SLOPE),
+    # The printed bound evaluated at g = 1.
+    _equality("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
+              -2.334, 1e-3, lambda: 1.934 - 4.273),
+    _equality("CL-15", "sec. 5", r"\approx 2.46984",
+              2.46984, 1e-4, lambda: bounds.GENUS0_DET),
+    _equality("CL-16", "corollary (sec. 4)", "-0.661685",
+              -0.661685, 1e-5, lambda: 4.0 * ZETA_PRIME_MINUS1),
+    _equality("CL-17", "lemma 6.5 proof", "note $Z(0)=-1$", -1.0, 1e-6,
+              lambda t=torus.UnitTorus(UpperHalfPoint(0.0, 1.0)): torus.spectral_zeta(t, 0.0)),
+    Claim("CL-18", "lemmas 6.4/6.5", r"\det(\Delta)=y|\eta(z)|^{4}",
+          "equality", "spectral oracle = closed form at tau in {i, 2i}", _cl18),
+    Claim("CL-19", "corollary 6.6 proof",
+          r"\le 2\log(y)-\frac{\pi y}{2}+\frac{3}{\pi y}", "sweep",
+          "q-product chain with 3/(pi y) holds", _cl19),
+    # Statement numerator 6 vs the proof / listing numerator 3.
+    _equality("CL-19-statement", "corollary 6.6 statement", r"\frac{6}{\pi y}",
+              6.0, 1e-12, lambda: 3.0),
+    Claim("CL-20", "sec. 2", r"\delta_{Fal}(X)>-2g\log(2\pi^4)", "ambiguous",
+          "delta(i) > -2 log(2 pi^4) under the g = 1 torsion relation",
+          _cl20, status_override="AMBIGUOUS"),
+    Claim("CL-21", "sec. 2",
+          r"c_\text{sel}\ge -4\log(1366(g-1))", "ambiguous",
+          "external inputs: c_sel lower bound, delta lower bound, "
+          "metric-comparison corollary", lambda: (None, None, None),
+          status_override="ASSUMED"),
+)
 
 
 def builtin_registry() -> list[Claim]:
-    """The full claim registry, in id order, with per-claim tolerances
-    matching the number of printed digits."""
-    claims = [
-        Claim("CL-01", "sec. 4", r"\le 0.0832<0.1", "inequality",
-              "E1(1/4)/(4 pi) <= 0.0832 < 0.1", _cl01),
-        _equality("CL-02", "sec. 4", "0.0832", 0.0832, 2e-4, lambda: bounds.HEAT_INTEGRAL),
-        # Large-g limit of the constant term: heat term - log 4 -> E1(1/4) - log 4.
-        _equality("CL-03", "sec. 4", r"\frac{1}{g-1}-0.33",
-                  -0.33, 0.02, lambda: bounds.E1_QUARTER - math.log(4.0)),
-        Claim("CL-04", "sec. 4", r"e*4\pi(g-1)* (1366(g-1))^{..} < 36 (g-1)(..)",
-              "inequality", "4 pi e < 36", _cl04),
-        _equality("CL-05", "sec. 5", "0.5474277074g+1",
-                  0.5474277074, 1e-8, lambda: bounds.KAPPA),
-        Claim("CL-06", "sec. 4", r"\approx 1.7573-2.4505+2.07-\frac{1}{6}+4\zeta'(-1)",
-              "equality", "partial constants 1.7573 / 2.4505 / 2.07", _cl06),
-        Claim("CL-07", "sec. 4", "< 1.21-0.67=0.56<1", "inequality",
-              "kappa < 0.56 < 1", _cl07),
-        Claim("CL-08", "sec. 4", "for $g>10$, we have $E(g)<0.44g$", "sweep",
-              "E_refined(g) < 0.44 g for 11 <= g <= 3580", _cl08),
-        Claim("CL-09", "sec. 5", "Bounded above by $g$", "sweep",
-              "0.56 g + E_refined(g) <= g for 11 <= g <= 3580", _cl09),
-    ]
-    for g, paper_val in sorted(bounds.PAPER_TABLE_VALUES.items()):
-        claims.append(_equality(
-            f"CL-10-g{g}", "sec. 5 table", f"$g={g}$: {paper_val}", paper_val, 0.75,
-            lambda g=g: bounds.upper_bound_logdet(g).upper_exact))
-    claims += [
-        Claim("CL-11", "sec. 5", r"$g\ge 3580$: Bounded above by $0.5474277074g+1$",
-              "sweep", "upper_exact(g, c36) <= 0.5474277074 g + 1 for g >= 3580", _cl11),
-        _equality("CL-12", "corollary (sec. 4)", r"\approx -3.6113717392987086-0.661685",
-                  -4.2730567392987086, 1e-6, lambda: bounds.FQ_GAP_CONSTANT),
-        _equality("CL-13", "corollary (sec. 4)", r"\approx 1.933721640489272",
-                  1.933721640489272, 1e-9, lambda: bounds.FQ_GAP_SLOPE),
-        # The printed bound evaluated at g = 1.
-        _equality("CL-14", "corollary (sec. 4)", r"1.934g-4.273> -2.334",
-                  -2.334, 1e-3, lambda: 1.934 - 4.273),
-        _equality("CL-15", "sec. 5", r"\approx 2.46984",
-                  2.46984, 1e-4, lambda: bounds.GENUS0_DET),
-        _equality("CL-16", "corollary (sec. 4)", "-0.661685",
-                  -0.661685, 1e-5, lambda: 4.0 * ZETA_PRIME_MINUS1),
-        _equality("CL-17", "lemma 6.5 proof", "note $Z(0)=-1$", -1.0, 1e-6,
-                  partial(torus.spectral_zeta, torus.UnitTorus(UpperHalfPoint(0.0, 1.0)), 0.0)),
-        Claim("CL-18", "lemmas 6.4/6.5", r"\det(\Delta)=y|\eta(z)|^{4}",
-              "equality", "spectral oracle = closed form at tau in {i, 2i}", _cl18),
-        Claim("CL-19", "corollary 6.6 proof",
-              r"\le 2\log(y)-\frac{\pi y}{2}+\frac{3}{\pi y}", "sweep",
-              "q-product chain with 3/(pi y) holds", _cl19),
-        # Statement numerator 6 vs the proof / listing numerator 3.
-        _equality("CL-19-statement", "corollary 6.6 statement", r"\frac{6}{\pi y}",
-                  6.0, 1e-12, lambda: 3.0),
-        Claim("CL-20", "sec. 2", r"\delta_{Fal}(X)>-2g\log(2\pi^4)", "ambiguous",
-              "delta(i) > -2 log(2 pi^4) under the g = 1 torsion relation",
-              _cl20, status_override="AMBIGUOUS"),
-        Claim("CL-21", "sec. 2",
-              r"c_\text{sel}\ge -4\log(1366(g-1))", "ambiguous",
-              "external inputs: c_sel lower bound, delta lower bound, "
-              "metric-comparison corollary", _cl21,
-              status_override="ASSUMED"),
-    ]
-    return claims
+    """The full claim registry, in id order (see _REGISTRY)."""
+    return list(_REGISTRY)
 
 
 def evaluate(claim: Claim) -> ClaimRecord:
@@ -359,14 +354,13 @@ def run_all(only: list[str] | None = None) -> ClaimReport:
     """
     if only is not None and not only:
         raise _domain_error("run_all", "at least one claim id", only=only)
-    registry = builtin_registry()
+    registry = _REGISTRY
     if only is not None:
         known = {c.id for c in registry}
         unknown = [cid for cid in only if cid not in known]
         if unknown:
             raise KeyError(f"unknown claim ids: {', '.join(unknown)}")
-        wanted = set(only)
-        registry = [c for c in registry if c.id in wanted]
+        registry = [c for c in registry if c.id in only]
     records = tuple(evaluate(claim) for claim in registry)
     warnings = tuple(
         f"{rec.id}: listed in the expected-discrepant allowlist but CONFIRMED"

@@ -43,6 +43,12 @@ _TAU_PART = (r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # tty's); 78 is what it uses with neither, so the text never depends on them.
 _HelpFormatter = partial(argparse.HelpFormatter, width=78)
 
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's swallows a failed write; main reports it
+        (file or sys.stdout).write(self.format_help())
+
+
 TABLE_COLUMNS = (
     "genus", "heat_term", "csel_lower", "log_area_bound", "a_g",
     "e_g_refined", "upper_exact", "upper_simplified", "paper_value", "delta",
@@ -83,9 +89,7 @@ def _cmd_bound(args, parser) -> int:
     headline = bd.upper_exact if args.form == "exact" else bd.upper_simplified
     if args.json:
         import json
-        payload = bd._asdict()
-        payload["form"] = args.form
-        payload["upper_bound"] = headline
+        payload = {**bd._asdict(), "form": args.form, "upper_bound": headline}
         print(json.dumps(payload, indent=2))
         return 0
     print(f"genus {bd.genus} upper bound on log det ({args.form}, {args.area}): "
@@ -191,8 +195,7 @@ def _cmd_verify_claims(args, parser) -> int:
               f"computed={_fmt(rec.computed)}{delta}")
     for warning in report.warnings:
         print(f"warning: {warning}")
-    summary = report.summary
-    print("summary: " + "  ".join(f"{k}={v}" for k, v in summary.items()))
+    print("summary: " + "  ".join(f"{k}={v}" for k, v in report.summary.items()))
     if args.strict and not report.strict_ok():
         print("strict: non-allowlisted discrepancies present", file=sys.stderr)
         return 1
@@ -203,7 +206,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The atlab parser.  When `command` names a subcommand, the parser holds
     that subcommand alone, and parses an argv that starts with it exactly as
     the full parser does; for None or any other word, it holds all five."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atlab",
         description=(
             "Flat-torus determinants, genus-1 Arakelov invariants, effective "
@@ -268,26 +271,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
-        if extras:  # wherever they stood, through the chosen subcommand's parser
-            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        code = args.handler(args, args.parser)
-        sys.stdout.flush()
+        try:
+            args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+            if extras:  # wherever they stood, through the chosen subcommand's parser
+                args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            code = args.handler(args, args.parser)
+        except SystemExit as exc:  # argparse exits (--help, usage errors); normalize it
+            code = int(exc.code or 0)
+        sys.stdout.flush()  # on every path, so a failed write to stdout is reported below
         return code
-    except SystemExit as exc:  # argparse exits; normalize to a return code
-        return int(exc.code or 0)
     except ValueError as exc:  # domain error raised by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a write failed (a full disk, /dev/full); a file write names its path
-        if exc.filename is None:  # stdout: so the flush at exit has nothing to fail on
-            sys.stdout = open(os.devnull, "w")
-            name = "standard output"
-        else:
-            name = exc.filename or "''"  # an empty --csv/--json PATH
+        name = "standard output" if exc.filename is None else exc.filename or "''"  # empty PATH
         print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
         return 2
 
@@ -295,7 +294,13 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     if hasattr(signal, "SIGPIPE"):  # end quietly on a closed pipe, like other filters
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    try:  # what main failed to write to stdout is still buffered: main reported it
+        sys.stdout.flush()
+    except OSError:  # so point fd 1 at devnull, and the flush at exit has nothing to fail on
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

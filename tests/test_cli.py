@@ -724,16 +724,54 @@ def test_closed_pipe_ends_quietly():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", (["bound", "--genus", "2"],
-                                  ["table", "--from", "2", "--to", "3000"]))
+                                  ["table", "--from", "2", "--to", "3000"],
+                                  ["--help"], ["bound", "--help"]))
 def test_failed_stdout_write_exits_2_with_one_error_line(argv):
-    # A write to a full device fails at main's flush for short output and
-    # inside print for ~0.5 MB of rows; either way one error line, no traceback.
-    with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
-                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
-    assert done.returncode == 2
-    assert done.stderr.startswith("error: cannot write standard output: ")
-    assert done.stderr.count("\n") == 1
+    # A write to a full device fails at main's flush for short output (help
+    # text included) and inside print for ~0.5 MB of rows; either way one error
+    # line, no traceback, with stdout buffered or not.  Under -X dev no
+    # ResourceWarning follows it: nothing is left open.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for flags, unbuffered in (((), "1"), ((), None), (("-X", "dev"), None)):
+        child = dict(env, PYTHONUNBUFFERED=unbuffered) if unbuffered else env
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, *flags, "-m", "atlab.cli", *argv], env=child,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert done.returncode == 2, (flags, unbuffered, done.stderr)
+        assert done.stderr.startswith("error: cannot write standard output: "), done.stderr
+        assert done.stderr.count("\n") == 1, (flags, unbuffered, done.stderr)
+
+
+class _FullStdout(io.StringIO):
+    """A stdout whose write (or flush) fails as a full disk's does."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ("write", "flush"))
+@pytest.mark.parametrize("argv", (["bound", "--genus", "2"], ["--help"], ["bound", "--help"]))
+def test_failed_stdout_write_in_process_keeps_the_callers_stdout(monkeypatch, capsys,
+                                                                 argv, failing):
+    # Called in process, main reports the failed write and returns 2; the
+    # caller's sys.stdout is still the object it was.
+    full = _FullStdout(failing)
+    monkeypatch.setattr(sys, "stdout", full)
+    assert main(argv) == 2
+    assert sys.stdout is full
+    assert capsys.readouterr().err == "error: cannot write standard output: " \
+                                      "No space left on device\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

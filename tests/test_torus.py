@@ -1,9 +1,9 @@
 """Flat-torus spectral engine: enumeration, heat trace, zeta continuation,
 and the determinant oracle against the closed form.
 
-The oracle path (heat trace, Mellin split, exponential integrals) and the
-closed form (eta kernel) share no code, so their agreement is a genuine
-dual-route check.
+The oracle path (the lattice Q enumeration and the exponential integrals
+E_p that G(s) sums) and the closed form (eta kernel) share no code, so their
+agreement is a genuine dual-route check.
 """
 
 from __future__ import annotations
@@ -732,51 +732,11 @@ def test_oracle_and_closed_form_share_no_kernel(monkeypatch):
     assert abs(elliptic.d_ar_elliptic(TAU_I) - LOGDET_I) < 1e-12
 
 
-@pytest.mark.parametrize("s", (-10.0, 0.0, 0.5, 3.0))
-@pytest.mark.parametrize("scale", (1e-3, 0.5, 1.0, 2.0, 32.0))
-def test_poisson_scales_do_not_increase(s, scale):
-    # At metric scale g (area A = g^2, eigenvalues / A) the self-dual point is
-    # t* = A/(4 pi).  The direct terms at t = t* w and the Poisson terms of the
-    # folded half at t = t* / w have the same exponent scale -pi w for every A,
-    # negative and decreasing in w, and the Mellin measures t^(s-1) dt and
-    # t^(s-1) (t*/t) dt become t*^s w^(s-1) dw and t*^s w^-s dw.  So each
-    # lattice term gives t*^s [E_{1-s}(pi Q) + E_s(pi Q)], the terms of G(s),
-    # at every scale.
-    area = scale * scale
-    t_star = area / (4.0 * math.pi)
-    w = np.geomspace(1.0, 1e6, 200)
-    direct = -FOUR_PI_SQ * (t_star * w) / area
-    poisson = -area / (4.0 * (t_star / w))
-    assert np.allclose(direct, -math.pi * w, rtol=4e-16, atol=0.0)
-    assert np.allclose(poisson, -math.pi * w, rtol=4e-16, atol=0.0)
-    assert np.all(np.diff(poisson) < 0.0) and np.all(poisson < 0.0)
-    direct_measure = (t_star * w) ** (s - 1.0) * t_star / t_star ** s
-    folded_measure = (t_star / w) ** (s - 1.0) * w * (t_star / w ** 2) / t_star ** s
-    assert np.allclose(direct_measure, w ** (s - 1.0), rtol=1e-13, atol=0.0)
-    assert np.allclose(folded_measure, w ** -s, rtol=1e-13, atol=0.0)
-
-
 def _scaling_law(t: UnitTorus, g: float) -> float:
     """log det at the metric scaled by g^2, from the oracle's own spectrum:
     each eigenvalue scales by 1/g^2, so zeta_g(s) = g^(2s) zeta(s) and
     -zeta_g'(0) = log det - 2 log(g) zeta(0)."""
     return logdet_oracle(t) - 2.0 * math.log(g) * spectral_zeta(t, 0.0)
-
-
-@pytest.mark.parametrize("scale", [1e-200, 5e-4, 64.0, 1e200])
-def test_oracle_refuses_metric_scales_outside_the_verified_range(scale):
-    # No positive finite scale lies outside the verified range: the oracle's
-    # zeta(0) is exactly -1, so 1e-200, 5e-4, 64 and 1e200 give the law exactly.
-    t = UnitTorus(TAU_I)
-    assert logdet_oracle(t) + 2.0 * math.log(scale) == _scaling_law(t, scale)
-
-
-def test_oracle_metric_scale_range_edges_keep_the_scaling_law():
-    # The scales 1e-3 and 32 bound no range; they give the law exactly.
-    for tau in (UpperHalfPoint(0.3, 1e-4), TAU_I, UpperHalfPoint(0.5, 1e4)):
-        t = UnitTorus(tau)
-        for g in (1e-3, 32.0):
-            assert logdet_oracle(t) + 2.0 * math.log(g) == _scaling_law(t, g), (tau, g)
 
 
 def test_oracle_metric_scale_is_the_exact_scaling_law():
@@ -786,7 +746,7 @@ def test_oracle_metric_scale_is_the_exact_scaling_law():
         t = UnitTorus(tau)
         base = logdet_oracle(t)
         assert spectral_zeta(t, 0.0) == -1.0, tau
-        for g in (1e-200, 5e-4, 0.5, 2.0, 64.0, 1e200):
+        for g in (1e-200, 5e-4, 1e-3, 0.5, 2.0, 32.0, 64.0, 1e200):
             assert base + 2.0 * math.log(g) == _scaling_law(t, g), (tau, g)
 
 
@@ -829,7 +789,7 @@ def test_scaling_law_numeric_rerun():
     assert abs(rerun - (logdet_oracle(torus) + 2.0 * math.log(gamma))) <= 1e-6
 
 
-def test_precision_object_is_honored(monkeypatch):
+def test_oracle_reads_the_q_cut(monkeypatch):
     # The oracle reads the Q cut built from LATTICE_TAIL_TOL; the cut of a
     # loose tolerance moves the result and still lands close.
     default = logdet_oracle(UnitTorus(TAU_I))
