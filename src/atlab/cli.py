@@ -2,15 +2,16 @@
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
-error, or a failed write to standard output or a --csv/--json file (one
-`error:` line naming it, nothing on stdout for a file); a closed output pipe
-ends the process quietly (SIGPIPE).  The routes of
-torus-det --method both disagree when their relative gap |difference| /
+error, or a failed write to standard output (a closed one included) or a
+--csv/--json file (one `error:` line naming it, nothing on stdout for a
+file); a closed output pipe ends the process quietly (SIGPIPE).  The routes
+of torus-det --method both disagree when their relative gap |difference| /
 max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the contract logdet_oracle
 states (DetComparison.relative_gap, as CL-18 reads it): it prints all three
 lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
 usage error, an unrecognized argument included, prints that subcommand's
-usage block; a --tau that is not two decimal literals is one.  A --tau whose
+usage block; a --tau that is not two decimal literals is one, as is a
+--genus, --from or --to that is not an ASCII decimal integer.  A --tau whose
 value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
 TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error:
 one `error: ROUTINE(NAME=VALUE, ...): needs LIMIT` line.  Every series runs
@@ -23,6 +24,9 @@ subcommand imports what only it uses: only bound and table load atlab.bounds.
 """
 
 import argparse
+import contextlib
+import errno
+import io
 import operator
 import os
 import re
@@ -47,6 +51,24 @@ _HelpFormatter = partial(argparse.HelpFormatter, width=78)
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # argparse's swallows a failed write; main reports it
         (file or sys.stdout).write(self.format_help())
+
+
+class _ClosedStdout(io.TextIOBase):
+    """sys.stdout while main runs with fd 1 closed, where Python sets it to None
+    and print drops every line: a write fails as one to a closed descriptor."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+def _int(text: str) -> int:
+    """--genus, --from, --to: an ASCII decimal integer with an optional sign.
+    int() alone also takes 1_0, non-ASCII digits and surrounding whitespace."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than sys.get_int_max_str_digits()
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 TABLE_COLUMNS = (
@@ -227,7 +249,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
 
     def add_bound(p):
-        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--genus", type=_int, required=True)
         add_form_area(p)
         p.add_argument("--json", action="store_true")
 
@@ -241,8 +263,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="both exits 1 if |difference| > torus.AGREEMENT_TOL max(1, |closed|)")
 
     def add_table(p):
-        p.add_argument("--from", dest="g_from", type=int, required=True)
-        p.add_argument("--to", dest="g_to", type=int, required=True)
+        p.add_argument("--from", dest="g_from", type=_int, required=True)
+        p.add_argument("--to", dest="g_to", type=_int, required=True)
         add_form_area(p, "changes nothing: every row carries both bounds (kept while "
                          "the benchmark's genus_table workload passes it)")
         p.add_argument("--csv", metavar="PATH")
@@ -272,15 +294,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    stdout = _ClosedStdout() if sys.stdout is None else sys.stdout
     try:
-        try:
-            args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
-            if extras:  # wherever they stood, through the chosen subcommand's parser
-                args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            code = args.handler(args, args.parser)
-        except SystemExit as exc:  # argparse exits (--help, usage errors); normalize it
-            code = int(exc.code or 0)
-        sys.stdout.flush()  # on every path, so a failed write to stdout is reported below
+        with contextlib.redirect_stdout(stdout):  # the caller's sys.stdout is restored
+            try:
+                args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+                if extras:  # wherever they stood, through the chosen subcommand's parser
+                    args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+                code = args.handler(args, args.parser)
+            except SystemExit as exc:  # argparse exits (--help, usage errors); normalize it
+                code = int(exc.code or 0)
+            sys.stdout.flush()  # on every path, so a failed write to stdout is reported below
         return code
     except ValueError as exc:  # domain error raised by the library
         print(f"error: {exc}", file=sys.stderr)
@@ -296,7 +320,8 @@ def entrypoint() -> None:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main()
     try:  # what main failed to write to stdout is still buffered: main reported it
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when fd 1 is closed: nothing was buffered
+            sys.stdout.flush()
     except OSError:  # so point fd 1 at devnull, and the flush at exit has nothing to fail on
         with open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())

@@ -546,6 +546,23 @@ def test_tau_takes_only_ascii_decimal_literals(capsys):
         assert run(capsys, "elliptic", f"--tau={tau}")[0] == 0, tau
 
 
+def test_integer_options_take_only_ascii_decimal_integers(capsys):
+    # int() alone would read the same spellings --tau refuses: 1_0 as 10,
+    # fullwidth or Arabic-Indic digits as ASCII ones, and " 5 " as 5.
+    for text in ("1_0", "\uff13", "\u0663", " 5 ", "5\n", "0x5", "5.0", "1e1", "+-5", "", "+"):
+        for option, argv in (("--genus", ("bound", f"--genus={text}")),
+                             ("--from", ("table", f"--from={text}", "--to", "3")),
+                             ("--to", ("table", "--from", "2", f"--to={text}"))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, err)
+            assert err.startswith(f"usage: atlab {argv[0]} "), err
+            assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n"), err
+    for text in ("+5", "05", "5"):
+        assert run(capsys, "bound", "--genus", text)[0] == 0, text
+    code, out, _ = run(capsys, "table", "--from", "+2", "--to", "03")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_negative_x_needs_the_equals_form(capsys):
     # argparse takes a lone "-0.3,1.7" for an option, so --tau needs "=".
     code, out, _ = run(capsys, "torus-det", "--tau=-0.3,1.7")
@@ -741,6 +758,17 @@ def test_failed_stdout_write_exits_2_with_one_error_line(argv):
         assert done.returncode == 2, (flags, unbuffered, done.stderr)
         assert done.stderr.startswith("error: cannot write standard output: "), done.stderr
         assert done.stderr.count("\n") == 1, (flags, unbuffered, done.stderr)
+
+
+@pytest.mark.parametrize("argv", (["bound", "--genus", "2"], ["--help"], ["bound", "--help"]))
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # With fd 1 closed Python sets sys.stdout to None, and print drops what it
+    # is given; main reports that as a failed write, with no traceback.
+    done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120, preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write standard output: Bad file descriptor\n")
 
 
 class _FullStdout(io.StringIO):

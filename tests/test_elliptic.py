@@ -7,10 +7,7 @@ Frozen digits evaluated at 30 decimals from the eta closed forms
 from __future__ import annotations
 
 import math
-import os
-import pathlib
 import re
-import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
@@ -18,7 +15,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-import atlab
 from atlab.bounds import K_CONST, wilms_lower
 from atlab.elliptic import (
     arakelov_area,
@@ -242,17 +238,6 @@ def test_faltings_delta_is_wentworth_at_g1():
         got = faltings_delta_elliptic(tau, "direct")
         want = -6.0 * d_ar_elliptic(tau) + a_1
         assert got == want, tau
-
-
-def test_elliptic_does_not_import_bounds():
-    # A fresh interpreter, since this test process has loaded bounds.
-    script = "import sys, atlab.elliptic\nprint('atlab.bounds' in sys.modules)\n"
-    src = str(pathlib.Path(atlab.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
 
 
 def test_wilms_margins_recorded_not_asserted():

@@ -96,7 +96,7 @@ def reduction_sample() -> list[tuple[float, float]]:
     # 0.5 + 0.25i passes through 0.4 + 0.8i, whose form has C = A - 1
     points += [(0.5, 0.25), (-0.25, 0.0625)]
     return points + [(0.1234567, 1e-20), (0.0, 1e-300), (-0.5, 1.0), (0.5, 0.8660254037844386),
-                     (2.5, 1.0), (1, 2)]
+                     (2.5, 1.0), (1, 2), (0.0, 5.0), (1.0, 1.0)]
 
 
 def test_upper_half_point_validation():
@@ -169,18 +169,6 @@ def test_point_and_transform_are_checked_immutable_tuples():
     with pytest.raises(ValueError, match=r"^ModularTransform\(a=2, b=0, c=0, d=1\): "
                                          r"needs ad - bc = 1$"):
         ModularTransform(a=2, b=0, c=0, d=1)
-
-
-def test_reduce_already_reduced_is_identity():
-    red, t = reduce_to_fundamental_domain(UpperHalfPoint(0.0, 5.0))
-    assert (t.a, t.b, t.c, t.d) == (1, 0, 0, 1)
-    assert red.x == 0.0 and red.y == 5.0
-
-
-def test_reduce_single_shift():
-    red, t = reduce_to_fundamental_domain(UpperHalfPoint(1.0, 1.0))
-    assert (red.x, red.y) == (0.0, 1.0)
-    assert (t.a, t.b, t.c, t.d) == (1, -1, 0, 1)
 
 
 def test_reduce_inversion():

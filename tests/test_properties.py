@@ -55,7 +55,7 @@ POINTS = _INTERIOR | _LINES | _ARC | _CORNERS | _STRIP
 @PROPERTY_SETTINGS
 @given(st.lists(st.integers(2, bounds.MAX_GENUS) | st.integers(2, 10_000), min_size=1,
                 max_size=40))
-def test_genus_array_equals_scalars(genera):
+def test_genus_arrays_are_refused_and_float_genera_give_the_int_bounds(genera):
     # A genus array is refused; its float64 elements give the int bounds.
     with pytest.raises(ValueError, match=r"(?s)^upper_bound_logdet\(g=array\(\[.*\]\)\): "
                                          r"needs an integer genus in \[2, 2\*\*53\]$"):

@@ -32,12 +32,15 @@ def _index(runs: list[str], *fragments: str) -> int:
 def test_tier1_job_keeps_its_checks_in_order():
     runs = _tier1_runs()
     # Without numpy and scipy, before the test extra installs them: the console
-    # script, its exit 2 with one error: line on a domain error and on help
-    # text it cannot write (each captured with || under bash -e), and the
-    # numpy-free test files at a narrow terminal under two hash seeds.
+    # script, its exit 2 with one error: line on a domain error, on help text
+    # it cannot write and on a closed standard output (each captured with ||
+    # under bash -e), and the numpy-free test files at a narrow terminal under
+    # two hash seeds.
     smoke = _index(runs, "find_spec(m) for m in ('numpy', 'scipy')", "atlab bound",
                    "atlab torus-det", "atlab elliptic --tau 0,2000 2> err.txt || code=$?",
                    "code=0\natlab --help > /dev/full 2> err.txt || code=$?\n"
+                   'test "$code" -eq 2\ntest "$(wc -l < err.txt)" -eq 1',
+                   "code=0\natlab bound --genus 2 >&- 2> err.txt || code=$?\n"
                    'test "$code" -eq 2\ntest "$(wc -l < err.txt)" -eq 1', "for seed in 1 2",
                    "PYTHONHASHSEED=$seed COLUMNS=40 python -m pytest -q "
                    "tests/test_cli.py tests/test_claims.py tests/test_domain_errors.py")
