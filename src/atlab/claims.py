@@ -125,18 +125,11 @@ class ClaimReport(NamedTuple):
             for rec in self.records
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "precision": dict(zip(_PRECISION_KEYS, _PRECISION)),
-            "claims": [rec._asdict() for rec in self.records],
-            "summary": self.summary,
-            "warnings": list(self.warnings),
-        }
-
     def to_json(self) -> str:
-        """json.dumps(self.as_dict(), indent=2), byte for byte: each section's
-        scalar leaves are encoded in one C-encoder call and joined under fixed
-        key lines (see _jsontext)."""
+        """json.dumps(..., indent=2), byte for byte, of the object with keys
+        precision (_PRECISION_KEYS to _PRECISION), claims (each record as a
+        dict), summary and warnings: each section's scalar leaves are encoded
+        in one C-encoder call and joined under fixed key lines (see _jsontext)."""
         return _write_report([
             _PRECISION_TEXT,
             array_text(_write_records(leaf_texts([v for rec in self.records for v in rec])), 1),

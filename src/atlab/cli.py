@@ -2,25 +2,28 @@
 
 Subcommands: bound, elliptic, torus-det, table, verify-claims.
 Exit codes: 0 ok, 1 audit failure or route disagreement, 2 usage or domain
-error, or a failed write to standard output (a closed one included) or a
---csv/--json file (one `error:` line naming it, nothing on stdout for a
-file); a closed output pipe ends the process quietly (SIGPIPE).  The routes
-of torus-det --method both disagree when their relative gap |difference| /
-max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the contract logdet_oracle
-states (DetComparison.relative_gap, as CL-18 reads it): it prints all three
-lines, then one FAIL line on stderr.  Once a subcommand is chosen, every
-usage error, an unrecognized argument included, prints that subcommand's
-usage block; a --tau that is not two decimal literals is one, as is a
---genus, --from or --to that is not an ASCII decimal integer.  A --tau whose
-value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
-TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error:
-one `error: ROUTINE(NAME=VALUE, ...): needs LIMIT` line.  Every series runs
-to a fixed truncation at the exactly reduced point: none can fail to converge.
-All output is deterministic for fixed flags; numbers are printed with 12
+error, or a failed write to stdout (a full device, fd 1 closed) or to a
+--csv/--json file, with one `error:` line naming it.  main writes stdout, then
+stderr, once each when the command is done; one that fails leaves stdout empty.
+A stderr that cannot be written (/dev/full, fd 2 closed) is skipped, and the
+exit code still tells.  A closed output pipe ends the process quietly
+(SIGPIPE).  The routes of torus-det --method both disagree when their relative
+gap |difference| / max(1, |logdet_closed|) exceeds torus.AGREEMENT_TOL, the
+contract logdet_oracle states (DetComparison.relative_gap, as CL-18 reads it):
+it prints all three lines, then one FAIL line on stderr.  Once a subcommand is
+chosen, every usage error, an unrecognized argument included, prints that
+subcommand's usage block; a --tau that is not two decimal literals is one, as
+is a --genus, --from or --to that is not an ASCII decimal integer.  A --tau
+whose value UpperHalfPoint refuses, or whose double's exactly reduced y' passes
+TAU_Y_MAX (or, for the spectral oracle, ORACLE_Y_MAX), is a domain error: one
+`error: ROUTINE(NAME=VALUE, ...): needs LIMIT` line.  Every series runs to a
+fixed truncation at the exactly reduced point: none can fail to converge.  All
+output is deterministic for fixed flags; numbers are printed with 12
 significant digits, '.' decimal point, no grouping.
 Start-up is most of a `bound` call, so main builds only the parser of the
 subcommand argv[0] names (the full parser for any other argv), and each
-subcommand imports what only it uses: only bound and table load atlab.bounds.
+subcommand imports what only it uses: elliptic and torus-det never load
+atlab.bounds (verify-claims loads it through atlab.claims).
 """
 
 import argparse
@@ -48,17 +51,12 @@ _TAU_PART = (r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _HelpFormatter = partial(argparse.HelpFormatter, width=78)
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):  # argparse's swallows a failed write; main reports it
-        (file or sys.stdout).write(self.format_help())
-
-
-class _ClosedStdout(io.TextIOBase):
-    """sys.stdout while main runs with fd 1 closed, where Python sets it to None
-    and print drops every line: a write fails as one to a closed descriptor."""
-
-    def write(self, text):
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+def _write(stream, text: str) -> None:
+    """Write and flush TEXT, if any; a None stream (its fd closed at start-up) fails as EBADF."""
+    if text:
+        if stream is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        print(text, end="", file=stream, flush=True)
 
 
 def _int(text: str) -> int:
@@ -209,7 +207,7 @@ def _cmd_verify_claims(args, parser) -> int:
         report = claims.run_all(only=only)
     except KeyError as exc:
         parser.error(str(exc.args[0]))
-    if args.json is not None:  # before the text report, so a write error leaves stdout empty
+    if args.json is not None:
         _write_file(args.json, lambda fh: fh.write(report.to_json() + "\n"))
     for rec in report.records:
         delta = "" if rec.delta is None else f"  delta={_fmt(rec.delta)}"
@@ -228,7 +226,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The atlab parser.  When `command` names a subcommand, the parser holds
     that subcommand alone, and parses an argv that starts with it exactly as
     the full parser does; for None or any other word, it holds all five."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="atlab",
         description=(
             "Flat-torus determinants, genus-1 Arakelov invariants, effective "
@@ -243,7 +241,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="tau = x + iy as two decimals 'x,y' (y > 0); "
                             "write --tau=X,Y when x is negative")
 
-    def add_form_area(p, form_help=None):  # only bound and table load atlab.bounds
+    def add_form_area(p, form_help=None):  # bound's and table's: no other parser loads atlab.bounds
         from . import bounds
         p.add_argument("--form", choices=bounds.BOUND_FORMS, default="exact", help=form_help)
         p.add_argument("--area", choices=bounds.AREA_VARIANTS, default="c36")
@@ -294,9 +292,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    stdout = _ClosedStdout() if sys.stdout is None else sys.stdout
+    out, err = io.StringIO(), io.StringIO()  # each written once, when the command is done
     try:
-        with contextlib.redirect_stdout(stdout):  # the caller's sys.stdout is restored
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
                 if extras:  # wherever they stood, through the chosen subcommand's parser
@@ -304,27 +302,29 @@ def main(argv: list[str] | None = None) -> int:
                 code = args.handler(args, args.parser)
             except SystemExit as exc:  # argparse exits (--help, usage errors); normalize it
                 code = int(exc.code or 0)
-            sys.stdout.flush()  # on every path, so a failed write to stdout is reported below
-        return code
+        _write(sys.stdout, out.getvalue())
     except ValueError as exc:  # domain error raised by the library
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+        print(f"error: {exc}", file=err)
     except OSError as exc:  # a write failed (a full disk, /dev/full); a file write names its path
+        code = 2
         name = "standard output" if exc.filename is None else exc.filename or "''"  # empty PATH
-        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
-        return 2
+        print(f"error: cannot write {name}: {exc.strerror}", file=err)
+    with contextlib.suppress(OSError):  # left unreported, so the exit code still tells
+        _write(sys.stderr, err.getvalue())
+    return code
 
 
 def entrypoint() -> None:
     if hasattr(signal, "SIGPIPE"):  # end quietly on a closed pipe, like other filters
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main()
-    try:  # what main failed to write to stdout is still buffered: main reported it
-        if sys.stdout is not None:  # None when fd 1 is closed: nothing was buffered
-            sys.stdout.flush()
-    except OSError:  # so point fd 1 at devnull, and the flush at exit has nothing to fail on
-        with open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd was closed
+        try:  # what main failed to write is still buffered; its exit code tells
+            stream.flush()
+        except OSError:  # so point the fd at devnull, and the flush at exit has nothing to fail on
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
     sys.exit(code)
 
 

@@ -398,7 +398,7 @@ PER_GENUS_TERMS = [
 
 
 @pytest.mark.parametrize("term, minimum", PER_GENUS_TERMS)
-def test_array_evaluation_equals_scalar(term, minimum):
+def test_genus_arrays_are_refused_and_float_genera_give_the_int_bits(term, minimum):
     # A genus array is refused; evaluated element by element, its float64
     # elements give the int values bit for bit.
     genera = list(range(minimum, 600)) + list(LARGE_GENERA)

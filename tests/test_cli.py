@@ -771,6 +771,37 @@ def test_closed_stdout_exits_2_with_one_error_line(argv):
         2, "error: cannot write standard output: Bad file descriptor\n")
 
 
+_STDERR_CASES = (["elliptic", "--tau", "0,2000"], ["bound", "--genus", "1"])  # domain, usage
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", (*_STDERR_CASES, ["bound", "--genus", "2"]))
+def test_failed_stderr_write_keeps_exit_2_and_stdout_empty(argv):
+    # The error line cannot be written, so the exit code alone tells, buffered
+    # or not; nothing goes to stdout instead.  bound --genus 2 runs with stdout
+    # on /dev/full too: the line reporting that failure fails in turn.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    both_full = argv == ["bound", "--genus", "2"]
+    for flags, unbuffered in (((), "1"), ((), None), (("-X", "dev"), None)):
+        child = dict(env, PYTHONUNBUFFERED=unbuffered) if unbuffered else env
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, *flags, "-m", "atlab.cli", *argv], env=child,
+                                  stdout=full if both_full else subprocess.PIPE, stderr=full,
+                                  timeout=120)
+        assert (done.returncode, done.stdout or b"") == (2, b""), (flags, unbuffered)
+
+
+@pytest.mark.parametrize("argv", _STDERR_CASES)
+def test_closed_stderr_keeps_exit_2_and_stdout_empty(argv):
+    # With fd 2 closed Python sets sys.stderr to None, and print(file=None)
+    # writes to stdout: the error line or usage block must not land there.
+    done = subprocess.run([sys.executable, "-m", "atlab.cli", *argv], env=child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          timeout=120, preexec_fn=lambda: os.close(2))
+    assert (done.returncode, done.stdout) == (2, b"")
+
+
 class _FullStdout(io.StringIO):
     """A stdout whose write (or flush) fails as a full disk's does."""
 

@@ -30,6 +30,7 @@ from atlab.cli import main
 from atlab.torus import UnitTorus, logdet_closed, logdet_oracle, spectral_zeta
 from atlab.elliptic import bound_slack, d_ar_elliptic
 from atlab.numerics import UpperHalfPoint
+from test_claims import report_dict  # pytest puts tests/ on sys.path
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 ORACLE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)  # each example runs the oracle
@@ -135,7 +136,7 @@ def test_report_json_equals_indented_json_dumps(records, warnings):
     # any scalar leaves: NaN, infinities, -0.0, big ints, any text.
     report = claims.ClaimReport(tuple(claims.ClaimRecord(*r) for r in records),
                                 tuple(warnings))
-    assert report.to_json() == json.dumps(report.as_dict(), indent=2)
+    assert report.to_json() == json.dumps(report_dict(report), indent=2)
 
 
 # One --tau coordinate: decimal literals with signs and exponents, the
